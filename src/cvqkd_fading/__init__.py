@@ -21,13 +21,11 @@ from .channel import (
     mutual_information_fixed,
     skr_fixed,
     symplectic_pair,
-    symplectic_spectrum,
 )
 from .cma import (
     CmaScaling,
     EffectiveChannel,
     TransmittanceMoments,
-    avg_chi,
     avg_covariance,
     avg_mutual_information,
     cma_scaling,
@@ -75,7 +73,6 @@ __all__ = [
     "TransmittanceMoments",
     "TwoModeCovariance",
     "asymptotic_eigenvalues",
-    "avg_chi",
     "avg_covariance",
     "avg_holevo_analytic",
     "avg_mutual_information",
@@ -108,5 +105,4 @@ __all__ = [
     "skr_hba_asymptotic",
     "skr_hba_exact",
     "symplectic_pair",
-    "symplectic_spectrum",
 ]

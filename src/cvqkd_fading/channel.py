@@ -17,7 +17,7 @@ reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,9 @@ PHYSICALITY_SLACK = 1e-12
 # discriminant of the two-mode eigenvalue problem may go slightly negative
 # from rounding; anything below this signals genuinely unphysical inputs
 DISCRIMINANT_FLOOR = -1e-9
+
+# relative rounding slack of the covariance invariants: 8 ulp of the products
+ROUNDING_ULPS = 8.0 * 2.0**-52
 
 
 def derive_chi(t: float, eps: float) -> float:
@@ -60,25 +63,23 @@ def derive_omega(t: float, eps: float) -> float:
 @dataclass(frozen=True)
 class ChannelParams:
     """One fixed channel point: modulation-plus-vacuum variance V (SNU, >= 1),
-    transmittance T in (0, 1], excess noise eps >= 0 (SNU, channel input)."""
+    transmittance T in (0, 1], excess noise eps >= 0 (SNU, channel input).
+    The added noise chi = 1/T - 1 + eps is derived once, at construction."""
 
     v: float
     t: float
     eps: float
+    chi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.v) and self.v >= 1.0):
             raise DomainError(f"variance must satisfy V >= 1, got {self.v!r}")
-        derive_chi(self.t, self.eps)  # validates t and eps
+        object.__setattr__(self, "chi", derive_chi(self.t, self.eps))
 
     @property
     def v_a(self) -> float:
         """Modulation variance V_A = V - 1."""
         return self.v - 1.0
-
-    @property
-    def chi(self) -> float:
-        return derive_chi(self.t, self.eps)
 
     @property
     def omega(self) -> float:
@@ -88,50 +89,37 @@ class ChannelParams:
 @dataclass(frozen=True)
 class TwoModeCovariance:
     """Standard-form two-mode covariance matrix [[a*1, c*sz], [c*sz, b*1]]
-    with sz = diag(1, -1); a, b, c in shot-noise units."""
+    with sz = diag(1, -1); a, b, c in shot-noise units.
+
+    Physical (both symplectic eigenvalues >= 1) exactly when the symplectic
+    invariants satisfy det = ab - c^2 >= 1 and
+    Delta = a^2 + b^2 - 2c^2 <= 1 + det^2 (Serafini, Illuminati & De Siena,
+    J. Phys. B 37, L21, 2004).  Each condition carries a slack of 8 ulp of the
+    products it is formed from, so the slack scales with the rounding of
+    a*b - c*c, which cancels to ~V at large V on the pure-loss boundary.
+    """
 
     a: float
     b: float
     c: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a >= 1.0 - PHYSICALITY_SLACK):
-            raise DomainError(f"diagonal block a must be >= 1, got {self.a!r}")
-        if not (math.isfinite(self.b) and self.b >= 1.0 - PHYSICALITY_SLACK):
-            raise DomainError(f"diagonal block b must be >= 1, got {self.b!r}")
-        if not math.isfinite(self.c):
-            raise DomainError(f"correlation c must be finite, got {self.c!r}")
-        try:
-            _, lam2 = self.symplectic_eigenvalues()
-        except NumericalError as exc:
-            raise DomainError(str(exc)) from exc
-        if lam2 < 1.0 - PHYSICALITY_SLACK:
+        a, b, c = self.a, self.b, self.c
+        if not (math.isfinite(a) and a >= 1.0 - PHYSICALITY_SLACK):
+            raise DomainError(f"diagonal block a must be >= 1, got {a!r}")
+        if not (math.isfinite(b) and b >= 1.0 - PHYSICALITY_SLACK):
+            raise DomainError(f"diagonal block b must be >= 1, got {b!r}")
+        if not math.isfinite(c):
+            raise DomainError(f"correlation c must be finite, got {c!r}")
+        det = a * b - c * c
+        delta = a * a + b * b - 2.0 * c * c
+        det_tol = ROUNDING_ULPS * (a * b + c * c)
+        delta_tol = ROUNDING_ULPS * (a * a + b * b + 2.0 * c * c) + 2.0 * det * det_tol
+        if det < 1.0 - det_tol or delta > 1.0 + det * det + delta_tol:
             raise DomainError(
-                f"unphysical covariance (a={self.a!r}, b={self.b!r}, c={self.c!r}): "
-                f"symplectic eigenvalue {lam2!r} < 1"
+                f"unphysical covariance (a={a!r}, b={b!r}, c={c!r}): "
+                f"invariants det = {det!r}, Delta = {delta!r} violate the uncertainty principle"
             )
-
-    def symplectic_eigenvalues(self) -> tuple[float, float]:
-        """Both symplectic eigenvalues, descending, from the block invariants."""
-        inv = self.a * self.a + self.b * self.b - 2.0 * self.c * self.c
-        sdet = self.a * self.b - self.c * self.c
-        if sdet <= 0.0 or inv <= 0.0:
-            raise NumericalError(
-                f"unphysical covariance (a={self.a!r}, b={self.b!r}, c={self.c!r}): "
-                "correlations exceed the physical bound"
-            )
-        # inv^2 - 4 sdet^2 factors exactly as (a-b)^2 ((a+b)^2 - 4c^2); the
-        # factored form survives the near-pure-state cancellation
-        factor = (self.a + self.b) ** 2 - 4.0 * self.c * self.c
-        if factor < DISCRIMINANT_FLOOR:
-            raise NumericalError(
-                f"negative two-mode discriminant factor {factor!r}: unphysical parameters"
-            )
-        s = abs(self.a - self.b) * math.sqrt(max(factor, 0.0))
-        lam1 = math.sqrt((inv + s) / 2.0)
-        # stable small root: (inv - s)/2 == 2*sdet^2/(inv + s)
-        lam2 = math.sqrt(2.0 * sdet * sdet / (inv + s))
-        return lam1, lam2
 
     def matrix(self) -> np.ndarray:
         """Dense 4x4 form, xpxp ordering."""
@@ -232,11 +220,6 @@ def conditional_eigenvalue(p: ChannelParams) -> float:
     measured quadrature."""
     v, chi = p.v, p.chi
     return math.sqrt(v * (1.0 + v * chi) / (v + chi))
-
-
-def symplectic_spectrum(p: ChannelParams) -> SymplecticSpectrum:
-    lam1, lam2 = symplectic_pair(p)
-    return SymplecticSpectrum(lam1, lam2, conditional_eigenvalue(p))
 
 
 def holevo_from_eigenvalues(lambda1: float, lambda2: float, lambda3: float) -> float:

@@ -36,12 +36,7 @@ from .hba import (
     skr_hba_asymptotic,
     skr_hba_exact,
 )
-from .montecarlo import (
-    SampleConfig,
-    empirical_avg_covariance,
-    empirical_moments,
-    moment_standard_errors,
-)
+from .montecarlo import SampleConfig, empirical_moments, moment_standard_errors
 from .svgplot import write_line_plot
 
 APPROACHES = ("fixed", "hba_exact", "hba_asymptotic", "cma")
@@ -61,11 +56,15 @@ def attenuation_db(t: float) -> float:
     return -10.0 * math.log10(t) + 0.0  # normalizes -0.0 at T = 1
 
 
+def _require_point_mass(f: FadingUniform) -> None:
+    if f.delta_t != 0.0:
+        raise DomainError("fixed-channel evaluation requires delta_t = 0")
+
+
 def run_point(approach: str, v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     """Evaluate one grid point with the selected model."""
     if approach == "fixed":
-        if f.delta_t != 0.0:
-            raise DomainError("fixed-channel evaluation requires delta_t = 0")
+        _require_point_mass(f)
         return skr_fixed(ChannelParams(v, f.t_min, eps))
     if approach == "hba_exact":
         return skr_hba_exact(v, eps, f)
@@ -114,14 +113,17 @@ class SweepConfig:
             for item in values:
                 if item not in allowed:
                     raise DomainError(f"invalid {name} {item!r}; expected one of {allowed}")
-        for name, values in (
-            ("v", self.v_list),
-            ("eps", self.eps_list),
-            ("t_min", self.t_min_values),
-            ("delta_t", self.delta_t_list),
+        for name, values, bound, ok in (
+            ("v", self.v_list, ">= 1", lambda x: x >= 1.0),
+            ("eps", self.eps_list, ">= 0", lambda x: x >= 0.0),
+            ("t_min", self.t_min_values, "> 0", lambda x: x > 0.0),
+            ("delta_t", self.delta_t_list, ">= 0", lambda x: x >= 0.0),
         ):
             if not values:
                 raise DomainError(f"{name} list must be non-empty")
+            for x in values:
+                if not (math.isfinite(x) and ok(x)):
+                    raise DomainError(f"{name} values must be finite and {bound}, got {x!r}")
         if self.jobs < 1:
             raise DomainError(f"jobs must be >= 1, got {self.jobs!r}")
         if not 1.0 <= self.v_lo < self.v_hi:
@@ -183,43 +185,31 @@ class SweepRow:
         }[column]
 
 
-def _precondition_issue(approach: str, v: float | None, eps: float, t_min: float, delta_t: float) -> str | None:
-    """Reason the combination violates the target model's preconditions, else None."""
-    t_max = t_min + delta_t
-    if t_min <= 0.0:
-        return "t_min must be positive"
-    if t_max > 1.0 + 1e-12:
-        return f"t_max = {t_max:g} exceeds 1"
-    if approach == "fixed" and delta_t != 0.0:
-        return "fixed channel requires delta_t = 0"
-    if approach == "hba_asymptotic":
-        if t_max >= 1.0:
-            return "asymptotic model requires t_max < 1"
-        if delta_t <= 0.0:
-            return "asymptotic model requires delta_t > 0"
-        if eps >= 1.0:
-            return "asymptotic model requires eps < 1"
-        if v is not None and v <= holevo_asymptotic_regime_floor(eps, FadingUniform(t_min, delta_t)):
-            return "V below the validity floor of the large-V closed form"
-    if v is not None and v < 1.0:
-        return "V must be >= 1"
-    return None
-
-
 def build_grid(cfg: SweepConfig) -> tuple[list[SweepRow], list[str]]:
     """Expand the config into evaluation rows in deterministic declared order
-    (approach, eps, delta_t, t_min, V); precondition-violating combinations
-    are skipped with a reason."""
+    (approach, eps, delta_t, t_min, V).  Combinations outside the target
+    model's domain are skipped with the model's own DomainError message; the
+    large-V closed form also skips every V up to its validity floor."""
     rows: list[SweepRow] = []
     skipped: list[str] = []
     for approach in cfg.approaches:
-        optimize = approach in cfg.optimize_v
+        v_slots = (None,) if approach in cfg.optimize_v else cfg.v_list
         for eps in cfg.eps_list:
             for delta_t in cfg.delta_t_list:
                 for t_min in cfg.t_min_values:
-                    v_slots = [None] if optimize else list(cfg.v_list)
+                    domain_issue, v_floor = None, 0.0  # SweepConfig ensures V >= 1
+                    try:
+                        f = FadingUniform(t_min, delta_t)
+                        if approach == "fixed":
+                            _require_point_mass(f)
+                        elif approach == "hba_asymptotic":
+                            v_floor = holevo_asymptotic_regime_floor(eps, f)
+                    except DomainError as exc:
+                        domain_issue = str(exc)
                     for v in v_slots:
-                        issue = _precondition_issue(approach, v, eps, t_min, delta_t)
+                        issue = domain_issue
+                        if issue is None and v is not None and v <= v_floor:
+                            issue = f"V below the large-V validity floor {v_floor:.6g}"
                         if issue is not None:
                             skipped.append(
                                 f"skip approach={approach} V={'opt' if v is None else fmt(v)} "
@@ -387,7 +377,7 @@ def mc_validate_rows(
     """(quantity, empirical, closed_form, standard_error) rows for the report."""
     emp = empirical_moments(f, cfg)
     ref = moments_uniform(f)
-    emp_cov = empirical_avg_covariance(v, eps, f, cfg)
+    emp_cov = avg_covariance(emp, v, eps)
     ref_cov = avg_covariance(ref, v, eps)
     se_sqrt, se_t, se_var = moment_standard_errors(f, cfg.n_samples)
     return [

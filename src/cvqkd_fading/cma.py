@@ -27,9 +27,7 @@ from .channel import (
 )
 from .errors import DomainError
 from .hba import FadingUniform
-from .numerics import LN2, maximize_scalar
-
-LOG2_E = 1.0 / LN2
+from .numerics import LOG2_E, maximize_scalar
 
 
 @dataclass(frozen=True)
@@ -93,17 +91,13 @@ def moments_uniform(f: FadingUniform) -> TransmittanceMoments:
     """Closed-form moments of the uniform fading law."""
     if f.delta_t == 0.0:
         return TransmittanceMoments(math.sqrt(f.t_min), f.t_min, 0.0)
-    mean_sqrt = 2.0 / (3.0 * f.delta_t) * (f.t_max**1.5 - f.t_min**1.5)
     mean_t = f.t_min + 0.5 * f.delta_t
+    # at small widths the cancellation in t_max^1.5 - t_min^1.5 can push the
+    # estimate across Jensen's bound <sqrt(T)>^2 <= <T>, i.e. off the physical states
+    mean_sqrt = min(
+        2.0 / (3.0 * f.delta_t) * (f.t_max**1.5 - f.t_min**1.5), math.sqrt(mean_t)
+    )
     return TransmittanceMoments(mean_sqrt, mean_t, max(mean_t - mean_sqrt**2, 0.0))
-
-
-def avg_chi(m: TransmittanceMoments, eps: float) -> float:
-    """Averaged channel noise 1/<T> - 1 + eps (display form only; rate
-    computations go through the averaged covariance entries)."""
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"excess noise must satisfy eps >= 0, got {eps!r}")
-    return 1.0 / m.mean_t - 1.0 + eps
 
 
 def effective_params(m: TransmittanceMoments, eps: float, v: float) -> EffectiveChannel:

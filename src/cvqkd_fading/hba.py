@@ -36,9 +36,7 @@ from .channel import (
     mutual_information_fixed,
 )
 from .errors import DomainError
-from .numerics import LN2, QuadratureSpec, dilog, g_entropy, integrate
-
-LOG2_E = 1.0 / LN2
+from .numerics import LOG2_E, QuadratureSpec, dilog, g_entropy, integrate
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import TwoModeCovariance
-from .cma import TransmittanceMoments, moments_uniform
+from .cma import TransmittanceMoments, avg_covariance, moments_uniform
 from .errors import DomainError
 from .hba import FadingUniform
 
@@ -53,11 +53,11 @@ def empirical_moments(f: FadingUniform, cfg: SampleConfig) -> TransmittanceMomen
 
     The variance uses the population definition matching the closed form (no
     ddof correction), computed in centered form to avoid cancellation.  The
-    degenerate distribution short-circuits the averaging so the estimates are
-    exact for any sample count.
+    degenerate distribution returns the closed-form moments, exact for any
+    sample count.
     """
     if f.delta_t == 0.0:
-        return TransmittanceMoments(math.sqrt(f.t_min), f.t_min, 0.0)
+        return moments_uniform(f)
     t = sample_transmittance(f, cfg)
     sqrt_t = np.sqrt(t)
     mean_sqrt = float(sqrt_t.mean())
@@ -70,17 +70,8 @@ def empirical_avg_covariance(
     v: float, eps: float, f: FadingUniform, cfg: SampleConfig
 ) -> TwoModeCovariance:
     """Entry-wise average of the per-draw fixed-channel covariance matrices:
-    a = V, c = mean(sqrt(T)) sqrt(V^2 - 1), b = mean(T)(V - 1 + eps) + 1."""
-    if not (math.isfinite(v) and v >= 1.0):
-        raise DomainError(f"variance must satisfy V >= 1, got {v!r}")
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"excess noise must satisfy eps >= 0, got {eps!r}")
-    m = empirical_moments(f, cfg)
-    return TwoModeCovariance(
-        a=v,
-        b=m.mean_t * (v - 1.0 + eps) + 1.0,
-        c=m.mean_sqrt_t * math.sqrt(v * v - 1.0),
-    )
+    the averaged covariance (``avg_covariance``) at the empirical moments."""
+    return avg_covariance(empirical_moments(f, cfg), v, eps)
 
 
 def moment_standard_errors(f: FadingUniform, n_samples: int) -> tuple[float, float, float]:

@@ -16,6 +16,7 @@ from typing import Callable
 from .errors import DomainError, NumericalError, QuadratureError
 
 LN2 = math.log(2.0)
+LOG2_E = 1.0 / LN2
 PI2_OVER_6 = math.pi * math.pi / 6.0
 
 

@@ -21,7 +21,9 @@ from cvqkd_fading.channel import (
     skr_fixed,
     symplectic_pair,
 )
+from cvqkd_fading.cma import avg_covariance, moments_uniform
 from cvqkd_fading.errors import DomainError
+from cvqkd_fading.hba import FadingUniform
 
 
 def random_params(rng, n):
@@ -170,10 +172,33 @@ class TestTwoModeCovariance:
         assert mat[0, 2] == cov.c and mat[1, 3] == -cov.c
 
     def test_unphysical_rejected(self):
-        with pytest.raises(DomainError):
-            TwoModeCovariance(a=2.0, b=2.0, c=2.5)  # correlations beyond physical
-        with pytest.raises(DomainError):
-            TwoModeCovariance(a=0.5, b=2.0, c=0.0)  # below vacuum
+        cases = [
+            (2.0, 2.0, 2.5),  # correlations beyond physical
+            (0.5, 2.0, 0.0),  # below vacuum
+        ]
+        # pure-loss states (eps = 0, lambda2 = 1 exactly) with c raised 1e-9 relative
+        for v in (10.0, 1e3, 1e5):
+            for t in (0.1, 0.5, 0.9):
+                cov = joint_covariance(ChannelParams(v, t, 0.0))
+                cases.append((cov.a, cov.b, cov.c * (1.0 + 1e-9)))
+        for a, b, c in cases:
+            with pytest.raises(DomainError):
+                TwoModeCovariance(a=a, b=b, c=c)
+
+    def test_physical_states_constructed(self):
+        # validated inputs up to V = 1e6, including the pure-loss boundary
+        # (eps = 0), T -> 1 and small fading widths, always give a state
+        rng = np.random.default_rng(1327)
+        for k in range(10_000):
+            v = float(10.0 ** rng.uniform(0.0, 6.0))
+            eps = 0.0 if k % 2 else float(rng.uniform(0.0, 0.1))
+            t = float(1.0 - 10.0 ** rng.uniform(-16.0, 0.0)) if k % 4 < 2 else float(
+                10.0 ** rng.uniform(-6.0, 0.0)
+            )
+            joint_covariance(ChannelParams(v, max(t, 1e-6), eps))
+            t_min = float(10.0 ** rng.uniform(-4.0, 0.0))
+            delta_t = float((1.0 - t_min) * 10.0 ** rng.uniform(-6.0, 0.0))
+            avg_covariance(moments_uniform(FadingUniform(t_min, delta_t)), v, eps)
 
 
 class TestHolevoAndRate:

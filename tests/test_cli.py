@@ -5,11 +5,12 @@ import sys
 
 import pytest
 
-from cvqkd_fading import cli
+from cvqkd_fading import cli, montecarlo
 from cvqkd_fading.channel import ChannelParams, skr_fixed
-from cvqkd_fading.cma import skr_cma
+from cvqkd_fading.cma import avg_covariance, skr_cma
 from cvqkd_fading.errors import DomainError, NumericalError
 from cvqkd_fading.hba import FadingUniform, skr_hba_exact
+from cvqkd_fading.montecarlo import SampleConfig, empirical_moments
 
 
 def run_main(argv, capsys):
@@ -199,6 +200,26 @@ class TestSweep:
         rows, _ = cli.run_sweep(cfg)
         assert len(rows) == 1 and rows[0].delta_t == 0.0
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--eps", "nan"),
+            ("--eps", "-0.1"),
+            ("--v", "inf"),
+            ("--v", "0.5"),
+            ("--t-min", "nan"),
+            ("--delta-t", "-0.1"),
+        ],
+    )
+    def test_invalid_grid_value_exits_one(self, capsys, flag, value):
+        argv = ["sweep", "--approach", "cma", "--v", "10", "--eps", "0",
+                "--t-min", "0.4", "--delta-t", "0.2"]
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_error_rows_and_exit_code(self, tmp_path, monkeypatch, capsys):
         real = cli.run_point
 
@@ -314,6 +335,33 @@ class TestMcValidateCommand:
         assert lines[0].startswith("quantity,")
         assert len(lines) == 6
         assert all(line.endswith(",true") for line in lines[1:])
+
+    def test_pure_loss_point_mass(self, capsys):
+        # at V = 1327, T = 0.94, eps = 0 the state is pure-loss (lambda2 = 1
+        # exactly); rounding must not reject it as unphysical
+        code, out, err = run_main(
+            ["mc-validate", "--v", "1327", "--eps", "0", "--t-min", "0.94",
+             "--delta-t", "0", "--n", "1000"],
+            capsys,
+        )
+        assert code == 0, err
+        assert len(out.strip().splitlines()) == 6
+
+    def test_samples_once(self, monkeypatch):
+        draws = []
+        real = montecarlo.sample_transmittance
+
+        def counting(f, cfg):
+            draws.append(cfg)
+            return real(f, cfg)
+
+        monkeypatch.setattr(montecarlo, "sample_transmittance", counting)
+        f, cfg = FadingUniform(0.4, 0.2), SampleConfig(10_000, 7)
+        rows = {name: emp for name, emp, _, _ in cli.mc_validate_rows(10.0, 0.03, f, cfg)}
+        assert len(draws) == 1
+        ref = avg_covariance(empirical_moments(f, cfg), 10.0, 0.03)
+        assert rows["cov_b"] == ref.b
+        assert rows["cov_c"] == ref.c
 
 
 class TestEntryPoint:

@@ -8,7 +8,6 @@ import pytest
 from conftest import conditional_after_homodyne, symplectic_eigs_generic
 from cvqkd_fading.channel import ChannelParams, holevo_from_eigenvalues, skr_fixed
 from cvqkd_fading.cma import (
-    avg_chi,
     avg_covariance,
     avg_mutual_information,
     cma_scaling,
@@ -138,16 +137,6 @@ class TestAvgCovariance:
                 math.sqrt(eff.t_eff * (v * v - 1.0)), rel=1e-12
             )
             assert cov.b == pytest.approx(eff.t_eff * (v + eff.chi_eff), rel=1e-12)
-
-    def test_avg_chi_display_form(self):
-        m = moments_uniform(FadingUniform(0.4, 0.2))
-        assert avg_chi(m, 0.03) == pytest.approx(1.0 / 0.5 - 1.0 + 0.03, rel=1e-14)
-        # averaged covariance b-entry equals <T>(V + <chi>) + (1 - <T>) - <T> ... the
-        # direct entries are the normative path; check the algebraic equivalence
-        v = 10.0
-        assert m.mean_t * (v + avg_chi(m, 0.03)) + (1.0 - m.mean_t) - 1.0 + 1.0 == pytest.approx(
-            m.mean_t * (v - 1.0 + 0.03) + 1.0 + (1.0 - m.mean_t), rel=1e-12
-        )
 
 
 class TestErgodicMutualInformation:

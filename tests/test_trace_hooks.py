@@ -1,0 +1,44 @@
+"""The benchmark's trace hooks still fit the package.
+
+``perfbench/tracing.py`` wraps each public function at every module attribute
+a caller looks it up by (``cma.holevo_fixed``, ``hba.integrate``,
+``cli.write_csv`` ...).  ``Tracer.install`` raises when a site is gone or is
+bound to a different function than the other sites of the same layer, so a
+refactor that drops or rebinds a traced lookup fails here instead of
+breaking ``perfbench/run.py --trace 1``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import cvqkd_fading
+import cvqkd_fading.cli  # noqa: F401  (install looks modules up as package attributes)
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_and_uninstall_restore_every_site():
+    tracing = load_tracing()
+    sites = tracing.SPANS + tracing.COUNTS
+    before = {(m, a): getattr(getattr(cvqkd_fading, m), a) for m, a, _ in sites}
+    tracer = tracing.Tracer()
+    tracer.install(cvqkd_fading)
+    try:
+        for module, attr, _ in sites:
+            assert getattr(getattr(cvqkd_fading, module), attr) is not before[module, attr]
+        cvqkd_fading.cli.run_point("cma", 10.0, 0.01, cvqkd_fading.FadingUniform(0.4, 0.2))
+        assert tracer.calls["cli.run_point"] == 1
+        assert tracer.calls["cma.skr_cma"] == 1
+        assert tracer.calls["channel.holevo_fixed"] == 1
+        assert tracer.counts["numerics.g_entropy.calls"] == 3
+    finally:
+        tracer.uninstall()
+    for module, attr, _ in sites:
+        assert getattr(getattr(cvqkd_fading, module), attr) is before[module, attr]
