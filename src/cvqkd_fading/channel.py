@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import g_entropy
+from .numerics import g_entropy, g_entropy_array
 
 # slack for >= 1 physicality bounds: cancellation near pure states can land a
 # symplectic eigenvalue a few ulp below 1
@@ -188,38 +188,62 @@ def mutual_information_fixed(p: ChannelParams) -> float:
     return 0.5 * math.log2((p.v + chi) / (1.0 + chi))
 
 
-def symplectic_pair(p: ChannelParams) -> tuple[float, float]:
-    """Symplectic eigenvalues (lambda1 >= lambda2) of the joint covariance.
+def spectrum_closed_form(v, t, chi, sqrt):
+    """Closed-form symplectic spectrum of the (V, T, chi) state, written once
+    for both float and ndarray arguments (``sqrt`` is ``math.sqrt`` or
+    ``np.sqrt``; only arithmetic and ``abs`` are used besides it).
 
-    Closed form: lambda_{1,2} = sqrt((A +/- sqrt(A^2 - 4B)) / 2) with
-    A = T^2 (V+chi)^2 + (1-2T) V^2 + 2T and B = T^2 (V chi + 1)^2.  Two
-    rewrites keep the cancellation-prone regimes accurate: the discriminant
-    is evaluated in the factored form (V - T(V+chi))^2 ((V + T(V+chi))^2 -
-    4T(V^2-1)) (near-pure states, T -> 1 at small eps) and the small root as
-    sqrt(2B / (A + sqrt(disc))) (large V).
+    Returns (factor, lambda1, lambda2, lambda3).  lambda_{1,2} =
+    sqrt((A +/- sqrt(A^2 - 4B)) / 2) with A = T^2 (V+chi)^2 + (1-2T) V^2 + 2T
+    and B = T^2 (V chi + 1)^2 are the joint-state eigenvalues (lambda1 >=
+    lambda2).  Two rewrites keep the cancellation-prone regimes accurate: the
+    discriminant is evaluated in the factored form (V - T(V+chi))^2 * factor,
+    factor = (V + T(V+chi))^2 - 4T(V^2-1) (near-pure states, T -> 1 at small
+    eps), and the small root as sqrt(2B / (A + sqrt(disc))) (large V).  A
+    factor below ``DISCRIMINANT_FLOOR`` signals unphysical inputs and is the
+    caller's to reject; rounding below 0 is read as 0, written
+    0.5 (f + |f|) so that it stays generic.  lambda3 = sqrt(V (1 + V chi) /
+    (V + chi)) is the eigenvalue of Alice's state after Bob's homodyne
+    detection (the same for either measured quadrature).  Squares are
+    written as products: a Python float ``** 2`` goes through the C library's
+    ``pow``, which is not always correctly rounded, while numpy squares
+    exactly, so ``** 2`` would let the two argument types differ.
     """
-    v, t, chi = p.v, p.t, p.chi
-    bob = t * (v + chi)
-    big_a = t * t * (v + chi) ** 2 + (1.0 - 2.0 * t) * v * v + 2.0 * t
+    v_chi = v + chi
+    bob = t * v_chi
+    big_a = t * t * (v_chi * v_chi) + (1.0 - 2.0 * t) * v * v + 2.0 * t
     root_b = t * (v * chi + 1.0)
     big_b = root_b * root_b
-    factor = (v + bob) ** 2 - 4.0 * t * (v * v - 1.0)
+    v_bob = v + bob
+    factor = v_bob * v_bob - 4.0 * t * (v * v - 1.0)
+    s = abs(v - bob) * sqrt(0.5 * (factor + abs(factor)))
+    lam1 = sqrt((big_a + s) / 2.0)
+    lam2 = sqrt(2.0 * big_b / (big_a + s))
+    lam3 = sqrt(v * (1.0 + v * chi) / v_chi)
+    return factor, lam1, lam2, lam3
+
+
+def _checked_spectrum(p: ChannelParams) -> tuple[float, float, float]:
+    """(lambda1, lambda2, lambda3) of one channel point; a discriminant factor
+    below ``DISCRIMINANT_FLOOR`` raises NumericalError."""
+    factor, lam1, lam2, lam3 = spectrum_closed_form(p.v, p.t, p.chi, math.sqrt)
     if factor < DISCRIMINANT_FLOOR:
         raise NumericalError(
             f"negative discriminant factor {factor!r} for {p!r}: unphysical parameter combination"
         )
-    s = abs(v - bob) * math.sqrt(max(factor, 0.0))
-    lam1 = math.sqrt((big_a + s) / 2.0)
-    lam2 = math.sqrt(2.0 * big_b / (big_a + s))
+    return lam1, lam2, lam3
+
+
+def symplectic_pair(p: ChannelParams) -> tuple[float, float]:
+    """Symplectic eigenvalues (lambda1 >= lambda2) of the joint covariance."""
+    lam1, lam2, _ = _checked_spectrum(p)
     return lam1, lam2
 
 
 def conditional_eigenvalue(p: ChannelParams) -> float:
     """Symplectic eigenvalue of Alice's state after Bob's homodyne detection:
-    sqrt(V (1 + V chi) / (V + chi)); the same value results for either
-    measured quadrature."""
-    v, chi = p.v, p.chi
-    return math.sqrt(v * (1.0 + v * chi) / (v + chi))
+    sqrt(V (1 + V chi) / (V + chi))."""
+    return spectrum_closed_form(p.v, p.t, p.chi, math.sqrt)[3]
 
 
 def holevo_from_eigenvalues(lambda1: float, lambda2: float, lambda3: float) -> float:
@@ -237,8 +261,41 @@ def holevo_from_eigenvalues(lambda1: float, lambda2: float, lambda3: float) -> f
 
 def holevo_fixed(p: ChannelParams) -> float:
     """Eavesdropper's Holevo bound for one fixed channel point, bits."""
-    lam1, lam2 = symplectic_pair(p)
-    return holevo_from_eigenvalues(lam1, lam2, conditional_eigenvalue(p))
+    return holevo_from_eigenvalues(*_checked_spectrum(p))
+
+
+def holevo_fixed_array(v: float, t: np.ndarray, eps: float) -> np.ndarray:
+    """``holevo_fixed`` at every transmittance of the array t for one (V, eps),
+    bits.
+
+    V >= 1 and eps >= 0 are the caller's to validate, once.  The nodes are
+    checked with one vectorized test per condition and fail with the scalar
+    path's exception class: DomainError for T outside (0, 1] or an eigenvalue
+    below 1 - PHYSICALITY_SLACK or non-finite (the scalar ``g_entropy``
+    rejects those), NumericalError for a discriminant factor below
+    DISCRIMINANT_FLOOR.  Finite eigenvalues give finite entropies, so every
+    returned value is finite.
+    """
+    t_lo, t_hi = t.min(), t.max()
+    if not (t_lo > 0.0 and t_hi <= 1.0):
+        raise DomainError(
+            f"transmittance must satisfy 0 < T <= 1, got values in [{float(t_lo)!r}, {float(t_hi)!r}]"
+        )
+    factor, lam1, lam2, lam3 = spectrum_closed_form(v, t, 1.0 / t - 1.0 + eps, np.sqrt)
+    if (factor < DISCRIMINANT_FLOOR).any():
+        raise NumericalError(
+            f"negative discriminant factor {float(factor.min())!r} for V={v!r}, eps={eps!r}: "
+            "unphysical parameter combination"
+        )
+    lams = np.array((lam1, lam2, lam3))
+    lam_lo, lam_hi = lams.min(), lams.max()
+    if not (lam_lo >= 1.0 - PHYSICALITY_SLACK and lam_hi < math.inf):
+        raise DomainError(
+            "symplectic eigenvalues must be finite and >= 1, got values in "
+            f"[{float(lam_lo)!r}, {float(lam_hi)!r}]"
+        )
+    g = g_entropy_array(np.maximum((lams - 1.0) / 2.0, 0.0))
+    return g[0] + g[1] - g[2]
 
 
 def skr_fixed(p: ChannelParams) -> SkrBreakdown:

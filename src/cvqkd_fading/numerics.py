@@ -1,8 +1,9 @@
-"""Scalar numerics shared by every other module.
+"""Numerics shared by every other module.
 
-Everything here is a pure function: the bosonic entropy ``g_entropy``, the
-real dilogarithm ``dilog``, an adaptive-Simpson ``integrate`` (which doubles
-as the independent oracle the closed forms are validated against), and a
+Everything here is a pure function: the bosonic entropy ``g_entropy`` (and
+its array form), the real dilogarithm ``dilog``, Gauss-Legendre rules, an
+adaptive-Simpson ``integrate`` (which doubles as the independent oracle the
+closed forms and the Gauss-Legendre average are validated against), and a
 bracketed scalar maximizer.  All entropic quantities are in base-2
 logarithms, i.e. bits.
 """
@@ -13,11 +14,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError, NumericalError, QuadratureError
 
 LN2 = math.log(2.0)
 LOG2_E = 1.0 / LN2
 PI2_OVER_6 = math.pi * math.pi / 6.0
+_TINY = 2.0**-1022
 
 
 def g_entropy(x: float) -> float:
@@ -30,6 +34,13 @@ def g_entropy(x: float) -> float:
     if x == 0.0:
         return 0.0
     return (x + 1.0) * math.log1p(x) / LN2 - x * math.log2(x)
+
+
+def g_entropy_array(x: np.ndarray) -> np.ndarray:
+    """``g_entropy`` at every element of x; the caller guarantees finite
+    x >= 0.  Zeros take the x log x limit, 0 (the log2 argument is floored at
+    the smallest normal double, which only touches x = 0 and subnormals)."""
+    return (x + 1.0) * np.log1p(x) / LN2 - x * np.log2(np.maximum(x, _TINY))
 
 
 def _dilog_series(z: float) -> float:
@@ -70,13 +81,47 @@ def dilog(z: float) -> float:
     return _dilog_series(z)
 
 
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1].
+
+    Newton's method on P_n from the Tricomi estimates cos(pi (k - 1/4) /
+    (n + 1/2)), all roots at once, with P_n and P_{n-1} from the three-term
+    recurrence; the weights are 2 / ((1 - x^2) P_n'(x)^2) at the converged
+    nodes.  For n <= 64 the nodes are within 1e-16 and the weights within
+    1e-13 relative of 40-digit values.
+    """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n!r}")
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p_prev, p_n = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p_n = p_n, ((2 * j - 1) * x * p_n - (j - 1) * p_prev) / j
+        dp = n * (p_prev - x * p_n) / (1.0 - x * x)
+        step = p_n / dp
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    return x[::-1], (2.0 / ((1.0 - x * x) * dp * dp))[::-1]
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error targets for adaptive quadrature."""
+    """Error targets and limits for adaptive quadrature.
+
+    max_evals caps the integrand evaluations of one ``integrate`` call, so
+    an integrand whose rounding noise exceeds the tolerance fails instead of
+    subdividing without end: the first panel that still needs subdividing
+    once max_evals evaluations are spent raises.  The default is about ten
+    times the most any call needs on the packaged presets (749, at eps = 0
+    up to t_max = 1).
+    """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_depth: int = 60
+    max_evals: int = 10_000
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
@@ -85,6 +130,8 @@ class QuadratureSpec:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
         if self.max_depth < 1:
             raise DomainError(f"max_depth must be >= 1, got {self.max_depth!r}")
+        if self.max_evals < 5:
+            raise DomainError(f"max_evals must be >= 5, got {self.max_evals!r}")
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -101,15 +148,19 @@ def integrate(
 
     Subdivides until the Richardson error estimate of each panel is below its
     share of max(abs_tol, rel_tol * |I|).  Raises QuadratureError instead of
-    returning a silent value when f is non-finite at a node or max_depth is
-    exhausted before the tolerance is met.
+    returning a silent value when f is non-finite at a node, or when
+    max_depth or max_evals is exhausted before the tolerance is met.
     """
     if spec is None:
         spec = QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"integration interval must satisfy a < b, got [{a!r}, {b!r}]")
 
+    evals = 0
+
     def ev(x: float) -> float:
+        nonlocal evals
+        evals += 1
         y = f(x)
         if not math.isfinite(y):
             raise QuadratureError(f"integrand returned non-finite value {y!r} at x={x!r}")
@@ -133,6 +184,11 @@ def integrate(
         if depth <= 0:
             raise QuadratureError(
                 f"max_depth exhausted on [{a_!r}, {b_!r}] with error estimate {abs(err) / 15.0:.3e}"
+            )
+        if evals >= spec.max_evals:
+            raise QuadratureError(
+                f"max_evals exhausted after {evals} evaluations with error estimate "
+                f"{abs(err) / 15.0:.3e}"
             )
         return recurse(a_, lm, m_, fa_, flm, fm_, left, 0.5 * tol_, depth - 1) + recurse(
             m_, rm, b_, fm_, frm, fb_, right, 0.5 * tol_, depth - 1

@@ -245,6 +245,21 @@ class TestSweep:
         assert cells[0] == "cma" and cells[1] == "10"
         assert cells[7] == cells[8] == cells[9] == ""  # no values on failure
 
+    def test_quadrature_budget_row_is_an_error_cell(self, tmp_path, capsys):
+        csv_path = tmp_path / "budget.csv"
+        code, _, err = run_main(
+            ["sweep", "--approach", "hba_exact", "--v", "1e8,10", "--eps", "0.01",
+             "--t-min", "0.5", "--delta-t", "0.4", "--csv", str(csv_path)],
+            capsys,
+        )
+        assert code == 3
+        assert "1 grid points failed" in err
+        bad, good = csv_path.read_text().strip().splitlines()[1:]
+        assert bad.split(",")[1] == "100000000"
+        assert bad.split(",")[-1].startswith("QuadratureError: max_evals exhausted after")
+        assert bad.split(",")[7:10] == ["", "", ""]
+        assert good.split(",")[-1] == ""
+
     def test_svg_written_and_clamped(self, tmp_path):
         # rates at tiny t_min are negative; the linear-axis SVG must clamp at 0
         cfg = cli.sweep_config_from_sources(

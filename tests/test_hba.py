@@ -1,12 +1,21 @@
 """Worst-case-rate model: exact quadrature pipeline and large-V closed forms."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from cvqkd_fading.channel import ChannelParams, holevo_fixed, skr_fixed, symplectic_pair
-from cvqkd_fading.errors import DomainError
+from cvqkd_fading import cli, hba
+from cvqkd_fading.channel import (
+    ChannelParams,
+    holevo_fixed,
+    holevo_fixed_array,
+    skr_fixed,
+    spectrum_closed_form,
+    symplectic_pair,
+)
+from cvqkd_fading.errors import DomainError, QuadratureError
 from cvqkd_fading.hba import (
     FadingUniform,
     asymptotic_eigenvalues,
@@ -17,7 +26,7 @@ from cvqkd_fading.hba import (
     skr_hba_asymptotic,
     skr_hba_exact,
 )
-from cvqkd_fading.numerics import g_entropy, integrate
+from cvqkd_fading.numerics import QuadratureSpec, g_entropy, integrate
 
 
 def holevo_avg_bruteforce(v, eps, f, n=10_000):
@@ -26,6 +35,25 @@ def holevo_avg_bruteforce(v, eps, f, n=10_000):
     step = f.delta_t / n
     ts = f.t_min + (np.arange(n) + 0.5) * step
     return sum(holevo_fixed(ChannelParams(v, float(t), eps)) for t in ts) / n
+
+
+def holevo_avg_simpson(v, eps, f):
+    """The exact average by adaptive Simpson over the scalar Holevo bound."""
+    return (
+        integrate(lambda t: holevo_fixed(ChannelParams(v, t, eps)), f.t_min, f.t_max)
+        / f.delta_t
+    )
+
+
+def preset_hba_exact_points(name):
+    """(V, eps, FadingUniform) of every hba_exact row of a packaged preset."""
+    cfg = cli.sweep_config_from_sources(cli.load_preset(name), {})
+    rows, _ = cli.build_grid(cfg)
+    return [
+        (r.v, r.eps, FadingUniform(r.t_min, r.delta_t))
+        for r in rows
+        if r.approach == "hba_exact"
+    ]
 
 
 def h_term_quadrature(eps, f):
@@ -102,6 +130,133 @@ class TestExactPipeline:
         # t_max = 1 is fine for the exact integrand (chi stays finite)
         out = skr_hba_exact(10.0, 0.02, FadingUniform(0.4, 0.6))
         assert math.isfinite(out.rate)
+
+    def test_noisy_integrand_fails_within_budget(self):
+        # at V = 1e8 the integrand's rounding noise exceeds rel_tol; the
+        # fallback stops at QuadratureSpec.max_evals instead of running on
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError, match="max_evals"):
+            skr_hba_exact(1e8, 0.01, FadingUniform(0.5, 0.4))
+        assert time.perf_counter() - start < 5.0
+        with pytest.raises(QuadratureError, match="max_evals"):
+            skr_hba_exact(1e8, 0.01, FadingUniform(0.5, 0.4), QuadratureSpec(max_evals=100))
+
+
+def gl_points_4b_box():
+    return [
+        (1e3, eps, FadingUniform(0.3 + 0.05 * k, 0.2))
+        for eps in (0.0, 0.005, 0.03)
+        for k in range(9)
+    ]
+
+
+def gl_points_random_box():
+    rng = np.random.default_rng(20261018)
+    points = []
+    for _ in range(200):
+        t_min = float(rng.uniform(0.01, 0.99))
+        points.append(
+            (
+                float(10.0 ** rng.uniform(0.0, 5.0)),
+                float(rng.uniform(0.0, 0.05)),
+                FadingUniform(t_min, float(rng.uniform(1e-3, 1.0 - t_min))),
+            )
+        )
+    return points
+
+
+class TestGaussLegendreAverage:
+    """The Gauss-Legendre average against adaptive Simpson, the oracle it
+    falls back to."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            pytest.param(lambda: preset_hba_exact_points("fig2"), id="fig2"),
+            pytest.param(lambda: preset_hba_exact_points("fig3"), id="fig3"),
+            pytest.param(gl_points_4b_box, id="4b-box"),
+            pytest.param(gl_points_random_box, id="random-box"),
+        ],
+    )
+    def test_agrees_with_adaptive_simpson(self, points):
+        # 1e-10 relative; below 1 bit, 1e-10 bits absolute, because both
+        # methods stop at abs_tol = 1e-12 on the integral and Holevo values
+        # reach 1e-8 bits near V = 1 (where Simpson is the less accurate one)
+        for v, eps, f in points():
+            ref = holevo_avg_simpson(v, eps, f)
+            got = skr_hba_exact(v, eps, f).holevo
+            assert abs(got - ref) <= 1e-10 * max(abs(ref), 1.0), (v, eps, f)
+
+    def test_failed_estimate_returns_simpson_exactly(self, monkeypatch):
+        # eps = 0 and t_max = 1: lambda2 -> 1 gives an x log x endpoint that
+        # the 32/64-point pair does not resolve to the tolerance
+        calls = []
+        real = hba.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hba, "integrate", counting)
+        f = FadingUniform(0.8, 0.2)
+        out = skr_hba_exact(10.0, 0.0, f)
+        assert calls == [(0.8, 1.0)]
+        assert out.holevo == holevo_avg_simpson(10.0, 0.0, f)
+
+    def test_fig2_grid_rarely_reaches_the_fallback(self, monkeypatch):
+        # a count, not a timing: losing the fast path sends every row to
+        # adaptive Simpson (3 of the 180 rows reach it today)
+        calls = 0
+        real = hba.integrate
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hba, "integrate", counting)
+        points = preset_hba_exact_points("fig2")
+        for v, eps, f in points:
+            skr_hba_exact(v, eps, f)
+        assert len(points) == 180
+        assert calls <= 0.05 * len(points)
+
+    def test_scalar_and_array_spectrum_agree(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            v = float(10.0 ** rng.uniform(0.0, 6.0))
+            eps = float(rng.uniform(0.0, 0.1))
+            t = rng.uniform(1e-3, 1.0, 40)
+            chi = 1.0 / t - 1.0 + eps
+            arrays = spectrum_closed_form(v, t, chi, np.sqrt)
+            for j in range(t.size):
+                scalars = spectrum_closed_form(v, float(t[j]), float(chi[j]), math.sqrt)
+                for arr, sc in zip(arrays, scalars):
+                    assert abs(float(arr[j]) - sc) <= 4.0 * np.spacing(abs(sc))
+
+    def test_array_holevo_matches_scalar(self):
+        t = np.linspace(0.05, 1.0, 20)
+        for v, eps in ((1.0, 0.0), (10.0, 0.0), (10.0, 0.03), (1e4, 0.01)):
+            got = holevo_fixed_array(v, t, eps)
+            for tj, g in zip(t, got):
+                ref = holevo_fixed(ChannelParams(v, float(tj), eps))
+                assert g == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "v, t_bad, eps",
+        [
+            (10.0, math.nan, 0.0),  # non-finite node
+            (10.0, 0.0, 0.0),  # outside (0, 1]
+            (10.0, 1.5, 0.01),
+            (1e3, 0.988695, 0.0),  # lambda2 rounds below 1 - slack
+            (1e200, 0.5, 0.0),  # the spectrum overflows
+        ],
+    )
+    def test_bad_node_raises_the_scalar_exception_class(self, v, t_bad, eps):
+        with pytest.raises(DomainError) as scalar:
+            holevo_fixed(ChannelParams(v, t_bad, eps))
+        with pytest.raises(type(scalar.value)), np.errstate(all="ignore"):
+            holevo_fixed_array(v, np.array([0.5, t_bad, 0.7]), eps)
 
 
 class TestAsymptoticEigenvalues:

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 import scipy.special
 
+from cvqkd_fading.channel import ChannelParams, holevo_fixed
 from cvqkd_fading.errors import DomainError, NumericalError, QuadratureError
 from cvqkd_fading.numerics import (
     QuadratureSpec,
     dilog,
     g_entropy,
+    g_entropy_array,
+    gauss_legendre,
     integrate,
     maximize_scalar,
 )
@@ -45,6 +48,36 @@ class TestGEntropy:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             g_entropy(bad)
+
+
+    def test_array_form_matches_scalar(self):
+        x = np.concatenate(([0.0, 5e-324, 1e-300, 1e-12], np.logspace(-8, 8, 200)))
+        got = g_entropy_array(x)
+        for xi, gi in zip(x, got):
+            assert gi == pytest.approx(g_entropy(float(xi)), rel=1e-14, abs=1e-300)
+        assert got[0] == 0.0
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 64])
+    def test_exact_for_polynomials_up_to_degree_2n_minus_1(self, n):
+        x, w = gauss_legendre(n)
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert float(w @ x**k) == pytest.approx(exact, abs=1e-14)
+
+    def test_symmetric_and_matches_numpy(self):
+        for n in (32, 64):
+            x, w = gauss_legendre(n)
+            assert np.allclose(x, -x[::-1], rtol=0.0, atol=1e-16)
+            ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+            assert np.allclose(x, ref_x, rtol=0.0, atol=1e-15)
+            assert np.allclose(w, ref_w, rtol=1e-11, atol=0.0)
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            gauss_legendre(0)
 
 
 class TestDilog:
@@ -116,6 +149,29 @@ class TestIntegrate:
         with pytest.raises(QuadratureError):
             integrate(lambda x: math.exp(math.sin(20.0 * x)), 0.0, 3.0, spec)
 
+    def test_evaluation_budget_is_reported(self):
+        # noise above rel_tol can never be resolved; without a budget the
+        # subdivision would run until max_depth on every branch
+        rng = np.random.default_rng(1)
+        spec = QuadratureSpec(max_evals=100)
+        with pytest.raises(QuadratureError, match=r"max_evals exhausted after 10\d evaluations"):
+            integrate(lambda x: 1.0 + 1e-6 * rng.standard_normal(), 0.0, 1.0, spec)
+
+    def test_budget_default_leaves_room(self):
+        # the hardest Holevo average of the presets (eps = 0 up to t_max = 1)
+        # needs 749 evaluations, the most of any call on the presets, the
+        # suite and the benchmark sweeps is 849; the default is over 10x that
+        n = 0
+
+        def holevo(t):
+            nonlocal n
+            n += 1
+            return holevo_fixed(ChannelParams(10.0, t, 0.0))
+
+        integrate(holevo, 0.4, 1.0)
+        assert n <= 849
+        assert QuadratureSpec().max_evals >= 10 * 849
+
     def test_interval_validation(self):
         with pytest.raises(DomainError):
             integrate(math.sin, 1.0, 1.0)
@@ -127,6 +183,8 @@ class TestIntegrate:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_depth=0)
+        with pytest.raises(DomainError):
+            QuadratureSpec(max_evals=4)
 
 
 class TestMaximizeScalar:
