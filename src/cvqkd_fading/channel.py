@@ -281,7 +281,10 @@ def holevo_fixed_array(v: float, t: np.ndarray, eps: float) -> np.ndarray:
         raise DomainError(
             f"transmittance must satisfy 0 < T <= 1, got values in [{float(t_lo)!r}, {float(t_hi)!r}]"
         )
-    factor, lam1, lam2, lam3 = spectrum_closed_form(v, t, 1.0 / t - 1.0 + eps, np.sqrt)
+    # beyond V ~ 1e154 the squares overflow and the spectrum is inf or NaN;
+    # the checks below reject that, as the scalar path does, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor, lam1, lam2, lam3 = spectrum_closed_form(v, t, 1.0 / t - 1.0 + eps, np.sqrt)
     if (factor < DISCRIMINANT_FLOOR).any():
         raise NumericalError(
             f"negative discriminant factor {float(factor.min())!r} for V={v!r}, eps={eps!r}: "

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -47,21 +48,19 @@ from .channel import (
     mutual_information_fixed,
 )
 from .errors import DomainError, NumericalError
-from .numerics import (
-    LOG2_E,
-    QuadratureSpec,
-    dilog,
-    g_entropy,
-    gauss_legendre,
-    integrate,
-)
+from .numerics import LOG2_E, QuadratureSpec, dilog, g_entropy, integrate
 
-# the nested Gauss-Legendre pair of the exact average: nodes of both rules in
-# one array (low rule first), weights of each rule on [-1, 1]
-_GL_LOW_X, _GL_LOW_W = gauss_legendre(32)
-_GL_HIGH_X, _GL_HIGH_W = gauss_legendre(64)
-_GL_NODES = np.concatenate((_GL_LOW_X, _GL_HIGH_X))
-_GL_SPLIT = _GL_LOW_X.size
+_GL_LOW, _GL_HIGH = 32, 64  # node counts of the nested Gauss-Legendre pair
+
+
+@cache
+def _gauss_legendre_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes of both rules on [-1, 1] in one array (low rule first) and the
+    weights of each rule.  Built on first use, so commands that never
+    average the exact bound do not load ``numpy.polynomial``."""
+    low_x, low_w = np.polynomial.legendre.leggauss(_GL_LOW)
+    high_x, high_w = np.polynomial.legendre.leggauss(_GL_HIGH)
+    return np.concatenate((low_x, high_x)), low_w, high_w
 
 
 @dataclass(frozen=True)
@@ -115,14 +114,15 @@ def _integrate_holevo(v: float, eps: float, f: FadingUniform, spec: QuadratureSp
     below 1 at large V as T -> 1) also goes to adaptive Simpson, which
     raises the scalar path's error if its own nodes fail too.
     """
+    x, low_w, high_w = _gauss_legendre_pair()
     half = 0.5 * (f.t_max - f.t_min)
     try:
-        nodes = holevo_fixed_array(v, 0.5 * (f.t_max + f.t_min) + half * _GL_NODES, eps)
+        nodes = holevo_fixed_array(v, 0.5 * (f.t_max + f.t_min) + half * x, eps)
     except (DomainError, NumericalError):
         pass
     else:
-        low = half * float(nodes[:_GL_SPLIT] @ _GL_LOW_W)
-        high = half * float(nodes[_GL_SPLIT:] @ _GL_HIGH_W)
+        low = half * float(nodes[:_GL_LOW] @ low_w)
+        high = half * float(nodes[_GL_LOW:] @ high_w)
         if abs(high - low) <= max(spec.abs_tol, spec.rel_tol * abs(high)):
             return high
     return integrate(lambda t: holevo_fixed(ChannelParams(v, t, eps)), f.t_min, f.t_max, spec)

@@ -1,11 +1,10 @@
 """Numerics shared by every other module.
 
 Everything here is a pure function: the bosonic entropy ``g_entropy`` (and
-its array form), the real dilogarithm ``dilog``, Gauss-Legendre rules, an
-adaptive-Simpson ``integrate`` (which doubles as the independent oracle the
-closed forms and the Gauss-Legendre average are validated against), and a
-bracketed scalar maximizer.  All entropic quantities are in base-2
-logarithms, i.e. bits.
+its array form), the real dilogarithm ``dilog``, an adaptive-Simpson
+``integrate`` (which doubles as the independent oracle the closed forms and
+the Gauss-Legendre average are validated against), and a bracketed scalar
+maximizer.  All entropic quantities are in base-2 logarithms, i.e. bits.
 """
 
 from __future__ import annotations
@@ -22,6 +21,13 @@ LN2 = math.log(2.0)
 LOG2_E = 1.0 / LN2
 PI2_OVER_6 = math.pi * math.pi / 6.0
 _TINY = 2.0**-1022
+
+# Integrand evaluations one ``integrate`` call may spend, so an integrand
+# whose rounding noise exceeds the tolerance fails instead of subdividing
+# without end.  The most any call needs on the packaged presets, the test
+# suite and the benchmark sweeps is 849; V = 1e8 on the Holevo average
+# (rounding noise ~4e-7 bits) would run past 1e6.
+MAX_EVALS = 10_000
 
 
 def g_entropy(x: float) -> float:
@@ -81,47 +87,13 @@ def dilog(z: float) -> float:
     return _dilog_series(z)
 
 
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1].
-
-    Newton's method on P_n from the Tricomi estimates cos(pi (k - 1/4) /
-    (n + 1/2)), all roots at once, with P_n and P_{n-1} from the three-term
-    recurrence; the weights are 2 / ((1 - x^2) P_n'(x)^2) at the converged
-    nodes.  For n <= 64 the nodes are within 1e-16 and the weights within
-    1e-13 relative of 40-digit values.
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
-    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    for _ in range(100):
-        p_prev, p_n = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p_prev, p_n = p_n, ((2 * j - 1) * x * p_n - (j - 1) * p_prev) / j
-        dp = n * (p_prev - x * p_n) / (1.0 - x * x)
-        step = p_n / dp
-        x = x - step
-        if np.abs(step).max() <= 1e-15:
-            break
-    return x[::-1], (2.0 / ((1.0 - x * x) * dp * dp))[::-1]
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error targets and limits for adaptive quadrature.
-
-    max_evals caps the integrand evaluations of one ``integrate`` call, so
-    an integrand whose rounding noise exceeds the tolerance fails instead of
-    subdividing without end: the first panel that still needs subdividing
-    once max_evals evaluations are spent raises.  The default is about ten
-    times the most any call needs on the packaged presets (749, at eps = 0
-    up to t_max = 1).
-    """
+    """Error targets for adaptive quadrature."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_depth: int = 60
-    max_evals: int = 10_000
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
@@ -130,8 +102,6 @@ class QuadratureSpec:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
         if self.max_depth < 1:
             raise DomainError(f"max_depth must be >= 1, got {self.max_depth!r}")
-        if self.max_evals < 5:
-            raise DomainError(f"max_evals must be >= 5, got {self.max_evals!r}")
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -148,8 +118,9 @@ def integrate(
 
     Subdivides until the Richardson error estimate of each panel is below its
     share of max(abs_tol, rel_tol * |I|).  Raises QuadratureError instead of
-    returning a silent value when f is non-finite at a node, or when
-    max_depth or max_evals is exhausted before the tolerance is met.
+    returning a silent value when f is non-finite at a node, when max_depth
+    is exhausted, or when a panel still needs subdividing after MAX_EVALS
+    evaluations.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -185,9 +156,9 @@ def integrate(
             raise QuadratureError(
                 f"max_depth exhausted on [{a_!r}, {b_!r}] with error estimate {abs(err) / 15.0:.3e}"
             )
-        if evals >= spec.max_evals:
+        if evals >= MAX_EVALS:
             raise QuadratureError(
-                f"max_evals exhausted after {evals} evaluations with error estimate "
+                f"evaluation budget exhausted after {evals} evaluations with error estimate "
                 f"{abs(err) / 15.0:.3e}"
             )
         return recurse(a_, lm, m_, fa_, flm, fm_, left, 0.5 * tol_, depth - 1) + recurse(

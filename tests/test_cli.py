@@ -256,7 +256,7 @@ class TestSweep:
         assert "1 grid points failed" in err
         bad, good = csv_path.read_text().strip().splitlines()[1:]
         assert bad.split(",")[1] == "100000000"
-        assert bad.split(",")[-1].startswith("QuadratureError: max_evals exhausted after")
+        assert bad.split(",")[-1].startswith("QuadratureError: evaluation budget exhausted after")
         assert bad.split(",")[7:10] == ["", "", ""]
         assert good.split(",")[-1] == ""
 
