@@ -54,7 +54,7 @@ from .montecarlo import (
     moment_standard_errors,
     sample_transmittance,
 )
-from .numerics import QuadratureSpec, dilog, g_entropy, integrate, maximize_scalar
+from .numerics import dilog, g_entropy, integrate, maximize_scalar
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "FadingUniform",
     "NumericalError",
     "QuadratureError",
-    "QuadratureSpec",
     "SampleConfig",
     "SkrBreakdown",
     "SymplecticSpectrum",

@@ -5,23 +5,24 @@ Subcommands: ``point``, ``sweep``, ``optimize-v``, ``threshold``,
 ``mc-validate``, ``preset``.  Sweeps read flat key=value config files
 (``sweep --config``); the packaged presets ``fig2``, ``fig3`` and ``fig45``
 are such files and every key can be overridden by the command-line flag of
-the same name (flags win).
+the same name (flags win).  Sweeps run serially in declared order; the
+``jobs`` key and ``--jobs`` flag are still accepted (>= 1) but have no effect.
 
 Output is CSV (UTF-8, LF, 17 significant digits) with one flat schema::
 
     approach,V,eps,t_min,delta_t,t_mean,attenuation_db,mutual_info_bits,
     holevo_bits,rate_bits,v_opt,error
 
-plus optional SVG line plots.  CSV preserves the sign of negative rates; SVG
-curves clamp them at zero (or break the line on a log axis).  Exit codes:
-0 success, 1 invalid arguments, 2 numerical failure, 3 partial sweep (some
-rows carry an error).
+plus optional SVG line plots.  The ``error`` cell is quoted (RFC 4180) when
+its message holds a comma, a double quote or a line break.  CSV preserves the
+sign of negative rates; SVG curves clamp them at zero (or break the line on a
+log axis).  Exit codes: 0 success, 1 invalid arguments, 2 numerical failure,
+3 partial sweep (some rows carry an error).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
 import sys
 from dataclasses import dataclass
@@ -79,6 +80,14 @@ def fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.17g}"
 
 
+def csv_text(text: str) -> str:
+    """A text cell quoted per RFC 4180: only when it holds a comma, a double
+    quote or a line break, with inner quotes doubled."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 # ---------------------------------------------------------------------------
 # sweep configuration
 
@@ -99,7 +108,7 @@ class SweepConfig:
     svg_path: str | None = None
     log_y: bool = False
     title: str = ""
-    jobs: int = 1
+    jobs: int = 1  # accepted for existing configs and callers; has no effect
 
     def __post_init__(self) -> None:
         for name, values, allowed in (
@@ -133,11 +142,10 @@ class SweepConfig:
 @dataclass
 class SweepRow:
     approach: str
-    v: float | None  # None while pending optimization
+    v: float | None  # None while pending optimization, and after a failed one
     eps: float
     t_min: float
     delta_t: float
-    series_v_label: str
     mutual_info: float | None = None
     holevo: float | None = None
     rate: float | None = None
@@ -162,7 +170,7 @@ class SweepRow:
                 fmt(self.holevo),
                 fmt(self.rate),
                 fmt(self.v_opt),
-                self.error,
+                csv_text(self.error),
             ]
         )
 
@@ -216,51 +224,32 @@ def build_grid(cfg: SweepConfig) -> tuple[list[SweepRow], list[str]]:
                                 f"eps={eps:g} t_min={t_min:g} delta_t={delta_t:g}: {issue}"
                             )
                             continue
-                        label = "V=opt" if v is None else f"V={v:g}"
-                        rows.append(SweepRow(approach, v, eps, t_min, delta_t, label))
+                        rows.append(SweepRow(approach, v, eps, t_min, delta_t))
     return rows, skipped
 
 
-def _evaluate_task(task: tuple) -> tuple:
-    """Evaluate one grid point; returns updates for the row (worker-safe)."""
-    approach, v, eps, t_min, delta_t, v_lo, v_hi = task
-    try:
-        f = FadingUniform(t_min, delta_t)
-        if v is None:
-            v_opt, _ = optimal_variance(eps, f, v_lo, v_hi)
-            out = run_point(approach, v_opt, eps, f)
-            return (v_opt, out.mutual_info, out.holevo, out.rate, v_opt, "")
-        out = run_point(approach, v, eps, f)
-        return (v, out.mutual_info, out.holevo, out.rate, None, "")
-    except (DomainError, NumericalError) as exc:
-        return (v, None, None, None, None, f"{type(exc).__name__}: {exc}")
-
-
 def run_sweep(cfg: SweepConfig) -> tuple[list[SweepRow], int]:
-    """Evaluate the whole grid (in parallel for jobs > 1, emitted in declared
-    order) and write the CSV/SVG artifacts.  Returns (rows, n_error_rows)."""
+    """Evaluate the whole grid serially, in declared order, and write the
+    CSV/SVG artifacts.  ``cfg.jobs`` has no effect.  Returns
+    (rows, n_error_rows)."""
     rows, skipped = build_grid(cfg)
     for line in skipped:
         print(line, file=sys.stderr)
-    tasks = [
-        (r.approach, r.v, r.eps, r.t_min, r.delta_t, cfg.v_lo, cfg.v_hi) for r in rows
-    ]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_evaluate_task, tasks, chunksize=8))
-    else:
-        results = [_evaluate_task(t) for t in tasks]
     n_errors = 0
-    for row, (v, mi, hol, rate, v_opt, error) in zip(rows, results):
-        row.v, row.mutual_info, row.holevo, row.rate, row.v_opt, row.error = (
-            v,
-            mi,
-            hol,
-            rate,
-            v_opt,
-            error,
-        )
-        n_errors += bool(error)
+    for row in rows:
+        try:
+            f = FadingUniform(row.t_min, row.delta_t)
+            v = row.v
+            if v is None:
+                v, _ = optimal_variance(row.eps, f, cfg.v_lo, cfg.v_hi)
+            out = run_point(row.approach, v, row.eps, f)
+        except (DomainError, NumericalError) as exc:
+            row.error = f"{type(exc).__name__}: {exc}"
+            n_errors += 1
+            continue
+        if row.v is None:
+            row.v_opt = v
+        row.v, row.mutual_info, row.holevo, row.rate = v, out.mutual_info, out.holevo, out.rate
 
     if cfg.csv_path:
         write_csv(cfg.csv_path, rows)
@@ -289,7 +278,8 @@ def _series_for(cfg: SweepConfig, rows: list[SweepRow], axis: str, column: str):
         if axis == "variance":
             key = (row.approach, f"eps={row.eps:g}", f"dT={row.delta_t:g}", f"t_min={row.t_min:g}")
         else:
-            key = (row.approach, row.series_v_label, f"eps={row.eps:g}", f"dT={row.delta_t:g}")
+            v_label = "V=opt" if row.v_opt is not None else f"V={row.v:g}"
+            key = (row.approach, v_label, f"eps={row.eps:g}", f"dT={row.delta_t:g}")
         series.setdefault(key, []).append((row.x_value(axis), y))
     return [(" ".join(key), pts) for key, pts in series.items()]
 
@@ -590,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_point(args: argparse.Namespace) -> int:
     f = FadingUniform(args.t_min, args.delta_t)
     out = run_point(args.approach, args.v, args.eps, f)
-    row = SweepRow(args.approach, args.v, args.eps, args.t_min, args.delta_t, f"V={args.v:g}")
+    row = SweepRow(args.approach, args.v, args.eps, args.t_min, args.delta_t)
     row.mutual_info, row.holevo, row.rate = out.mutual_info, out.holevo, out.rate
     print(CSV_HEADER)
     print(row.csv_line())

@@ -12,8 +12,8 @@ Two pipelines are provided:
   the transmittance; valid for any V >= 1, and the default everywhere.  One
   array evaluation covers the nodes of a 32-point and a 64-point
   Gauss-Legendre rule; the 64-point value is accepted when the two agree
-  within the ``QuadratureSpec`` tolerance (a nested n/2n error estimate,
-  Piessens et al., QUADPACK, 1983).  Otherwise adaptive Simpson over the
+  within tolerance ``numerics.ABS_TOL``/``REL_TOL`` (a nested n/2n error
+  estimate, Piessens et al., QUADPACK, 1983).  Otherwise adaptive Simpson over the
   scalar ``holevo_fixed`` gives the value: at an x log x endpoint (t_max ->
   1 at small eps, where lambda2 -> 1), or when a node's spectrum rounds
   below 1.  Adaptive Simpson stays the independent oracle the tests hold
@@ -48,7 +48,7 @@ from .channel import (
     mutual_information_fixed,
 )
 from .errors import DomainError, NumericalError
-from .numerics import LOG2_E, QuadratureSpec, dilog, g_entropy, integrate
+from .numerics import ABS_TOL, LOG2_E, REL_TOL, dilog, g_entropy, integrate
 
 _GL_LOW, _GL_HIGH = 32, 64  # node counts of the nested Gauss-Legendre pair
 
@@ -105,10 +105,10 @@ def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
         )
 
 
-def _integrate_holevo(v: float, eps: float, f: FadingUniform, spec: QuadratureSpec) -> float:
+def _integrate_holevo(v: float, eps: float, f: FadingUniform) -> float:
     """int holevo_fixed(V, T, eps) dT over [t_min, t_max] (not yet divided by
     delta_t): the 64-point Gauss-Legendre value when the 32-point value agrees
-    with it to max(abs_tol, rel_tol * |I|), else adaptive Simpson.
+    with it to max(ABS_TOL, REL_TOL * |I|), else adaptive Simpson.
 
     A node whose spectrum rounds out of the physical range (lambda2 just
     below 1 at large V as T -> 1) also goes to adaptive Simpson, which
@@ -123,17 +123,12 @@ def _integrate_holevo(v: float, eps: float, f: FadingUniform, spec: QuadratureSp
     else:
         low = half * float(nodes[:_GL_LOW] @ low_w)
         high = half * float(nodes[_GL_LOW:] @ high_w)
-        if abs(high - low) <= max(spec.abs_tol, spec.rel_tol * abs(high)):
+        if abs(high - low) <= max(ABS_TOL, REL_TOL * abs(high)):
             return high
-    return integrate(lambda t: holevo_fixed(ChannelParams(v, t, eps)), f.t_min, f.t_max, spec)
+    return integrate(lambda t: holevo_fixed(ChannelParams(v, t, eps)), f.t_min, f.t_max)
 
 
-def skr_hba_exact(
-    v: float,
-    eps: float,
-    f: FadingUniform,
-    spec: QuadratureSpec | None = None,
-) -> SkrBreakdown:
+def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     """Worst-case-rate key rate with the exact Holevo bound averaged over the
     transmittance.
 
@@ -141,18 +136,16 @@ def skr_hba_exact(
     (1/delta_t) * int holevo_fixed(V, T, eps) dT, degenerating to the point
     value when delta_t = 0.  V and eps are validated once, here.  The
     integral is the 64-point Gauss-Legendre value, accepted when the
-    32-point value differs from it by at most max(abs_tol, rel_tol * |I|)
-    under ``spec``; otherwise adaptive Simpson (``integrate``) to the same
-    ``spec``.
+    32-point value is within tolerance ``numerics.ABS_TOL``/``REL_TOL`` of
+    it, max(ABS_TOL, REL_TOL * |I|); otherwise adaptive Simpson
+    (``integrate``) to the same tolerance.
     """
     p = ChannelParams(v, f.t_min, eps)
     mi = mutual_information_fixed(p)
     if f.delta_t == 0.0:
         hol = holevo_fixed(p)
     else:
-        if spec is None:
-            spec = QuadratureSpec()
-        hol = _integrate_holevo(v, eps, f, spec) / f.delta_t
+        hol = _integrate_holevo(v, eps, f) / f.delta_t
     return SkrBreakdown.from_parts(mi, hol)
 
 

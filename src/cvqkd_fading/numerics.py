@@ -10,7 +10,6 @@ maximizer.  All entropic quantities are in base-2 logarithms, i.e. bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,6 +27,12 @@ _TINY = 2.0**-1022
 # suite and the benchmark sweeps is 849; V = 1e8 on the Holevo average
 # (rounding noise ~4e-7 bits) would run past 1e6.
 MAX_EVALS = 10_000
+# Error targets of ``integrate`` and of the Gauss-Legendre estimate in
+# ``hba``: a panel is accepted below its share of max(ABS_TOL, REL_TOL * |I|),
+# and is halved at most MAX_DEPTH times.
+ABS_TOL = 1e-12
+REL_TOL = 1e-10
+MAX_DEPTH = 60
 
 
 def g_entropy(x: float) -> float:
@@ -87,43 +92,19 @@ def dilog(z: float) -> float:
     return _dilog_series(z)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Error targets for adaptive quadrature."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_depth: int = 60
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if self.max_depth < 1:
-            raise DomainError(f"max_depth must be >= 1, got {self.max_depth!r}")
-
-
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def integrate(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive-Simpson integral of f over [a, b].
 
     Subdivides until the Richardson error estimate of each panel is below its
-    share of max(abs_tol, rel_tol * |I|).  Raises QuadratureError instead of
-    returning a silent value when f is non-finite at a node, when max_depth
+    share of max(ABS_TOL, REL_TOL * |I|).  Raises QuadratureError instead of
+    returning a silent value when f is non-finite at a node, when MAX_DEPTH
     is exhausted, or when a panel still needs subdividing after MAX_EVALS
     evaluations.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"integration interval must satisfy a < b, got [{a!r}, {b!r}]")
 
@@ -140,7 +121,7 @@ def integrate(
     m = 0.5 * (a + b)
     fa, fm, fb = ev(a), ev(m), ev(b)
     whole = _simpson(fa, fm, fb, b - a)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(whole))
+    tol = max(ABS_TOL, REL_TOL * abs(whole))
 
     def recurse(a_: float, m_: float, b_: float, fa_: float, fm_: float, fb_: float,
                 whole_: float, tol_: float, depth: int) -> float:
@@ -165,7 +146,7 @@ def integrate(
             m_, rm, b_, fm_, frm, fb_, right, 0.5 * tol_, depth - 1
         )
 
-    return recurse(a, m, b, fa, fm, fb, whole, tol, spec.max_depth)
+    return recurse(a, m, b, fa, fm, fb, whole, tol, MAX_DEPTH)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio reciprocal

@@ -8,7 +8,6 @@ y <= 0 break the polyline instead of being clamped.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from .errors import DomainError
 
@@ -27,6 +26,11 @@ PALETTE = [
 
 WIDTH, HEIGHT = 860, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 190, 40, 55
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for SVG text content (& first)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_step(span: float) -> float:

@@ -1,11 +1,13 @@
 """CLI: dispatch, CSV schema and determinism, sweeps, presets, exit codes."""
 
+import csv
 import subprocess
 import sys
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
 
-from cvqkd_fading import cli, montecarlo
+from cvqkd_fading import cli, montecarlo, svgplot
 from cvqkd_fading.channel import ChannelParams, skr_fixed
 from cvqkd_fading.cma import avg_covariance, skr_cma
 from cvqkd_fading.errors import DomainError, NumericalError
@@ -209,11 +211,12 @@ class TestSweep:
             ("--v", "0.5"),
             ("--t-min", "nan"),
             ("--delta-t", "-0.1"),
+            ("--jobs", "0"),
         ],
     )
     def test_invalid_grid_value_exits_one(self, capsys, flag, value):
         argv = ["sweep", "--approach", "cma", "--v", "10", "--eps", "0",
-                "--t-min", "0.4", "--delta-t", "0.2"]
+                "--t-min", "0.4", "--delta-t", "0.2", "--jobs", "1"]
         argv[argv.index(flag) + 1] = value
         code, out, err = run_main(argv, capsys)
         assert code == 1
@@ -244,6 +247,45 @@ class TestSweep:
         cells = bad[0].split(",")
         assert cells[0] == "cma" and cells[1] == "10"
         assert cells[7] == cells[8] == cells[9] == ""  # no values on failure
+
+    def test_error_cell_is_quoted(self, monkeypatch, capsys):
+        # real messages carry commas ("must be >= 1, got ..."); quotes and
+        # line breaks take the same RFC 4180 path
+        message = 'eigenvalue must be >= 1, got "0.9"\nsecond line'
+
+        def failing(approach, v, eps, f):
+            raise DomainError(message)
+
+        monkeypatch.setattr(cli, "run_point", failing)
+        code, out, _ = run_main(
+            ["sweep", "--approach", "cma", "--v", "10,20", "--eps", "0",
+             "--t-min", "0.4", "--delta-t", "0.2"],
+            capsys,
+        )
+        assert code == 3
+        rows = list(csv.reader(out.splitlines(keepends=True)))
+        assert [len(r) for r in rows] == [12, 12, 12]
+        assert [r[11] for r in rows[1:]] == [f"DomainError: {message}"] * 2
+
+    def test_failed_optimize_v_row_has_empty_v_cells(self, monkeypatch):
+        real = cli.run_point
+
+        def flaky(approach, v, eps, f):
+            if abs(f.t_min - 0.4) < 1e-9:
+                raise NumericalError("synthetic failure")
+            return real(approach, v, eps, f)
+
+        monkeypatch.setattr(cli, "run_point", flaky)
+        cfg = cli.sweep_config_from_sources(
+            "approach = cma\nv = 10\neps = 0\nt-min = 0.3,0.4\ndelta-t = 0.2\n"
+            "optimize-v = cma\n",
+            {},
+        )
+        rows, n_errors = cli.run_sweep(cfg)
+        assert n_errors == 1
+        ok, bad = (row.csv_line().split(",") for row in rows)
+        assert ok[1] == ok[10] != ""  # V is the optimum found
+        assert bad[1] == bad[10] == "" and bad[11] == "NumericalError: synthetic failure"
 
     def test_quadrature_budget_row_is_an_error_cell(self, tmp_path, capsys):
         csv_path = tmp_path / "budget.csv"
@@ -379,7 +421,27 @@ class TestMcValidateCommand:
         assert rows["cov_c"] == ref.c
 
 
+class TestSvgEscape:
+    def test_matches_xml_escape(self):
+        for text in ("", "plain", "a<b & c>d", "&amp;", "<<&&>>", 'q"uote'):
+            assert svgplot.escape(text) == sax_escape(text)
+
+
 class TestEntryPoint:
+    def test_cold_start_imports(self):
+        # neither the process pool, the network stack that xml.sax.saxutils
+        # pulls in, nor numpy.polynomial (first exact average only) loads
+        # with the CLI
+        unwanted = ("concurrent.futures", "urllib.request", "numpy.polynomial")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, cvqkd_fading.cli; print([m for m in {unwanted!r} if m in sys.modules])"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cvqkd_fading.cli", "point", "--approach", "fixed",

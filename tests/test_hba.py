@@ -27,7 +27,7 @@ from cvqkd_fading.hba import (
     skr_hba_asymptotic,
     skr_hba_exact,
 )
-from cvqkd_fading.numerics import QuadratureSpec, g_entropy, integrate
+from cvqkd_fading.numerics import g_entropy, integrate
 
 
 def holevo_avg_bruteforce(v, eps, f, n=10_000):
