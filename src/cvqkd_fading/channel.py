@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import g_entropy, g_entropy_array
+from .numerics import g_entropy, g_entropy_array, log1p_each, log2_each
 
 # slack for >= 1 physicality bounds: cancellation near pure states can land a
 # symplectic eigenvalue a few ulp below 1
@@ -182,10 +182,15 @@ def joint_covariance(p: ChannelParams) -> TwoModeCovariance:
     )
 
 
+def mutual_information_form(v, chi, log2):
+    """Homodyne mutual information (1/2) log2((V + chi) / (1 + chi)), bits,
+    for float or ndarray arguments (see ``numerics`` on ``log2``)."""
+    return 0.5 * log2((v + chi) / (1.0 + chi))
+
+
 def mutual_information_fixed(p: ChannelParams) -> float:
     """Homodyne mutual information (1/2) log2((V + chi) / (1 + chi)), bits."""
-    chi = p.chi
-    return 0.5 * math.log2((p.v + chi) / (1.0 + chi))
+    return mutual_information_form(p.v, p.chi, math.log2)
 
 
 def spectrum_closed_form(v, t, chi, sqrt):
@@ -264,9 +269,21 @@ def holevo_fixed(p: ChannelParams) -> float:
     return holevo_from_eigenvalues(*_checked_spectrum(p))
 
 
+def _spectrum_holevo(v, t, chi, log1p, log2):
+    """Discriminant factor, the (3, n) eigenvalue array and the Holevo bound
+    at every element, with no checks.  Beyond V ~ 1e154 the squares overflow
+    and the spectrum is inf or NaN; the callers' checks reject that, as the
+    scalar path does, so numpy's warnings are silenced."""
+    with np.errstate(all="ignore"):
+        factor, lam1, lam2, lam3 = spectrum_closed_form(v, t, chi, np.sqrt)
+        lams = np.array((lam1, lam2, lam3))
+        g = g_entropy_array(np.maximum((lams - 1.0) / 2.0, 0.0), log1p, log2)
+    return factor, lams, g[0] + g[1] - g[2]
+
+
 def holevo_fixed_array(v: float, t: np.ndarray, eps: float) -> np.ndarray:
     """``holevo_fixed`` at every transmittance of the array t for one (V, eps),
-    bits.
+    bits, with numpy's logarithms.
 
     V >= 1 and eps >= 0 are the caller's to validate, once.  The nodes are
     checked with one vectorized test per condition and fail with the scalar
@@ -281,26 +298,49 @@ def holevo_fixed_array(v: float, t: np.ndarray, eps: float) -> np.ndarray:
         raise DomainError(
             f"transmittance must satisfy 0 < T <= 1, got values in [{float(t_lo)!r}, {float(t_hi)!r}]"
         )
-    # beyond V ~ 1e154 the squares overflow and the spectrum is inf or NaN;
-    # the checks below reject that, as the scalar path does, without warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor, lam1, lam2, lam3 = spectrum_closed_form(v, t, 1.0 / t - 1.0 + eps, np.sqrt)
+    factor, lams, holevo = _spectrum_holevo(v, t, 1.0 / t - 1.0 + eps, np.log1p, np.log2)
     if (factor < DISCRIMINANT_FLOOR).any():
         raise NumericalError(
             f"negative discriminant factor {float(factor.min())!r} for V={v!r}, eps={eps!r}: "
             "unphysical parameter combination"
         )
-    lams = np.array((lam1, lam2, lam3))
     lam_lo, lam_hi = lams.min(), lams.max()
     if not (lam_lo >= 1.0 - PHYSICALITY_SLACK and lam_hi < math.inf):
         raise DomainError(
             "symplectic eigenvalues must be finite and >= 1, got values in "
             f"[{float(lam_lo)!r}, {float(lam_hi)!r}]"
         )
-    g = g_entropy_array(np.maximum((lams - 1.0) / 2.0, 0.0))
-    return g[0] + g[1] - g[2]
+    return holevo
+
+
+def holevo_rows(v: np.ndarray, t: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``holevo_fixed`` at every (V, T, chi) of equal-length arrays, equal to
+    the scalar values bit for bit (C-library logarithms), and the mask of the
+    rows that pass every check of the scalar path: T in (0, 1], finite chi,
+    the discriminant floor, eigenvalues finite and >= 1 - PHYSICALITY_SLACK,
+    and Holevo >= -PHYSICALITY_SLACK.  Masked-out rows hold meaningless
+    values."""
+    factor, lams, holevo = _spectrum_holevo(v, t, chi, log1p_each, log2_each)
+    ok = (
+        (t > 0.0)
+        & (t <= 1.0)
+        & np.isfinite(chi)
+        & (factor >= DISCRIMINANT_FLOOR)
+        & ((lams >= 1.0 - PHYSICALITY_SLACK) & (lams < math.inf)).all(axis=0)
+        & (holevo >= -PHYSICALITY_SLACK)
+    )
+    return holevo, ok
 
 
 def skr_fixed(p: ChannelParams) -> SkrBreakdown:
     """Secret key rate breakdown for a fixed channel (may be negative)."""
     return SkrBreakdown.from_parts(mutual_information_fixed(p), holevo_fixed(p))
+
+
+def skr_fixed_rows(v: np.ndarray, t: np.ndarray, chi: np.ndarray):
+    """``skr_fixed`` at every row of equal-length arrays, chi = 1/T - 1 + eps
+    already validated (``derive_chi``): (mutual_info, holevo, ok) with ok as
+    in ``holevo_rows``."""
+    mi = mutual_information_form(v, chi, log2_each)
+    holevo, ok = holevo_rows(v, t, chi)
+    return mi, holevo, ok & np.isfinite(mi)

@@ -5,8 +5,13 @@ Subcommands: ``point``, ``sweep``, ``optimize-v``, ``threshold``,
 ``mc-validate``, ``preset``.  Sweeps read flat key=value config files
 (``sweep --config``); the packaged presets ``fig2``, ``fig3`` and ``fig45``
 are such files and every key can be overridden by the command-line flag of
-the same name (flags win).  Sweeps run serially in declared order; the
-``jobs`` key and ``--jobs`` flag are still accepted (>= 1) but have no effect.
+the same name (flags win).  Sweeps run serially; the ``jobs`` key and
+``--jobs`` flag are still accepted (>= 1) but have no effect.  A sweep
+evaluates each approach's rows with ``run_points``: ``fixed``, ``cma`` and
+``hba_asymptotic`` as one array each, with what a block of rows (one
+approach, eps, delta_t and t_min; only V varies) has in common computed
+once; ``hba_exact`` row by row.  Every value, and so every output byte, is
+the one ``run_point`` gives for that row.
 
 Output is CSV (UTF-8, LF, 17 significant digits) with one flat schema::
 
@@ -23,18 +28,32 @@ log axis).  Exit codes: 0 success, 1 invalid arguments, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 
-from .channel import ChannelParams, SkrBreakdown, skr_fixed
-from .cma import avg_covariance, moments_uniform, optimal_variance, skr_cma
+import numpy as np
+
+from .channel import ChannelParams, SkrBreakdown, derive_chi, skr_fixed, skr_fixed_rows
+from .cma import (
+    V_TOL,
+    avg_covariance,
+    cma_block,
+    moments_uniform,
+    optimal_variance,
+    skr_cma,
+    skr_cma_rows,
+)
 from .errors import DomainError, NumericalError
 from .hba import (
     FadingUniform,
+    asymptotic_block,
     holevo_asymptotic_regime_floor,
     skr_hba_asymptotic,
+    skr_hba_asymptotic_rows,
     skr_hba_exact,
 )
 from .montecarlo import SampleConfig, empirical_moments, moment_standard_errors
@@ -43,6 +62,7 @@ from .svgplot import write_line_plot
 APPROACHES = ("fixed", "hba_exact", "hba_asymptotic", "cma")
 X_AXES = ("t_min", "t_mean", "attenuation_db", "variance")
 Y_COLUMNS = ("rate_bits", "mutual_info_bits", "holevo_bits")
+_Y_ATTRS = {"rate_bits": "rate", "mutual_info_bits": "mutual_info", "holevo_bits": "holevo"}
 
 CSV_HEADER = (
     "approach,V,eps,t_min,delta_t,t_mean,attenuation_db,"
@@ -76,6 +96,77 @@ def run_point(approach: str, v: float, eps: float, f: FadingUniform) -> SkrBreak
     raise DomainError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
 
 
+def _fixed_block(eps: float, f: FadingUniform) -> tuple[float, float]:
+    _require_point_mass(f)
+    return f.t_min, derive_chi(f.t_min, eps)
+
+
+# approach -> (columns of one (eps, fading) block, from the scalar code; the
+# row kernel taking V and those columns repeated over the block's rows)
+_ROW_MODELS = {
+    "fixed": (_fixed_block, skr_fixed_rows),
+    "cma": (cma_block, skr_cma_rows),
+    "hba_asymptotic": (asymptotic_block, skr_hba_asymptotic_rows),
+}
+
+
+def run_points(approach, v, eps, t_min, delta_t):
+    """Evaluate the points (v[i], eps[i], t_min[i], delta_t[i]) of one
+    approach, each with the values ``run_point`` gives for it.
+
+    Returns (mutual_info, holevo, rate) as lists of floats and {index:
+    exception} for the points whose evaluation raised; the values at those
+    points are meaningless.  ``fixed``, ``cma`` and ``hba_asymptotic``
+    points are evaluated as one array: a block (a run of points with equal
+    eps, t_min and delta_t) gets its shared values once from the scalar
+    code, repeated over its points.  A point the array cannot vouch for (its
+    block's scalar code raised, V or eps is out of range, or a value fails a
+    check the scalar path makes) goes through ``run_point``, as does every
+    ``hba_exact`` point, so it gets the scalar path's value or exception.
+    """
+    n = len(v)
+    values = np.full((3, n), np.nan)
+    scalar = range(n)
+    model = _ROW_MODELS.get(approach)
+    if model is not None and n:
+        block_columns, kernel = model
+        va, ea, ta, da = (np.array(x, dtype=float) for x in (v, eps, t_min, delta_t))
+        starts = np.flatnonzero(
+            np.r_[True, (ea[1:] != ea[:-1]) | (ta[1:] != ta[:-1]) | (da[1:] != da[:-1])]
+        )
+        counts = np.diff(np.r_[starts, n])
+        table, good = [], np.zeros(starts.size, dtype=bool)
+        for k, i in enumerate(starts.tolist()):
+            try:
+                table.append(block_columns(eps[i], FadingUniform(t_min[i], delta_t[i])))
+            except (DomainError, NumericalError):
+                continue
+            good[k] = True
+        in_good = np.repeat(good, counts)
+        valid = (va >= 1.0) & (va < math.inf) & (ea >= 0.0) & (ea < math.inf)
+        todo = np.flatnonzero(in_good & valid)
+        if todo.size:
+            columns = np.repeat(np.array(table), counts[good], axis=0)[valid[in_good]]
+            with np.errstate(all="ignore"):
+                mi, holevo, ok = kernel(va[todo], *columns.T)
+            done = todo[ok]
+            values[0, done], values[1, done] = mi[ok], holevo[ok]
+            values[2] = values[0] - values[1]
+            pending = np.ones(n, dtype=bool)
+            pending[done] = False
+            scalar = np.flatnonzero(pending).tolist()
+    mutual_info, holevo, rate = values.tolist()
+    failed = {}
+    for i in scalar:
+        try:
+            out = run_point(approach, v[i], eps[i], FadingUniform(t_min[i], delta_t[i]))
+        except (DomainError, NumericalError) as exc:
+            failed[i] = exc
+        else:
+            mutual_info[i], holevo[i], rate[i] = out.mutual_info, out.holevo, out.rate
+    return mutual_info, holevo, rate, failed
+
+
 def fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.17g}"
 
@@ -83,7 +174,7 @@ def fmt(x: float | None) -> str:
 def csv_text(text: str) -> str:
     """A text cell quoted per RFC 4180: only when it holds a comma, a double
     quote or a line break, with inner quotes doubled."""
-    if any(c in text for c in ',"\r\n'):
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -139,7 +230,7 @@ class SweepConfig:
             raise DomainError(f"need 1 <= v_lo < v_hi, got [{self.v_lo!r}, {self.v_hi!r}]")
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepRow:
     approach: str
     v: float | None  # None while pending optimization, and after a failed one
@@ -156,24 +247,6 @@ class SweepRow:
     def t_mean(self) -> float:
         return self.t_min + 0.5 * self.delta_t
 
-    def csv_line(self) -> str:
-        return ",".join(
-            [
-                self.approach,
-                fmt(self.v),
-                fmt(self.eps),
-                fmt(self.t_min),
-                fmt(self.delta_t),
-                fmt(self.t_mean),
-                fmt(attenuation_db(self.t_min)),
-                fmt(self.mutual_info),
-                fmt(self.holevo),
-                fmt(self.rate),
-                fmt(self.v_opt),
-                csv_text(self.error),
-            ]
-        )
-
     def x_value(self, axis: str) -> float:
         if axis == "t_min":
             return self.t_min
@@ -185,12 +258,53 @@ class SweepRow:
             return self.v if self.v is not None else math.nan
         raise DomainError(f"unknown x axis {axis!r}")
 
-    def y_value(self, column: str) -> float | None:
-        return {
-            "rate_bits": self.rate,
-            "mutual_info_bits": self.mutual_info,
-            "holevo_bits": self.holevo,
-        }[column]
+
+def _blocks(rows: list[SweepRow]):
+    """Runs of consecutive rows of one block: the same approach and the very
+    same eps, delta_t and t_min objects, as ``build_grid`` hands every row of
+    a block.  Identity, not equality, so 0.0 and -0.0 never share cells."""
+    block: list[SweepRow] = []
+    for row in rows:
+        if block:
+            head = block[0]
+            if not (
+                row.t_min is head.t_min
+                and row.eps is head.eps
+                and row.delta_t is head.delta_t
+                and row.approach == head.approach
+            ):
+                yield block
+                block = []
+        block.append(row)
+    if block:
+        yield block
+
+
+def csv_lines(rows: list[SweepRow]):
+    """The CSV line of every row, without line end: the one formatter of the
+    schema.  The five cells a block shares (eps, t_min, delta_t, t_mean,
+    attenuation_db) are formatted once per block, each V cell once per value
+    (V >= 1, so no -0.0 shares a cell with 0.0)."""
+    v_cells: dict[float | None, str] = {}
+    for block in _blocks(rows):
+        head = block[0]
+        shared = ",".join(
+            [
+                fmt(head.eps),
+                fmt(head.t_min),
+                fmt(head.delta_t),
+                fmt(head.t_mean),
+                fmt(attenuation_db(head.t_min)),
+            ]
+        )
+        for row in block:
+            v_cell = v_cells.get(row.v)
+            if v_cell is None:
+                v_cell = v_cells[row.v] = fmt(row.v)
+            yield (
+                f"{row.approach},{v_cell},{shared},{fmt(row.mutual_info)},"
+                f"{fmt(row.holevo)},{fmt(row.rate)},{fmt(row.v_opt)},{csv_text(row.error)}"
+            )
 
 
 def build_grid(cfg: SweepConfig) -> tuple[list[SweepRow], list[str]]:
@@ -229,27 +343,40 @@ def build_grid(cfg: SweepConfig) -> tuple[list[SweepRow], list[str]]:
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[SweepRow], int]:
-    """Evaluate the whole grid serially, in declared order, and write the
-    CSV/SVG artifacts.  ``cfg.jobs`` has no effect.  Returns
-    (rows, n_error_rows)."""
+    """Evaluate the whole grid, one ``run_points`` call per approach (an
+    optimize-v row first gets its V from ``optimal_variance``), and write the
+    CSV/SVG artifacts.  Every row gets the values or the error ``run_point``
+    gives it.  ``cfg.jobs`` has no effect.  Returns (rows, n_error_rows)."""
     rows, skipped = build_grid(cfg)
-    for line in skipped:
-        print(line, file=sys.stderr)
+    sys.stderr.writelines(f"{line}\n" for line in skipped)
     n_errors = 0
-    for row in rows:
+    for row in [row for row in rows if row.v is None]:
         try:
             f = FadingUniform(row.t_min, row.delta_t)
-            v = row.v
-            if v is None:
-                v, _ = optimal_variance(row.eps, f, cfg.v_lo, cfg.v_hi)
-            out = run_point(row.approach, v, row.eps, f)
+            row.v, _ = optimal_variance(row.eps, f, cfg.v_lo, cfg.v_hi)
         except (DomainError, NumericalError) as exc:
             row.error = f"{type(exc).__name__}: {exc}"
             n_errors += 1
-            continue
-        if row.v is None:
-            row.v_opt = v
-        row.v, row.mutual_info, row.holevo, row.rate = v, out.mutual_info, out.holevo, out.rate
+        else:
+            row.v_opt = row.v
+    for approach, run in itertools.groupby(rows, key=attrgetter("approach")):
+        group = [row for row in run if not row.error]
+        mutual_info, holevo, rate, failed = run_points(
+            approach,
+            [row.v for row in group],
+            [row.eps for row in group],
+            [row.t_min for row in group],
+            [row.delta_t for row in group],
+        )
+        for row, mi, hol, r in zip(group, mutual_info, holevo, rate):
+            row.mutual_info, row.holevo, row.rate = mi, hol, r
+        for i, exc in failed.items():
+            row = group[i]
+            row.error = f"{type(exc).__name__}: {exc}"
+            row.mutual_info = row.holevo = row.rate = None
+            if row.v_opt is not None:  # an optimize-v row keeps empty V cells
+                row.v = row.v_opt = None
+        n_errors += len(failed)
 
     if cfg.csv_path:
         write_csv(cfg.csv_path, rows)
@@ -261,27 +388,41 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[SweepRow], int]:
 def write_csv(path: str, rows: list[SweepRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.csv_line() + "\n")
+        for line in csv_lines(rows):
+            fh.write(line + "\n")
+
+
+def _print_csv(rows: list[SweepRow]) -> None:
+    print(CSV_HEADER)
+    for line in csv_lines(rows):
+        print(line)
 
 
 def _series_for(cfg: SweepConfig, rows: list[SweepRow], axis: str, column: str):
-    series: dict[tuple, list[tuple[float, float]]] = {}
-    for row in rows:
-        if row.error:
-            continue
-        y = row.y_value(column)
-        if y is None:
-            continue
-        if not cfg.log_y:
-            y = max(y, 0.0)  # SVG never plots negative rates
+    """(name, points) of every plotted curve, built block by block: on the
+    variance axis a curve is one block; on the others one (approach, V, eps,
+    delta_t) across t_min, its x value shared by the block."""
+    attr = _Y_ATTRS[column]
+    series: dict[str, list[tuple[float, float]]] = {}
+    for block in _blocks(rows):
+        head = block[0]
+        tail = f"eps={head.eps:g} dT={head.delta_t:g}"
         if axis == "variance":
-            key = (row.approach, f"eps={row.eps:g}", f"dT={row.delta_t:g}", f"t_min={row.t_min:g}")
+            name = f"{head.approach} {tail} t_min={head.t_min:g}"
         else:
-            v_label = "V=opt" if row.v_opt is not None else f"V={row.v:g}"
-            key = (row.approach, v_label, f"eps={row.eps:g}", f"dT={row.delta_t:g}")
-        series.setdefault(key, []).append((row.x_value(axis), y))
-    return [(" ".join(key), pts) for key, pts in series.items()]
+            x = head.x_value(axis)
+        for row in block:
+            y = getattr(row, attr)
+            if row.error or y is None:
+                continue
+            if not cfg.log_y:
+                y = max(y, 0.0)  # SVG never plots negative rates
+            if axis == "variance":
+                series.setdefault(name, []).append((row.v, y))
+            else:
+                v_label = "V=opt" if row.v_opt is not None else f"V={row.v:g}"
+                series.setdefault(f"{head.approach} {v_label} {tail}", []).append((x, y))
+    return list(series.items())
 
 
 def write_sweep_svgs(cfg: SweepConfig, rows: list[SweepRow]) -> None:
@@ -582,8 +723,7 @@ def cmd_point(args: argparse.Namespace) -> int:
     out = run_point(args.approach, args.v, args.eps, f)
     row = SweepRow(args.approach, args.v, args.eps, args.t_min, args.delta_t)
     row.mutual_info, row.holevo, row.rate = out.mutual_info, out.holevo, out.rate
-    print(CSV_HEADER)
-    print(row.csv_line())
+    _print_csv([row])
     return 0
 
 
@@ -591,9 +731,7 @@ def cmd_sweep(args: argparse.Namespace, config_text: str | None) -> int:
     cfg = sweep_config_from_sources(config_text, _collect_overrides(args))
     rows, n_errors = run_sweep(cfg)
     if cfg.csv_path is None:
-        print(CSV_HEADER)
-        for row in rows:
-            print(row.csv_line())
+        _print_csv(rows)
     else:
         print(f"wrote {len(rows)} rows to {cfg.csv_path}", file=sys.stderr)
     if n_errors:
@@ -605,6 +743,13 @@ def cmd_sweep(args: argparse.Namespace, config_text: str | None) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     f = FadingUniform(args.t_min, args.delta_t)
     v_opt, rate_opt = optimal_variance(args.eps, f, args.v_lo, args.v_hi)
+    for name, edge in (("v_lo", args.v_lo), ("v_hi", args.v_hi)):
+        if abs(v_opt - edge) <= V_TOL:
+            print(
+                f"warning: v_opt = {fmt(v_opt)} is within {V_TOL:g} of the bracket edge "
+                f"{name} = {fmt(edge)}; the optimum may lie outside [v_lo, v_hi]",
+                file=sys.stderr,
+            )
     print("eps,t_min,delta_t,v_opt,rate_bits")
     print(
         ",".join(

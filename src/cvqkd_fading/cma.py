@@ -18,16 +18,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import (
     ChannelParams,
     SkrBreakdown,
     TwoModeCovariance,
+    derive_chi,
     holevo_fixed,
+    holevo_rows,
     mutual_information_fixed,
+    mutual_information_form,
 )
 from .errors import DomainError
 from .hba import FadingUniform
-from .numerics import LOG2_E, maximize_scalar
+from .numerics import LOG2_E, log2_each, maximize_scalar
+
+# how closely ``optimal_variance`` locates the optimum on the V axis
+V_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,18 @@ def moments_uniform(f: FadingUniform) -> TransmittanceMoments:
     return TransmittanceMoments(mean_sqrt, mean_t, max(mean_t - mean_sqrt**2, 0.0))
 
 
+def _effective_coefficients(m: TransmittanceMoments) -> tuple[float, float]:
+    """(t_eff, Var(sqrt T) / t_eff) with t_eff = <sqrt(T)>^2."""
+    t_eff = m.mean_sqrt_t**2
+    return t_eff, m.var_sqrt_t / t_eff
+
+
+def effective_excess_noise(ratio, eps, v):
+    """eps_eff = eps * (1 + ratio) + ratio * (V - 1), ratio = Var(sqrt T)/t_eff,
+    for float or ndarray arguments."""
+    return eps * (1.0 + ratio) + ratio * (v - 1.0)
+
+
 def effective_params(m: TransmittanceMoments, eps: float, v: float) -> EffectiveChannel:
     """Effective (t_eff, eps_eff, chi_eff) for the averaged covariance matrix.
 
@@ -112,9 +132,8 @@ def effective_params(m: TransmittanceMoments, eps: float, v: float) -> Effective
         raise DomainError(f"excess noise must satisfy eps >= 0, got {eps!r}")
     if not (math.isfinite(v) and v >= 1.0):
         raise DomainError(f"variance must satisfy V >= 1, got {v!r}")
-    t_eff = m.mean_sqrt_t**2
-    ratio = m.var_sqrt_t / t_eff
-    eps_eff = eps * (1.0 + ratio) + ratio * (v - 1.0)
+    t_eff, ratio = _effective_coefficients(m)
+    eps_eff = effective_excess_noise(ratio, eps, v)
     chi_eff = 1.0 / t_eff - 1.0 + eps_eff
     a_coef = ratio
     b_coef = 1.0 / t_eff - 1.0 - ratio + eps * (1.0 + ratio)
@@ -135,12 +154,32 @@ def avg_covariance(m: TransmittanceMoments, v: float, eps: float) -> TwoModeCova
     )
 
 
+def _avg_mi_passive(v_a, lo, hi, dt, log2):
+    return (
+        hi * log2(1.0 + hi * v_a)
+        - lo * log2(1.0 + lo * v_a)
+        + log2((1.0 + hi * v_a) / (1.0 + lo * v_a)) / v_a
+        - dt * LOG2_E
+    ) / (2.0 * dt)
+
+
+def _avg_mi_noisy(v_a, eps, lo, hi, dt, log2):
+    slope = eps + v_a
+    return (
+        log2((1.0 + eps * lo) / (1.0 + eps * hi)) / eps
+        + hi * log2((1.0 + hi * slope) / (1.0 + eps * hi))
+        + log2((1.0 + hi * slope) / (1.0 + lo * slope)) / slope
+        + lo * log2((1.0 + eps * lo) / (1.0 + lo * slope))
+    ) / (2.0 * dt)
+
+
 def avg_mutual_information(v: float, eps: float, f: FadingUniform) -> float:
     """Ergodic mutual information (1/(2 delta_t)) * int log2(1 + T V_A / (1 + eps T)) dT.
 
     Closed form for eps > 0; explicit analytic limit for eps = 0 (the 1/eps
     groups cancel analytically and tiny-eps evaluation is ill-conditioned);
-    fixed-channel value at t_min when delta_t = 0.
+    fixed-channel value at t_min when delta_t = 0.  Both closed forms take
+    float or ndarray arguments (``skr_cma_rows``).
     """
     if not (math.isfinite(v) and v >= 1.0):
         raise DomainError(f"variance must satisfy V >= 1, got {v!r}")
@@ -151,21 +190,9 @@ def avg_mutual_information(v: float, eps: float, f: FadingUniform) -> float:
         return 0.0
     if f.delta_t == 0.0:
         return mutual_information_fixed(ChannelParams(v, f.t_min, eps))
-    lo, hi, dt = f.t_min, f.t_max, f.delta_t
     if eps == 0.0:
-        return (
-            hi * math.log2(1.0 + hi * v_a)
-            - lo * math.log2(1.0 + lo * v_a)
-            + math.log2((1.0 + hi * v_a) / (1.0 + lo * v_a)) / v_a
-            - dt * LOG2_E
-        ) / (2.0 * dt)
-    slope = eps + v_a
-    return (
-        math.log2((1.0 + eps * lo) / (1.0 + eps * hi)) / eps
-        + hi * math.log2((1.0 + hi * slope) / (1.0 + eps * hi))
-        + math.log2((1.0 + hi * slope) / (1.0 + lo * slope)) / slope
-        + lo * math.log2((1.0 + eps * lo) / (1.0 + lo * slope))
-    ) / (2.0 * dt)
+        return _avg_mi_passive(v_a, f.t_min, f.t_max, f.delta_t, math.log2)
+    return _avg_mi_noisy(v_a, eps, f.t_min, f.t_max, f.delta_t, math.log2)
 
 
 def holevo_cma(v: float, eps: float, f: FadingUniform) -> float:
@@ -180,12 +207,44 @@ def skr_cma(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     return SkrBreakdown.from_parts(avg_mutual_information(v, eps, f), holevo_cma(v, eps, f))
 
 
+def cma_block(eps: float, f: FadingUniform) -> tuple[float, ...]:
+    """What ``skr_cma_rows`` needs of one (eps, fading) block, computed by the
+    scalar code and raising its DomainError: eps, t_min, t_max, delta_t,
+    t_eff, Var(sqrt T)/t_eff and, for a point mass, chi at t_min (else NaN)."""
+    t_eff, ratio = _effective_coefficients(moments_uniform(f))
+    chi_point = derive_chi(f.t_min, eps) if f.delta_t == 0.0 else math.nan
+    return eps, f.t_min, f.t_max, f.delta_t, t_eff, ratio, chi_point
+
+
+def skr_cma_rows(v, eps, t_min, t_max, delta_t, t_eff, ratio, chi_point):
+    """``skr_cma`` at every row of equal-length arrays, the block columns
+    from ``cma_block``; V >= 1 and eps >= 0 already validated.  Returns
+    (mutual_info, holevo, ok), equal to the scalar values bit for bit where
+    ok, with ok as in ``channel.holevo_rows``."""
+    v_a = v - 1.0
+    mi = np.zeros(v.size)
+    live = v_a != 0.0
+    point = live & (delta_t == 0.0)
+    passive = live & (delta_t != 0.0) & (eps == 0.0)
+    noisy = live & (delta_t != 0.0) & (eps != 0.0)
+    mi[point] = mutual_information_form(v[point], chi_point[point], log2_each)
+    mi[passive] = _avg_mi_passive(
+        v_a[passive], t_min[passive], t_max[passive], delta_t[passive], log2_each
+    )
+    mi[noisy] = _avg_mi_noisy(
+        v_a[noisy], eps[noisy], t_min[noisy], t_max[noisy], delta_t[noisy], log2_each
+    )
+    eps_eff = effective_excess_noise(ratio, eps, v)
+    holevo, ok = holevo_rows(v, t_eff, 1.0 / t_eff - 1.0 + eps_eff)
+    return mi, holevo, ok & (eps_eff >= 0.0) & np.isfinite(mi)
+
+
 def optimal_variance(
     eps: float,
     f: FadingUniform,
     v_lo: float = 1.0 + 1e-6,
     v_hi: float = 1e4,
-    x_tol: float = 1e-3,
+    x_tol: float = V_TOL,
 ) -> tuple[float, float]:
     """Modulation variance maximizing the averaged-state key rate on [v_lo, v_hi].
 

@@ -48,7 +48,7 @@ from .channel import (
     mutual_information_fixed,
 )
 from .errors import DomainError, NumericalError
-from .numerics import ABS_TOL, LOG2_E, REL_TOL, dilog, g_entropy, integrate
+from .numerics import ABS_TOL, LOG2_E, REL_TOL, dilog, g_entropy, integrate, log2_each
 
 _GL_LOW, _GL_HIGH = 32, 64  # node counts of the nested Gauss-Legendre pair
 
@@ -149,10 +149,18 @@ def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     return SkrBreakdown.from_parts(mi, hol)
 
 
+def _mi_asymptotic_t_part(t: float, eps: float) -> float:
+    omega = derive_omega(t, eps)
+    return 0.5 * math.log2(t / (t + (1.0 - t) * omega))
+
+
+def _mi_asymptotic(t_part, v, log2):
+    return t_part + 0.5 * log2(v)
+
+
 def mutual_information_asymptotic(t: float, eps: float, v: float) -> float:
     """Large-V mutual information (1/2) log2(T / (T + (1-T) omega)) + (1/2) log2 V."""
-    omega = derive_omega(t, eps)
-    return 0.5 * math.log2(t / (t + (1.0 - t) * omega)) + 0.5 * math.log2(v)
+    return _mi_asymptotic(_mi_asymptotic_t_part(t, eps), v, math.log2)
 
 
 def asymptotic_eigenvalues(t: float, eps: float, v: float) -> SymplecticSpectrum:
@@ -215,16 +223,29 @@ def htilde(eps: float, f: FadingUniform) -> float:
     ) / (2.0 * f.delta_t)
 
 
-def _log_average_antiderivative(t: float, eps: float, v: float) -> float:
-    """Antiderivative (up to the 1/(2 delta_t) weight) of
-    log2(T (1-T) V / omega) along the transmittance; u = (1-T) + eps*T."""
+def _log_endpoint(t: float, eps: float) -> tuple[float, float, float, float]:
+    """The V-free pieces (a, k, u, c) of ``_log_antiderivative`` at T = t:
+    a = log2(u) / (1 - eps), k = (1-T)^2 T, u = (1-T) + eps*T and
+    c = log2((1-T)^2)."""
     tb = 1.0 - t
     u = tb + eps * t
+    return math.log2(u) / (1.0 - eps), tb * tb * t, u, math.log2(tb * tb)
+
+
+def _log_antiderivative(t, v, a, k, u, c, log2):
+    """Antiderivative (up to the 1/(2 delta_t) weight) of
+    log2(T (1-T) V / omega) along the transmittance, at T = t from the
+    pieces of ``_log_endpoint``: a + t (log2(k V / u) - 2/ln 2) - c."""
+    return a + t * (log2(k * v / u) - 2.0 * LOG2_E) - c
+
+
+def _log_average(v, t_min, t_max, delta_t, lo, hi, log2):
+    """Fading average of log2(T (1-T) V / omega) / 2, the logarithmic part of
+    the averaged large-V Holevo bound, from the ``_log_endpoint`` pieces lo
+    at t_min and hi at t_max; float or ndarray arguments."""
     return (
-        math.log2(u) / (1.0 - eps)
-        + t * (math.log2(tb * tb * t * v / u) - 2.0 * LOG2_E)
-        - math.log2(tb * tb)
-    )
+        _log_antiderivative(t_max, v, *hi, log2) - _log_antiderivative(t_min, v, *lo, log2)
+    ) / (2.0 * delta_t)
 
 
 def avg_holevo_analytic(v: float, eps: float, f: FadingUniform) -> float:
@@ -239,10 +260,8 @@ def avg_holevo_analytic(v: float, eps: float, f: FadingUniform) -> float:
     _require_asymptotic_domain(eps, f)
     if not (math.isfinite(v) and v >= 1.0):
         raise DomainError(f"variance must satisfy V >= 1, got {v!r}")
-    log_part = (
-        _log_average_antiderivative(f.t_max, eps, v)
-        - _log_average_antiderivative(f.t_min, eps, v)
-    ) / (2.0 * f.delta_t)
+    lo, hi = _log_endpoint(f.t_min, eps), _log_endpoint(f.t_max, eps)
+    log_part = _log_average(v, f.t_min, f.t_max, f.delta_t, lo, hi, math.log2)
     h_part = htilde(eps, f) if eps > 0.0 else 0.0
     return log_part + h_part
 
@@ -273,3 +292,34 @@ def skr_hba_asymptotic(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
             "Holevo bound is negative); increase V or use the exact pipeline"
         )
     return SkrBreakdown.from_parts(mi, hol)
+
+
+def asymptotic_block(eps: float, f: FadingUniform) -> tuple[float, ...]:
+    """What ``skr_hba_asymptotic_rows`` needs of one (eps, fading) block,
+    computed by the scalar code and raising its DomainError: t_min, t_max,
+    delta_t, the V-free part of the mutual information, the averaged
+    thermal term (``htilde``, 0 at eps = 0; all of the dilogarithm) and the
+    ``_log_endpoint`` pieces at t_min and at t_max."""
+    _require_asymptotic_domain(eps, f)
+    h_part = htilde(eps, f) if eps > 0.0 else 0.0
+    return (
+        f.t_min,
+        f.t_max,
+        f.delta_t,
+        _mi_asymptotic_t_part(f.t_min, eps),
+        h_part,
+        *_log_endpoint(f.t_min, eps),
+        *_log_endpoint(f.t_max, eps),
+    )
+
+
+def skr_hba_asymptotic_rows(v, t_min, t_max, delta_t, mi_t_part, h_part, *endpoints):
+    """``skr_hba_asymptotic`` at every row of equal-length arrays, the block
+    columns from ``asymptotic_block``; V >= 1 already validated.  Returns
+    (mutual_info, holevo, ok), equal to the scalar values bit for bit where
+    ok; ok fails where the averaged Holevo bound is negative (the scalar
+    DomainError) or a value is not finite."""
+    mi = _mi_asymptotic(mi_t_part, v, log2_each)
+    log_part = _log_average(v, t_min, t_max, delta_t, endpoints[:4], endpoints[4:], log2_each)
+    holevo = log_part + h_part
+    return mi, holevo, (holevo >= 0.0) & np.isfinite(holevo) & np.isfinite(mi)

@@ -1,12 +1,16 @@
 """CLI: dispatch, CSV schema and determinism, sweeps, presets, exit codes."""
 
 import csv
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 from xml.sax.saxutils import escape as sax_escape
 
 import pytest
 
+import cvqkd_fading
 from cvqkd_fading import cli, montecarlo, svgplot
 from cvqkd_fading.channel import ChannelParams, skr_fixed
 from cvqkd_fading.cma import avg_covariance, skr_cma
@@ -154,6 +158,19 @@ class TestConfigParsing:
             cli.load_preset("fig9")
 
 
+def fail_at_t_min_04(run_points):
+    """``run_points`` with every point at t_min = 0.4 failing."""
+
+    def flaky(approach, v, eps, t_min, delta_t):
+        *values, failed = run_points(approach, v, eps, t_min, delta_t)
+        for i, t in enumerate(t_min):
+            if abs(t - 0.4) < 1e-9:
+                failed[i] = NumericalError("synthetic failure")
+        return (*values, failed)
+
+    return flaky
+
+
 class TestSweep:
     def make_cfg(self, tmp_path, **overrides):
         base = {"csv": str(tmp_path / "out.csv")}
@@ -224,14 +241,7 @@ class TestSweep:
         assert err.startswith("error: ")
 
     def test_error_rows_and_exit_code(self, tmp_path, monkeypatch, capsys):
-        real = cli.run_point
-
-        def flaky(approach, v, eps, f):
-            if abs(f.t_min - 0.4) < 1e-9:
-                raise NumericalError("synthetic failure")
-            return real(approach, v, eps, f)
-
-        monkeypatch.setattr(cli, "run_point", flaky)
+        monkeypatch.setattr(cli, "run_points", fail_at_t_min_04(cli.run_points))
         csv_path = tmp_path / "err.csv"
         code, _, err = run_main(
             ["sweep", "--approach", "cma", "--v", "10", "--eps", "0",
@@ -253,10 +263,11 @@ class TestSweep:
         # line breaks take the same RFC 4180 path
         message = 'eigenvalue must be >= 1, got "0.9"\nsecond line'
 
-        def failing(approach, v, eps, f):
-            raise DomainError(message)
+        def failing(approach, v, eps, t_min, delta_t):
+            nan = [math.nan] * len(v)
+            return nan, nan, nan, {i: DomainError(message) for i in range(len(v))}
 
-        monkeypatch.setattr(cli, "run_point", failing)
+        monkeypatch.setattr(cli, "run_points", failing)
         code, out, _ = run_main(
             ["sweep", "--approach", "cma", "--v", "10,20", "--eps", "0",
              "--t-min", "0.4", "--delta-t", "0.2"],
@@ -268,14 +279,7 @@ class TestSweep:
         assert [r[11] for r in rows[1:]] == [f"DomainError: {message}"] * 2
 
     def test_failed_optimize_v_row_has_empty_v_cells(self, monkeypatch):
-        real = cli.run_point
-
-        def flaky(approach, v, eps, f):
-            if abs(f.t_min - 0.4) < 1e-9:
-                raise NumericalError("synthetic failure")
-            return real(approach, v, eps, f)
-
-        monkeypatch.setattr(cli, "run_point", flaky)
+        monkeypatch.setattr(cli, "run_points", fail_at_t_min_04(cli.run_points))
         cfg = cli.sweep_config_from_sources(
             "approach = cma\nv = 10\neps = 0\nt-min = 0.3,0.4\ndelta-t = 0.2\n"
             "optimize-v = cma\n",
@@ -283,7 +287,7 @@ class TestSweep:
         )
         rows, n_errors = cli.run_sweep(cfg)
         assert n_errors == 1
-        ok, bad = (row.csv_line().split(",") for row in rows)
+        ok, bad = (line.split(",") for line in cli.csv_lines(rows))
         assert ok[1] == ok[10] != ""  # V is the optimum found
         assert bad[1] == bad[10] == "" and bad[11] == "NumericalError: synthetic failure"
 
@@ -379,6 +383,23 @@ class TestOptimizeCommand:
         assert 1.0 < v_opt < 1e4
         assert rate == pytest.approx(skr_cma(v_opt, 0.0, FadingUniform(0.1, 0.2)).rate, rel=1e-12)
 
+    def test_bracket_edge_warns(self, capsys):
+        # the optimum (about 1.9 / delta_t) lies beyond v_hi = 1e4
+        code, out, err = run_main(
+            ["optimize-v", "--eps", "0.01", "--t-min", "0.5", "--delta-t", "1e-4"], capsys
+        )
+        assert code == 0
+        assert float(out.strip().splitlines()[1].split(",")[3]) == 1e4
+        assert err.startswith("warning: v_opt = 10000 is within 0.001 of the bracket edge v_hi")
+
+    def test_interior_optimum_is_silent(self, capsys):
+        code, out, err = run_main(
+            ["optimize-v", "--eps", "0.01", "--t-min", "0.5", "--delta-t", "2e-3"], capsys
+        )
+        assert code == 0
+        assert float(out.strip().splitlines()[1].split(",")[3]) == pytest.approx(937.9, abs=0.1)
+        assert err == ""
+
 
 class TestMcValidateCommand:
     def test_within_bands_and_deterministic(self, capsys):
@@ -427,6 +448,13 @@ class TestSvgEscape:
             assert svgplot.escape(text) == sax_escape(text)
 
 
+def checkout_env():
+    """The environment with this package's source directory on PYTHONPATH,
+    so a subprocess imports the same package as the tests."""
+    src = str(Path(cvqkd_fading.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 class TestEntryPoint:
     def test_cold_start_imports(self):
         # neither the process pool, the network stack that xml.sax.saxutils
@@ -438,6 +466,7 @@ class TestEntryPoint:
              f"import sys, cvqkd_fading.cli; print([m for m in {unwanted!r} if m in sys.modules])"],
             capture_output=True,
             text=True,
+            env=checkout_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -448,6 +477,7 @@ class TestEntryPoint:
              "--v", "10", "--eps", "0", "--t-min", "1"],
             capture_output=True,
             text=True,
+            env=checkout_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == cli.CSV_HEADER
