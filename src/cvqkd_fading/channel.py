@@ -270,47 +270,14 @@ def holevo_fixed(p: ChannelParams) -> float:
 
 
 def _spectrum_holevo(v, t, chi, log1p, log2):
-    """Discriminant factor, the (3, n) eigenvalue array and the Holevo bound
+    """Discriminant factor, the (3, ...) eigenvalue array and the Holevo bound
     at every element, with no checks.  Beyond V ~ 1e154 the squares overflow
     and the spectrum is inf or NaN; the callers' checks reject that, as the
-    scalar path does, so numpy's warnings are silenced."""
-    with np.errstate(all="ignore"):
-        factor, lam1, lam2, lam3 = spectrum_closed_form(v, t, chi, np.sqrt)
-        lams = np.array((lam1, lam2, lam3))
-        g = g_entropy_array(np.maximum((lams - 1.0) / 2.0, 0.0), log1p, log2)
+    scalar path does, so they call this with numpy's warnings silenced."""
+    factor, lam1, lam2, lam3 = spectrum_closed_form(v, t, chi, np.sqrt)
+    lams = np.array((lam1, lam2, lam3))
+    g = g_entropy_array(np.maximum((lams - 1.0) / 2.0, 0.0), log1p, log2)
     return factor, lams, g[0] + g[1] - g[2]
-
-
-def holevo_fixed_array(v: float, t: np.ndarray, eps: float) -> np.ndarray:
-    """``holevo_fixed`` at every transmittance of the array t for one (V, eps),
-    bits, with numpy's logarithms.
-
-    V >= 1 and eps >= 0 are the caller's to validate, once.  The nodes are
-    checked with one vectorized test per condition and fail with the scalar
-    path's exception class: DomainError for T outside (0, 1] or an eigenvalue
-    below 1 - PHYSICALITY_SLACK or non-finite (the scalar ``g_entropy``
-    rejects those), NumericalError for a discriminant factor below
-    DISCRIMINANT_FLOOR.  Finite eigenvalues give finite entropies, so every
-    returned value is finite.
-    """
-    t_lo, t_hi = t.min(), t.max()
-    if not (t_lo > 0.0 and t_hi <= 1.0):
-        raise DomainError(
-            f"transmittance must satisfy 0 < T <= 1, got values in [{float(t_lo)!r}, {float(t_hi)!r}]"
-        )
-    factor, lams, holevo = _spectrum_holevo(v, t, 1.0 / t - 1.0 + eps, np.log1p, np.log2)
-    if (factor < DISCRIMINANT_FLOOR).any():
-        raise NumericalError(
-            f"negative discriminant factor {float(factor.min())!r} for V={v!r}, eps={eps!r}: "
-            "unphysical parameter combination"
-        )
-    lam_lo, lam_hi = lams.min(), lams.max()
-    if not (lam_lo >= 1.0 - PHYSICALITY_SLACK and lam_hi < math.inf):
-        raise DomainError(
-            "symplectic eigenvalues must be finite and >= 1, got values in "
-            f"[{float(lam_lo)!r}, {float(lam_hi)!r}]"
-        )
-    return holevo
 
 
 def holevo_rows(v: np.ndarray, t: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +287,8 @@ def holevo_rows(v: np.ndarray, t: np.ndarray, chi: np.ndarray) -> tuple[np.ndarr
     the discriminant floor, eigenvalues finite and >= 1 - PHYSICALITY_SLACK,
     and Holevo >= -PHYSICALITY_SLACK.  Masked-out rows hold meaningless
     values."""
-    factor, lams, holevo = _spectrum_holevo(v, t, chi, log1p_each, log2_each)
+    with np.errstate(all="ignore"):
+        factor, lams, holevo = _spectrum_holevo(v, t, chi, log1p_each, log2_each)
     ok = (
         (t > 0.0)
         & (t <= 1.0)

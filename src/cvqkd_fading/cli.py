@@ -7,10 +7,10 @@ Subcommands: ``point``, ``sweep``, ``optimize-v``, ``threshold``,
 are such files and every key can be overridden by the command-line flag of
 the same name (flags win).  Sweeps run serially; the ``jobs`` key and
 ``--jobs`` flag are still accepted (>= 1) but have no effect.  A sweep
-evaluates each approach's rows with ``run_points``: ``fixed``, ``cma`` and
-``hba_asymptotic`` as one array each, with what a block of rows (one
-approach, eps, delta_t and t_min; only V varies) has in common computed
-once; ``hba_exact`` row by row.  Every value, and so every output byte, is
+evaluates each approach's rows with ``run_points`` as one array each, with
+what a block of rows (one approach, eps, delta_t and t_min; only V varies)
+has in common computed once; ``hba_exact`` rows in chunks of
+Gauss-Legendre node matrices.  Every value, and so every output byte, is
 the one ``run_point`` gives for that row.
 
 Output is CSV (UTF-8, LF, 17 significant digits) with one flat schema::
@@ -55,6 +55,7 @@ from .hba import (
     skr_hba_asymptotic,
     skr_hba_asymptotic_rows,
     skr_hba_exact,
+    skr_hba_exact_rows,
 )
 from .montecarlo import SampleConfig, empirical_moments, moment_standard_errors
 from .svgplot import write_line_plot
@@ -101,12 +102,17 @@ def _fixed_block(eps: float, f: FadingUniform) -> tuple[float, float]:
     return f.t_min, derive_chi(f.t_min, eps)
 
 
+def _exact_block(eps: float, f: FadingUniform) -> tuple[float, float, float]:
+    return eps, f.t_min, f.delta_t
+
+
 # approach -> (columns of one (eps, fading) block, from the scalar code; the
 # row kernel taking V and those columns repeated over the block's rows)
 _ROW_MODELS = {
     "fixed": (_fixed_block, skr_fixed_rows),
     "cma": (cma_block, skr_cma_rows),
     "hba_asymptotic": (asymptotic_block, skr_hba_asymptotic_rows),
+    "hba_exact": (_exact_block, skr_hba_exact_rows),
 }
 
 
@@ -116,13 +122,13 @@ def run_points(approach, v, eps, t_min, delta_t):
 
     Returns (mutual_info, holevo, rate) as lists of floats and {index:
     exception} for the points whose evaluation raised; the values at those
-    points are meaningless.  ``fixed``, ``cma`` and ``hba_asymptotic``
-    points are evaluated as one array: a block (a run of points with equal
-    eps, t_min and delta_t) gets its shared values once from the scalar
-    code, repeated over its points.  A point the array cannot vouch for (its
-    block's scalar code raised, V or eps is out of range, or a value fails a
-    check the scalar path makes) goes through ``run_point``, as does every
-    ``hba_exact`` point, so it gets the scalar path's value or exception.
+    points are meaningless.  The points are evaluated as one array: a
+    block (a run of points with equal eps, t_min and delta_t) gets its
+    shared values once from the scalar code, repeated over its points.  A
+    point the array cannot vouch for (its block's scalar code raised, V or
+    eps is out of range, a value fails a check the scalar path makes, or an
+    ``hba_exact`` point needs adaptive Simpson or has delta_t = 0) goes
+    through ``run_point``, so it gets the scalar path's value or exception.
     """
     n = len(v)
     values = np.full((3, n), np.nan)

@@ -17,7 +17,9 @@ Two pipelines are provided:
   scalar ``holevo_fixed`` gives the value: at an x log x endpoint (t_max ->
   1 at small eps, where lambda2 -> 1), or when a node's spectrum rounds
   below 1.  Adaptive Simpson stays the independent oracle the tests hold
-  the Gauss-Legendre value to.
+  the Gauss-Legendre value to.  ``skr_hba_exact_rows`` evaluates the same
+  node kernel for many rows at once, a chunk of rows per node matrix, for
+  the sweep; a point evaluation is its one-row case.
 * ``skr_hba_asymptotic`` -- the large-V closed form, whose rate is
   independent of V.  Its averaged Holevo bound is assembled from endpoint
   antiderivatives (logarithmic part plus a dilogarithm part); the assembly is
@@ -39,18 +41,24 @@ from functools import cache
 import numpy as np
 
 from .channel import (
+    DISCRIMINANT_FLOOR,
+    PHYSICALITY_SLACK,
     ChannelParams,
     SkrBreakdown,
     SymplecticSpectrum,
+    _spectrum_holevo,
     derive_omega,
     holevo_fixed,
-    holevo_fixed_array,
     mutual_information_fixed,
+    mutual_information_form,
 )
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .numerics import ABS_TOL, LOG2_E, REL_TOL, dilog, g_entropy, integrate, log2_each
 
 _GL_LOW, _GL_HIGH = 32, 64  # node counts of the nested Gauss-Legendre pair
+# rows per node matrix of ``skr_hba_exact_rows``: 6,144 nodes, so the
+# temporaries of a chunk stay small next to the process
+_CHUNK_ROWS = 64
 
 
 @cache
@@ -105,27 +113,32 @@ def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
         )
 
 
-def _integrate_holevo(v: float, eps: float, f: FadingUniform) -> float:
-    """int holevo_fixed(V, T, eps) dT over [t_min, t_max] (not yet divided by
-    delta_t): the 64-point Gauss-Legendre value when the 32-point value agrees
-    with it to max(ABS_TOL, REL_TOL * |I|), else adaptive Simpson.
+def _node_holevo(v, eps, t):
+    """``holevo_fixed`` at every node of t with numpy's logarithms, and
+    whether all nodes of a row (the last axis of t) pass the scalar path's
+    checks: T in (0, 1], the discriminant floor, eigenvalues finite and
+    >= 1 - PHYSICALITY_SLACK.  v and eps are floats, or columns of rows."""
+    with np.errstate(all="ignore"):
+        factor, lams, holevo = _spectrum_holevo(v, t, 1.0 / t - 1.0 + eps, np.log1p, np.log2)
+    ok = (
+        (t.min(axis=-1) > 0.0)
+        & (t.max(axis=-1) <= 1.0)
+        & (factor.min(axis=-1) >= DISCRIMINANT_FLOOR)
+        & (lams.min(axis=(0, -1)) >= 1.0 - PHYSICALITY_SLACK)
+        & (lams.max(axis=(0, -1)) < math.inf)
+    )
+    return holevo, ok
 
-    A node whose spectrum rounds out of the physical range (lambda2 just
-    below 1 at large V as T -> 1) also goes to adaptive Simpson, which
-    raises the scalar path's error if its own nodes fail too.
-    """
-    x, low_w, high_w = _gauss_legendre_pair()
-    half = 0.5 * (f.t_max - f.t_min)
-    try:
-        nodes = holevo_fixed_array(v, 0.5 * (f.t_max + f.t_min) + half * x, eps)
-    except (DomainError, NumericalError):
-        pass
-    else:
-        low = half * float(nodes[:_GL_LOW] @ low_w)
-        high = half * float(nodes[_GL_LOW:] @ high_w)
-        if abs(high - low) <= max(ABS_TOL, REL_TOL * abs(high)):
-            return high
-    return integrate(lambda t: holevo_fixed(ChannelParams(v, t, eps)), f.t_min, f.t_max)
+
+def _gauss_legendre(half: float, nodes: np.ndarray) -> float | None:
+    """int holevo_fixed dT over one row's interval from its node values: the
+    64-point value if the 32-point value agrees with it to
+    max(ABS_TOL, REL_TOL * |I|), else None.  Each sum is a 1-D dot product,
+    so a row of a chunk gets the bits a single row gets."""
+    _, low_w, high_w = _gauss_legendre_pair()
+    low = half * float(nodes[:_GL_LOW] @ low_w)
+    high = half * float(nodes[_GL_LOW:] @ high_w)
+    return high if abs(high - low) <= max(ABS_TOL, REL_TOL * abs(high)) else None
 
 
 def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
@@ -135,18 +148,46 @@ def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     mutual_info is the fixed-channel value at t_min; holevo is
     (1/delta_t) * int holevo_fixed(V, T, eps) dT, degenerating to the point
     value when delta_t = 0.  V and eps are validated once, here.  The
-    integral is the 64-point Gauss-Legendre value, accepted when the
+    integral is the one-row case of ``skr_hba_exact_rows``: the 64-point
+    Gauss-Legendre value when every node passes the scalar checks and the
     32-point value is within tolerance ``numerics.ABS_TOL``/``REL_TOL`` of
-    it, max(ABS_TOL, REL_TOL * |I|); otherwise adaptive Simpson
-    (``integrate``) to the same tolerance.
+    it; otherwise adaptive Simpson (``integrate``) over the scalar
+    ``holevo_fixed``, which raises the scalar path's error where a node of
+    its own fails.
     """
     p = ChannelParams(v, f.t_min, eps)
     mi = mutual_information_fixed(p)
     if f.delta_t == 0.0:
-        hol = holevo_fixed(p)
-    else:
-        hol = _integrate_holevo(v, eps, f) / f.delta_t
-    return SkrBreakdown.from_parts(mi, hol)
+        return SkrBreakdown.from_parts(mi, holevo_fixed(p))
+    half = 0.5 * (f.t_max - f.t_min)
+    nodes, ok = _node_holevo(v, eps, 0.5 * (f.t_max + f.t_min) + half * _gauss_legendre_pair()[0])
+    total = _gauss_legendre(half, nodes) if ok else None
+    if total is None:
+        total = integrate(lambda t: holevo_fixed(ChannelParams(v, t, eps)), f.t_min, f.t_max)
+    return SkrBreakdown.from_parts(mi, total / f.delta_t)
+
+
+def skr_hba_exact_rows(v, eps, t_min, delta_t):
+    """``skr_hba_exact`` at every row of equal-length arrays, V >= 1 and
+    eps >= 0 already validated; one node matrix per ``_CHUNK_ROWS`` rows.
+    Returns (mutual_info, holevo, ok), equal to the scalar values bit for
+    bit where ok.  ok fails where delta_t = 0, a node fails a check, the
+    two rules disagree (the rows adaptive Simpson takes), the Holevo bound
+    is below -PHYSICALITY_SLACK or a value is not finite."""
+    t_max = np.minimum(t_min + delta_t, 1.0)
+    half, mid = 0.5 * (t_max - t_min), 0.5 * (t_max + t_min)
+    x = _gauss_legendre_pair()[0]
+    holevo = np.full(v.size, np.nan)
+    for lo in range(0, v.size, _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        t = mid[rows, None] + half[rows, None] * x
+        nodes, ok = _node_holevo(v[rows, None], eps[rows, None], t)
+        for i in np.flatnonzero(ok & (delta_t[rows] > 0.0)).tolist():
+            total = _gauss_legendre(float(half[lo + i]), nodes[i])
+            if total is not None:
+                holevo[lo + i] = total / float(delta_t[lo + i])
+    mi = mutual_information_form(v, 1.0 / t_min - 1.0 + eps, log2_each)
+    return mi, holevo, (holevo >= -PHYSICALITY_SLACK) & np.isfinite(holevo) & np.isfinite(mi)
 
 
 def _mi_asymptotic_t_part(t: float, eps: float) -> float:
@@ -218,9 +259,13 @@ def htilde(eps: float, f: FadingUniform) -> float:
         raise DomainError(
             "htilde is singular at eps = 0; callers must substitute its limit, 0"
         )
-    return (
-        _h_average_antiderivative(f.t_max, eps) - _h_average_antiderivative(f.t_min, eps)
-    ) / (2.0 * f.delta_t)
+    try:
+        ends = _h_average_antiderivative(f.t_max, eps) - _h_average_antiderivative(f.t_min, eps)
+    except ValueError:  # below eps ~ 1e-308, eps * t * u underflows to 0 (log2 fails)
+        ends = math.nan  # or (eps - 2)(1 - T)/eps overflows (dilog's DomainError)
+    if not math.isfinite(ends):
+        raise DomainError(f"htilde closed form is not finite at eps = {eps!r} (eps too small)")
+    return ends / (2.0 * f.delta_t)
 
 
 def _log_endpoint(t: float, eps: float) -> tuple[float, float, float, float]:

@@ -162,6 +162,11 @@ def write_line_plot(
         f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{escape(y_label)}</text>'
     )
 
+    # legend entries whose baseline lies above the plot box's bottom edge; when
+    # the curves outnumber them, the last one says how many are not listed
+    legend_rows = (plot_h - 14) // 16 + 1
+    listed = len(series) if len(series) <= legend_rows else legend_rows - 1
+    lx = MARGIN_L + plot_w + 10
     for i, (label, pts) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         segments: list[list[tuple[float, float]]] = [[]]
@@ -181,13 +186,19 @@ def write_line_plot(
                 parts.append(
                     f'<circle cx="{seg[0][0]:.2f}" cy="{seg[0][1]:.2f}" r="2.5" fill="{color}"/>'
                 )
+        if i >= listed:
+            continue
         ly = MARGIN_T + 14 + 16 * i
-        lx = MARGIN_L + plot_w + 10
         parts.append(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
         parts.append(f'<text x="{lx + 23}" y="{ly}">{escape(label)}</text>')
+    if listed < len(series):
+        parts.append(
+            f'<text x="{lx + 23}" y="{MARGIN_T + 14 + 16 * listed}">'
+            f"\u2026 and {len(series) - listed} more</text>"
+        )
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

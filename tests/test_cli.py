@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,16 @@ class TestPointCommand:
         )
         assert code == 1
         assert "V >= 1" in err
+
+    def test_subnormal_eps_exits_one(self, capsys):
+        # htilde's closed form underflows; it was a bare ValueError traceback
+        code, out, err = run_main(
+            ["point", "--approach", "hba_asymptotic", "--v", "1e4", "--eps", "5e-324",
+             "--t-min", "0.25", "--delta-t", "0.001"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: htilde closed form is not finite at eps = 5e-324 (eps too small)\n"
 
     def test_bad_flag_exits_one(self, capsys):
         code, _, _ = run_main(["point", "--approach", "nope", "--v", "1", "--eps", "0",
@@ -440,6 +451,27 @@ class TestMcValidateCommand:
         ref = avg_covariance(empirical_moments(f, cfg), 10.0, 0.03)
         assert rows["cov_b"] == ref.b
         assert rows["cov_c"] == ref.c
+
+
+class TestSvgLegend:
+    @staticmethod
+    def legend_texts(tmp_path, n_curves):
+        series = [(f"curve {i}", [(0.0, float(i)), (1.0, float(i) + 0.5)]) for i in range(n_curves)]
+        path = tmp_path / "legend.svg"
+        svgplot.write_line_plot(str(path), series, "x", "y")
+        texts = re.findall(r'<text x="(\d+)" y="([\d.]+)">([^<]*)</text>', path.read_text())
+        legend_x = str(svgplot.WIDTH - svgplot.MARGIN_R + 33)
+        return [(float(y), label) for x, y, label in texts if x == legend_x]
+
+    def test_many_curves_keep_the_legend_on_the_image(self, tmp_path):
+        legend = self.legend_texts(tmp_path, 40)
+        assert max(y for y, _ in legend) <= svgplot.HEIGHT - svgplot.MARGIN_B
+        assert [label for _, label in legend[:-1]] == [f"curve {i}" for i in range(25)]
+        assert legend[-1][1] == "\u2026 and 15 more"
+
+    def test_legend_that_fits_lists_every_curve(self, tmp_path):
+        legend = self.legend_texts(tmp_path, 26)
+        assert [label for _, label in legend] == [f"curve {i}" for i in range(26)]
 
 
 class TestSvgEscape:

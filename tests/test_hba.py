@@ -11,12 +11,11 @@ from cvqkd_fading import cli, hba
 from cvqkd_fading.channel import (
     ChannelParams,
     holevo_fixed,
-    holevo_fixed_array,
     skr_fixed,
     spectrum_closed_form,
     symplectic_pair,
 )
-from cvqkd_fading.errors import DomainError, QuadratureError
+from cvqkd_fading.errors import DomainError, NumericalError, QuadratureError
 from cvqkd_fading.hba import (
     FadingUniform,
     asymptotic_eigenvalues,
@@ -234,12 +233,21 @@ class TestGaussLegendreAverage:
                     assert abs(float(arr[j]) - sc) <= 4.0 * np.spacing(abs(sc))
 
     def test_array_holevo_matches_scalar(self):
+        # the node kernel shared by skr_hba_exact (one row) and the sweep's
+        # skr_hba_exact_rows (a chunk of rows); a row gets the same bits alone
+        # and inside a chunk
         t = np.linspace(0.05, 1.0, 20)
         for v, eps in ((1.0, 0.0), (10.0, 0.0), (10.0, 0.03), (1e4, 0.01)):
-            got = holevo_fixed_array(v, t, eps)
+            got, ok = hba._node_holevo(v, eps, t)
+            assert ok
             for tj, g in zip(t, got):
                 ref = holevo_fixed(ChannelParams(v, float(tj), eps))
                 assert g == pytest.approx(ref, rel=1e-12, abs=1e-14)
+            chunk, chunk_ok = hba._node_holevo(
+                np.array([[v], [2.0 * v]]), np.array([[eps], [eps]]), np.array([t, t[::-1]])
+            )
+            assert chunk_ok.tolist() == [True, True]
+            assert chunk[0].tobytes() == got.tobytes()
 
     @pytest.mark.parametrize(
         "v, t_bad, eps",
@@ -252,16 +260,37 @@ class TestGaussLegendreAverage:
         ],
     )
     def test_bad_node_raises_the_scalar_exception_class(self, v, t_bad, eps):
+        # the kernel flags a row with a bad node, alone or in a chunk, so the
+        # row goes to adaptive Simpson over the scalar holevo_fixed, which
+        # raises the scalar exception class at that node
         with pytest.raises(DomainError) as scalar:
             holevo_fixed(ChannelParams(v, t_bad, eps))
-        with pytest.raises(type(scalar.value)):
-            holevo_fixed_array(v, np.array([0.5, t_bad, 0.7]), eps)
+        _, ok = hba._node_holevo(v, eps, np.array([0.5, t_bad, 0.7]))
+        assert not ok
+        _, chunk_ok = hba._node_holevo(
+            np.array([[10.0], [v]]), np.array([[eps], [eps]]),
+            np.array([[0.5, 0.6, 0.7], [0.5, t_bad, 0.7]]),
+        )
+        assert chunk_ok.tolist() == [True, False]
+
+    def test_discriminant_floor_flags_the_row(self):
+        # the discriminant factor rounds to -16 at this node while every
+        # eigenvalue passes its check; the scalar path raises NumericalError
+        v, t = 161502031.25560868, 0.999999999998079
+        with pytest.raises(NumericalError):
+            holevo_fixed(ChannelParams(v, t, 0.0))
+        _, ok = hba._node_holevo(v, 0.0, np.array([0.5, t]))
+        assert not ok
 
     def test_overflowing_spectrum_raises_without_warnings(self):
-        # V = 1e200 overflows the array spectrum; the checks reject it as the
-        # scalar path does, and numpy prints nothing on the way
+        # V = 1e200 overflows the array spectrum; the kernel flags the row and
+        # the scalar path raises, as it does for holevo_fixed, and numpy
+        # prints nothing on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            x = hba._gauss_legendre_pair()[0]
+            _, ok = hba._node_holevo(1e200, 0.0, 0.6 + 0.1 * x)
+            assert not ok
             with pytest.raises(DomainError):
                 skr_hba_exact(1e200, 0.0, FadingUniform(0.5, 0.2))
 

@@ -1,22 +1,25 @@
 """The sweep's array path gives every row exactly what ``run_point`` gives it.
 
-``cli.run_sweep`` evaluates the ``fixed``, ``cma`` and ``hba_asymptotic``
-rows of a grid as one array per approach, formats the CSV cells a block of
-rows shares once, and builds the SVG curves block by block.  The CSV is a
-byte contract, so these tests hold the sweep to the row-by-row reference it
-replaced: each row through ``run_point`` (after ``optimal_variance`` for an
-optimize-v row), compared with ``==``, and error rows with the same text.
+``cli.run_sweep`` evaluates the rows of a grid as one array per approach
+(``hba_exact`` in chunks of Gauss-Legendre node matrices), formats the CSV
+cells a block of rows shares once, and builds the SVG curves block by
+block.  The CSV is a byte contract, so these tests hold the sweep to the
+row-by-row reference it replaced: each row through ``run_point`` (after
+``optimal_variance`` for an optimize-v row), compared with ``==``, and
+error rows with the same text.
 """
 
 import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cvqkd_fading import cli, hba
-from cvqkd_fading.channel import ChannelParams, skr_fixed
+from cvqkd_fading.channel import ChannelParams, mutual_information_fixed, skr_fixed
 from cvqkd_fading.cma import optimal_variance
 from cvqkd_fading.errors import DomainError, NumericalError
 from cvqkd_fading.hba import FadingUniform
@@ -89,14 +92,16 @@ def assert_rows_equal(got, want):
         assert g.rate == w.rate, (g, w)
 
 
-t_mins = st.floats(0.01, 1.0) | st.sampled_from([t for _, t in FOUND_POINTS])
+# 0.8 and 0.999 reach t_max = 1 at delta_t = 0.2 and 1e-3: at eps = 0,
+# lambda2 -> 1 there and hba_exact rows fall back to adaptive Simpson
+t_mins = st.floats(0.01, 1.0) | st.sampled_from([t for _, t in FOUND_POINTS] + [0.8, 0.999])
 
 
 @st.composite
 def sweep_configs(draw):
     approaches = draw(
-        st.lists(st.sampled_from(("fixed", "cma", "hba_asymptotic")), min_size=1, max_size=3,
-                 unique=True)
+        st.lists(st.sampled_from(("fixed", "cma", "hba_asymptotic", "hba_exact")), min_size=1,
+                 max_size=4, unique=True)
     )
     return cli.SweepConfig(
         approaches=tuple(approaches),
@@ -108,7 +113,7 @@ def sweep_configs(draw):
         # an optimized V may lie below the large-V floor, where hba_asymptotic
         # rows fail on a negative averaged Holevo bound
         optimize_v=tuple(
-            a for a in approaches if a in ("cma", "hba_asymptotic") and draw(st.booleans())
+            a for a in approaches if a != "fixed" and draw(st.booleans())
         ),
     )
 
@@ -126,8 +131,9 @@ def outcome(fn, cfg):
 def test_sweep_rows_equal_run_point(cfg):
     got, got_exc = outcome(cli.run_sweep, cfg)
     want, want_exc = outcome(reference_rows, cfg)
-    # a subnormal eps makes htilde raise a bare ValueError in both (CHANGES.md
-    # FOUND line); the sweep must fail the same way the row-by-row loop does
+    # no exception escapes either: a subnormal eps, where htilde's closed form
+    # breaks down, is a DomainError row in both; should one escape, the sweep
+    # must fail the same way the row-by-row loop does
     assert got_exc == want_exc
     if want_exc is None:
         rows, n_errors = got
@@ -203,3 +209,96 @@ def test_run_points_fails_negative_asymptotic_holevo():
     assert str(failed[0]).startswith("large-V closed form outside its validity at V = 1.5")
     want = hba.skr_hba_asymptotic(1e4, 0.01, f)
     assert (mi[1], holevo[1], rate[1]) == (want.mutual_info, want.holevo, want.rate)
+
+
+def run_points_reference(approach, v, eps, t_min, delta_t):
+    """``run_point`` at every point: (mutual_info, holevo, rate) or the
+    exception's type and text."""
+    out = []
+    for args in zip(v, eps, t_min, delta_t):
+        try:
+            r = cli.run_point(approach, args[0], args[1], FadingUniform(*args[2:]))
+        except (DomainError, NumericalError) as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append((r.mutual_info, r.holevo, r.rate))
+    return out
+
+
+def run_points_outcome(approach, v, eps, t_min, delta_t):
+    mi, holevo, rate, failed = cli.run_points(approach, v, eps, t_min, delta_t)
+    return [
+        (type(failed[i]), str(failed[i])) if i in failed else (mi[i], holevo[i], rate[i])
+        for i in range(len(v))
+    ]
+
+
+def test_hba_exact_rows_span_chunks_with_a_fallback_row_in_each(monkeypatch):
+    # 3 chunks; t_min = 0.8, delta_t = 0.2 at eps = 0 ends at T = 1, where
+    # the two rules disagree and the row takes adaptive Simpson
+    n = 2 * hba._CHUNK_ROWS + 10
+    fallback = {5, hba._CHUNK_ROWS + 17, 2 * hba._CHUNK_ROWS + 3}
+    v = [10.0 ** (k / n) * 10.0 for k in range(n)]
+    eps = [0.0 if k in fallback else 0.01 for k in range(n)]
+    t_min = [0.8 if k in fallback else 0.3 + 0.4 * k / n for k in range(n)]
+    delta_t = [0.2] * n
+    calls = []
+    real = cli.run_point
+
+    def counting(approach, v_, eps_, f):
+        calls.append((v_, eps_, f.t_min))
+        return real(approach, v_, eps_, f)
+
+    monkeypatch.setattr(cli, "run_point", counting)
+    got = run_points_outcome("hba_exact", v, eps, t_min, delta_t)
+    assert sorted(calls) == sorted((v[k], eps[k], t_min[k]) for k in fallback)
+    monkeypatch.setattr(cli, "run_point", real)
+    assert got == run_points_reference("hba_exact", v, eps, t_min, delta_t)
+    assert all(len(out) == 3 and isinstance(out[0], float) for out in got)
+
+
+def test_hba_exact_invalid_points_get_the_run_point_exception():
+    v = [0.5, math.nan, math.inf, 10.0, 10.0, 10.0, 10.0]
+    eps = [0.01, 0.01, 0.01, -0.1, math.nan, math.inf, 0.01]
+    got = run_points_outcome("hba_exact", v, eps, [0.4] * 7, [0.2] * 7)
+    assert got == run_points_reference("hba_exact", v, eps, [0.4] * 7, [0.2] * 7)
+    assert all(out[0] is DomainError for out in got[:6])
+    assert isinstance(got[6][0], float)
+
+
+def test_hba_exact_overflowing_row_is_an_error_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_points_outcome("hba_exact", [1e200, 10.0], [0.0, 0.0], [0.5, 0.5], [0.2, 0.2])
+    assert got == run_points_reference(
+        "hba_exact", [1e200, 10.0], [0.0, 0.0], [0.5, 0.5], [0.2, 0.2]
+    )
+    assert got[0][0] is DomainError and isinstance(got[1][0], float)
+
+
+def test_hba_exact_rows_mutual_info_has_the_scalar_bits():
+    # numpy's log2 rounds differently from the C library's on about 1 in
+    # 2,000 of these ratios (5 of these rows); the kernel must not use it
+    rng = np.random.default_rng(3)
+    n = 8_000
+    v = 10.0 ** rng.uniform(0.0, 6.0, n)
+    eps, t_min = rng.uniform(0.0, 0.1, n), rng.uniform(0.01, 0.8, n)
+    mi, _, _ = hba.skr_hba_exact_rows(v, eps, t_min, np.full(n, 0.2))
+    want = [
+        mutual_information_fixed(ChannelParams(*args))
+        for args in zip(v.tolist(), t_min.tolist(), eps.tolist())
+    ]
+    assert mi.tolist() == want
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-310, 1e-308])
+def test_tiny_eps_is_a_domain_error_row(eps):
+    # htilde's closed form breaks down: eps * t * u underflows (a bare
+    # ValueError before), a dilog argument overflows, or the value is NaN
+    # (reported as "rate must equal mutual_info - holevo" before)
+    cfg = cli.SweepConfig(("hba_asymptotic",), (1e4,), (eps,), (0.25,), (0.001,))
+    rows, n_errors = cli.run_sweep(cfg)
+    assert n_errors == 1
+    assert rows[0].error == (
+        f"DomainError: htilde closed form is not finite at eps = {eps!r} (eps too small)"
+    )
