@@ -25,19 +25,17 @@ from .channel import (
 from .cma import (
     CmaScaling,
     EffectiveChannel,
-    TransmittanceMoments,
     avg_covariance,
     avg_mutual_information,
     cma_scaling,
     effective_params,
     holevo_cma,
-    moments_uniform,
     optimal_variance,
     skr_cma,
 )
 from .errors import DomainError, NumericalError, QuadratureError
+from .fading import FadingUniform, TransmittanceMoments, moments_uniform
 from .hba import (
-    FadingUniform,
     asymptotic_eigenvalues,
     avg_holevo_analytic,
     holevo_asymptotic,

@@ -36,12 +36,23 @@ DISCRIMINANT_FLOOR = -1e-9
 ROUNDING_ULPS = 8.0 * 2.0**-52
 
 
+def require_variance(v: float) -> None:
+    """The rule V >= 1 (finite) on a modulation-plus-vacuum variance."""
+    if not (math.isfinite(v) and v >= 1.0):
+        raise DomainError(f"variance must satisfy V >= 1, got {v!r}")
+
+
+def require_noise(eps: float) -> None:
+    """The rule eps >= 0 (finite) on an excess noise."""
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise DomainError(f"excess noise must satisfy eps >= 0, got {eps!r}")
+
+
 def derive_chi(t: float, eps: float) -> float:
     """Total channel-added noise referred to the input: 1/T - 1 + eps."""
     if not (math.isfinite(t) and 0.0 < t <= 1.0):
         raise DomainError(f"transmittance must satisfy 0 < T <= 1, got {t!r}")
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"excess noise must satisfy eps >= 0, got {eps!r}")
+    require_noise(eps)
     return 1.0 / t - 1.0 + eps
 
 
@@ -55,8 +66,7 @@ def derive_omega(t: float, eps: float) -> float:
         raise DomainError(
             f"thermal variance needs 0 < T < 1 (diverges at T = 1), got {t!r}"
         )
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"excess noise must satisfy eps >= 0, got {eps!r}")
+    require_noise(eps)
     return 1.0 + t * eps / (1.0 - t)
 
 
@@ -72,8 +82,7 @@ class ChannelParams:
     chi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.v) and self.v >= 1.0):
-            raise DomainError(f"variance must satisfy V >= 1, got {self.v!r}")
+        require_variance(self.v)
         object.__setattr__(self, "chi", derive_chi(self.t, self.eps))
 
     @property

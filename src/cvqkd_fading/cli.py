@@ -38,18 +38,10 @@ from operator import attrgetter
 import numpy as np
 
 from .channel import ChannelParams, SkrBreakdown, derive_chi, skr_fixed, skr_fixed_rows
-from .cma import (
-    V_TOL,
-    avg_covariance,
-    cma_block,
-    moments_uniform,
-    optimal_variance,
-    skr_cma,
-    skr_cma_rows,
-)
+from .cma import V_TOL, avg_covariance, cma_block, optimal_variance, skr_cma, skr_cma_rows
 from .errors import DomainError, NumericalError
+from .fading import FadingUniform, moments_uniform
 from .hba import (
-    FadingUniform,
     asymptotic_block,
     holevo_asymptotic_regime_floor,
     skr_hba_asymptotic,
@@ -102,8 +94,8 @@ def _fixed_block(eps: float, f: FadingUniform) -> tuple[float, float]:
     return f.t_min, derive_chi(f.t_min, eps)
 
 
-def _exact_block(eps: float, f: FadingUniform) -> tuple[float, float, float]:
-    return eps, f.t_min, f.delta_t
+def _exact_block(eps: float, f: FadingUniform) -> tuple[float, float, float, float]:
+    return eps, f.t_min, f.t_max, f.delta_t
 
 
 # approach -> (columns of one (eps, fading) block, from the scalar code; the
@@ -470,7 +462,8 @@ def find_positive_threshold(
 
     Returns (t_min_threshold, threshold_in_dB).  The rate must be monotone
     over the bracket (checked by sampling) and change sign across it;
-    otherwise a NumericalError is raised ("no sign change").
+    otherwise a NumericalError is raised ("no sign change").  Bisection
+    stops at b - a <= tol, or where no float lies between a and b.
     """
     if hi is None:
         hi = 1.0 - delta_t
@@ -478,6 +471,8 @@ def find_positive_threshold(
             hi -= 1e-9
     if not 0.0 < lo < hi:
         raise DomainError(f"invalid bracket [{lo!r}, {hi!r}]")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
 
     def rate(t_min: float) -> float:
         return run_point(approach, v, eps, FadingUniform(t_min, delta_t)).rate
@@ -496,6 +491,8 @@ def find_positive_threshold(
     a, b = lo, hi
     while b - a > tol:
         mid = 0.5 * (a + b)
+        if mid in (a, b):
+            break
         if rate(mid) >= 0.0:
             b = mid
         else:
@@ -780,10 +777,10 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 def cmd_mc_validate(args: argparse.Namespace) -> int:
     f = FadingUniform(args.t_min, args.delta_t)
-    cfg = SampleConfig(args.n, args.seed)
+    rows = mc_validate_rows(args.v, args.eps, f, SampleConfig(args.n, args.seed))
     print("quantity,empirical,closed_form,abs_dev,std_err,n_sigma,within_5_sigma")
     all_ok = True
-    for name, emp, ref, se in mc_validate_rows(args.v, args.eps, f, cfg):
+    for name, emp, ref, se in rows:
         dev = abs(emp - ref)
         if se == 0.0:
             ok = dev == 0.0

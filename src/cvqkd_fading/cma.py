@@ -10,7 +10,8 @@ to the modulation variance; this makes the Holevo bound grow quickly with V,
 so the modulation variance must be optimized per fading configuration.
 
 The legitimate rate is the ergodic average of the fixed-channel mutual
-information over the transmittance distribution.
+information over the transmittance distribution.  The law and its moments
+(``FadingUniform``, ``moments_uniform``) live in ``fading``.
 """
 
 from __future__ import annotations
@@ -29,36 +30,15 @@ from .channel import (
     holevo_rows,
     mutual_information_fixed,
     mutual_information_form,
+    require_noise,
+    require_variance,
 )
 from .errors import DomainError
-from .hba import FadingUniform
+from .fading import FadingUniform, TransmittanceMoments, moments_uniform
 from .numerics import LOG2_E, log2_each, maximize_scalar
 
 # how closely ``optimal_variance`` locates the optimum on the V axis
 V_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class TransmittanceMoments:
-    """First two moments of the transmittance distribution:
-    mean of sqrt(T), mean of T, and Var(sqrt(T)) = <T> - <sqrt(T)>^2."""
-
-    mean_sqrt_t: float
-    mean_t: float
-    var_sqrt_t: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.mean_sqrt_t <= 1.0):
-            raise DomainError(f"mean_sqrt_t must be in (0, 1], got {self.mean_sqrt_t!r}")
-        if not (0.0 < self.mean_t <= 1.0):
-            raise DomainError(f"mean_t must be in (0, 1], got {self.mean_t!r}")
-        if self.var_sqrt_t < 0.0:
-            raise DomainError(f"var_sqrt_t must be >= 0, got {self.var_sqrt_t!r}")
-        if self.mean_sqrt_t**2 > self.mean_t + 1e-12:
-            raise DomainError(
-                "moments violate Jensen's inequality: "
-                f"<sqrt(T)>^2 = {self.mean_sqrt_t**2!r} > <T> = {self.mean_t!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -95,19 +75,6 @@ class CmaScaling:
     lambda3_over_v_limit: float
 
 
-def moments_uniform(f: FadingUniform) -> TransmittanceMoments:
-    """Closed-form moments of the uniform fading law."""
-    if f.delta_t == 0.0:
-        return TransmittanceMoments(math.sqrt(f.t_min), f.t_min, 0.0)
-    mean_t = f.t_min + 0.5 * f.delta_t
-    # at small widths the cancellation in t_max^1.5 - t_min^1.5 can push the
-    # estimate across Jensen's bound <sqrt(T)>^2 <= <T>, i.e. off the physical states
-    mean_sqrt = min(
-        2.0 / (3.0 * f.delta_t) * (f.t_max**1.5 - f.t_min**1.5), math.sqrt(mean_t)
-    )
-    return TransmittanceMoments(mean_sqrt, mean_t, max(mean_t - mean_sqrt**2, 0.0))
-
-
 def _effective_coefficients(m: TransmittanceMoments) -> tuple[float, float]:
     """(t_eff, Var(sqrt T) / t_eff) with t_eff = <sqrt(T)>^2."""
     t_eff = m.mean_sqrt_t**2
@@ -128,10 +95,8 @@ def effective_params(m: TransmittanceMoments, eps: float, v: float) -> Effective
     a_coef/b_coef are the coefficients of the exact linear split
     chi_eff(V) = a_coef * V + b_coef.
     """
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"excess noise must satisfy eps >= 0, got {eps!r}")
-    if not (math.isfinite(v) and v >= 1.0):
-        raise DomainError(f"variance must satisfy V >= 1, got {v!r}")
+    require_noise(eps)
+    require_variance(v)
     t_eff, ratio = _effective_coefficients(m)
     eps_eff = effective_excess_noise(ratio, eps, v)
     chi_eff = 1.0 / t_eff - 1.0 + eps_eff
@@ -143,10 +108,8 @@ def effective_params(m: TransmittanceMoments, eps: float, v: float) -> Effective
 def avg_covariance(m: TransmittanceMoments, v: float, eps: float) -> TwoModeCovariance:
     """Fading-averaged two-mode covariance:
     a = V, c = <sqrt(T)> sqrt(V^2 - 1), b = <T>(V - 1 + eps) + 1."""
-    if not (math.isfinite(v) and v >= 1.0):
-        raise DomainError(f"variance must satisfy V >= 1, got {v!r}")
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"excess noise must satisfy eps >= 0, got {eps!r}")
+    require_variance(v)
+    require_noise(eps)
     return TwoModeCovariance(
         a=v,
         b=m.mean_t * (v - 1.0 + eps) + 1.0,
@@ -181,10 +144,8 @@ def avg_mutual_information(v: float, eps: float, f: FadingUniform) -> float:
     fixed-channel value at t_min when delta_t = 0.  Both closed forms take
     float or ndarray arguments (``skr_cma_rows``).
     """
-    if not (math.isfinite(v) and v >= 1.0):
-        raise DomainError(f"variance must satisfy V >= 1, got {v!r}")
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"excess noise must satisfy eps >= 0, got {eps!r}")
+    require_variance(v)
+    require_noise(eps)
     v_a = v - 1.0
     if v_a == 0.0:
         return 0.0
@@ -244,17 +205,16 @@ def optimal_variance(
     f: FadingUniform,
     v_lo: float = 1.0 + 1e-6,
     v_hi: float = 1e4,
-    x_tol: float = V_TOL,
 ) -> tuple[float, float]:
     """Modulation variance maximizing the averaged-state key rate on [v_lo, v_hi].
 
-    Log-spaced pre-scan plus golden-section refinement; returns (v_opt,
-    rate_opt) even when the optimum is non-positive (callers interpret
-    rate_opt <= 0 as "no key").
+    Log-spaced pre-scan plus golden-section refinement to ``V_TOL``; returns
+    (v_opt, rate_opt) even when the optimum is non-positive (callers
+    interpret rate_opt <= 0 as "no key").
     """
     if not 1.0 <= v_lo < v_hi:
         raise DomainError(f"need 1 <= v_lo < v_hi, got [{v_lo!r}, {v_hi!r}]")
-    return maximize_scalar(lambda v: skr_cma(v, eps, f).rate, v_lo, v_hi, x_tol)
+    return maximize_scalar(lambda v: skr_cma(v, eps, f).rate, v_lo, v_hi, V_TOL)
 
 
 def cma_scaling(v: float, eff: EffectiveChannel) -> CmaScaling:
@@ -269,8 +229,7 @@ def cma_scaling(v: float, eff: EffectiveChannel) -> CmaScaling:
     quadratic for a fixed channel) is what makes the Holevo bound of the
     averaged state outrun the ergodic mutual information.
     """
-    if not (math.isfinite(v) and v >= 1.0):
-        raise DomainError(f"variance must satisfy V >= 1, got {v!r}")
+    require_variance(v)
     a, b, t_eff = eff.a_coef, eff.b_coef, eff.t_eff
     a0 = t_eff * (1.0 + a + b / v)
     b0 = t_eff * (a + b / v + 1.0 / (v * v))

@@ -1,10 +1,10 @@
 """Secret key rate when the eavesdropper bound is averaged over the fading.
 
 Fast fading: the transmittance of each use is an unknown draw from a known
-distribution, here uniform on [t_min, t_min + delta_t].  In this model the
-legitimate parties code at the worst-case rate (mutual information evaluated
-at t_min) while the Holevo bound is averaged over the transmittance
-distribution.
+distribution, here uniform on [t_min, t_min + delta_t] (``fading``).  In
+this model the legitimate parties code at the worst-case rate (mutual
+information evaluated at t_min) while the Holevo bound is averaged over the
+transmittance distribution.
 
 Two pipelines are provided:
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -51,8 +50,10 @@ from .channel import (
     holevo_fixed,
     mutual_information_fixed,
     mutual_information_form,
+    require_variance,
 )
 from .errors import DomainError
+from .fading import FadingUniform
 from .numerics import ABS_TOL, LOG2_E, REL_TOL, dilog, g_entropy, integrate, log2_each
 
 _GL_LOW, _GL_HIGH = 32, 64  # node counts of the nested Gauss-Legendre pair
@@ -69,35 +70,6 @@ def _gauss_legendre_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     low_x, low_w = np.polynomial.legendre.leggauss(_GL_LOW)
     high_x, high_w = np.polynomial.legendre.leggauss(_GL_HIGH)
     return np.concatenate((low_x, high_x)), low_w, high_w
-
-
-@dataclass(frozen=True)
-class FadingUniform:
-    """Uniform transmittance distribution on [t_min, t_min + delta_t].
-
-    delta_t = 0 is the degenerate point mass at t_min.
-    """
-
-    t_min: float
-    delta_t: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_min) and self.t_min > 0.0):
-            raise DomainError(f"t_min must be positive, got {self.t_min!r}")
-        if not (math.isfinite(self.delta_t) and self.delta_t >= 0.0):
-            raise DomainError(f"delta_t must be >= 0, got {self.delta_t!r}")
-        if self.t_min + self.delta_t > 1.0 + 1e-12:
-            raise DomainError(
-                f"t_max = t_min + delta_t must be <= 1, got {self.t_min + self.delta_t!r}"
-            )
-
-    @property
-    def t_max(self) -> float:
-        return min(self.t_min + self.delta_t, 1.0)
-
-    @property
-    def t_mean(self) -> float:
-        return self.t_min + 0.5 * self.delta_t
 
 
 def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
@@ -167,14 +139,14 @@ def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     return SkrBreakdown.from_parts(mi, total / f.delta_t)
 
 
-def skr_hba_exact_rows(v, eps, t_min, delta_t):
+def skr_hba_exact_rows(v, eps, t_min, t_max, delta_t):
     """``skr_hba_exact`` at every row of equal-length arrays, V >= 1 and
-    eps >= 0 already validated; one node matrix per ``_CHUNK_ROWS`` rows.
-    Returns (mutual_info, holevo, ok), equal to the scalar values bit for
-    bit where ok.  ok fails where delta_t = 0, a node fails a check, the
-    two rules disagree (the rows adaptive Simpson takes), the Holevo bound
-    is below -PHYSICALITY_SLACK or a value is not finite."""
-    t_max = np.minimum(t_min + delta_t, 1.0)
+    eps >= 0 already validated, t_max the law's (``FadingUniform.t_max``);
+    one node matrix per ``_CHUNK_ROWS`` rows.  Returns (mutual_info,
+    holevo, ok), equal to the scalar values bit for bit where ok.  ok fails
+    where delta_t = 0, a node fails a check, the two rules disagree (the
+    rows adaptive Simpson takes), the Holevo bound is below
+    -PHYSICALITY_SLACK or a value is not finite."""
     half, mid = 0.5 * (t_max - t_min), 0.5 * (t_max + t_min)
     x = _gauss_legendre_pair()[0]
     holevo = np.full(v.size, np.nan)
@@ -201,15 +173,17 @@ def _mi_asymptotic(t_part, v, log2):
 
 def mutual_information_asymptotic(t: float, eps: float, v: float) -> float:
     """Large-V mutual information (1/2) log2(T / (T + (1-T) omega)) + (1/2) log2 V."""
+    require_variance(v)
     return _mi_asymptotic(_mi_asymptotic_t_part(t, eps), v, math.log2)
 
 
 def asymptotic_eigenvalues(t: float, eps: float, v: float) -> SymplecticSpectrum:
     """Large-V symplectic spectrum: V(1-T), omega, sqrt((1-T) omega V / T).
 
-    No threshold on V is enforced; for V too small the values stop being a
-    physical spectrum and construction fails.
+    Beyond V >= 1 no threshold on V is enforced; for V too small the values
+    stop being a physical spectrum and construction fails.
     """
+    require_variance(v)
     omega = derive_omega(t, eps)
     return SymplecticSpectrum(
         lambda1=v * (1.0 - t),
@@ -220,6 +194,7 @@ def asymptotic_eigenvalues(t: float, eps: float, v: float) -> SymplecticSpectrum
 
 def holevo_asymptotic(t: float, eps: float, v: float) -> float:
     """Large-V Holevo bound (1/2) log2(T (1-T) V / omega) + g((omega-1)/2), bits."""
+    require_variance(v)
     omega = derive_omega(t, eps)
     arg = t * (1.0 - t) * v / omega
     if arg <= 1.0:
@@ -296,19 +271,16 @@ def _log_average(v, t_min, t_max, delta_t, lo, hi, log2):
 def avg_holevo_analytic(v: float, eps: float, f: FadingUniform) -> float:
     """Closed-form fading average of the large-V Holevo bound, bits.
 
-    Assembled from the endpoint values of two antiderivatives: the
+    Assembled from the endpoint values of two antiderivatives, taken from
+    the columns of ``asymptotic_block`` that the sweep kernel also uses: the
     logarithmic part and the thermal entropy part (``htilde``).  At eps = 0
     the htilde term is replaced by its proven limit, 0.  Quadrature of the
     large-V integrand is the normative definition; the test suite holds this
     assembly to it at 1e-6 relative.
     """
-    _require_asymptotic_domain(eps, f)
-    if not (math.isfinite(v) and v >= 1.0):
-        raise DomainError(f"variance must satisfy V >= 1, got {v!r}")
-    lo, hi = _log_endpoint(f.t_min, eps), _log_endpoint(f.t_max, eps)
-    log_part = _log_average(v, f.t_min, f.t_max, f.delta_t, lo, hi, math.log2)
-    h_part = htilde(eps, f) if eps > 0.0 else 0.0
-    return log_part + h_part
+    t_min, t_max, delta_t, _, h_part, *endpoints = asymptotic_block(eps, f)
+    require_variance(v)
+    return _log_average(v, t_min, t_max, delta_t, endpoints[:4], endpoints[4:], math.log2) + h_part
 
 
 def holevo_asymptotic_regime_floor(eps: float, f: FadingUniform) -> float:

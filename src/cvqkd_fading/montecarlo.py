@@ -1,9 +1,10 @@
 """Sampling-based validation of the statistical-mixture picture.
 
 Draws transmittance values from the uniform fading law and rebuilds the
-averaged covariance matrix empirically, converging to the closed forms as the
-sample count grows.  The security analysis lives entirely at the covariance
-level, so only second moments are simulated; no per-shot quadrature outcomes.
+averaged covariance matrix empirically, converging to the closed forms (the
+law and its moments live in ``fading``) as the sample count grows.  The
+security analysis lives entirely at the covariance level, so only second
+moments are simulated; no per-shot quadrature outcomes.
 
 Randomness is pinned to the Philox 4x64 counter-based generator (as wrapped
 by ``numpy.random.Philox``, 10 rounds) keyed with the configured seed, so
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import TwoModeCovariance
-from .cma import TransmittanceMoments, avg_covariance, moments_uniform
+from .cma import avg_covariance
 from .errors import DomainError
-from .hba import FadingUniform
+from .fading import FadingUniform, TransmittanceMoments, moments_uniform
 
 
 @dataclass(frozen=True)

@@ -180,28 +180,24 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> float:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio reciprocal
+N_SCAN = 64  # points of the pre-scan of ``maximize_scalar``
 
 
 def maximize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    x_tol: float,
-    n_scan: int = 64,
+    f: Callable[[float], float], lo: float, hi: float, x_tol: float
 ) -> tuple[float, float]:
     """Locate a maximum of f on [lo, hi] to within x_tol.
 
-    A coarse pre-scan (log-spaced when lo > 0, linear otherwise) picks the best
-    bracket, which golden-section search then refines; this keeps sharply
-    peaked or mildly multi-modal objectives from defeating a bare bracketing
-    search.  Returns (x_star, f(x_star)) for the best point evaluated anywhere.
+    A coarse pre-scan of ``N_SCAN`` points (log-spaced when lo > 0, linear
+    otherwise) picks the best bracket, which golden-section search then
+    refines; this keeps sharply peaked or mildly multi-modal objectives from
+    defeating a bare bracketing search.  Returns (x_star, f(x_star)) for the
+    best point evaluated anywhere.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"maximize_scalar requires lo < hi, got [{lo!r}, {hi!r}]")
     if not (math.isfinite(x_tol) and x_tol > 0.0):
         raise DomainError(f"x_tol must be positive, got {x_tol!r}")
-    if n_scan < 3:
-        raise DomainError(f"n_scan must be >= 3, got {n_scan!r}")
 
     def ev(x: float) -> float:
         y = f(x)
@@ -210,19 +206,19 @@ def maximize_scalar(
         return y
 
     if lo > 0.0:
-        ratio = (hi / lo) ** (1.0 / (n_scan - 1))
-        xs = [lo * ratio**k for k in range(n_scan)]
+        ratio = (hi / lo) ** (1.0 / (N_SCAN - 1))
+        xs = [lo * ratio**k for k in range(N_SCAN)]
         xs[-1] = hi
     else:
-        step = (hi - lo) / (n_scan - 1)
-        xs = [lo + step * k for k in range(n_scan)]
+        step = (hi - lo) / (N_SCAN - 1)
+        xs = [lo + step * k for k in range(N_SCAN)]
         xs[-1] = hi
     ys = [ev(x) for x in xs]
 
-    i_best = max(range(n_scan), key=lambda i: ys[i])
+    i_best = max(range(N_SCAN), key=lambda i: ys[i])
     best_x, best_y = xs[i_best], ys[i_best]
     a = xs[i_best - 1] if i_best > 0 else xs[0]
-    b = xs[i_best + 1] if i_best < n_scan - 1 else xs[-1]
+    b = xs[i_best + 1] if i_best < N_SCAN - 1 else xs[-1]
 
     # golden-section refinement on [a, b]
     c = b - _INVPHI * (b - a)

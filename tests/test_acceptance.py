@@ -36,11 +36,10 @@ from cvqkd_fading.cma import (
     avg_mutual_information,
     cma_scaling,
     effective_params,
-    moments_uniform,
     skr_cma,
 )
+from cvqkd_fading.fading import FadingUniform, moments_uniform
 from cvqkd_fading.hba import (
-    FadingUniform,
     asymptotic_eigenvalues,
     avg_holevo_analytic,
     holevo_asymptotic,

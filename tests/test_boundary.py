@@ -1,0 +1,85 @@
+"""The package's seams: which module may import which, and the input rules
+every public function that takes V or eps enforces at its boundary."""
+
+import ast
+import inspect
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+import cvqkd_fading
+from cvqkd_fading import DomainError, FadingUniform, SampleConfig, effective_params, moments_uniform
+
+PACKAGE = Path(cvqkd_fading.__file__).resolve().parent
+
+
+def package_imports(module):
+    """The package modules that ``module`` imports, read from its source."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules = [node.module] if node.module else [a.name for a in node.names]
+            names += [f"cvqkd_fading.{m}" for m in modules]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module)
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("cvqkd_fading.")}
+
+
+def test_the_fading_law_imports_only_errors():
+    assert package_imports("fading") == {"errors"}
+
+
+@pytest.mark.parametrize("module", ["channel", "cma", "montecarlo", "numerics"])
+def test_module_does_not_import_the_worst_case_model(module):
+    # the law both models average over lives in ``fading``, not in ``hba``
+    assert "hba" not in package_imports(module)
+
+
+F = FadingUniform(0.4, 0.2)
+M = moments_uniform(F)
+# a valid value for every required argument of a public function taking V or eps
+VALID = {
+    "v": 10.0,
+    "eps": 0.01,
+    "t": 0.4,
+    "f": F,
+    "m": M,
+    "eff": effective_params(M, 0.01, 10.0),
+    "cfg": SampleConfig(10, 1),
+}
+RULES = {
+    "v": "variance must satisfy V >= 1, got {!r}",
+    "eps": "excess noise must satisfy eps >= 0, got {!r}",
+}
+# the large-V closed form checks its own eps domain first, 0 <= eps < 1
+MODEL_EPS_RULE = "analytic average is implemented for 0 <= eps < 1, got {!r}"
+MODEL_EPS_FUNCTIONS = {"avg_holevo_analytic", "htilde", "holevo_asymptotic_regime_floor"}
+BAD = {"v": (0.5, math.nan, math.inf), "eps": (-0.01, math.nan)}
+
+
+def boundary_cases():
+    for name in sorted(cvqkd_fading.__all__):
+        obj = getattr(cvqkd_fading, name)
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        params = inspect.signature(obj).parameters
+        for arg in ("v", "eps"):
+            if arg in params:
+                for bad in BAD[arg]:
+                    yield pytest.param(name, arg, bad, id=f"{name}-{arg}={bad!r}")
+
+
+@pytest.mark.parametrize("name, arg, bad", boundary_cases())
+def test_public_function_rejects_bad_v_and_eps(name, arg, bad):
+    fn = getattr(cvqkd_fading, name)
+    params = inspect.signature(fn).parameters
+    kwargs = {p: VALID[p] for p in params if params[p].default is inspect.Parameter.empty}
+    kwargs[arg] = bad
+    rule = MODEL_EPS_RULE if arg == "eps" and name in MODEL_EPS_FUNCTIONS else RULES[arg]
+    with pytest.raises(DomainError, match=f"^{re.escape(rule.format(bad))}$"):
+        fn(**kwargs)

@@ -21,9 +21,9 @@ from cvqkd_fading.channel import (
     skr_fixed,
     symplectic_pair,
 )
-from cvqkd_fading.cma import avg_covariance, moments_uniform
+from cvqkd_fading.cma import avg_covariance
 from cvqkd_fading.errors import DomainError
-from cvqkd_fading.hba import FadingUniform
+from cvqkd_fading.fading import FadingUniform, moments_uniform
 
 
 def random_params(rng, n):

@@ -1,6 +1,7 @@
 """CLI: dispatch, CSV schema and determinism, sweeps, presets, exit codes."""
 
 import csv
+import json
 import math
 import os
 import re
@@ -16,7 +17,8 @@ from cvqkd_fading import cli, montecarlo, svgplot
 from cvqkd_fading.channel import ChannelParams, skr_fixed
 from cvqkd_fading.cma import avg_covariance, skr_cma
 from cvqkd_fading.errors import DomainError, NumericalError
-from cvqkd_fading.hba import FadingUniform, skr_hba_exact
+from cvqkd_fading.fading import FadingUniform
+from cvqkd_fading.hba import skr_hba_exact
 from cvqkd_fading.montecarlo import SampleConfig, empirical_moments
 
 
@@ -381,6 +383,38 @@ class TestThresholdCommand:
         t2, _ = cli.find_positive_threshold("hba_exact", 10.0, 0.0, 0.2, tol=1e-7)
         assert abs(t1 - t2) < 2e-5
 
+    def test_bad_tol_fails_fast_and_a_tiny_one_terminates(self):
+        # bisection stopped only at b - a <= tol, which adjacent floats never
+        # reach: tol 0, -1 and 1e-300 hung, and nan returned the bracket's
+        # midpoint; a subprocess turns a hang into a timeout
+        script = "\n".join([
+            "import contextlib, io, json, time",
+            "from cvqkd_fading import cli",
+            "argv = ['threshold', '--approach', 'cma', '--v', '10', '--eps', '0.01',",
+            "        '--delta-t', '0.2', '--tol']",
+            "out = {}",
+            "for tol in ('0', '-1', 'nan', '1e-300', '1e-12'):",
+            "    buf, start = io.StringIO(), time.perf_counter()",
+            "    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):",
+            "        code = cli.main(argv + [tol])",
+            "    out[tol] = (code, time.perf_counter() - start, buf.getvalue())",
+            "print(json.dumps(out))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert all(seconds < 2.0 for _, seconds, _ in out.values())
+        for tol in ("0", "-1", "nan"):
+            assert (out[tol][0], out[tol][2]) == (1, "")
+        tiny, ref = (float(out[t][2].splitlines()[1].split(",")[4]) for t in ("1e-300", "1e-12"))
+        assert abs(tiny - ref) <= 1e-12
+
 
 class TestOptimizeCommand:
     def test_reports_optimum(self, capsys):
@@ -424,6 +458,15 @@ class TestMcValidateCommand:
         assert lines[0].startswith("quantity,")
         assert len(lines) == 6
         assert all(line.endswith(",true") for line in lines[1:])
+
+    @pytest.mark.parametrize("flag, value", [("--v", "0.5"), ("--eps", "-1"), ("--v", "inf")])
+    def test_invalid_input_prints_no_header(self, capsys, flag, value):
+        argv = ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "0.4",
+                "--delta-t", "0.2", "--n", "10"]
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
     def test_pure_loss_point_mass(self, capsys):
         # at V = 1327, T = 0.94, eps = 0 the state is pure-loss (lambda2 = 1

@@ -13,12 +13,12 @@ from cvqkd_fading.cma import (
     cma_scaling,
     effective_params,
     holevo_cma,
-    moments_uniform,
     optimal_variance,
     skr_cma,
 )
 from cvqkd_fading.errors import DomainError
-from cvqkd_fading.hba import FadingUniform, skr_hba_exact
+from cvqkd_fading.fading import FadingUniform, moments_uniform
+from cvqkd_fading.hba import skr_hba_exact
 from cvqkd_fading.numerics import integrate
 
 

@@ -16,8 +16,8 @@ from cvqkd_fading.channel import (
     symplectic_pair,
 )
 from cvqkd_fading.errors import DomainError, NumericalError, QuadratureError
+from cvqkd_fading.fading import FadingUniform
 from cvqkd_fading.hba import (
-    FadingUniform,
     asymptotic_eigenvalues,
     avg_holevo_analytic,
     holevo_asymptotic,

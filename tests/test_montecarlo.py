@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from cvqkd_fading.cma import avg_covariance, moments_uniform
+from cvqkd_fading.cma import avg_covariance
 from cvqkd_fading.errors import DomainError
-from cvqkd_fading.hba import FadingUniform
+from cvqkd_fading.fading import FadingUniform, moments_uniform
 from cvqkd_fading.montecarlo import (
     SampleConfig,
     empirical_avg_covariance,

@@ -22,7 +22,7 @@ from cvqkd_fading import cli, hba
 from cvqkd_fading.channel import ChannelParams, mutual_information_fixed, skr_fixed
 from cvqkd_fading.cma import optimal_variance
 from cvqkd_fading.errors import DomainError, NumericalError
-from cvqkd_fading.hba import FadingUniform
+from cvqkd_fading.fading import FadingUniform
 
 # fixed-channel points at eps = 0 where lambda2 rounds below 1 - 1e-12
 # (CHANGES.md, FOUND line on the lambda >= 1 check)
@@ -283,7 +283,7 @@ def test_hba_exact_rows_mutual_info_has_the_scalar_bits():
     n = 8_000
     v = 10.0 ** rng.uniform(0.0, 6.0, n)
     eps, t_min = rng.uniform(0.0, 0.1, n), rng.uniform(0.01, 0.8, n)
-    mi, _, _ = hba.skr_hba_exact_rows(v, eps, t_min, np.full(n, 0.2))
+    mi, _, _ = hba.skr_hba_exact_rows(v, eps, t_min, t_min + 0.2, np.full(n, 0.2))
     want = [
         mutual_information_fixed(ChannelParams(*args))
         for args in zip(v.tolist(), t_min.tolist(), eps.tolist())
