@@ -21,16 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .numerics import g_entropy, g_entropy_array, log1p_each, log2_each
 
-# slack for >= 1 physicality bounds: cancellation near pure states can land a
-# symplectic eigenvalue a few ulp below 1
+# slack for >= 1 physicality bounds: a square root near a pure state can
+# round a symplectic eigenvalue an ulp below 1
 PHYSICALITY_SLACK = 1e-12
-
-# discriminant of the two-mode eigenvalue problem may go slightly negative
-# from rounding; anything below this signals genuinely unphysical inputs
-DISCRIMINANT_FLOOR = -1e-9
 
 # relative rounding slack of the covariance invariants: 8 ulp of the products
 ROUNDING_ULPS = 8.0 * 2.0**-52
@@ -202,62 +198,48 @@ def mutual_information_fixed(p: ChannelParams) -> float:
     return mutual_information_form(p.v, p.chi, math.log2)
 
 
-def spectrum_closed_form(v, t, chi, sqrt):
-    """Closed-form symplectic spectrum of the (V, T, chi) state, written once
+def spectrum_closed_form(v, t, eps, sqrt):
+    """Closed-form symplectic spectrum of the (V, T, eps) state, written once
     for both float and ndarray arguments (``sqrt`` is ``math.sqrt`` or
     ``np.sqrt``; only arithmetic and ``abs`` are used besides it).
 
-    Returns (factor, lambda1, lambda2, lambda3).  lambda_{1,2} =
-    sqrt((A +/- sqrt(A^2 - 4B)) / 2) with A = T^2 (V+chi)^2 + (1-2T) V^2 + 2T
-    and B = T^2 (V chi + 1)^2 are the joint-state eigenvalues (lambda1 >=
-    lambda2).  Two rewrites keep the cancellation-prone regimes accurate: the
-    discriminant is evaluated in the factored form (V - T(V+chi))^2 * factor,
-    factor = (V + T(V+chi))^2 - 4T(V^2-1) (near-pure states, T -> 1 at small
-    eps), and the small root as sqrt(2B / (A + sqrt(disc))) (large V).  A
-    factor below ``DISCRIMINANT_FLOOR`` signals unphysical inputs and is the
-    caller's to reject; rounding below 0 is read as 0, written
-    0.5 (f + |f|) so that it stays generic.  lambda3 = sqrt(V (1 + V chi) /
-    (V + chi)) is the eigenvalue of Alice's state after Bob's homodyne
-    detection (the same for either measured quadrature).  Squares are
-    written as products: a Python float ``** 2`` goes through the C library's
-    ``pow``, which is not always correctly rounded, while numpy squares
-    exactly, so ``** 2`` would let the two argument types differ.
+    Returns (lambda1, lambda2, lambda3): lambda_{1,2} =
+    sqrt((A +/- sqrt(A^2 - 4B)) / 2) of the joint state and lambda3 =
+    sqrt(V (1 + V chi) / (V + chi)) of Alice's state after Bob's homodyne
+    detection (either quadrature), chi = 1/T - 1 + eps.  The textbook forms
+    of A and B cancel at large V as T -> 1, so everything is built from
+    (V, 1 - T, eps), 1 - T being exact for T >= 0.5: with
+    d = (1-T)(V-1) - T eps and r = V(1-T) + T(1 + V eps) = T(V chi + 1),
+    A = d^2 + 2r (the invariant Delta = a^2 + b^2 - 2c^2; Serafini et al.
+    2004), B = r^2, A^2 - 4B = d^2 (d^2 + 4r) >= 0, lambda1 = sqrt((A+s)/2)
+    and lambda2 = sqrt(2 r^2 / (A+s)) with s = |d| sqrt(d^2 + 4r), and
+    lambda3 = sqrt(V r / (TV + (1-T) + T eps)).  Squares are written as
+    products: a Python float ``** 2`` goes through the C library's ``pow``,
+    which is not always correctly rounded, while numpy squares exactly, so
+    ``** 2`` would let the two argument types differ.
     """
-    v_chi = v + chi
-    bob = t * v_chi
-    big_a = t * t * (v_chi * v_chi) + (1.0 - 2.0 * t) * v * v + 2.0 * t
-    root_b = t * (v * chi + 1.0)
-    big_b = root_b * root_b
-    v_bob = v + bob
-    factor = v_bob * v_bob - 4.0 * t * (v * v - 1.0)
-    s = abs(v - bob) * sqrt(0.5 * (factor + abs(factor)))
-    lam1 = sqrt((big_a + s) / 2.0)
-    lam2 = sqrt(2.0 * big_b / (big_a + s))
-    lam3 = sqrt(v * (1.0 + v * chi) / v_chi)
-    return factor, lam1, lam2, lam3
-
-
-def _checked_spectrum(p: ChannelParams) -> tuple[float, float, float]:
-    """(lambda1, lambda2, lambda3) of one channel point; a discriminant factor
-    below ``DISCRIMINANT_FLOOR`` raises NumericalError."""
-    factor, lam1, lam2, lam3 = spectrum_closed_form(p.v, p.t, p.chi, math.sqrt)
-    if factor < DISCRIMINANT_FLOOR:
-        raise NumericalError(
-            f"negative discriminant factor {factor!r} for {p!r}: unphysical parameter combination"
-        )
+    tb = 1.0 - t
+    d = tb * (v - 1.0) - t * eps
+    r = v * tb + t * (1.0 + v * eps)
+    dd = d * d
+    big_a = dd + 2.0 * r
+    a_s = big_a + abs(d) * sqrt(dd + 4.0 * r)
+    lam1 = sqrt(a_s / 2.0)
+    lam2 = sqrt(2.0 * r * r / a_s)
+    lam3 = sqrt(v * r / (t * v + tb + t * eps))
     return lam1, lam2, lam3
 
 
 def symplectic_pair(p: ChannelParams) -> tuple[float, float]:
     """Symplectic eigenvalues (lambda1 >= lambda2) of the joint covariance."""
-    lam1, lam2, _ = _checked_spectrum(p)
+    lam1, lam2, _ = spectrum_closed_form(p.v, p.t, p.eps, math.sqrt)
     return lam1, lam2
 
 
 def conditional_eigenvalue(p: ChannelParams) -> float:
     """Symplectic eigenvalue of Alice's state after Bob's homodyne detection:
     sqrt(V (1 + V chi) / (V + chi))."""
-    return spectrum_closed_form(p.v, p.t, p.chi, math.sqrt)[3]
+    return spectrum_closed_form(p.v, p.t, p.eps, math.sqrt)[2]
 
 
 def holevo_from_eigenvalues(lambda1: float, lambda2: float, lambda3: float) -> float:
@@ -275,38 +257,31 @@ def holevo_from_eigenvalues(lambda1: float, lambda2: float, lambda3: float) -> f
 
 def holevo_fixed(p: ChannelParams) -> float:
     """Eavesdropper's Holevo bound for one fixed channel point, bits."""
-    return holevo_from_eigenvalues(*_checked_spectrum(p))
+    return holevo_from_eigenvalues(*spectrum_closed_form(p.v, p.t, p.eps, math.sqrt))
 
 
-def _spectrum_holevo(v, t, chi, log1p, log2):
-    """Discriminant factor, the (3, ...) eigenvalue array and the Holevo bound
-    at every element, with no checks.  Beyond V ~ 1e154 the squares overflow
-    and the spectrum is inf or NaN; the callers' checks reject that, as the
-    scalar path does, so they call this with numpy's warnings silenced."""
-    factor, lam1, lam2, lam3 = spectrum_closed_form(v, t, chi, np.sqrt)
-    lams = np.array((lam1, lam2, lam3))
-    g = g_entropy_array(np.maximum((lams - 1.0) / 2.0, 0.0), log1p, log2)
-    return factor, lams, g[0] + g[1] - g[2]
-
-
-def holevo_rows(v: np.ndarray, t: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``holevo_fixed`` at every (V, T, chi) of equal-length arrays, equal to
-    the scalar values bit for bit (C-library logarithms), and the mask of the
-    rows that pass every check of the scalar path: T in (0, 1], finite chi,
-    the discriminant floor, eigenvalues finite and >= 1 - PHYSICALITY_SLACK,
-    and Holevo >= -PHYSICALITY_SLACK.  Masked-out rows hold meaningless
-    values."""
+def _spectrum_holevo(v, t, eps, log1p):
+    """The Holevo bound at every element, and whether each element passes
+    the scalar path's checks: T in (0, 1], eigenvalues finite and
+    >= 1 - PHYSICALITY_SLACK.  Beyond V ~ 1e154 the squares overflow and the
+    spectrum is inf or NaN, which the checks reject, as the scalar path
+    does; numpy's warnings are silenced on the way."""
     with np.errstate(all="ignore"):
-        factor, lams, holevo = _spectrum_holevo(v, t, chi, log1p_each, log2_each)
-    ok = (
-        (t > 0.0)
-        & (t <= 1.0)
-        & np.isfinite(chi)
-        & (factor >= DISCRIMINANT_FLOOR)
-        & ((lams >= 1.0 - PHYSICALITY_SLACK) & (lams < math.inf)).all(axis=0)
-        & (holevo >= -PHYSICALITY_SLACK)
-    )
-    return holevo, ok
+        lams = np.array(spectrum_closed_form(v, t, eps, np.sqrt))
+        g = g_entropy_array(np.maximum((lams - 1.0) / 2.0, 0.0), log1p)
+    physical = (lams >= 1.0 - PHYSICALITY_SLACK) & (lams < math.inf)
+    ok = (t > 0.0) & (t <= 1.0) & physical.all(axis=0)
+    return g[0] + g[1] - g[2], ok
+
+
+def holevo_rows(v: np.ndarray, t: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``holevo_fixed`` at every (V, T, eps) of equal-length arrays, equal to
+    the scalar values bit for bit (C-library logarithms), and the mask of the
+    rows that pass every check of the scalar path: those of
+    ``_spectrum_holevo`` and Holevo >= -PHYSICALITY_SLACK.  Masked-out rows
+    hold meaningless values."""
+    holevo, ok = _spectrum_holevo(v, t, eps, log1p_each)
+    return holevo, ok & (holevo >= -PHYSICALITY_SLACK)
 
 
 def skr_fixed(p: ChannelParams) -> SkrBreakdown:
@@ -314,10 +289,10 @@ def skr_fixed(p: ChannelParams) -> SkrBreakdown:
     return SkrBreakdown.from_parts(mutual_information_fixed(p), holevo_fixed(p))
 
 
-def skr_fixed_rows(v: np.ndarray, t: np.ndarray, chi: np.ndarray):
-    """``skr_fixed`` at every row of equal-length arrays, chi = 1/T - 1 + eps
-    already validated (``derive_chi``): (mutual_info, holevo, ok) with ok as
-    in ``holevo_rows``."""
-    mi = mutual_information_form(v, chi, log2_each)
-    holevo, ok = holevo_rows(v, t, chi)
+def skr_fixed_rows(v: np.ndarray, t: np.ndarray, eps: np.ndarray):
+    """``skr_fixed`` at every row of equal-length arrays, (T, eps) already
+    validated (``derive_chi``): (mutual_info, holevo, ok) with ok as in
+    ``holevo_rows``."""
+    mi = mutual_information_form(v, 1.0 / t - 1.0 + eps, log2_each)
+    holevo, ok = holevo_rows(v, t, eps)
     return mi, holevo, ok & np.isfinite(mi)

@@ -91,11 +91,12 @@ def run_point(approach: str, v: float, eps: float, f: FadingUniform) -> SkrBreak
 
 def _fixed_block(eps: float, f: FadingUniform) -> tuple[float, float]:
     _require_point_mass(f)
-    return f.t_min, derive_chi(f.t_min, eps)
+    derive_chi(f.t_min, eps)
+    return f.t_min, eps
 
 
-def _exact_block(eps: float, f: FadingUniform) -> tuple[float, float, float, float]:
-    return eps, f.t_min, f.t_max, f.delta_t
+def _exact_block(eps: float, f: FadingUniform) -> tuple[float, float, float]:
+    return eps, f.t_min, f.t_max
 
 
 # approach -> (columns of one (eps, fading) block, from the scalar code; the

@@ -35,10 +35,13 @@ from .channel import (
 )
 from .errors import DomainError
 from .fading import FadingUniform, TransmittanceMoments, moments_uniform
-from .numerics import LOG2_E, log2_each, maximize_scalar
+from .numerics import LOG2_E, log1p_each, log2_each, maximize_scalar
 
 # how closely ``optimal_variance`` locates the optimum on the V axis
 V_TOL = 1e-3
+# below this eps * t_max, 1 + eps T rounds to 1: the ergodic mutual
+# information takes its eps -> 0 form
+NOISELESS = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -126,10 +129,10 @@ def _avg_mi_passive(v_a, lo, hi, dt, log2):
     ) / (2.0 * dt)
 
 
-def _avg_mi_noisy(v_a, eps, lo, hi, dt, log2):
+def _avg_mi_noisy(v_a, eps, lo, hi, dt, log1p, log2):
     slope = eps + v_a
     return (
-        log2((1.0 + eps * lo) / (1.0 + eps * hi)) / eps
+        (log1p(eps * lo) - log1p(eps * hi)) / eps * LOG2_E
         + hi * log2((1.0 + hi * slope) / (1.0 + eps * hi))
         + log2((1.0 + hi * slope) / (1.0 + lo * slope)) / slope
         + lo * log2((1.0 + eps * lo) / (1.0 + lo * slope))
@@ -139,8 +142,10 @@ def _avg_mi_noisy(v_a, eps, lo, hi, dt, log2):
 def avg_mutual_information(v: float, eps: float, f: FadingUniform) -> float:
     """Ergodic mutual information (1/(2 delta_t)) * int log2(1 + T V_A / (1 + eps T)) dT.
 
-    Closed form for eps > 0; explicit analytic limit for eps = 0 (the 1/eps
-    groups cancel analytically and tiny-eps evaluation is ill-conditioned);
+    Closed form for eps > 0, its 1/eps group written with log1p; the
+    analytic eps -> 0 limit where eps t_max < NOISELESS, so that 1 + eps T
+    rounds to 1 on the whole support (there the eps > 0 form loses its 1/eps
+    group to rounding, and the limit is within 2e-16 bits of it);
     fixed-channel value at t_min when delta_t = 0.  Both closed forms take
     float or ndarray arguments (``skr_cma_rows``).
     """
@@ -151,9 +156,9 @@ def avg_mutual_information(v: float, eps: float, f: FadingUniform) -> float:
         return 0.0
     if f.delta_t == 0.0:
         return mutual_information_fixed(ChannelParams(v, f.t_min, eps))
-    if eps == 0.0:
+    if eps * f.t_max < NOISELESS:
         return _avg_mi_passive(v_a, f.t_min, f.t_max, f.delta_t, math.log2)
-    return _avg_mi_noisy(v_a, eps, f.t_min, f.t_max, f.delta_t, math.log2)
+    return _avg_mi_noisy(v_a, eps, f.t_min, f.t_max, f.delta_t, math.log1p, math.log2)
 
 
 def holevo_cma(v: float, eps: float, f: FadingUniform) -> float:
@@ -186,17 +191,17 @@ def skr_cma_rows(v, eps, t_min, t_max, delta_t, t_eff, ratio, chi_point):
     mi = np.zeros(v.size)
     live = v_a != 0.0
     point = live & (delta_t == 0.0)
-    passive = live & (delta_t != 0.0) & (eps == 0.0)
-    noisy = live & (delta_t != 0.0) & (eps != 0.0)
+    passive = live & (delta_t != 0.0) & (eps * t_max < NOISELESS)
+    noisy = live & (delta_t != 0.0) & (eps * t_max >= NOISELESS)
     mi[point] = mutual_information_form(v[point], chi_point[point], log2_each)
     mi[passive] = _avg_mi_passive(
         v_a[passive], t_min[passive], t_max[passive], delta_t[passive], log2_each
     )
     mi[noisy] = _avg_mi_noisy(
-        v_a[noisy], eps[noisy], t_min[noisy], t_max[noisy], delta_t[noisy], log2_each
+        v_a[noisy], eps[noisy], t_min[noisy], t_max[noisy], delta_t[noisy], log1p_each, log2_each
     )
     eps_eff = effective_excess_noise(ratio, eps, v)
-    holevo, ok = holevo_rows(v, t_eff, 1.0 / t_eff - 1.0 + eps_eff)
+    holevo, ok = holevo_rows(v, t_eff, eps_eff)
     return mi, holevo, ok & (eps_eff >= 0.0) & np.isfinite(mi)
 
 
@@ -233,15 +238,16 @@ def cma_scaling(v: float, eff: EffectiveChannel) -> CmaScaling:
     a, b, t_eff = eff.a_coef, eff.b_coef, eff.t_eff
     a0 = t_eff * (1.0 + a + b / v)
     b0 = t_eff * (a + b / v + 1.0 / (v * v))
-    exact_b = (t_eff * (v * eff.chi_eff + 1.0)) ** 2
-    lam3 = math.sqrt(v * (1.0 + v * eff.chi_eff) / (v + eff.chi_eff))
+    # B / V^4 and lambda3 / V from chi_eff / V, so that no power of V overflows
+    q = eff.chi_eff / v + 1.0 / (v * v)
+    root_b = t_eff * q
     b0_limit = t_eff * a
     lam3_limit = math.sqrt(a / (1.0 + a)) if a > 0.0 else 0.0
     return CmaScaling(
         a0=a0,
         b0=b0,
-        b_over_v4=exact_b / v**4,
+        b_over_v4=root_b * root_b,
         b0_limit=b0_limit,
-        lambda3_over_v=lam3 / v,
+        lambda3_over_v=math.sqrt(q / (1.0 + eff.chi_eff / v)),
         lambda3_over_v_limit=lam3_limit,
     )

@@ -5,8 +5,8 @@ can tell a bad input from a numerical breakdown:
 
 * ``DomainError`` -- an argument violates a documented precondition.
 * ``NumericalError`` -- inputs were valid but an algorithm could not deliver
-  a trustworthy result (quadrature tolerance not met, unphysical symplectic
-  spectrum from cancellation, no sign change in a root bracket, ...).
+  a trustworthy result (quadrature tolerance or evaluation budget not met,
+  no sign change in a root bracket, a non-finite objective, ...).
 """
 
 

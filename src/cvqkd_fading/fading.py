@@ -68,13 +68,16 @@ class TransmittanceMoments:
 
 
 def moments_uniform(f: FadingUniform) -> TransmittanceMoments:
-    """Closed-form moments of the uniform fading law."""
+    """Closed-form moments of the uniform fading law.  With a = sqrt(t_max)
+    and b = sqrt(t_min), <sqrt(T)> = 2 (a^2 + ab + b^2) / (3 (a + b)) and
+    Var(sqrt(T)) = delta_t^2 (a^2 + 4ab + b^2) / (18 (a + b)^4): the
+    cancelling differences a^3 - b^3 and <T> - <sqrt(T)>^2 divided out."""
     if f.delta_t == 0.0:
         return TransmittanceMoments(math.sqrt(f.t_min), f.t_min, 0.0)
-    mean_t = f.t_min + 0.5 * f.delta_t
-    # at small widths the cancellation in t_max^1.5 - t_min^1.5 can push the
-    # estimate across Jensen's bound <sqrt(T)>^2 <= <T>, i.e. off the physical states
-    mean_sqrt = min(
-        2.0 / (3.0 * f.delta_t) * (f.t_max**1.5 - f.t_min**1.5), math.sqrt(mean_t)
+    a, b = math.sqrt(f.t_max), math.sqrt(f.t_min)
+    sum2 = (a + b) * (a + b)
+    return TransmittanceMoments(
+        2.0 * (f.t_max + a * b + f.t_min) / (3.0 * (a + b)),
+        f.t_min + 0.5 * f.delta_t,
+        f.delta_t * f.delta_t * (f.t_max + 4.0 * a * b + f.t_min) / (18.0 * (sum2 * sum2)),
     )
-    return TransmittanceMoments(mean_sqrt, mean_t, max(mean_t - mean_sqrt**2, 0.0))

@@ -15,9 +15,10 @@ Two pipelines are provided:
   within tolerance ``numerics.ABS_TOL``/``REL_TOL`` (a nested n/2n error
   estimate, Piessens et al., QUADPACK, 1983).  Otherwise adaptive Simpson over the
   scalar ``holevo_fixed`` gives the value: at an x log x endpoint (t_max ->
-  1 at small eps, where lambda2 -> 1), or when a node's spectrum rounds
-  below 1.  Adaptive Simpson stays the independent oracle the tests hold
-  the Gauss-Legendre value to.  ``skr_hba_exact_rows`` evaluates the same
+  1 at small eps, where lambda2 -> 1), or when a node's spectrum overflows
+  (V beyond ~1e154, where the scalar path raises).  Adaptive Simpson stays
+  the independent oracle the tests hold the Gauss-Legendre value to.
+  ``skr_hba_exact_rows`` evaluates the same
   node kernel for many rows at once, a chunk of rows per node matrix, for
   the sweep; a point evaluation is its one-row case.
 * ``skr_hba_asymptotic`` -- the large-V closed form, whose rate is
@@ -40,7 +41,6 @@ from functools import cache
 import numpy as np
 
 from .channel import (
-    DISCRIMINANT_FLOOR,
     PHYSICALITY_SLACK,
     ChannelParams,
     SkrBreakdown,
@@ -88,18 +88,10 @@ def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
 def _node_holevo(v, eps, t):
     """``holevo_fixed`` at every node of t with numpy's logarithms, and
     whether all nodes of a row (the last axis of t) pass the scalar path's
-    checks: T in (0, 1], the discriminant floor, eigenvalues finite and
-    >= 1 - PHYSICALITY_SLACK.  v and eps are floats, or columns of rows."""
-    with np.errstate(all="ignore"):
-        factor, lams, holevo = _spectrum_holevo(v, t, 1.0 / t - 1.0 + eps, np.log1p, np.log2)
-    ok = (
-        (t.min(axis=-1) > 0.0)
-        & (t.max(axis=-1) <= 1.0)
-        & (factor.min(axis=-1) >= DISCRIMINANT_FLOOR)
-        & (lams.min(axis=(0, -1)) >= 1.0 - PHYSICALITY_SLACK)
-        & (lams.max(axis=(0, -1)) < math.inf)
-    )
-    return holevo, ok
+    checks (``channel._spectrum_holevo``).  v and eps are floats, or columns
+    of rows."""
+    holevo, ok = _spectrum_holevo(v, t, eps, np.log1p)
+    return holevo, ok.all(axis=-1)
 
 
 def _gauss_legendre(half: float, nodes: np.ndarray) -> float | None:
@@ -117,10 +109,13 @@ def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     """Worst-case-rate key rate with the exact Holevo bound averaged over the
     transmittance.
 
-    mutual_info is the fixed-channel value at t_min; holevo is
-    (1/delta_t) * int holevo_fixed(V, T, eps) dT, degenerating to the point
-    value when delta_t = 0.  V and eps are validated once, here.  The
-    integral is the one-row case of ``skr_hba_exact_rows``: the 64-point
+    mutual_info is the fixed-channel value at t_min; holevo is the mean of
+    holevo_fixed(V, T, eps) over [t_min, t_max], the point value when
+    t_max = t_min (delta_t = 0, or below the rounding of t_min).  The
+    integral is divided by t_max - t_min, not by delta_t, whose difference
+    from it (the rounding of t_min + delta_t) is ulp(t_min) / delta_t
+    relative.  V and eps are validated once, here.  The integral is the
+    one-row case of ``skr_hba_exact_rows``: the 64-point
     Gauss-Legendre value when every node passes the scalar checks and the
     32-point value is within tolerance ``numerics.ABS_TOL``/``REL_TOL`` of
     it; otherwise adaptive Simpson (``integrate``) over the scalar
@@ -129,22 +124,22 @@ def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     """
     p = ChannelParams(v, f.t_min, eps)
     mi = mutual_information_fixed(p)
-    if f.delta_t == 0.0:
+    if f.t_max == f.t_min:
         return SkrBreakdown.from_parts(mi, holevo_fixed(p))
     half = 0.5 * (f.t_max - f.t_min)
     nodes, ok = _node_holevo(v, eps, 0.5 * (f.t_max + f.t_min) + half * _gauss_legendre_pair()[0])
     total = _gauss_legendre(half, nodes) if ok else None
     if total is None:
         total = integrate(lambda t: holevo_fixed(ChannelParams(v, t, eps)), f.t_min, f.t_max)
-    return SkrBreakdown.from_parts(mi, total / f.delta_t)
+    return SkrBreakdown.from_parts(mi, total / (2.0 * half))
 
 
-def skr_hba_exact_rows(v, eps, t_min, t_max, delta_t):
+def skr_hba_exact_rows(v, eps, t_min, t_max):
     """``skr_hba_exact`` at every row of equal-length arrays, V >= 1 and
     eps >= 0 already validated, t_max the law's (``FadingUniform.t_max``);
     one node matrix per ``_CHUNK_ROWS`` rows.  Returns (mutual_info,
     holevo, ok), equal to the scalar values bit for bit where ok.  ok fails
-    where delta_t = 0, a node fails a check, the two rules disagree (the
+    where t_max = t_min, a node fails a check, the two rules disagree (the
     rows adaptive Simpson takes), the Holevo bound is below
     -PHYSICALITY_SLACK or a value is not finite."""
     half, mid = 0.5 * (t_max - t_min), 0.5 * (t_max + t_min)
@@ -154,10 +149,10 @@ def skr_hba_exact_rows(v, eps, t_min, t_max, delta_t):
         rows = slice(lo, lo + _CHUNK_ROWS)
         t = mid[rows, None] + half[rows, None] * x
         nodes, ok = _node_holevo(v[rows, None], eps[rows, None], t)
-        for i in np.flatnonzero(ok & (delta_t[rows] > 0.0)).tolist():
+        for i in np.flatnonzero(ok & (half[rows] > 0.0)).tolist():
             total = _gauss_legendre(float(half[lo + i]), nodes[i])
             if total is not None:
-                holevo[lo + i] = total / float(delta_t[lo + i])
+                holevo[lo + i] = total / (2.0 * float(half[lo + i]))
     mi = mutual_information_form(v, 1.0 / t_min - 1.0 + eps, log2_each)
     return mi, holevo, (holevo >= -PHYSICALITY_SLACK) & np.isfinite(holevo) & np.isfinite(mi)
 

@@ -34,8 +34,8 @@ _TINY = 2.0**-1022
 # Integrand evaluations one ``integrate`` call may spend, so an integrand
 # whose rounding noise exceeds the tolerance fails instead of subdividing
 # without end.  The most any call needs on the packaged presets, the test
-# suite and the benchmark sweeps is 849; V = 1e8 on the Holevo average
-# (rounding noise ~4e-7 bits) would run past 1e6.
+# suite and the benchmark sweeps is 849; an integrand whose rounding noise
+# exceeds the tolerance would run past 1e6.
 MAX_EVALS = 10_000
 # Error targets of ``integrate`` and of the Gauss-Legendre estimate in
 # ``hba``: a panel is accepted below its share of max(ABS_TOL, REL_TOL * |I|),
@@ -45,29 +45,28 @@ REL_TOL = 1e-10
 MAX_DEPTH = 60
 
 
-def _g_form(x, log1p, log2):
-    return (x + 1.0) * log1p(x) / LN2 - x * log2(x)
+def _g_form(x, inv_x, log1p):
+    return (log1p(x) + x * log1p(inv_x)) / LN2
 
 
 def g_entropy(x: float) -> float:
     """Von Neumann entropy of a thermal state with mean photon number x, in bits.
 
-    g(x) = (x+1) log2(x+1) - x log2(x), with g(0) = 0 (the x log x limit).
+    g(x) = (x+1) log2(x+1) - x log2(x), evaluated as
+    (log1p(x) + x log1p(1/x)) / ln 2, which does not cancel at large x.  The
+    1/x argument is floored at 1/x for the smallest normal double, so that
+    x = 0 and subnormal x take the x log x limit instead of 0 * inf.
     """
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"g_entropy requires finite x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    return _g_form(x, math.log1p, math.log2)
+    return _g_form(x, 1.0 / max(x, _TINY), math.log1p)
 
 
-def g_entropy_array(x: np.ndarray, log1p=np.log1p, log2=np.log2) -> np.ndarray:
+def g_entropy_array(x: np.ndarray, log1p=np.log1p) -> np.ndarray:
     """``g_entropy`` at every element of x; the caller guarantees finite
-    x >= 0.  Zeros take the x log x limit, 0 (the log2 argument is floored at
-    the smallest normal double, which only touches x = 0 and subnormals).
-    With ``log1p_each``/``log2_each`` the values equal the scalar ones bit
-    for bit at every x that is 0 or normal."""
-    return _g_form(x, log1p, lambda a: log2(np.maximum(a, _TINY)))
+    x >= 0.  With ``log1p_each`` the values equal the scalar ones bit for
+    bit."""
+    return _g_form(x, 1.0 / np.maximum(x, _TINY), log1p)
 
 
 def _elementwise(fn):

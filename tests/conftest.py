@@ -44,7 +44,7 @@ def conditional_after_homodyne(gamma4: np.ndarray) -> np.ndarray:
     return block_a - cross @ h_hom @ cross.T
 
 
-def _entropy_bits_oracle(x):
+def entropy_bits_oracle(x):
     """g(x) = (x+1) log2(x+1) - x log2(x) at the working precision, g(0) = 0."""
     import mpmath
 
@@ -57,24 +57,60 @@ def _entropy_bits_oracle(x):
     return (x + 1) * mpmath.log(x + 1, 2) - x * mpmath.log(x, 2)
 
 
-def _holevo_exact_oracle(v, t, eps):
-    """Fixed-channel Holevo bound from the textbook spectrum:
-    lambda_{1,2}^2 = (A +/- sqrt(A^2 - 4B)) / 2 with
+def spectrum_oracle(v, t, eps):
+    """(lambda1, lambda2, lambda3) of the fixed channel from the textbook
+    forms: lambda_{1,2}^2 = (A +/- sqrt(A^2 - 4B)) / 2 with
     A = V^2 (1-2T) + 2T + T^2 (V+chi)^2, B = T^2 (V chi + 1)^2, and
-    lambda_3^2 = V (1 + V chi) / (V + chi), chi = 1/T - 1 + eps."""
+    lambda_3^2 = V (1 + V chi) / (V + chi), chi = 1/T - 1 + eps.
+
+    These forms cancel: A loses the digits of V^2, and near a pure state
+    (eps = 0, T -> 1) sqrt(A^2 - 4B) keeps half of what is left, so they are
+    taken at three times ``ORACLE_DPS``.  The discriminant, 0 at a pure
+    state, may still round to either side of 0 and is floored there."""
+    import mpmath
+
+    with mpmath.workdps(3 * ORACLE_DPS):
+        v, t, eps = (mpmath.mpf(x) for x in (v, t, eps))
+        chi = 1 / t - 1 + eps
+        big_a = v * v * (1 - 2 * t) + 2 * t + t * t * (v + chi) ** 2
+        big_b = (t * (v * chi + 1)) ** 2
+        root = mpmath.sqrt(max(big_a * big_a - 4 * big_b, 0))
+        return (
+            mpmath.sqrt((big_a + root) / 2),
+            mpmath.sqrt((big_a - root) / 2),
+            mpmath.sqrt(v * (1 + v * chi) / (v + chi)),
+        )
+
+
+def _holevo_exact_oracle(v, t, eps):
+    """Fixed-channel Holevo bound g((l1-1)/2) + g((l2-1)/2) - g((l3-1)/2)
+    from ``spectrum_oracle``."""
+    import mpmath
+
+    lam1, lam2, lam3 = spectrum_oracle(v, t, eps)
+    with mpmath.workdps(3 * ORACLE_DPS):
+        return sum(
+            sign * entropy_bits_oracle((lam - 1) / 2)
+            for sign, lam in ((1, lam1), (1, lam2), (-1, lam3))
+        )
+
+
+def _mutual_info_oracle(v, eps, t):
+    """Homodyne mutual information (1/2) log2((V + chi) / (1 + chi))."""
     import mpmath
 
     chi = 1 / t - 1 + eps
-    big_a = v * v * (1 - 2 * t) + 2 * t + t * t * (v + chi) ** 2
-    big_b = (t * (v * chi + 1)) ** 2
-    root = mpmath.sqrt(big_a * big_a - 4 * big_b)
-    lam1 = mpmath.sqrt((big_a + root) / 2)
-    lam2 = mpmath.sqrt((big_a - root) / 2)
-    lam3 = mpmath.sqrt(v * (1 + v * chi) / (v + chi))
-    return sum(
-        sign * _entropy_bits_oracle((lam - 1) / 2)
-        for sign, lam in ((1, lam1), (1, lam2), (-1, lam3))
-    )
+    return mpmath.log((v + chi) / (1 + chi), 2) / 2
+
+
+def fixed_rate_oracle(v: float, eps: float, t: float) -> float:
+    """Fixed-channel key rate, bits: ``_mutual_info_oracle`` minus
+    ``_holevo_exact_oracle``."""
+    import mpmath
+
+    with mpmath.workdps(ORACLE_DPS):
+        v, eps, t = (mpmath.mpf(x) for x in (v, eps, t))
+        return float(_mutual_info_oracle(v, eps, t) - _holevo_exact_oracle(v, t, eps))
 
 
 def _holevo_large_v_oracle(v, t, eps):
@@ -83,15 +119,17 @@ def _holevo_large_v_oracle(v, t, eps):
     import mpmath
 
     omega = 1 + t * eps / (1 - t)
-    return mpmath.log(t * (1 - t) * v / omega, 2) / 2 + _entropy_bits_oracle((omega - 1) / 2)
+    return mpmath.log(t * (1 - t) * v / omega, 2) / 2 + entropy_bits_oracle((omega - 1) / 2)
 
 
 def _fading_average_oracle(integrand, t_min, delta_t):
     """(1/delta_t) * int integrand(T) dT over [t_min, t_min + delta_t] by
-    tanh-sinh quadrature; raises if its error estimate is not far below 1e-20."""
+    tanh-sinh quadrature; raises if its error estimate is not far below 1e-20.
+    The interval ends at T = 1, as the law's support does: the sum of the
+    doubles 0.8 and 0.2, say, is 1 + 5.6e-17, where the state is unphysical."""
     import mpmath
 
-    value, err = mpmath.quad(integrand, [t_min, t_min + delta_t], error=True)
+    value, err = mpmath.quad(integrand, [t_min, min(t_min + delta_t, 1)], error=True)
     if err > mpmath.mpf(10) ** (-(ORACLE_DPS // 2)):
         raise ArithmeticError(f"oracle quadrature did not converge (error estimate {err})")
     return value / delta_t
@@ -105,12 +143,25 @@ def hba_rate_oracle(v: float, eps: float, t_min: float, delta_t: float) -> float
 
     with mpmath.workdps(ORACLE_DPS):
         v, eps, t_min, delta_t = (mpmath.mpf(x) for x in (v, eps, t_min, delta_t))
-        chi = 1 / t_min - 1 + eps
-        mutual_info = mpmath.log((v + chi) / (1 + chi), 2) / 2
+        mutual_info = _mutual_info_oracle(v, eps, t_min)
         holevo = _fading_average_oracle(
             lambda t: _holevo_exact_oracle(v, t, eps), t_min, delta_t
         )
         return float(mutual_info - holevo)
+
+
+def ergodic_mutual_info_oracle(v: float, eps: float, t_min: float, delta_t: float) -> float:
+    """Ergodic mutual information of the averaged-covariance model, bits:
+    (1/(2 delta_t)) * int log2(1 + T (V-1) / (1 + eps T)) dT over the law."""
+    import mpmath
+
+    with mpmath.workdps(ORACLE_DPS):
+        v, eps, t_min, delta_t = (mpmath.mpf(x) for x in (v, eps, t_min, delta_t))
+        return float(
+            _fading_average_oracle(
+                lambda t: mpmath.log(1 + t * (v - 1) / (1 + eps * t), 2) / 2, t_min, delta_t
+            )
+        )
 
 
 def hba_asymptotic_rate_oracle(v: float, eps: float, t_min: float, delta_t: float) -> float:

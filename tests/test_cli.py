@@ -13,7 +13,7 @@ from xml.sax.saxutils import escape as sax_escape
 import pytest
 
 import cvqkd_fading
-from cvqkd_fading import cli, montecarlo, svgplot
+from cvqkd_fading import cli, hba, montecarlo, svgplot
 from cvqkd_fading.channel import ChannelParams, skr_fixed
 from cvqkd_fading.cma import avg_covariance, skr_cma
 from cvqkd_fading.errors import DomainError, NumericalError
@@ -304,7 +304,14 @@ class TestSweep:
         assert ok[1] == ok[10] != ""  # V is the optimum found
         assert bad[1] == bad[10] == "" and bad[11] == "NumericalError: synthetic failure"
 
-    def test_quadrature_budget_row_is_an_error_cell(self, tmp_path, capsys):
+    def test_quadrature_budget_row_is_an_error_cell(self, tmp_path, capsys, monkeypatch):
+        # every row takes adaptive Simpson, over an integrand whose noise
+        # exceeds rel_tol at V = 1e8 (1e-5 bits) and not at V = 10 (1e-12)
+        real = hba.holevo_fixed
+        monkeypatch.setattr(hba, "_gauss_legendre", lambda half, nodes: None)
+        monkeypatch.setattr(
+            hba, "holevo_fixed", lambda p: real(p) + 1e-13 * p.v * math.sin(1e7 * p.t)
+        )
         csv_path = tmp_path / "budget.csv"
         code, _, err = run_main(
             ["sweep", "--approach", "hba_exact", "--v", "1e8,10", "--eps", "0.01",

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import conditional_after_homodyne, symplectic_eigs_generic
+from conftest import (
+    conditional_after_homodyne,
+    ergodic_mutual_info_oracle,
+    symplectic_eigs_generic,
+)
 from cvqkd_fading.channel import ChannelParams, holevo_from_eigenvalues, skr_fixed
 from cvqkd_fading.cma import (
     avg_covariance,
@@ -168,6 +172,14 @@ class TestErgodicMutualInformation:
             )
             done += 1
 
+    @pytest.mark.parametrize("eps", [5e-324, 1e-20, 1e-15, 1e-12, 1e-9, 1e-6])
+    def test_tiny_noise_matches_the_oracle(self, eps):
+        # the 1/eps group of the closed form lost 0.72 bits at eps <= 1e-15
+        # and 5.8e-4 at 1e-12 while it was a log2 of a ratio
+        pytest.importorskip("mpmath")
+        got = avg_mutual_information(10.0, eps, FadingUniform(0.5, 0.01))
+        assert abs(got - ergodic_mutual_info_oracle(10.0, eps, 0.5, 0.01)) <= 1e-13
+
     def test_beats_worst_case_rate(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
@@ -279,6 +291,14 @@ class TestScaling:
         # the limit is sqrt(a/(1+a)) under the linear split of chi_eff
         a = eff.a_coef
         assert sc.lambda3_over_v_limit == pytest.approx(math.sqrt(a / (1.0 + a)), rel=1e-14)
+
+    @pytest.mark.parametrize("v", [1e100, 1e200])
+    def test_huge_variance_reaches_the_limits(self, v):
+        # v**4 overflowed beyond V ~ 1.3e77 (a bare OverflowError)
+        eff = effective_params(moments_uniform(FadingUniform(0.1, 0.2)), 0.01, v)
+        sc = cma_scaling(v, eff)
+        assert sc.b_over_v4 == pytest.approx(sc.b0_limit**2, rel=1e-12)
+        assert sc.lambda3_over_v == pytest.approx(sc.lambda3_over_v_limit, rel=1e-12)
 
     def test_point_mass_no_quartic_growth(self):
         # Var(sqrt T) = 0 and eps = 0: a_coef = 0, so B/V^4 vanishes in the limit

@@ -1,0 +1,114 @@
+"""The spectrum, entropy and moment kernels against mpmath, and the physics
+their values must keep.
+
+Both fading models rest on three closed forms: the symplectic spectrum of
+the (V, T, eps) state and the entropy g(x), which give the fixed-channel
+Holevo bound that ``hba`` averages, and the moments of sqrt(T), which set
+the effective channel of ``cma``.  Their textbook forms cancel in double
+precision (at large V as T -> 1, at large x, at small fading widths), so
+these property tests hold each kernel to an mpmath evaluation of its
+textbook definition on boxes that reach those regimes.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import ORACLE_DPS, entropy_bits_oracle, spectrum_oracle
+from cvqkd_fading.channel import ChannelParams, holevo_fixed, skr_fixed, spectrum_closed_form
+from cvqkd_fading.cma import holevo_cma
+from cvqkd_fading.fading import FadingUniform, moments_uniform
+from cvqkd_fading.hba import skr_hba_exact
+from cvqkd_fading.numerics import g_entropy, g_entropy_array
+
+mpmath = pytest.importorskip("mpmath")
+
+# V log-uniform on [1, 1e6], 1 - T log-uniform on [1e-6, 1], eps = 0 for
+# about half of the draws: where the cancelling spectrum lost up to 3e-6
+variances = st.floats(0.0, 6.0).map(lambda u: 10.0**u)
+transmittances = st.floats(-6.0, 0.0).map(lambda w: 1.0 - 10.0**w).filter(lambda t: t > 0.0)
+noises = st.just(0.0) | st.floats(0.0, 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=variances, t=transmittances, eps=noises)
+@example(v=1e3, t=0.988695, eps=0.0)  # lambda2 was 1 - 1.03e-12 here
+def test_spectrum_matches_the_oracle(v, t, eps):
+    lams = spectrum_closed_form(v, t, eps, math.sqrt)
+    for lam, ref in zip(lams, spectrum_oracle(v, t, eps)):
+        # at eps = 0, lambda2 is exactly 1, and its square root rounds to
+        # either side of 1 by an ulp or two
+        assert lam >= 1.0 - 4 * 2.0**-52
+        assert abs(lam - ref) <= 1e-13 * ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-300.0, 12.0).map(lambda u: 10.0**u) | st.sampled_from([5e-324, 2.0**-1022]))
+@example(x=5e7)  # the cancelling form erred by 4e-7 bits here
+def test_entropy_matches_the_oracle(x):
+    with mpmath.workdps(ORACLE_DPS):
+        ref = entropy_bits_oracle(mpmath.mpf(x))
+    for got in (g_entropy(x), float(g_entropy_array(np.array([x]))[0])):
+        assert abs(got - ref) <= 1e-14 * max(1.0, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_min=st.floats(0.01, 0.99), w=st.floats(0.0, 1.0))
+def test_moments_match_the_oracle(t_min, w):
+    # delta_t log-uniform on [1e-12, 1 - t_min]
+    delta_t = 10.0 ** (-12.0 + w * (12.0 + math.log10(1.0 - t_min)))
+    m = moments_uniform(FadingUniform(t_min, delta_t))
+    # the definitions cancel by up to 26 digits at delta_t = 1e-12
+    with mpmath.workdps(2 * ORACLE_DPS):
+        lo = mpmath.mpf(t_min)
+        hi = lo + mpmath.mpf(delta_t)
+        mean_sqrt = 2 * (hi**1.5 - lo**1.5) / (3 * (hi - lo))
+        var_sqrt = (lo + hi) / 2 - mean_sqrt**2
+    assert abs(m.mean_sqrt_t - mean_sqrt) <= 1e-14 * mean_sqrt
+    assert abs(m.var_sqrt_t - var_sqrt) <= 1e-14 * var_sqrt
+
+
+@st.composite
+def fading_points(draw):
+    """(V, t_min, delta_t) with t_max < 1, where the exact average needs no
+    adaptive Simpson and so has only its rounding."""
+    v = 10.0 ** draw(st.floats(0.0, 4.0))
+    t_min = draw(st.floats(0.05, 0.75))
+    return v, t_min, draw(st.sampled_from((0.01, 0.2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=fading_points(), eps_pair=st.lists(st.floats(0.0, 0.1), min_size=2, max_size=2))
+def test_rate_does_not_increase_with_excess_noise(point, eps_pair):
+    v, t_min, delta_t = point
+    lo, hi = sorted(eps_pair)
+    f = FadingUniform(t_min, delta_t)
+    for rate in (
+        lambda eps: skr_fixed(ChannelParams(v, t_min, eps)).rate,
+        lambda eps: skr_hba_exact(v, eps, f).rate,
+    ):
+        assert rate(hi) <= rate(lo) + 1e-12
+    # the averaged-covariance model through its Holevo bound: its ergodic
+    # mutual information still cancels as V -> 1 (CHANGES.md, FOUND)
+    assert holevo_cma(v, hi, f) >= holevo_cma(v, lo, f) - 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    v=st.floats(0.0, 3.0).map(lambda u: 10.0**u),
+    eps=st.floats(0.0, 0.1),
+    t_min=st.floats(0.05, 0.9),
+    delta_t=st.floats(-12.0, -5.0).map(lambda u: 10.0**u),
+)
+@example(v=10.0, eps=0.01, t_min=0.5, delta_t=1e-7)  # cma erred by 3.4e-8 bits here
+def test_averaged_holevo_bounds_tend_to_the_fixed_channel(v, eps, t_min, delta_t):
+    # as delta_t -> 0 both averaged bounds move off the fixed-channel bound
+    # at t_min no faster than the fixed channel does along T
+    fixed = holevo_fixed(ChannelParams(v, t_min, eps))
+    slope = abs(holevo_fixed(ChannelParams(v, t_min + 1e-3, eps)) - fixed) / 1e-3
+    f = FadingUniform(t_min, delta_t)
+    for holevo in (skr_hba_exact(v, eps, f).holevo, holevo_cma(v, eps, f)):
+        assert abs(holevo - fixed) <= (slope + 1.0) * delta_t + 1e-13 * max(1.0, fixed)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import fixed_rate_oracle, hba_rate_oracle
 from cvqkd_fading import cli, hba
 from cvqkd_fading.channel import (
     ChannelParams,
@@ -15,7 +16,7 @@ from cvqkd_fading.channel import (
     spectrum_closed_form,
     symplectic_pair,
 )
-from cvqkd_fading.errors import DomainError, NumericalError, QuadratureError
+from cvqkd_fading.errors import DomainError, QuadratureError
 from cvqkd_fading.fading import FadingUniform
 from cvqkd_fading.hba import (
     asymptotic_eigenvalues,
@@ -41,7 +42,7 @@ def holevo_avg_simpson(v, eps, f):
     """The exact average by adaptive Simpson over the scalar Holevo bound."""
     return (
         integrate(lambda t: holevo_fixed(ChannelParams(v, t, eps)), f.t_min, f.t_max)
-        / f.delta_t
+        / (f.t_max - f.t_min)
     )
 
 
@@ -90,6 +91,12 @@ class TestExactPipeline:
         ref = skr_fixed(ChannelParams(10.0, 0.5, 0.0))
         assert out == ref
 
+    def test_width_below_the_rounding_of_t_min_is_the_point_value(self):
+        # t_min + delta_t rounds to t_min: the nodes span no width (the mean
+        # read 0 before, so the rate was the mutual information)
+        out = skr_hba_exact(10.0, 0.01, FadingUniform(0.5, 1e-20))
+        assert out == skr_fixed(ChannelParams(10.0, 0.5, 0.01))
+
     def test_tiny_width_collapses_to_fixed(self):
         for v, t, eps in ((10.0, 0.5, 0.0), (100.0, 0.3, 0.02), (2.0, 0.8, 0.05)):
             out = skr_hba_exact(v, eps, FadingUniform(t, 1e-9))
@@ -131,13 +138,37 @@ class TestExactPipeline:
         out = skr_hba_exact(10.0, 0.02, FadingUniform(0.4, 0.6))
         assert math.isfinite(out.rate)
 
-    def test_noisy_integrand_fails_within_budget(self):
-        # at V = 1e8 the integrand's rounding noise exceeds rel_tol; the
-        # fallback stops at numerics.MAX_EVALS instead of running on
+    def test_noisy_integrand_fails_within_budget(self, monkeypatch):
+        # an integrand whose noise (1e-5 bits at V = 1e8) exceeds rel_tol,
+        # averaged by adaptive Simpson: the fallback stops at
+        # numerics.MAX_EVALS instead of running on
+        real = hba.holevo_fixed
+        monkeypatch.setattr(hba, "_gauss_legendre", lambda half, nodes: None)
+        monkeypatch.setattr(
+            hba, "holevo_fixed", lambda p: real(p) + 1e-13 * p.v * math.sin(1e7 * p.t)
+        )
         start = time.perf_counter()
         with pytest.raises(QuadratureError, match="budget exhausted"):
             skr_hba_exact(1e8, 0.01, FadingUniform(0.5, 0.4))
         assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "v, eps, t_min, delta_t",
+    [
+        # lambda2 -> 1 at T = 1 (eps = 0): DomainError where it rounded below 1
+        (1e3, 0.0, 0.5, 0.5),
+        (1e4, 0.0, 0.5, 0.5),
+        (1e5, 0.0, 0.5, 0.5),
+        (1e6, 0.0, 0.8, 0.2),
+        # a QuadratureError after 10,007 evaluations of the noisy integrand
+        (1e8, 0.01, 0.5, 0.4),
+    ],
+)
+def test_exact_average_matches_the_oracle_at_large_v(v, eps, t_min, delta_t):
+    pytest.importorskip("mpmath")
+    rate = skr_hba_exact(v, eps, FadingUniform(t_min, delta_t)).rate
+    assert abs(rate - hba_rate_oracle(v, eps, t_min, delta_t)) <= 1e-12
 
 
 def gl_points_4b_box():
@@ -225,10 +256,9 @@ class TestGaussLegendreAverage:
             v = float(10.0 ** rng.uniform(0.0, 6.0))
             eps = float(rng.uniform(0.0, 0.1))
             t = rng.uniform(1e-3, 1.0, 40)
-            chi = 1.0 / t - 1.0 + eps
-            arrays = spectrum_closed_form(v, t, chi, np.sqrt)
+            arrays = spectrum_closed_form(v, t, eps, np.sqrt)
             for j in range(t.size):
-                scalars = spectrum_closed_form(v, float(t[j]), float(chi[j]), math.sqrt)
+                scalars = spectrum_closed_form(v, float(t[j]), eps, math.sqrt)
                 for arr, sc in zip(arrays, scalars):
                     assert abs(float(arr[j]) - sc) <= 4.0 * np.spacing(abs(sc))
 
@@ -255,7 +285,6 @@ class TestGaussLegendreAverage:
             (10.0, math.nan, 0.0),  # non-finite node
             (10.0, 0.0, 0.0),  # outside (0, 1]
             (10.0, 1.5, 0.01),
-            (1e3, 0.988695, 0.0),  # lambda2 rounds below 1 - slack
             (1e200, 0.5, 0.0),  # the spectrum overflows
         ],
     )
@@ -273,14 +302,17 @@ class TestGaussLegendreAverage:
         )
         assert chunk_ok.tolist() == [True, False]
 
-    def test_discriminant_floor_flags_the_row(self):
-        # the discriminant factor rounds to -16 at this node while every
-        # eigenvalue passes its check; the scalar path raises NumericalError
+    def test_large_v_node_next_to_unit_transmittance_has_the_oracle_value(self):
+        # the discriminant factor of the cancelling spectrum rounded to -16
+        # at this node; the node kernel and the scalar path now agree on a
+        # value within 1e-12 bits of the oracle
+        pytest.importorskip("mpmath")
         v, t = 161502031.25560868, 0.999999999998079
-        with pytest.raises(NumericalError):
-            holevo_fixed(ChannelParams(v, t, 0.0))
-        _, ok = hba._node_holevo(v, 0.0, np.array([0.5, t]))
-        assert not ok
+        out = skr_fixed(ChannelParams(v, t, 0.0))
+        nodes, ok = hba._node_holevo(v, 0.0, np.array([0.5, t]))
+        assert ok
+        assert nodes[1] == pytest.approx(out.holevo, rel=1e-14)
+        assert abs(out.rate - fixed_rate_oracle(v, 0.0, t)) <= 1e-12
 
     def test_overflowing_spectrum_raises_without_warnings(self):
         # V = 1e200 overflows the array spectrum; the kernel flags the row and

@@ -18,14 +18,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import fixed_rate_oracle
 from cvqkd_fading import cli, hba
 from cvqkd_fading.channel import ChannelParams, mutual_information_fixed, skr_fixed
 from cvqkd_fading.cma import optimal_variance
 from cvqkd_fading.errors import DomainError, NumericalError
 from cvqkd_fading.fading import FadingUniform
 
-# fixed-channel points at eps = 0 where lambda2 rounds below 1 - 1e-12
-# (CHANGES.md, FOUND line on the lambda >= 1 check)
+# fixed-channel points at eps = 0 where lambda2 once rounded below 1 - 1e-12
+# (CHANGES.md, the MENDED line on the lambda >= 1 check)
 FOUND_POINTS = ((1e3, 0.988695), (1e4, 0.985585), (1e5, 0.98587))
 
 
@@ -143,16 +144,18 @@ def test_sweep_rows_equal_run_point(cfg):
 
 @pytest.mark.parametrize("v, t_min", FOUND_POINTS)
 def test_found_points_stay_error_rows(v, t_min):
-    # lambda2 rounds below 1 - 1e-12 at these points (ROADMAP item 1); the
-    # array path must fail them with the scalar path's message, not a value
+    # these rows were errors while lambda2 rounded below 1 - 1e-12 (CHANGES.md,
+    # the MENDED line on the lambda >= 1 check); the spectrum written without
+    # cancellation gives them the scalar path's value, close to the oracle
+    pytest.importorskip("mpmath")
     cfg = cli.SweepConfig(("fixed",), (v,), (0.0,), (t_min,), (0.0,))
     rows, n_errors = cli.run_sweep(cfg)
-    with pytest.raises(DomainError) as scalar:
-        skr_fixed(ChannelParams(v, t_min, 0.0))
-    assert n_errors == 1
-    assert rows[0].error == f"DomainError: {scalar.value}"
-    assert rows[0].error.startswith("DomainError: symplectic eigenvalue must be >= 1, got ")
-    assert rows[0].rate is None
+    want = skr_fixed(ChannelParams(v, t_min, 0.0))
+    assert n_errors == 0 and rows[0].error == ""
+    assert (rows[0].mutual_info, rows[0].holevo, rows[0].rate) == (
+        want.mutual_info, want.holevo, want.rate
+    )
+    assert abs(want.rate - fixed_rate_oracle(v, 0.0, t_min)) <= 1e-12
 
 
 @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig45"])
@@ -283,7 +286,7 @@ def test_hba_exact_rows_mutual_info_has_the_scalar_bits():
     n = 8_000
     v = 10.0 ** rng.uniform(0.0, 6.0, n)
     eps, t_min = rng.uniform(0.0, 0.1, n), rng.uniform(0.01, 0.8, n)
-    mi, _, _ = hba.skr_hba_exact_rows(v, eps, t_min, t_min + 0.2, np.full(n, 0.2))
+    mi, _, _ = hba.skr_hba_exact_rows(v, eps, t_min, t_min + 0.2)
     want = [
         mutual_information_fixed(ChannelParams(*args))
         for args in zip(v.tolist(), t_min.tolist(), eps.tolist())
