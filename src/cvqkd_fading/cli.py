@@ -28,6 +28,7 @@ log axis).  Exit codes: 0 success, 1 invalid arguments, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -310,11 +311,15 @@ def build_grid(cfg: SweepConfig) -> tuple[list[SweepRow], list[str]]:
     """Expand the config into evaluation rows in deterministic declared order
     (approach, eps, delta_t, t_min, V).  Combinations outside the target
     model's domain are skipped with the model's own DomainError message; the
-    large-V closed form also skips every V up to its validity floor."""
+    large-V closed form also skips every V up to its validity floor.  A skip
+    line's head and tail are formatted once per block, each V cell once per
+    value (V >= 1, so no -0.0 shares a cell with 0.0)."""
     rows: list[SweepRow] = []
     skipped: list[str] = []
+    v_cells: dict[float | None, str] = {None: "opt"}
     for approach in cfg.approaches:
         v_slots = (None,) if approach in cfg.optimize_v else cfg.v_list
+        head = f"skip approach={approach} V="
         for eps in cfg.eps_list:
             for delta_t in cfg.delta_t_list:
                 for t_min in cfg.t_min_values:
@@ -327,17 +332,20 @@ def build_grid(cfg: SweepConfig) -> tuple[list[SweepRow], list[str]]:
                             v_floor = holevo_asymptotic_regime_floor(eps, f)
                     except DomainError as exc:
                         domain_issue = str(exc)
+                    tail = None
                     for v in v_slots:
-                        issue = domain_issue
-                        if issue is None and v is not None and v <= v_floor:
-                            issue = f"V below the large-V validity floor {v_floor:.6g}"
-                        if issue is not None:
-                            skipped.append(
-                                f"skip approach={approach} V={'opt' if v is None else fmt(v)} "
-                                f"eps={eps:g} t_min={t_min:g} delta_t={delta_t:g}: {issue}"
-                            )
+                        if domain_issue is None and (v is None or not v <= v_floor):
+                            rows.append(SweepRow(approach, v, eps, t_min, delta_t))
                             continue
-                        rows.append(SweepRow(approach, v, eps, t_min, delta_t))
+                        if tail is None:
+                            issue = domain_issue
+                            if issue is None:
+                                issue = f"V below the large-V validity floor {v_floor:.6g}"
+                            tail = f" eps={eps:g} t_min={t_min:g} delta_t={delta_t:g}: {issue}"
+                        v_cell = v_cells.get(v)
+                        if v_cell is None:
+                            v_cell = v_cells[v] = fmt(v)
+                        skipped.append(head + v_cell + tail)
     return rows, skipped
 
 
@@ -674,7 +682,10 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call (parsing reads it and keeps no state between calls)."""
     parser = _Parser(
         prog="cvqkd-fading",
         description="Secret key rates for CV-QKD over a uniformly fading channel",

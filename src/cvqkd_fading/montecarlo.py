@@ -44,9 +44,15 @@ def _generator(cfg: SampleConfig) -> np.random.Generator:
 
 
 def sample_transmittance(f: FadingUniform, cfg: SampleConfig) -> np.ndarray:
-    """n_samples i.i.d. draws from Uniform[t_min, t_max], deterministic in the seed."""
-    u = _generator(cfg).random(cfg.n_samples)
-    return f.t_min + f.delta_t * u
+    """n_samples i.i.d. draws from Uniform[t_min, t_max], deterministic in the seed.
+
+    The generator's draw buffer is scaled and shifted in place: each draw
+    is t_min + delta_t * u, rounded as the out-of-place expression rounds it.
+    """
+    t = _generator(cfg).random(cfg.n_samples)
+    t *= f.delta_t
+    t += f.t_min
+    return t
 
 
 def empirical_moments(f: FadingUniform, cfg: SampleConfig) -> TransmittanceMoments:
@@ -55,15 +61,18 @@ def empirical_moments(f: FadingUniform, cfg: SampleConfig) -> TransmittanceMomen
     The variance uses the population definition matching the closed form (no
     ddof correction), computed in centered form to avoid cancellation.  The
     degenerate distribution returns the closed-form moments, exact for any
-    sample count.
+    sample count.  The draws are overwritten in turn by sqrt(T), its
+    deviations from the mean and their squares, so one sample buffer holds
+    every stage; each mean is numpy's pairwise sum over the same values.
     """
     if f.delta_t == 0.0:
         return moments_uniform(f)
     t = sample_transmittance(f, cfg)
-    sqrt_t = np.sqrt(t)
-    mean_sqrt = float(sqrt_t.mean())
     mean_t = float(t.mean())
-    var = float(np.mean((sqrt_t - mean_sqrt) ** 2))
+    np.sqrt(t, out=t)
+    mean_sqrt = float(t.mean())
+    t -= mean_sqrt
+    var = float(np.square(t, out=t).mean())
     return TransmittanceMoments(mean_sqrt, mean_t, var)
 
 

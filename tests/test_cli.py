@@ -503,6 +503,45 @@ class TestMcValidateCommand:
         assert rows["cov_c"] == ref.c
 
 
+class TestSharedParser:
+    """``main`` reuses one parser per process; no call may see another's flags."""
+
+    POINT = ["point", "--approach", "fixed", "--v", "10", "--eps", "0", "--t-min", "0.5"]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_after_a_good_call(self, capsys):
+        assert run_main(self.POINT, capsys)[0] == 0
+        bad = ["point", "--approach", "nope", "--v", "1", "--eps", "0", "--t-min", "0.5"]
+        code, out, err = run_main(bad, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: cvqkd-fading point [-h] --approach")
+        assert "\nerror: argument --approach: invalid choice: 'nope'" in err
+        code, out, err = run_main(self.POINT, capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == cli.CSV_HEADER
+
+    def test_threshold_bracket_does_not_carry_over(self, capsys):
+        argv = ["threshold", "--approach", "cma", "--v", "10", "--eps", "0.01", "--delta-t", "0.2"]
+        narrow = run_main(argv + ["--hi", "0.5"], capsys)
+        default = run_main(argv, capsys)
+        assert narrow[0] == default[0] == 0
+        t_star, db = cli.find_positive_threshold("cma", 10.0, 0.01, 0.2)
+        assert default[1].splitlines()[1].split(",")[4:] == [cli.fmt(t_star), cli.fmt(db)]
+
+    def test_mc_seed_does_not_carry_over(self, capsys):
+        argv = ["mc-validate", "--v", "10", "--eps", "0.03", "--t-min", "0.4",
+                "--delta-t", "0.2", "--n", "1000"]
+        assert run_main(argv + ["--seed", "5"], capsys)[0] == 0
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        emp = empirical_moments(FadingUniform(0.4, 0.2), SampleConfig(1000, 20240))
+        empirical = {line.split(",")[0]: line.split(",")[1] for line in out.splitlines()[1:]}
+        assert empirical["mean_t"] == cli.fmt(emp.mean_t)
+        assert empirical["mean_sqrt_t"] == cli.fmt(emp.mean_sqrt_t)
+
+
 class TestSvgLegend:
     @staticmethod
     def legend_texts(tmp_path, n_curves):

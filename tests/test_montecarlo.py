@@ -1,13 +1,14 @@
 """Sampling validation: determinism, convergence to closed forms, error scaling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cvqkd_fading.cma import avg_covariance
 from cvqkd_fading.errors import DomainError
-from cvqkd_fading.fading import FadingUniform, moments_uniform
+from cvqkd_fading.fading import FadingUniform, TransmittanceMoments, moments_uniform
 from cvqkd_fading.montecarlo import (
     SampleConfig,
     empirical_avg_covariance,
@@ -82,6 +83,56 @@ class TestEmpiricalMoments:
         assert abs(m.mean_sqrt_t - ref.mean_sqrt_t) < 5.0 * se_sqrt
         assert abs(m.mean_t - ref.mean_t) < 5.0 * se_t
         assert abs(m.var_sqrt_t - ref.var_sqrt_t) < 5.0 * se_var
+
+
+def out_of_place_moments(f, cfg):
+    """The moments formed with a new array per stage: the written-out
+    reference the in-place buffer of ``empirical_moments`` must reproduce."""
+    if f.delta_t == 0.0:
+        return moments_uniform(f)
+    u = np.random.Generator(np.random.Philox(key=cfg.seed)).random(cfg.n_samples)
+    t = f.t_min + f.delta_t * u
+    sqrt_t = np.sqrt(t)
+    mean_sqrt = float(sqrt_t.mean())
+    mean_t = float(t.mean())
+    var = float(np.mean((sqrt_t - mean_sqrt) ** 2))
+    return TransmittanceMoments(mean_sqrt, mean_t, var)
+
+
+class TestInPlaceMoments:
+    @pytest.mark.parametrize(
+        "t_min, delta_t, n, seed",
+        [
+            (0.3, 0.4, 100_000, 0),
+            (0.3, 0.4, 100_000, 7),
+            (0.3, 0.4, 100_000, 2**64 - 1),
+            (0.02, 0.6, 12_345, 123456789),
+            (0.4, 0.2, 1_000_000, 11),
+            (0.5, 0.0, 1000, 3),
+            (0.5, 0.25, 1, 5),
+            (0.5, 0.25, 2, 5),
+            (1e-12, 1.0, 100_000, 42),
+        ],
+    )
+    def test_equals_the_out_of_place_formula(self, t_min, delta_t, n, seed):
+        f, cfg = FadingUniform(t_min, delta_t), SampleConfig(n, seed)
+        assert empirical_moments(f, cfg) == out_of_place_moments(f, cfg)
+
+    def test_draws_equal_the_out_of_place_formula(self):
+        f, cfg = FadingUniform(1e-12, 1.0), SampleConfig(10_000, 42)
+        u = np.random.Generator(np.random.Philox(key=cfg.seed)).random(cfg.n_samples)
+        assert sample_transmittance(f, cfg).tobytes() == (f.t_min + f.delta_t * u).tobytes()
+
+    def test_peak_memory_is_one_sample_buffer(self):
+        # 10^6 draws are 8 MB; a new array per stage peaked at 24 MB
+        f, cfg = FadingUniform(0.3, 0.4), SampleConfig(10**6, 7)
+        tracemalloc.start()
+        try:
+            empirical_moments(f, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * 10**6
 
 
 class TestEmpiricalCovariance:
