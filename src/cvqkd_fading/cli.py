@@ -6,12 +6,13 @@ Subcommands: ``point``, ``sweep``, ``optimize-v``, ``threshold``,
 (``sweep --config``); the packaged presets ``fig2``, ``fig3`` and ``fig45``
 are such files and every key can be overridden by the command-line flag of
 the same name (flags win).  Sweeps run serially; the ``jobs`` key and
-``--jobs`` flag are still accepted (>= 1) but have no effect.  A sweep
-evaluates each approach's rows with ``run_points`` as one array each, with
-what a block of rows (one approach, eps, delta_t and t_min; only V varies)
-has in common computed once; ``hba_exact`` rows in chunks of
-Gauss-Legendre node matrices.  Every value, and so every output byte, is
-the one ``run_point`` gives for that row.
+``--jobs`` flag are still accepted (>= 1) but have no effect.  A sweep keeps
+its rows as columns (``SweepRows``) from the grid to the files: each
+approach's rows are evaluated with ``run_points`` as one array, what a block
+of rows (one approach, eps, delta_t and t_min; only V varies) has in common
+computed once, and the CSV and SVG files are written from block slices of
+the columns.  Every value, and so every output byte, is the one
+``run_point`` gives for that row.
 
 Output is CSV (UTF-8, LF, 17 significant digits) with one flat schema::
 
@@ -28,13 +29,15 @@ log axis).  Exit codes: 0 success, 1 invalid arguments, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import itertools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -121,8 +124,8 @@ def run_points(approach, v, eps, t_min, delta_t):
     shared values once from the scalar code, repeated over its points.  A
     point the array cannot vouch for (its block's scalar code raised, V or
     eps is out of range, a value fails a check the scalar path makes, or an
-    ``hba_exact`` point needs adaptive Simpson or has delta_t = 0) goes
-    through ``run_point``, so it gets the scalar path's value or exception.
+    ``hba_exact`` point needs adaptive Simpson) goes through ``run_point``,
+    so it gets the scalar path's value or exception.
     """
     n = len(v)
     values = np.full((3, n), np.nan)
@@ -247,83 +250,78 @@ class SweepRow:
     def t_mean(self) -> float:
         return self.t_min + 0.5 * self.delta_t
 
-    def x_value(self, axis: str) -> float:
-        if axis == "t_min":
-            return self.t_min
-        if axis == "t_mean":
-            return self.t_mean
-        if axis == "attenuation_db":
-            return attenuation_db(self.t_min)
-        if axis == "variance":
-            return self.v if self.v is not None else math.nan
-        raise DomainError(f"unknown x axis {axis!r}")
+
+class SweepRows(Sequence):
+    """The rows of a sweep as columns; a ``SweepRow`` is built when read.
+
+    ``blocks`` holds (approach, eps, t_min, delta_t, start, stop) for each
+    run of rows that share approach, eps, delta_t and t_min (the config's
+    own objects, so 0.0 and -0.0 never share cells).  ``v``, ``mutual_info``,
+    ``holevo`` and ``rate`` are float arrays and ``errors`` maps a row index
+    to its error text (its values are meaningless).  V of an ``optimized``
+    approach comes from ``optimal_variance``: NaN while pending or failed."""
+
+    def __init__(self, blocks, v, optimized=frozenset()):
+        self.blocks, self.optimized, self.errors = blocks, optimized, {}
+        self.v = np.array(v, dtype=float)
+        self.mutual_info, self.holevo, self.rate = np.full((3, self.v.size), math.nan)
+
+    def __len__(self) -> int:
+        return self.v.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i = range(len(self))[i]
+        block = self.blocks[bisect.bisect_right(self.blocks, i, key=itemgetter(4)) - 1]
+        error = self.errors.get(i, "")
+        v, *values = (float(col[i]) for col in (self.v, self.mutual_info, self.holevo, self.rate))
+        v = None if math.isnan(v) else v
+        mi, holevo, rate = (None if error or math.isnan(x) else x for x in values)
+        v_opt = v if block[0] in self.optimized else None
+        return SweepRow(block[0], v, *block[1:4], mi, holevo, rate, v_opt, error)
 
 
-def _blocks(rows: list[SweepRow]):
-    """Runs of consecutive rows of one block: the same approach and the very
-    same eps, delta_t and t_min objects, as ``build_grid`` hands every row of
-    a block.  Identity, not equality, so 0.0 and -0.0 never share cells."""
-    block: list[SweepRow] = []
-    for row in rows:
-        if block:
-            head = block[0]
-            if not (
-                row.t_min is head.t_min
-                and row.eps is head.eps
-                and row.delta_t is head.delta_t
-                and row.approach == head.approach
-            ):
-                yield block
-                block = []
-        block.append(row)
-    if block:
-        yield block
+def csv_blocks(rows: SweepRows):
+    """The CSV text, the header and then one string per block: the one
+    formatter of the schema.  Each V cell is formatted once per value, the
+    five cells a block shares once per block; an error row's value cells are
+    blank, and so are its V cells on an optimize-v row."""
+    yield CSV_HEADER + "\n"
+    v_all = rows.v.tolist()
+    v_cells = {v: fmt(v) for v in set(v_all)}
+    failed = sorted(rows.errors)
+    for approach, eps, t_min, delta_t, start, stop in rows.blocks:
+        shared = ",".join(map(fmt, (eps, t_min, delta_t, t_min + 0.5 * delta_t)))
+        shared += "," + fmt(attenuation_db(t_min))
+        v_opt = approach in rows.optimized
+        line = f"{approach},%s,{shared},%.17g,%.17g,%.17g,{'%s' if v_opt else ''},\n".__mod__
+        v_block = list(map(v_cells.__getitem__, v_all[start:stop]))
+        columns = [col[start:stop].tolist() for col in (rows.mutual_info, rows.holevo, rows.rate)]
+        lines = list(map(line, zip(v_block, *columns, *([v_block] if v_opt else []))))
+        for i in failed[bisect.bisect_left(failed, start) : bisect.bisect_left(failed, stop)]:
+            v_cell = "" if v_opt else v_block[i - start]
+            lines[i - start] = f"{approach},{v_cell},{shared},,,,,{csv_text(rows.errors[i])}\n"
+        yield "".join(lines)
 
 
-def csv_lines(rows: list[SweepRow]):
-    """The CSV line of every row, without line end: the one formatter of the
-    schema.  The five cells a block shares (eps, t_min, delta_t, t_mean,
-    attenuation_db) are formatted once per block, each V cell once per value
-    (V >= 1, so no -0.0 shares a cell with 0.0)."""
-    v_cells: dict[float | None, str] = {}
-    for block in _blocks(rows):
-        head = block[0]
-        shared = ",".join(
-            [
-                fmt(head.eps),
-                fmt(head.t_min),
-                fmt(head.delta_t),
-                fmt(head.t_mean),
-                fmt(attenuation_db(head.t_min)),
-            ]
-        )
-        for row in block:
-            v_cell = v_cells.get(row.v)
-            if v_cell is None:
-                v_cell = v_cells[row.v] = fmt(row.v)
-            yield (
-                f"{row.approach},{v_cell},{shared},{fmt(row.mutual_info)},"
-                f"{fmt(row.holevo)},{fmt(row.rate)},{fmt(row.v_opt)},{csv_text(row.error)}"
-            )
-
-
-def build_grid(cfg: SweepConfig) -> tuple[list[SweepRow], list[str]]:
+def build_grid(cfg: SweepConfig) -> tuple[SweepRows, list[str]]:
     """Expand the config into evaluation rows in deterministic declared order
-    (approach, eps, delta_t, t_min, V).  Combinations outside the target
-    model's domain are skipped with the model's own DomainError message; the
-    large-V closed form also skips every V up to its validity floor.  A skip
-    line's head and tail are formatted once per block, each V cell once per
-    value (V >= 1, so no -0.0 shares a cell with 0.0)."""
-    rows: list[SweepRow] = []
-    skipped: list[str] = []
-    v_cells: dict[float | None, str] = {None: "opt"}
+    (approach, eps, delta_t, t_min, V), one block per (approach, eps, delta_t,
+    t_min) that keeps a row; an optimize-v row's V is NaN.  Combinations
+    outside the target model's domain are skipped with the model's own
+    DomainError message; the large-V closed form also skips every V up to its
+    validity floor.  Each V cell of a skip line is formatted once."""
+    blocks, v_column, skipped = [], [], []
+    v_cells = {v: fmt(v) for v in cfg.v_list}
+    v_cells[math.nan] = "opt"  # the optimize-v slot is this very NaN object
     for approach in cfg.approaches:
-        v_slots = (None,) if approach in cfg.optimize_v else cfg.v_list
+        v_slots = (math.nan,) if approach in cfg.optimize_v else cfg.v_list
         head = f"skip approach={approach} V="
         for eps in cfg.eps_list:
             for delta_t in cfg.delta_t_list:
                 for t_min in cfg.t_min_values:
-                    domain_issue, v_floor = None, 0.0  # SweepConfig ensures V >= 1
+                    v_floor = 0.0  # SweepConfig ensures V >= 1
                     try:
                         f = FadingUniform(t_min, delta_t)
                         if approach == "fixed":
@@ -331,127 +329,121 @@ def build_grid(cfg: SweepConfig) -> tuple[list[SweepRow], list[str]]:
                         elif approach == "hba_asymptotic":
                             v_floor = holevo_asymptotic_regime_floor(eps, f)
                     except DomainError as exc:
-                        domain_issue = str(exc)
-                    tail = None
-                    for v in v_slots:
-                        if domain_issue is None and (v is None or not v <= v_floor):
-                            rows.append(SweepRow(approach, v, eps, t_min, delta_t))
-                            continue
-                        if tail is None:
-                            issue = domain_issue
-                            if issue is None:
-                                issue = f"V below the large-V validity floor {v_floor:.6g}"
-                            tail = f" eps={eps:g} t_min={t_min:g} delta_t={delta_t:g}: {issue}"
-                        v_cell = v_cells.get(v)
-                        if v_cell is None:
-                            v_cell = v_cells[v] = fmt(v)
-                        skipped.append(head + v_cell + tail)
-    return rows, skipped
+                        kept, dropped, issue = (), v_slots, str(exc)
+                    else:
+                        kept = [v for v in v_slots if not v <= v_floor]  # NaN is kept
+                        dropped = [v for v in v_slots if v <= v_floor]
+                        issue = f"V below the large-V validity floor {v_floor:.6g}"
+                    if kept:
+                        start = len(v_column)
+                        v_column += kept
+                        blocks.append((approach, eps, t_min, delta_t, start, len(v_column)))
+                    if dropped:
+                        tail = f" eps={eps:g} t_min={t_min:g} delta_t={delta_t:g}: {issue}"
+                        skipped += [head + v_cells[v] + tail for v in dropped]
+    return SweepRows(blocks, v_column, frozenset(cfg.optimize_v)), skipped
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[list[SweepRow], int]:
+def run_sweep(cfg: SweepConfig) -> tuple[SweepRows, int]:
     """Evaluate the whole grid, one ``run_points`` call per approach (an
     optimize-v row first gets its V from ``optimal_variance``), and write the
     CSV/SVG artifacts.  Every row gets the values or the error ``run_point``
     gives it.  ``cfg.jobs`` has no effect.  Returns (rows, n_error_rows)."""
     rows, skipped = build_grid(cfg)
     sys.stderr.writelines(f"{line}\n" for line in skipped)
-    n_errors = 0
-    for row in [row for row in rows if row.v is None]:
-        try:
-            f = FadingUniform(row.t_min, row.delta_t)
-            row.v, _ = optimal_variance(row.eps, f, cfg.v_lo, cfg.v_hi)
-        except (DomainError, NumericalError) as exc:
-            row.error = f"{type(exc).__name__}: {exc}"
-            n_errors += 1
-        else:
-            row.v_opt = row.v
-    for approach, run in itertools.groupby(rows, key=attrgetter("approach")):
-        group = [row for row in run if not row.error]
-        mutual_info, holevo, rate, failed = run_points(
-            approach,
-            [row.v for row in group],
-            [row.eps for row in group],
-            [row.t_min for row in group],
-            [row.delta_t for row in group],
-        )
-        for row, mi, hol, r in zip(group, mutual_info, holevo, rate):
-            row.mutual_info, row.holevo, row.rate = mi, hol, r
-        for i, exc in failed.items():
-            row = group[i]
-            row.error = f"{type(exc).__name__}: {exc}"
-            row.mutual_info = row.holevo = row.rate = None
-            if row.v_opt is not None:  # an optimize-v row keeps empty V cells
-                row.v = row.v_opt = None
-        n_errors += len(failed)
+    v, errors = rows.v, rows.errors
+    for approach, eps, t_min, delta_t, start, _ in rows.blocks:
+        if approach in rows.optimized:  # one row per block
+            try:
+                f = FadingUniform(t_min, delta_t)
+                v[start], _ = optimal_variance(eps, f, cfg.v_lo, cfg.v_hi)
+            except (DomainError, NumericalError) as exc:
+                errors[start] = f"{type(exc).__name__}: {exc}"
+    for approach, group in itertools.groupby(rows.blocks, key=itemgetter(0)):
+        group = list(group)
+        lo, hi = group[0][4], group[-1][5]
+        shared = np.array([b[1:4] for b in group], dtype=object)  # the config's floats
+        shared = np.repeat(shared, [b[5] - b[4] for b in group], axis=0)
+        index = np.delete(np.arange(lo, hi), [i - lo for i in errors if lo <= i < hi])
+        eps, t_min, delta_t = shared[index - lo].T.tolist()
+        *values, failed = run_points(approach, v[index].tolist(), eps, t_min, delta_t)
+        rows.mutual_info[index], rows.holevo[index], rows.rate[index] = values
+        for k, exc in failed.items():
+            i = int(index[k])
+            errors[i] = f"{type(exc).__name__}: {exc}"
+            if approach in rows.optimized:  # an optimize-v row keeps empty V cells
+                v[i] = math.nan
 
     if cfg.csv_path:
         write_csv(cfg.csv_path, rows)
     if cfg.svg_path:
         write_sweep_svgs(cfg, rows)
-    return rows, n_errors
+    return rows, len(errors)
 
 
-def write_csv(path: str, rows: list[SweepRow]) -> None:
+def write_csv(path: str, rows: SweepRows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for line in csv_lines(rows):
-            fh.write(line + "\n")
+        fh.writelines(csv_blocks(rows))
 
 
-def _print_csv(rows: list[SweepRow]) -> None:
-    print(CSV_HEADER)
-    for line in csv_lines(rows):
-        print(line)
+def _curves(rows: SweepRows, axis: str, column: str, log_y: bool):
+    """(label, xs, ys) of every plotted curve, in the order of its first
+    row: on the variance axis a curve is one block; on the others the rows
+    of one (approach, V label, eps, delta_t) across t_min, its x value shared
+    by the block.  Curves with equal labels are one curve.  Error rows are
+    not plotted, and on a linear axis negative values are clamped at 0."""
+    blocks = rows.blocks
+    counts = [stop - start for *_, start, stop in blocks]
+    ys = getattr(rows, _Y_ATTRS[column])
+    if not log_y:
+        ys = np.maximum(ys, 0.0)  # SVG never plots negative rates
+    # a row's label is its block's template filled with its V label
+    if axis == "variance":
+        xs, v_key, v_labels = rows.v, np.zeros(len(rows), dtype=np.intp), [""]
+    else:
+        xs = np.repeat([
+            t if axis == "t_min" else t + 0.5 * d if axis == "t_mean" else attenuation_db(t)
+            for _, _, t, d, *_ in blocks
+        ], counts)
+        values, inverse = np.unique(rows.v, return_inverse=True)
+        names = {"V=opt ": 0}  # each V formatted once
+        v_key = np.array([names.setdefault(f"V={v:g} ", len(names)) for v in values.tolist()])
+        v_key = v_key.astype(np.intp)[inverse]
+        v_key[np.repeat([b[0] in rows.optimized for b in blocks], counts).astype(bool)] = 0
+        v_labels = list(names)
+    templates, block_key = {}, []
+    for b in blocks:
+        template = f"{b[0]} {{}}eps={b[1]:g} dT={b[3]:g}"
+        template += f" t_min={b[2]:g}" if axis == "variance" else ""
+        block_key.append(templates.setdefault(template, len(templates)))
+    key = np.repeat(block_key, counts).astype(np.intp) * len(v_labels) + v_key
+    index = np.delete(np.arange(len(rows)), list(rows.errors))
+    keys, first, curve = np.unique(key[index], return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    curve = np.argsort(by_first)[curve]  # curves numbered in the order of their first row
+    index = index[np.argsort(curve, kind="stable")]
+    stops = np.cumsum(np.bincount(curve))[:-1]
+    template_of, m = list(templates), len(v_labels)
+    labels = [template_of[k // m].format(v_labels[k % m]) for k in keys[by_first].tolist()]
+    return list(zip(labels, np.split(xs[index], stops), np.split(ys[index], stops)))
 
 
-def _series_for(cfg: SweepConfig, rows: list[SweepRow], axis: str, column: str):
-    """(name, points) of every plotted curve, built block by block: on the
-    variance axis a curve is one block; on the others one (approach, V, eps,
-    delta_t) across t_min, its x value shared by the block."""
-    attr = _Y_ATTRS[column]
-    series: dict[str, list[tuple[float, float]]] = {}
-    for block in _blocks(rows):
-        head = block[0]
-        tail = f"eps={head.eps:g} dT={head.delta_t:g}"
-        if axis == "variance":
-            name = f"{head.approach} {tail} t_min={head.t_min:g}"
-        else:
-            x = head.x_value(axis)
-        for row in block:
-            y = getattr(row, attr)
-            if row.error or y is None:
-                continue
-            if not cfg.log_y:
-                y = max(y, 0.0)  # SVG never plots negative rates
-            if axis == "variance":
-                series.setdefault(name, []).append((row.v, y))
-            else:
-                v_label = "V=opt" if row.v_opt is not None else f"V={row.v:g}"
-                series.setdefault(f"{head.approach} {v_label} {tail}", []).append((x, y))
-    return list(series.items())
-
-
-def write_sweep_svgs(cfg: SweepConfig, rows: list[SweepRow]) -> None:
-    """One SVG per (x_axis, y_column) pair; suffixed when there are several."""
-    base = cfg.svg_path
-    assert base is not None
-    stem = base[:-4] if base.endswith(".svg") else base
+def write_sweep_svgs(cfg: SweepConfig, rows: SweepRows) -> None:
+    """One SVG per (x_axis, y_column) pair; suffixed when there are several.
+    A plot with no curve is not written, nor is a log-axis plot with no
+    positive value, for which a ``skip plot`` line goes to stderr."""
+    stem = cfg.svg_path.removesuffix(".svg")
     multi = len(cfg.x_axes) * len(cfg.y_columns) > 1
     for axis in cfg.x_axes:
         for column in cfg.y_columns:
-            series = _series_for(cfg, rows, axis, column)
+            series = _curves(rows, axis, column, cfg.log_y)
             if not series:
                 continue
             path = f"{stem}_{axis}_{column}.svg" if multi else f"{stem}.svg"
-            write_line_plot(
-                path,
-                series,
-                x_label=axis,
-                y_label=column,
-                title=cfg.title,
-                log_y=cfg.log_y,
-            )
+            try:
+                write_line_plot(path, series, axis, column, cfg.title, cfg.log_y)
+            except DomainError as exc:
+                print(f"skip plot {path}: {exc}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +639,8 @@ def sweep_config_from_sources(
             raise
         except ValueError as exc:
             raise DomainError(f"bad value for {key}: {value!r}") from exc
-    missing = [
-        key
-        for key, (field_name, _) in _SWEEP_KEYS.items()
-        if field_name in ("approaches", "v_list", "eps_list", "t_min_values", "delta_t_list")
-        and field_name not in kwargs
-    ]
+    required = ("approach", "v", "eps", "t_min", "delta_t")
+    missing = [key for key in required if _SWEEP_KEYS[key][0] not in kwargs]
     if missing:
         raise DomainError(f"missing required sweep keys: {', '.join(missing)}")
     return SweepConfig(**kwargs)
@@ -734,11 +722,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_point(args: argparse.Namespace) -> int:
-    f = FadingUniform(args.t_min, args.delta_t)
-    out = run_point(args.approach, args.v, args.eps, f)
-    row = SweepRow(args.approach, args.v, args.eps, args.t_min, args.delta_t)
-    row.mutual_info, row.holevo, row.rate = out.mutual_info, out.holevo, out.rate
-    _print_csv([row])
+    out = run_point(args.approach, args.v, args.eps, FadingUniform(args.t_min, args.delta_t))
+    rows = SweepRows([(args.approach, args.eps, args.t_min, args.delta_t, 0, 1)], [args.v])
+    rows.mutual_info[0], rows.holevo[0], rows.rate[0] = out.mutual_info, out.holevo, out.rate
+    sys.stdout.writelines(csv_blocks(rows))
     return 0
 
 
@@ -746,7 +733,7 @@ def cmd_sweep(args: argparse.Namespace, config_text: str | None) -> int:
     cfg = sweep_config_from_sources(config_text, _collect_overrides(args))
     rows, n_errors = run_sweep(cfg)
     if cfg.csv_path is None:
-        _print_csv(rows)
+        sys.stdout.writelines(csv_blocks(rows))
     else:
         print(f"wrote {len(rows)} rows to {cfg.csv_path}", file=sys.stderr)
     if n_errors:
@@ -766,11 +753,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     print("eps,t_min,delta_t,v_opt,rate_bits")
-    print(
-        ",".join(
-            [fmt(args.eps), fmt(args.t_min), fmt(args.delta_t), fmt(v_opt), fmt(rate_opt)]
-        )
-    )
+    print(",".join(map(fmt, (args.eps, args.t_min, args.delta_t, v_opt, rate_opt))))
     return 0
 
 
@@ -779,11 +762,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         args.approach, args.v, args.eps, args.delta_t, args.lo, args.hi, args.tol
     )
     print("approach,V,eps,delta_t,t_min_threshold,threshold_db")
-    print(
-        ",".join(
-            [args.approach, fmt(args.v), fmt(args.eps), fmt(args.delta_t), fmt(t_star), fmt(db)]
-        )
-    )
+    print(",".join([args.approach, *map(fmt, (args.v, args.eps, args.delta_t, t_star, db))]))
     return 0
 
 
@@ -801,11 +780,8 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
             n_sigma = dev / se
             ok = n_sigma < 5.0
         all_ok &= ok
-        print(
-            ",".join(
-                [name, fmt(emp), fmt(ref), fmt(dev), fmt(se), f"{n_sigma:.3f}", str(ok).lower()]
-            )
-        )
+        cells = [name, *map(fmt, (emp, ref, dev, se)), f"{n_sigma:.3f}", str(ok).lower()]
+        print(",".join(cells))
     if not all_ok:
         print("empirical moments outside the 5-sigma band", file=sys.stderr)
         return 2

@@ -48,6 +48,7 @@ from .channel import (
     _spectrum_holevo,
     derive_omega,
     holevo_fixed,
+    holevo_rows,
     mutual_information_fixed,
     mutual_information_form,
     require_variance,
@@ -137,22 +138,26 @@ def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
 def skr_hba_exact_rows(v, eps, t_min, t_max):
     """``skr_hba_exact`` at every row of equal-length arrays, V >= 1 and
     eps >= 0 already validated, t_max the law's (``FadingUniform.t_max``);
-    one node matrix per ``_CHUNK_ROWS`` rows.  Returns (mutual_info,
-    holevo, ok), equal to the scalar values bit for bit where ok.  ok fails
-    where t_max = t_min, a node fails a check, the two rules disagree (the
-    rows adaptive Simpson takes), the Holevo bound is below
-    -PHYSICALITY_SLACK or a value is not finite."""
+    one node matrix per ``_CHUNK_ROWS`` rows, and ``holevo_rows`` for the
+    rows with t_max = t_min.  Returns (mutual_info, holevo, ok), equal to
+    the scalar values bit for bit where ok.  ok fails where a node or point
+    fails a check, the two rules disagree (the rows adaptive Simpson takes),
+    the Holevo bound is below -PHYSICALITY_SLACK or a value is not finite."""
     half, mid = 0.5 * (t_max - t_min), 0.5 * (t_max + t_min)
     x = _gauss_legendre_pair()[0]
     holevo = np.full(v.size, np.nan)
-    for lo in range(0, v.size, _CHUNK_ROWS):
-        rows = slice(lo, lo + _CHUNK_ROWS)
+    point = half == 0.0
+    point_holevo, point_ok = holevo_rows(v[point], t_min[point], eps[point])
+    holevo[point] = np.where(point_ok, point_holevo, np.nan)
+    wide = np.flatnonzero(~point)
+    for lo in range(0, wide.size, _CHUNK_ROWS):
+        rows = wide[lo : lo + _CHUNK_ROWS]
         t = mid[rows, None] + half[rows, None] * x
         nodes, ok = _node_holevo(v[rows, None], eps[rows, None], t)
-        for i in np.flatnonzero(ok & (half[rows] > 0.0)).tolist():
-            total = _gauss_legendre(float(half[lo + i]), nodes[i])
+        for i, row in zip(np.flatnonzero(ok).tolist(), rows[ok].tolist()):
+            total = _gauss_legendre(float(half[row]), nodes[i])
             if total is not None:
-                holevo[lo + i] = total / (2.0 * float(half[lo + i]))
+                holevo[row] = total / (2.0 * float(half[row]))
     mi = mutual_information_form(v, 1.0 / t_min - 1.0 + eps, log2_each)
     return mi, holevo, (holevo >= -PHYSICALITY_SLACK) & np.isfinite(holevo) & np.isfinite(mi)
 

@@ -1,13 +1,15 @@
 """Minimal self-contained SVG line plots (axes, ticks, legend, optional log y).
 
 Just enough for monotone rate/information curves; no plotting dependency.
-Callers pass a list of (label, points) series.  On a log axis, points with
+Callers pass a list of (label, xs, ys) series.  On a log axis, points with
 y <= 0 break the polyline instead of being clamped.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -74,26 +76,33 @@ def _fmt_tick(v: float) -> str:
 
 def write_line_plot(
     path: str,
-    series: list[tuple[str, list[tuple[float, float]]]],
+    series: list[tuple[str, np.ndarray, np.ndarray]],
     x_label: str,
     y_label: str,
     title: str = "",
     log_y: bool = False,
 ) -> None:
-    """Render the series to an SVG file at path."""
+    """Render the series, each (label, xs, ys) with its points in any order,
+    to an SVG file at path.  All pixel coordinates are computed as arrays by
+    the scalar ``px``/``py`` operations in their order, on a log axis from
+    ``math.log10`` of each value (numpy's rounds differently on some), so
+    each has the scalar bits; each distinct x pixel is formatted once."""
     if not series:
         raise DomainError("cannot plot an empty series list")
 
-    xs = [p[0] for _, pts in series for p in pts]
-    if log_y:
-        ys = [p[1] for _, pts in series for p in pts if p[1] > 0.0]
-    else:
-        ys = [p[1] for _, pts in series for p in pts]
-    if not xs or not ys:
+    sizes = [len(xs) for _, xs, _ in series]
+    curve = np.repeat(np.arange(len(series)), sizes)
+    xs = np.concatenate([x for _, x, _ in series], dtype=float)
+    ys = np.concatenate([y for _, _, y in series], dtype=float)
+    # every series sorted once, stably by (x, y): the order of sorted(points)
+    order = np.lexsort((ys, xs, curve))
+    xs, ys = xs[order], ys[order]
+    shown = ys > 0.0 if log_y else np.ones(ys.size, dtype=bool)
+    if not shown.any():
         raise DomainError("no plottable points (log axis with no positive values?)")
 
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys[shown].min()), float(ys[shown].max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if log_y:
@@ -105,16 +114,14 @@ def write_line_plot(
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
+    axis = math.log10 if log_y else float
+    y_0, y_1 = axis(y_lo), axis(y_hi)
 
-    def px(x: float) -> float:
+    def px(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
-        if log_y:
-            frac = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            frac = (y - y_lo) / (y_hi - y_lo)
-        return MARGIN_T + (1.0 - frac) * plot_h
+    def py(y):  # y on the axis scale: log10(y) on a log axis
+        return MARGIN_T + (1.0 - (y - y_0) / (y_1 - y_0)) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -145,7 +152,7 @@ def write_line_plot(
         )
     y_ticks = _log_ticks(y_lo, y_hi) if log_y else _linear_ticks(y_lo, y_hi)
     for t in y_ticks:
-        y = py(t)
+        y = py(axis(t))
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{y:.1f}" x2="{MARGIN_L}" y2="{y:.1f}" stroke="black"/>'
         )
@@ -162,30 +169,42 @@ def write_line_plot(
         f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{escape(y_label)}</text>'
     )
 
+    # each run of shown points of a series is one polyline, or a circle when
+    # it is one point long; on a log axis a point with y <= 0 ends a run.  One
+    # format string writes every coordinate, a NUL after each run's last point
+    kept = np.flatnonzero(shown)
+    owner = curve[kept]
+    starts = np.flatnonzero((np.diff(kept, prepend=-2) != 1) | (np.diff(owner, prepend=-1) != 0))
+    y_shown = ys[kept]
+    if log_y:
+        y_shown = np.fromiter(map(math.log10, y_shown.tolist()), float, kept.size)
+    x_pixels, x_index = np.unique(px(xs[kept]), return_inverse=True)
+    x_cells = [f"{x:.2f}" for x in x_pixels.tolist()]
+    cells: list = [None] * (2 * kept.size)
+    cells[0::2] = map(x_cells.__getitem__, x_index.tolist())
+    cells[1::2] = py(y_shown).tolist()
+    ends = np.full(kept.size, " ", dtype=object)
+    ends[starts - 1] = "\0"  # the last point's, ends[-1], is the end of the text
+    text = "%s,%.2f".join(["", *ends[:-1].tolist(), ""]) % tuple(cells)
+    runs: list[list[str]] = [[] for _ in series]
+    for k, run in zip(owner[starts].tolist(), text.split("\0")):
+        runs[k].append(run)
+
     # legend entries whose baseline lies above the plot box's bottom edge; when
     # the curves outnumber them, the last one says how many are not listed
     legend_rows = (plot_h - 14) // 16 + 1
     listed = len(series) if len(series) <= legend_rows else legend_rows - 1
     lx = MARGIN_L + plot_w + 10
-    for i, (label, pts) in enumerate(series):
+    for i, ((label, _, _), segments) in enumerate(zip(series, runs)):
         color = PALETTE[i % len(PALETTE)]
-        segments: list[list[tuple[float, float]]] = [[]]
-        for x, y in sorted(pts):
-            if log_y and y <= 0.0:
-                if segments[-1]:
-                    segments.append([])
-                continue
-            segments[-1].append((px(x), py(y)))
-        for seg in segments:
-            if len(seg) >= 2:
-                coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in seg)
+        for run in segments:
+            if " " in run:
                 parts.append(
-                    f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.6"/>'
+                    f'<polyline points="{run}" fill="none" stroke="{color}" stroke-width="1.6"/>'
                 )
-            elif len(seg) == 1:
-                parts.append(
-                    f'<circle cx="{seg[0][0]:.2f}" cy="{seg[0][1]:.2f}" r="2.5" fill="{color}"/>'
-                )
+            else:
+                cx, cy = run.split(",")
+                parts.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
         if i >= listed:
             continue
         ly = MARGIN_T + 14 + 16 * i

@@ -300,7 +300,7 @@ class TestSweep:
         )
         rows, n_errors = cli.run_sweep(cfg)
         assert n_errors == 1
-        ok, bad = (line.split(",") for line in cli.csv_lines(rows))
+        ok, bad = (line.split(",") for line in "".join(cli.csv_blocks(rows)).splitlines()[1:])
         assert ok[1] == ok[10] != ""  # V is the optimum found
         assert bad[1] == bad[10] == "" and bad[11] == "NumericalError: synthetic failure"
 
@@ -335,11 +335,34 @@ class TestSweep:
         rows, n_errors = cli.run_sweep(cfg)
         assert n_errors == 0
         assert min(r.rate for r in rows) < 0.0
-        series = cli._series_for(cfg, rows, "t_min", "rate_bits")
-        assert series and all(y >= 0.0 for _, pts in series for _, y in pts)
-        assert (tmp_path / "c.svg").exists()
         text = (tmp_path / "c.svg").read_text()
         assert text.startswith("<svg") and "polyline" in text
+        clamped = [
+            ("cma V=100 eps=0.03 dT=0.2", [r.t_min for r in rows], [max(r.rate, 0.0) for r in rows])
+        ]
+        svgplot.write_line_plot(str(tmp_path / "want.svg"), clamped, "t_min", "rate_bits")
+        assert text == (tmp_path / "want.svg").read_text()
+
+    def test_log_plot_without_positive_values_is_skipped(self, tmp_path, capsys):
+        # every rate is negative, so the log axis has nothing to draw: the
+        # plot is skipped with one stderr line, and the exit code comes from
+        # the rows alone
+        csv_path, svg_path = tmp_path / "a.csv", tmp_path / "a.svg"
+        code, out, err = run_main(
+            ["sweep", "--approach", "cma", "--v", "10", "--eps", "0.03", "--t-min", "0.02,0.03",
+             "--delta-t", "0.2", "--log-y", "true", "--csv", str(csv_path), "--svg", str(svg_path)],
+            capsys,
+        )
+        assert code == 0 and out == ""
+        assert err.splitlines() == [
+            f"skip plot {svg_path}: no plottable points (log axis with no positive values?)",
+            f"wrote 2 rows to {csv_path}",
+        ]
+        assert len(csv_path.read_text().splitlines()) == 3 and not svg_path.exists()
+        with pytest.raises(DomainError, match="no plottable points"):
+            svgplot.write_line_plot(
+                str(svg_path), [("c", [0.1, 0.2], [-1.0, 0.0])], "x", "y", log_y=True
+            )
 
 
 class TestThresholdCommand:
@@ -545,7 +568,7 @@ class TestSharedParser:
 class TestSvgLegend:
     @staticmethod
     def legend_texts(tmp_path, n_curves):
-        series = [(f"curve {i}", [(0.0, float(i)), (1.0, float(i) + 0.5)]) for i in range(n_curves)]
+        series = [(f"curve {i}", [0.0, 1.0], [float(i), float(i) + 0.5]) for i in range(n_curves)]
         path = tmp_path / "legend.svg"
         svgplot.write_line_plot(str(path), series, "x", "y")
         texts = re.findall(r'<text x="(\d+)" y="([\d.]+)">([^<]*)</text>', path.read_text())

@@ -4,6 +4,7 @@
 ``preset fig3``.  Header and text cells must match exactly; numeric cells may
 move by at most 1e-12 relative, so a refactor that only reorders floating
 point operations still passes while any change of the physics does not.
+The SVG files must match byte for byte.
 """
 
 import math
@@ -43,3 +44,18 @@ def test_preset_reproduces_golden_csv(tmp_path, capsys, preset):
         assert len(got_cells) == len(want_cells), f"line {lineno}"
         for got_cell, want_cell in zip(got_cells, want_cells):
             assert cells_match(got_cell, want_cell), f"line {lineno}: {got_line!r} != {want_line!r}"
+
+
+@pytest.mark.parametrize(
+    "preset, names",
+    [("fig2", ["fig2_t_min_rate_bits.svg", "fig2_t_mean_rate_bits.svg"]), ("fig3", ["fig3.svg"])],
+)
+def test_preset_reproduces_golden_svgs(tmp_path, capsys, preset, names):
+    # a value that moves by 1e-12 moves its pixel by about 1e-10, far below
+    # the 0.01 px the coordinates are written to, so every byte must match
+    csv_path, svg_path = tmp_path / "out.csv", tmp_path / f"{preset}.svg"
+    code = cli.main(["preset", preset, "--csv", str(csv_path), "--svg", str(svg_path)])
+    capsys.readouterr()
+    assert code == 0
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -1,17 +1,20 @@
 """The sweep's array path gives every row exactly what ``run_point`` gives it.
 
 ``cli.run_sweep`` evaluates the rows of a grid as one array per approach
-(``hba_exact`` in chunks of Gauss-Legendre node matrices), formats the CSV
-cells a block of rows shares once, and builds the SVG curves block by
-block.  The CSV is a byte contract, so these tests hold the sweep to the
-row-by-row reference it replaced: each row through ``run_point`` (after
-``optimal_variance`` for an optimize-v row), compared with ``==``, and
-error rows with the same text.
+(``hba_exact`` in chunks of Gauss-Legendre node matrices), keeps them as
+columns, writes the CSV block by block from slices of the columns, and
+builds the SVG curves from block slices.  The CSV is a byte contract, so
+these tests hold the sweep to the row-by-row reference it replaced: each row
+through ``run_point`` (after ``optimal_variance`` for an optimize-v row),
+compared with ``==``, error rows with the same text, the CSV written cell by
+cell and every SVG drawn from curves regrouped row by row.
 """
 
 import dataclasses
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixed_rate_oracle
-from cvqkd_fading import cli, hba
+from cvqkd_fading import cli, hba, svgplot
 from cvqkd_fading.channel import ChannelParams, mutual_information_fixed, skr_fixed
 from cvqkd_fading.cma import optimal_variance
 from cvqkd_fading.errors import DomainError, NumericalError
@@ -32,7 +35,7 @@ FOUND_POINTS = ((1e3, 0.988695), (1e4, 0.985585), (1e5, 0.98587))
 
 def reference_rows(cfg):
     """The grid evaluated row by row, as the sweep did before arrays."""
-    rows, _ = cli.build_grid(cfg)
+    rows = list(cli.build_grid(cfg)[0])
     for row in rows:
         try:
             f = FadingUniform(row.t_min, row.delta_t)
@@ -63,7 +66,7 @@ def reference_csv(rows):
 
 
 def reference_series(cfg, rows, axis, column):
-    """The SVG curves regrouped row by row."""
+    """The SVG curves regrouped row by row, as (label, xs, ys)."""
     attr = {"rate_bits": "rate", "mutual_info_bits": "mutual_info", "holevo_bits": "holevo"}
     series = {}
     for row in rows:
@@ -77,8 +80,35 @@ def reference_series(cfg, rows, axis, column):
         else:
             v_label = "V=opt" if row.v_opt is not None else f"V={row.v:g}"
             key = (row.approach, v_label, f"eps={row.eps:g}", f"dT={row.delta_t:g}")
-        series.setdefault(" ".join(key), []).append((row.x_value(axis), y))
-    return list(series.items())
+        x = {"t_min": row.t_min, "t_mean": row.t_min + 0.5 * row.delta_t, "variance": row.v}
+        x = x[axis] if axis in x else cli.attenuation_db(row.t_min)
+        series.setdefault(" ".join(key), []).append((x, y))
+    return [(name, [x for x, _ in pts], [y for _, y in pts]) for name, pts in series.items()]
+
+
+def reference_svgs(cfg, rows, out_dir):
+    """Every SVG of the sweep drawn from ``reference_series`` into out_dir,
+    under the sweep's file names; a plot with no curve or no point to draw
+    is not written."""
+    multi = len(cfg.x_axes) * len(cfg.y_columns) > 1
+    for axis in cfg.x_axes:
+        for column in cfg.y_columns:
+            series = reference_series(cfg, rows, axis, column)
+            name = f"sweep_{axis}_{column}.svg" if multi else "sweep.svg"
+            if series:
+                try:
+                    svgplot.write_line_plot(
+                        str(out_dir / name), series, axis, column, cfg.title, cfg.log_y
+                    )
+                except DomainError:
+                    pass
+
+
+def assert_outputs_equal(got_dir, want_dir):
+    got = sorted(p.name for p in got_dir.iterdir())
+    assert got == sorted(p.name for p in want_dir.iterdir())
+    for name in got:
+        assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes(), name
 
 
 def assert_rows_equal(got, want):
@@ -104,11 +134,19 @@ def sweep_configs(draw):
         st.lists(st.sampled_from(("fixed", "cma", "hba_asymptotic", "hba_exact")), min_size=1,
                  max_size=4, unique=True)
     )
+    t_min_values = draw(st.lists(t_mins, min_size=1, max_size=4))  # unsorted
     return cli.SweepConfig(
         approaches=tuple(approaches),
-        v_list=(1.0, *draw(st.lists(st.floats(0.0, 6.0).map(lambda x: 10.0**x), max_size=6))),
-        eps_list=(0.0, *draw(st.lists(st.floats(0.0, 0.1), max_size=2))),
-        t_min_values=tuple(draw(st.lists(t_mins, min_size=1, max_size=4))),
+        # 1.0000001 and 1.0000002 are both "V=1" in a curve label
+        v_list=(1.0, *draw(st.lists(
+            st.floats(0.0, 6.0).map(lambda x: 10.0**x) | st.sampled_from([1.0000001, 1.0000002]),
+            max_size=6,
+        ))),
+        # 5e-324 makes hba_asymptotic error rows (htilde's closed form fails)
+        eps_list=(0.0, *draw(st.lists(st.floats(0.0, 0.1) | st.sampled_from([-0.0, 5e-324]),
+                                      max_size=2))),
+        t_min_values=tuple(t_min_values + draw(st.lists(st.sampled_from(t_min_values),
+                                                        max_size=2))),
         delta_t_list=tuple(draw(st.lists(st.sampled_from((0.0, 1e-3, 0.2)), min_size=1,
                                          max_size=3, unique=True))),
         # an optimized V may lie below the large-V floor, where hba_asymptotic
@@ -116,6 +154,11 @@ def sweep_configs(draw):
         optimize_v=tuple(
             a for a in approaches if a != "fixed" and draw(st.booleans())
         ),
+        x_axes=tuple(draw(st.lists(st.sampled_from(cli.X_AXES), min_size=1, max_size=4,
+                                   unique=True))),
+        y_columns=tuple(draw(st.lists(st.sampled_from(cli.Y_COLUMNS), min_size=1, max_size=3,
+                                      unique=True))),
+        log_y=draw(st.booleans()),
     )
 
 
@@ -130,16 +173,25 @@ def outcome(fn, cfg):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=sweep_configs())
 def test_sweep_rows_equal_run_point(cfg):
-    got, got_exc = outcome(cli.run_sweep, cfg)
-    want, want_exc = outcome(reference_rows, cfg)
-    # no exception escapes either: a subnormal eps, where htilde's closed form
-    # breaks down, is a DomainError row in both; should one escape, the sweep
-    # must fail the same way the row-by-row loop does
-    assert got_exc == want_exc
-    if want_exc is None:
-        rows, n_errors = got
-        assert_rows_equal(rows, want)
-        assert n_errors == sum(1 for row in want if row.error)
+    with tempfile.TemporaryDirectory() as tmp:
+        got_dir, want_dir = Path(tmp, "got"), Path(tmp, "want")
+        got_dir.mkdir(), want_dir.mkdir()
+        cfg = dataclasses.replace(
+            cfg, csv_path=str(got_dir / "sweep.csv"), svg_path=str(got_dir / "sweep.svg")
+        )
+        got, got_exc = outcome(cli.run_sweep, cfg)
+        want, want_exc = outcome(reference_rows, cfg)
+        # no exception escapes either: a subnormal eps, where htilde's closed form
+        # breaks down, is a DomainError row in both; should one escape, the sweep
+        # must fail the same way the row-by-row loop does
+        assert got_exc == want_exc
+        if want_exc is None:
+            rows, n_errors = got
+            assert_rows_equal(rows, want)
+            assert n_errors == sum(1 for row in want if row.error)
+            (want_dir / "sweep.csv").write_text(reference_csv(want), encoding="utf-8")
+            reference_svgs(cfg, want, want_dir)
+            assert_outputs_equal(got_dir, want_dir)
 
 
 @pytest.mark.parametrize("v, t_min", FOUND_POINTS)
@@ -160,17 +212,18 @@ def test_found_points_stay_error_rows(v, t_min):
 
 @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig45"])
 def test_preset_outputs_equal_row_by_row_reference(tmp_path, capsys, preset):
+    got_dir, want_dir = tmp_path / "got", tmp_path / "want"
+    got_dir.mkdir(), want_dir.mkdir()
     cfg = cli.sweep_config_from_sources(cli.load_preset(preset), {})
-    cfg = dataclasses.replace(cfg, csv_path=str(tmp_path / "sweep.csv"), svg_path=None)
-    rows, _ = cli.run_sweep(cfg)
+    cfg = dataclasses.replace(
+        cfg, csv_path=str(got_dir / "sweep.csv"), svg_path=str(got_dir / "sweep.svg")
+    )
+    cli.run_sweep(cfg)
     capsys.readouterr()
     want = reference_rows(cfg)
-    assert (tmp_path / "sweep.csv").read_bytes() == reference_csv(want).encode("utf-8")
-    for axis in cfg.x_axes:
-        for column in cfg.y_columns:
-            assert cli._series_for(cfg, rows, axis, column) == reference_series(
-                cfg, want, axis, column
-            )
+    (want_dir / "sweep.csv").write_text(reference_csv(want), encoding="utf-8")
+    reference_svgs(cfg, want, want_dir)
+    assert_outputs_equal(got_dir, want_dir)
 
 
 def test_htilde_runs_once_per_block(monkeypatch, capsys):
@@ -258,6 +311,23 @@ def test_hba_exact_rows_span_chunks_with_a_fallback_row_in_each(monkeypatch):
     monkeypatch.setattr(cli, "run_point", real)
     assert got == run_points_reference("hba_exact", v, eps, t_min, delta_t)
     assert all(len(out) == 3 and isinstance(out[0], float) for out in got)
+
+
+def test_hba_exact_point_rows_make_no_run_point_calls(monkeypatch, capsys):
+    # delta_t = 0, or below the rounding of t_min, gives t_max = t_min: the
+    # rows take the fixed-channel value from ``holevo_rows``, as one array
+    calls = []
+    real = cli.run_point
+    monkeypatch.setattr(cli, "run_point", lambda *args: calls.append(args) or real(*args))
+    cfg = cli.SweepConfig(
+        ("hba_exact",), (1.0, 10.0, 1e3, 1e5), (0.0, 0.01), (0.1, 0.5, 0.988695, 1.0), (0.0, 1e-20)
+    )
+    rows, n_errors = cli.run_sweep(cfg)
+    capsys.readouterr()
+    assert calls == [] and n_errors == 0 and len(rows) == 64
+    for row in rows:
+        want = real("hba_exact", row.v, row.eps, FadingUniform(row.t_min, row.delta_t))
+        assert (row.mutual_info, row.holevo, row.rate) == (want.mutual_info, want.holevo, want.rate)
 
 
 def test_hba_exact_invalid_points_get_the_run_point_exception():

@@ -42,3 +42,28 @@ def test_install_and_uninstall_restore_every_site():
         tracer.uninstall()
     for module, attr, _ in sites:
         assert getattr(getattr(cvqkd_fading, module), attr) is before[module, attr]
+
+
+def test_traced_sweep_counts_what_it_writes_and_skips(tmp_path, capsys):
+    # perfbench/run.py --trace 1 reads the written bytes off the first
+    # argument of write_csv and write_line_plot, and the skips off build_grid
+    tracing = load_tracing()
+    cfg = cvqkd_fading.cli.SweepConfig(
+        ("hba_asymptotic", "cma"), (5.0, 1e3, 1e4), (0.0, 0.01), (0.2, 0.4), (0.0, 0.2),
+        x_axes=("t_min", "variance"),
+        csv_path=str(tmp_path / "sweep.csv"),
+        svg_path=str(tmp_path / "sweep.svg"),
+    )
+    tracer = tracing.Tracer()
+    tracer.install(cvqkd_fading)
+    try:
+        _, n_errors = cvqkd_fading.cli.run_sweep(cfg)
+    finally:
+        tracer.uninstall()
+    skips = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skip ")]
+    plots = sorted(tmp_path.glob("sweep_*.svg"))
+    metrics = tracer.metrics()
+    assert n_errors == 0 and len(plots) == 2 and skips
+    assert metrics["cli.write_csv.bytes"] == (tmp_path / "sweep.csv").stat().st_size
+    assert metrics["svgplot.write_line_plot.bytes"] == sum(p.stat().st_size for p in plots)
+    assert metrics["cli.skipped_rows"] == len(skips)
