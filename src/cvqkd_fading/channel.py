@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .numerics import g_entropy, g_entropy_array, log1p_each, log2_each
+from .numerics import g_entropy, g_entropy_array, log2
 
 # slack for >= 1 physicality bounds: a square root near a pure state can
 # round a symplectic eigenvalue an ulp below 1
@@ -187,15 +187,15 @@ def joint_covariance(p: ChannelParams) -> TwoModeCovariance:
     )
 
 
-def mutual_information_form(v, chi, log2):
+def mutual_information_form(v, chi):
     """Homodyne mutual information (1/2) log2((V + chi) / (1 + chi)), bits,
-    for float or ndarray arguments (see ``numerics`` on ``log2``)."""
+    for float or ndarray arguments."""
     return 0.5 * log2((v + chi) / (1.0 + chi))
 
 
 def mutual_information_fixed(p: ChannelParams) -> float:
     """Homodyne mutual information (1/2) log2((V + chi) / (1 + chi)), bits."""
-    return mutual_information_form(p.v, p.chi, math.log2)
+    return mutual_information_form(p.v, p.chi)
 
 
 def spectrum_closed_form(v, t, eps, sqrt):
@@ -260,28 +260,21 @@ def holevo_fixed(p: ChannelParams) -> float:
     return holevo_from_eigenvalues(*spectrum_closed_form(p.v, p.t, p.eps, math.sqrt))
 
 
-def _spectrum_holevo(v, t, eps, log1p):
-    """The Holevo bound at every element, and whether each element passes
-    the scalar path's checks: T in (0, 1], eigenvalues finite and
-    >= 1 - PHYSICALITY_SLACK.  Beyond V ~ 1e154 the squares overflow and the
-    spectrum is inf or NaN, which the checks reject, as the scalar path
-    does; numpy's warnings are silenced on the way."""
+def holevo_rows(v, t, eps) -> tuple[np.ndarray, np.ndarray]:
+    """``holevo_fixed`` at every element of broadcast (V, T, eps) arrays,
+    equal to the scalar values bit for bit, and the mask of the elements that
+    pass every check of the scalar path: T in (0, 1], eigenvalues finite and
+    >= 1 - PHYSICALITY_SLACK, Holevo >= -PHYSICALITY_SLACK.  Beyond
+    V ~ 1e154 the squares overflow and the spectrum is inf or NaN, which the
+    checks reject, as the scalar path does; numpy's warnings are silenced on
+    the way.  Masked-out elements hold meaningless values."""
     with np.errstate(all="ignore"):
         lams = np.array(spectrum_closed_form(v, t, eps, np.sqrt))
-        g = g_entropy_array(np.maximum((lams - 1.0) / 2.0, 0.0), log1p)
+        g = g_entropy_array(np.maximum((lams - 1.0) / 2.0, 0.0))
+    holevo = g[0] + g[1] - g[2]
     physical = (lams >= 1.0 - PHYSICALITY_SLACK) & (lams < math.inf)
-    ok = (t > 0.0) & (t <= 1.0) & physical.all(axis=0)
-    return g[0] + g[1] - g[2], ok
-
-
-def holevo_rows(v: np.ndarray, t: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``holevo_fixed`` at every (V, T, eps) of equal-length arrays, equal to
-    the scalar values bit for bit (C-library logarithms), and the mask of the
-    rows that pass every check of the scalar path: those of
-    ``_spectrum_holevo`` and Holevo >= -PHYSICALITY_SLACK.  Masked-out rows
-    hold meaningless values."""
-    holevo, ok = _spectrum_holevo(v, t, eps, log1p_each)
-    return holevo, ok & (holevo >= -PHYSICALITY_SLACK)
+    ok = (t > 0.0) & (t <= 1.0) & physical.all(axis=0) & (holevo >= -PHYSICALITY_SLACK)
+    return holevo, ok
 
 
 def skr_fixed(p: ChannelParams) -> SkrBreakdown:
@@ -293,6 +286,6 @@ def skr_fixed_rows(v: np.ndarray, t: np.ndarray, eps: np.ndarray):
     """``skr_fixed`` at every row of equal-length arrays, (T, eps) already
     validated (``derive_chi``): (mutual_info, holevo, ok) with ok as in
     ``holevo_rows``."""
-    mi = mutual_information_form(v, 1.0 / t - 1.0 + eps, log2_each)
+    mi = mutual_information_form(v, 1.0 / t - 1.0 + eps)
     holevo, ok = holevo_rows(v, t, eps)
     return mi, holevo, ok & np.isfinite(mi)

@@ -35,7 +35,7 @@ from .channel import (
 )
 from .errors import DomainError
 from .fading import FadingUniform, TransmittanceMoments, moments_uniform
-from .numerics import LOG2_E, log1p_each, log2_each, maximize_scalar
+from .numerics import LOG2_E, log1p, log2, maximize_scalar
 
 # how closely ``optimal_variance`` locates the optimum on the V axis
 V_TOL = 1e-3
@@ -120,7 +120,7 @@ def avg_covariance(m: TransmittanceMoments, v: float, eps: float) -> TwoModeCova
     )
 
 
-def _avg_mi_passive(v_a, lo, hi, dt, log2):
+def _avg_mi_passive(v_a, lo, hi, dt):
     return (
         hi * log2(1.0 + hi * v_a)
         - lo * log2(1.0 + lo * v_a)
@@ -129,7 +129,7 @@ def _avg_mi_passive(v_a, lo, hi, dt, log2):
     ) / (2.0 * dt)
 
 
-def _avg_mi_noisy(v_a, eps, lo, hi, dt, log1p, log2):
+def _avg_mi_noisy(v_a, eps, lo, hi, dt):
     slope = eps + v_a
     return (
         (log1p(eps * lo) - log1p(eps * hi)) / eps * LOG2_E
@@ -157,8 +157,8 @@ def avg_mutual_information(v: float, eps: float, f: FadingUniform) -> float:
     if f.delta_t == 0.0:
         return mutual_information_fixed(ChannelParams(v, f.t_min, eps))
     if eps * f.t_max < NOISELESS:
-        return _avg_mi_passive(v_a, f.t_min, f.t_max, f.delta_t, math.log2)
-    return _avg_mi_noisy(v_a, eps, f.t_min, f.t_max, f.delta_t, math.log1p, math.log2)
+        return _avg_mi_passive(v_a, f.t_min, f.t_max, f.delta_t)
+    return _avg_mi_noisy(v_a, eps, f.t_min, f.t_max, f.delta_t)
 
 
 def holevo_cma(v: float, eps: float, f: FadingUniform) -> float:
@@ -193,13 +193,9 @@ def skr_cma_rows(v, eps, t_min, t_max, delta_t, t_eff, ratio, chi_point):
     point = live & (delta_t == 0.0)
     passive = live & (delta_t != 0.0) & (eps * t_max < NOISELESS)
     noisy = live & (delta_t != 0.0) & (eps * t_max >= NOISELESS)
-    mi[point] = mutual_information_form(v[point], chi_point[point], log2_each)
-    mi[passive] = _avg_mi_passive(
-        v_a[passive], t_min[passive], t_max[passive], delta_t[passive], log2_each
-    )
-    mi[noisy] = _avg_mi_noisy(
-        v_a[noisy], eps[noisy], t_min[noisy], t_max[noisy], delta_t[noisy], log1p_each, log2_each
-    )
+    mi[point] = mutual_information_form(v[point], chi_point[point])
+    mi[passive] = _avg_mi_passive(v_a[passive], t_min[passive], t_max[passive], delta_t[passive])
+    mi[noisy] = _avg_mi_noisy(v_a[noisy], eps[noisy], t_min[noisy], t_max[noisy], delta_t[noisy])
     eps_eff = effective_excess_noise(ratio, eps, v)
     holevo, ok = holevo_rows(v, t_eff, eps_eff)
     return mi, holevo, ok & (eps_eff >= 0.0) & np.isfinite(mi)

@@ -45,7 +45,6 @@ from .channel import (
     ChannelParams,
     SkrBreakdown,
     SymplecticSpectrum,
-    _spectrum_holevo,
     derive_omega,
     holevo_fixed,
     holevo_rows,
@@ -55,12 +54,17 @@ from .channel import (
 )
 from .errors import DomainError
 from .fading import FadingUniform
-from .numerics import ABS_TOL, LOG2_E, REL_TOL, dilog, g_entropy, integrate, log2_each
+from .numerics import ABS_TOL, LOG2_E, REL_TOL, dilog, g_entropy, integrate, log2
 
 _GL_LOW, _GL_HIGH = 32, 64  # node counts of the nested Gauss-Legendre pair
 # rows per node matrix of ``skr_hba_exact_rows``: 6,144 nodes, so the
 # temporaries of a chunk stay small next to the process
 _CHUNK_ROWS = 64
+# below this eps ``htilde`` is its eps -> 0 limit, 0: with 1 - T >= 2^-53,
+# (omega - 1)/2 = T eps / (2 (1 - T)) < 5e-285 and g of it < 1e-280 bits, far
+# below the rounding of the rest of the bound, while the closed form loses
+# every digit to its 1/eps cancellation and then underflows or overflows
+EPS_NEGLIGIBLE = 1e-300
 
 
 @cache
@@ -87,11 +91,10 @@ def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
 
 
 def _node_holevo(v, eps, t):
-    """``holevo_fixed`` at every node of t with numpy's logarithms, and
-    whether all nodes of a row (the last axis of t) pass the scalar path's
-    checks (``channel._spectrum_holevo``).  v and eps are floats, or columns
-    of rows."""
-    holevo, ok = _spectrum_holevo(v, t, eps, np.log1p)
+    """``holevo_fixed`` at every node of t, and whether all nodes of a row
+    (the last axis of t) pass the scalar path's checks (``holevo_rows``).
+    v and eps are floats, or columns of rows."""
+    holevo, ok = holevo_rows(v, t, eps)
     return holevo, ok.all(axis=-1)
 
 
@@ -158,7 +161,7 @@ def skr_hba_exact_rows(v, eps, t_min, t_max):
             total = _gauss_legendre(float(half[row]), nodes[i])
             if total is not None:
                 holevo[row] = total / (2.0 * float(half[row]))
-    mi = mutual_information_form(v, 1.0 / t_min - 1.0 + eps, log2_each)
+    mi = mutual_information_form(v, 1.0 / t_min - 1.0 + eps)
     return mi, holevo, (holevo >= -PHYSICALITY_SLACK) & np.isfinite(holevo) & np.isfinite(mi)
 
 
@@ -167,14 +170,14 @@ def _mi_asymptotic_t_part(t: float, eps: float) -> float:
     return 0.5 * math.log2(t / (t + (1.0 - t) * omega))
 
 
-def _mi_asymptotic(t_part, v, log2):
+def _mi_asymptotic(t_part, v):
     return t_part + 0.5 * log2(v)
 
 
 def mutual_information_asymptotic(t: float, eps: float, v: float) -> float:
     """Large-V mutual information (1/2) log2(T / (T + (1-T) omega)) + (1/2) log2 V."""
     require_variance(v)
-    return _mi_asymptotic(_mi_asymptotic_t_part(t, eps), v, math.log2)
+    return _mi_asymptotic(_mi_asymptotic_t_part(t, eps), v)
 
 
 def asymptotic_eigenvalues(t: float, eps: float, v: float) -> SymplecticSpectrum:
@@ -227,17 +230,20 @@ def htilde(eps: float, f: FadingUniform) -> float:
 
     Explicit eps > 0 is required: the expression contains 1/eps and
     dilogarithm arguments (eps-2)(1-T)/eps; the eps -> 0 limit is exactly 0
-    (passive eavesdropper) and must be substituted by the caller.
+    (passive eavesdropper) and must be substituted by the caller.  Below
+    ``EPS_NEGLIGIBLE`` the limit is returned.
     """
     _require_asymptotic_domain(eps, f)
     if eps == 0.0:
         raise DomainError(
             "htilde is singular at eps = 0; callers must substitute its limit, 0"
         )
+    if eps < EPS_NEGLIGIBLE:
+        return 0.0
     try:
         ends = _h_average_antiderivative(f.t_max, eps) - _h_average_antiderivative(f.t_min, eps)
-    except ValueError:  # below eps ~ 1e-308, eps * t * u underflows to 0 (log2 fails)
-        ends = math.nan  # or (eps - 2)(1 - T)/eps overflows (dilog's DomainError)
+    except ValueError:  # eps * t * u underflows to 0 at a tiny t_min (log2 fails)
+        ends = math.nan
     if not math.isfinite(ends):
         raise DomainError(f"htilde closed form is not finite at eps = {eps!r} (eps too small)")
     return ends / (2.0 * f.delta_t)
@@ -252,19 +258,19 @@ def _log_endpoint(t: float, eps: float) -> tuple[float, float, float, float]:
     return math.log2(u) / (1.0 - eps), tb * tb * t, u, math.log2(tb * tb)
 
 
-def _log_antiderivative(t, v, a, k, u, c, log2):
+def _log_antiderivative(t, v, a, k, u, c):
     """Antiderivative (up to the 1/(2 delta_t) weight) of
     log2(T (1-T) V / omega) along the transmittance, at T = t from the
     pieces of ``_log_endpoint``: a + t (log2(k V / u) - 2/ln 2) - c."""
     return a + t * (log2(k * v / u) - 2.0 * LOG2_E) - c
 
 
-def _log_average(v, t_min, t_max, delta_t, lo, hi, log2):
+def _log_average(v, t_min, t_max, delta_t, lo, hi):
     """Fading average of log2(T (1-T) V / omega) / 2, the logarithmic part of
     the averaged large-V Holevo bound, from the ``_log_endpoint`` pieces lo
     at t_min and hi at t_max; float or ndarray arguments."""
     return (
-        _log_antiderivative(t_max, v, *hi, log2) - _log_antiderivative(t_min, v, *lo, log2)
+        _log_antiderivative(t_max, v, *hi) - _log_antiderivative(t_min, v, *lo)
     ) / (2.0 * delta_t)
 
 
@@ -280,7 +286,7 @@ def avg_holevo_analytic(v: float, eps: float, f: FadingUniform) -> float:
     """
     t_min, t_max, delta_t, _, h_part, *endpoints = asymptotic_block(eps, f)
     require_variance(v)
-    return _log_average(v, t_min, t_max, delta_t, endpoints[:4], endpoints[4:], math.log2) + h_part
+    return _log_average(v, t_min, t_max, delta_t, endpoints[:4], endpoints[4:]) + h_part
 
 
 def holevo_asymptotic_regime_floor(eps: float, f: FadingUniform) -> float:
@@ -336,7 +342,7 @@ def skr_hba_asymptotic_rows(v, t_min, t_max, delta_t, mi_t_part, h_part, *endpoi
     (mutual_info, holevo, ok), equal to the scalar values bit for bit where
     ok; ok fails where the averaged Holevo bound is negative (the scalar
     DomainError) or a value is not finite."""
-    mi = _mi_asymptotic(mi_t_part, v, log2_each)
-    log_part = _log_average(v, t_min, t_max, delta_t, endpoints[:4], endpoints[4:], log2_each)
+    mi = _mi_asymptotic(mi_t_part, v)
+    log_part = _log_average(v, t_min, t_max, delta_t, endpoints[:4], endpoints[4:])
     holevo = log_part + h_part
     return mi, holevo, (holevo >= 0.0) & np.isfinite(holevo) & np.isfinite(mi)

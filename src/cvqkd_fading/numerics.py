@@ -7,14 +7,9 @@ the Gauss-Legendre average are validated against), and a bracketed scalar
 maximizer.  All entropic quantities are in base-2 logarithms, i.e. bits.
 
 The closed forms of the package are written once for float and ndarray
-arguments and take their logarithms as parameters.  The scalar API passes
-``math.log2``/``math.log1p``; the sweep's array path passes ``log2_each`` and
-``log1p_each``, the same C-library functions applied element by element,
-because numpy's own ``log2``/``log1p`` are not rounded like the C library on
-every argument (numpy 2.4 with its AVX-512 kernels on x86-64: 3 in 1e4 and
-2 in 100 of random arguments differ), while arithmetic and ``sqrt`` are
-correctly rounded in both.  So the array path reproduces the scalar values
-bit for bit.
+arguments and take their logarithms from ``log2`` and ``log1p`` here:
+numpy's, which round a float, a 0-d array and every element of an array
+alike.  So a point and a sweep row get the same bits from the same form.
 """
 
 from __future__ import annotations
@@ -45,7 +40,19 @@ REL_TOL = 1e-10
 MAX_DEPTH = 60
 
 
-def _g_form(x, inv_x, log1p):
+def log2(x):
+    """numpy's log2: a float for a float, an array for an array."""
+    y = np.log2(x)
+    return y if isinstance(y, np.ndarray) else float(y)
+
+
+def log1p(x):
+    """numpy's log1p: a float for a float, an array for an array."""
+    y = np.log1p(x)
+    return y if isinstance(y, np.ndarray) else float(y)
+
+
+def _g_form(x, inv_x):
     return (log1p(x) + x * log1p(inv_x)) / LN2
 
 
@@ -59,28 +66,13 @@ def g_entropy(x: float) -> float:
     """
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"g_entropy requires finite x >= 0, got {x!r}")
-    return _g_form(x, 1.0 / max(x, _TINY), math.log1p)
+    return _g_form(x, 1.0 / max(x, _TINY))
 
 
-def g_entropy_array(x: np.ndarray, log1p=np.log1p) -> np.ndarray:
-    """``g_entropy`` at every element of x; the caller guarantees finite
-    x >= 0.  With ``log1p_each`` the values equal the scalar ones bit for
-    bit."""
-    return _g_form(x, 1.0 / np.maximum(x, _TINY), log1p)
-
-
-def _elementwise(fn):
-    def apply(a: np.ndarray) -> np.ndarray:
-        # iterating a memoryview hands fn Python floats without building a list
-        return np.fromiter(map(fn, memoryview(a.ravel())), float, a.size).reshape(a.shape)
-
-    return apply
-
-
-# C-library logarithms element by element; arguments must be in the function's
-# domain (NaN and inf pass through)
-log2_each = _elementwise(math.log2)
-log1p_each = _elementwise(math.log1p)
+def g_entropy_array(x: np.ndarray) -> np.ndarray:
+    """``g_entropy`` at every element of x, equal to the scalar values bit
+    for bit; the caller guarantees finite x >= 0."""
+    return _g_form(x, 1.0 / np.maximum(x, _TINY))
 
 
 def _dilog_series(z: float) -> float:

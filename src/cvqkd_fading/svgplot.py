@@ -84,9 +84,8 @@ def write_line_plot(
 ) -> None:
     """Render the series, each (label, xs, ys) with its points in any order,
     to an SVG file at path.  All pixel coordinates are computed as arrays by
-    the scalar ``px``/``py`` operations in their order, on a log axis from
-    ``math.log10`` of each value (numpy's rounds differently on some), so
-    each has the scalar bits; each distinct x pixel is formatted once."""
+    the scalar ``px``/``py`` operations in their order, so each has the
+    scalar bits; each distinct x pixel is formatted once."""
     if not series:
         raise DomainError("cannot plot an empty series list")
 
@@ -114,7 +113,7 @@ def write_line_plot(
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
-    axis = math.log10 if log_y else float
+    axis = np.log10 if log_y else float
     y_0, y_1 = axis(y_lo), axis(y_hi)
 
     def px(x):
@@ -177,7 +176,7 @@ def write_line_plot(
     starts = np.flatnonzero((np.diff(kept, prepend=-2) != 1) | (np.diff(owner, prepend=-1) != 0))
     y_shown = ys[kept]
     if log_y:
-        y_shown = np.fromiter(map(math.log10, y_shown.tolist()), float, kept.size)
+        y_shown = np.log10(y_shown)
     x_pixels, x_index = np.unique(px(xs[kept]), return_inverse=True)
     x_cells = [f"{x:.2f}" for x in x_pixels.tolist()]
     cells: list = [None] * (2 * kept.size)

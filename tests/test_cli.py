@@ -101,15 +101,22 @@ class TestPointCommand:
         assert code == 1
         assert "V >= 1" in err
 
-    def test_subnormal_eps_exits_one(self, capsys):
-        # htilde's closed form underflows; it was a bare ValueError traceback
-        code, out, err = run_main(
-            ["point", "--approach", "hba_asymptotic", "--v", "1e4", "--eps", "5e-324",
-             "--t-min", "0.25", "--delta-t", "0.001"],
-            capsys,
-        )
-        assert (code, out) == (1, "")
-        assert err == "error: htilde closed form is not finite at eps = 5e-324 (eps too small)\n"
+    @pytest.mark.parametrize("eps", ["5e-324", "1e-310", "1e-308", "1e-307"])
+    def test_tiny_eps_gives_the_eps_zero_row(self, capsys, eps):
+        # below hba.EPS_NEGLIGIBLE htilde takes its eps -> 0 limit; its closed
+        # form exited 1 here ("not finite") or was 5.7e-11 bits off (1e-307)
+        def values(eps):
+            code, out, err = run_main(
+                ["point", "--approach", "hba_asymptotic", "--v", "1e4", "--eps", eps,
+                 "--t-min", "0.25", "--delta-t", "0.001"],
+                capsys,
+            )
+            assert (code, err) == (0, "")
+            (row,) = csv.DictReader(out.splitlines())
+            assert row["error"] == ""
+            return [row[k] for k in ("mutual_info_bits", "holevo_bits", "rate_bits")]
+
+        assert values(eps) == values("0")
 
     def test_bad_flag_exits_one(self, capsys):
         code, _, _ = run_main(["point", "--approach", "nope", "--v", "1", "--eps", "0",

@@ -7,8 +7,11 @@ import pytest
 import scipy.special
 
 from cvqkd_fading import numerics
-from cvqkd_fading.channel import ChannelParams, holevo_fixed
+from cvqkd_fading.channel import ChannelParams, holevo_fixed, skr_fixed
+from cvqkd_fading.cma import avg_mutual_information, skr_cma
 from cvqkd_fading.errors import DomainError, NumericalError, QuadratureError
+from cvqkd_fading.fading import FadingUniform
+from cvqkd_fading.hba import avg_holevo_analytic, skr_hba_asymptotic, skr_hba_exact
 from cvqkd_fading.numerics import (
     MAX_EVALS,
     dilog,
@@ -19,6 +22,60 @@ from cvqkd_fading.numerics import (
 )
 
 PI2_6 = math.pi**2 / 6.0
+
+
+def _log_arguments(lo):
+    """Random, subnormal and huge arguments above lo."""
+    rng = np.random.default_rng(13)
+    x = np.concatenate((
+        rng.uniform(lo, 4.0, 6000),
+        10.0 ** rng.uniform(-307.0, 308.0, 6000),
+        rng.uniform(0.0, 2.0**-1022, 2000),
+        [5e-324, 2.0**-1022, 1e-300, 1.0, 2.0, 1e300, 1.7976931348623157e308],
+    ))
+    return x[x > 0.0]
+
+
+class TestLogarithms:
+    """``numerics.log2`` and ``log1p`` must round a float, a 0-d array and
+    each element of any array alike: a sweep row and a point take their bits
+    from the same closed form through them, compared with ==."""
+
+    @pytest.mark.parametrize("name, lo", [("log2", 0.0), ("log1p", -1.0)])
+    def test_same_bits_in_every_layout(self, name, lo):
+        fn = getattr(numerics, name)
+        x = _log_arguments(lo)
+        floats = [fn(xi) for xi in x.tolist()]
+        assert {type(y) for y in floats} == {float}
+        zero_d = [fn(np.array(xi)) for xi in x.tolist()]
+        assert {type(y) for y in zero_d} == {float}
+        want = np.array(floats)
+        layouts = {
+            "0-d array": np.array(zero_d),
+            "1-element array": np.array([fn(x[i : i + 1])[0] for i in range(x.size)]),
+            "contiguous array": fn(x),
+            "strided slice": fn(np.repeat(x, 3)[1::3]),
+        }
+        for layout, got in layouts.items():
+            differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+            assert differ.size == 0, (
+                f"numpy's {name} rounds a {layout} differently from a float at "
+                f"{x[differ[:5]].tolist()}: sweep rows would not equal points"
+            )
+
+    def test_no_numpy_scalar_reaches_the_results(self):
+        # error text formats values with !r, which numpy 2 writes np.float64(...)
+        values = [g_entropy(2.5), g_entropy(0.0)]
+        for eps in (0.0, 0.01):
+            for f in (FadingUniform(0.3), FadingUniform(0.3, 0.2)):
+                values.append(avg_mutual_information(10.0, eps, f))
+                for out in (skr_fixed(ChannelParams(10.0, f.t_max, eps)),
+                            skr_cma(10.0, eps, f), skr_hba_exact(10.0, eps, f)):
+                    values += [out.mutual_info, out.holevo, out.rate]
+            f = FadingUniform(0.3, 0.2)
+            out = skr_hba_asymptotic(1e4, eps, f)
+            values += [out.mutual_info, out.holevo, out.rate, avg_holevo_analytic(1e4, eps, f)]
+        assert [type(x) for x in values] == [float] * len(values)
 
 
 class TestGEntropy:

@@ -142,7 +142,7 @@ def sweep_configs(draw):
             st.floats(0.0, 6.0).map(lambda x: 10.0**x) | st.sampled_from([1.0000001, 1.0000002]),
             max_size=6,
         ))),
-        # 5e-324 makes hba_asymptotic error rows (htilde's closed form fails)
+        # 5e-324 is below hba.EPS_NEGLIGIBLE: htilde takes its eps -> 0 limit
         eps_list=(0.0, *draw(st.lists(st.floats(0.0, 0.1) | st.sampled_from([-0.0, 5e-324]),
                                       max_size=2))),
         t_min_values=tuple(t_min_values + draw(st.lists(st.sampled_from(t_min_values),
@@ -181,14 +181,16 @@ def test_sweep_rows_equal_run_point(cfg):
         )
         got, got_exc = outcome(cli.run_sweep, cfg)
         want, want_exc = outcome(reference_rows, cfg)
-        # no exception escapes either: a subnormal eps, where htilde's closed form
-        # breaks down, is a DomainError row in both; should one escape, the sweep
-        # must fail the same way the row-by-row loop does
+        # no exception escapes either: a row that fails is an error row in both;
+        # should one escape, the sweep must fail the same way the row-by-row
+        # loop does
         assert got_exc == want_exc
         if want_exc is None:
             rows, n_errors = got
             assert_rows_equal(rows, want)
             assert n_errors == sum(1 for row in want if row.error)
+            # error text formats values with !r, which numpy 2 writes np.float64(...)
+            assert not any("np.float64(" in row.error for row in rows)
             (want_dir / "sweep.csv").write_text(reference_csv(want), encoding="utf-8")
             reference_svgs(cfg, want, want_dir)
             assert_outputs_equal(got_dir, want_dir)
@@ -350,8 +352,9 @@ def test_hba_exact_overflowing_row_is_an_error_without_warnings():
 
 
 def test_hba_exact_rows_mutual_info_has_the_scalar_bits():
-    # numpy's log2 rounds differently from the C library's on about 1 in
-    # 2,000 of these ratios (5 of these rows); the kernel must not use it
+    # the C library's log2 rounds about 1 in 2,000 of these ratios (5 of these
+    # rows) differently from numpy's: the kernel and the point must both take
+    # ``numerics.log2``
     rng = np.random.default_rng(3)
     n = 8_000
     v = 10.0 ** rng.uniform(0.0, 6.0, n)
@@ -364,14 +367,13 @@ def test_hba_exact_rows_mutual_info_has_the_scalar_bits():
     assert mi.tolist() == want
 
 
-@pytest.mark.parametrize("eps", [5e-324, 1e-310, 1e-308])
-def test_tiny_eps_is_a_domain_error_row(eps):
-    # htilde's closed form breaks down: eps * t * u underflows (a bare
-    # ValueError before), a dilog argument overflows, or the value is NaN
-    # (reported as "rate must equal mutual_info - holevo" before)
-    cfg = cli.SweepConfig(("hba_asymptotic",), (1e4,), (eps,), (0.25,), (0.001,))
+@pytest.mark.parametrize("eps", [5e-324, 1e-310, 1e-308, 1e-307])
+def test_tiny_eps_rows_equal_the_eps_zero_row(eps):
+    # below hba.EPS_NEGLIGIBLE htilde takes its eps -> 0 limit; its closed form
+    # made these DomainError rows, or was 5.7e-11 bits off (1e-307)
+    cfg = cli.SweepConfig(("hba_asymptotic",), (1e4,), (0.0, eps), (0.25,), (0.001,))
     rows, n_errors = cli.run_sweep(cfg)
-    assert n_errors == 1
-    assert rows[0].error == (
-        f"DomainError: htilde closed form is not finite at eps = {eps!r} (eps too small)"
-    )
+    zero, tiny = rows
+    assert n_errors == 0 and (zero.eps, tiny.eps) == (0.0, eps)
+    assert (zero.error, tiny.error) == ("", "")
+    assert (tiny.mutual_info, tiny.holevo, tiny.rate) == (zero.mutual_info, zero.holevo, zero.rate)
