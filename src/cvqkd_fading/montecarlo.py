@@ -8,13 +8,19 @@ moments are simulated; no per-shot quadrature outcomes.
 
 Randomness is pinned to the Philox 4x64 counter-based generator (as wrapped
 by ``numpy.random.Philox``, 10 rounds) keyed with the configured seed, so
-identical configurations reproduce bit-identical streams on any platform and
-parallel splits can be derived as counter substreams of the same key.
+identical configurations reproduce bit-identical streams on any platform.
+The sample buffer is split in two halves that are drawn and summed at once,
+the second on a worker thread (numpy releases the GIL while it fills or
+sweeps an array).  The second half's generator is the same key with its
+counter advanced to the split point, and the split is the top split of
+numpy's pairwise sum, so every draw and every moment has the bits of the
+serial stream and the serial sums.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +45,57 @@ class SampleConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
-def _generator(cfg: SampleConfig) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=cfg.seed))
+# numpy's pairwise sum adds up to this many values in one unrolled block
+PAIRWISE_BLOCK = 128
+
+
+def _halves(n: int) -> int:
+    """Where numpy's pairwise sum of n values makes its top split: the sum
+    of both halves' sums is then the sum of all n, bit for bit.  The split
+    is a multiple of 8, so also of Philox's 4-draw counter block.  At n <=
+    PAIRWISE_BLOCK there is no split and the first half is everything."""
+    if n <= PAIRWISE_BLOCK:
+        return n
+    h = n // 2
+    return h - h % 8
+
+
+def _on_halves(fn, t: np.ndarray) -> list:
+    """[fn(0, t[:h]), fn(h, t[h:])] with the second call on a worker thread
+    while the caller makes the first; [fn(0, t)] when there is no split.
+    The worker is joined before this returns or raises, and its exception
+    is raised here."""
+    h = _halves(t.size)
+    if h == t.size:
+        return [fn(0, t)]
+    results: list = [None, None]
+    errors: list[BaseException] = []
+
+    def second() -> None:
+        try:
+            results[1] = fn(h, t[h:])
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+
+    worker = threading.Thread(target=second, name="montecarlo-half")
+    worker.start()
+    try:
+        results[0] = fn(0, t[:h])
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _fill(f: FadingUniform, seed: int, start: int, out: np.ndarray) -> None:
+    """Draws start, start + 1, ... of the seed's Philox stream into out, as
+    transmittances; start is a multiple of Philox's 4-draw block."""
+    bits = np.random.Philox(key=seed)
+    bits.advance(start // 4)
+    np.random.Generator(bits).random(out=out)
+    out *= f.delta_t
+    out += f.t_min
 
 
 def sample_transmittance(f: FadingUniform, cfg: SampleConfig) -> np.ndarray:
@@ -48,11 +103,18 @@ def sample_transmittance(f: FadingUniform, cfg: SampleConfig) -> np.ndarray:
 
     The generator's draw buffer is scaled and shifted in place: each draw
     is t_min + delta_t * u, rounded as the out-of-place expression rounds it.
+    The two halves are drawn at once; the bytes are those of one serial
+    stream.
     """
-    t = _generator(cfg).random(cfg.n_samples)
-    t *= f.delta_t
-    t += f.t_min
+    t = np.empty(cfg.n_samples)
+    _on_halves(lambda start, half: _fill(f, cfg.seed, start, half), t)
     return t
+
+
+def _sum_then_sqrt(_start: int, half: np.ndarray) -> tuple[float, float]:
+    """(sum of T, sum of sqrt(T)) over half, leaving sqrt(T) in it."""
+    sum_t = float(np.add.reduce(half))
+    return sum_t, float(np.add.reduce(np.sqrt(half, out=half)))
 
 
 def empirical_moments(f: FadingUniform, cfg: SampleConfig) -> TransmittanceMoments:
@@ -63,16 +125,22 @@ def empirical_moments(f: FadingUniform, cfg: SampleConfig) -> TransmittanceMomen
     degenerate distribution returns the closed-form moments, exact for any
     sample count.  The draws are overwritten in turn by sqrt(T), its
     deviations from the mean and their squares, so one sample buffer holds
-    every stage; each mean is numpy's pairwise sum over the same values.
+    every stage.  Each pass runs over both halves at once, and each mean is
+    the two halves' sums added and divided by n: the bits of ``t.mean()``.
     """
     if f.delta_t == 0.0:
         return moments_uniform(f)
     t = sample_transmittance(f, cfg)
-    mean_t = float(t.mean())
-    np.sqrt(t, out=t)
-    mean_sqrt = float(t.mean())
-    t -= mean_sqrt
-    var = float(np.square(t, out=t).mean())
+    n = t.size
+    sums = _on_halves(_sum_then_sqrt, t)
+    mean_t = sum(s for s, _ in sums) / n
+    mean_sqrt = sum(s for _, s in sums) / n
+
+    def centered_square_sum(_start: int, half: np.ndarray) -> float:
+        half -= mean_sqrt
+        return float(np.add.reduce(np.square(half, out=half)))
+
+    var = sum(_on_halves(centered_square_sum, t)) / n
     return TransmittanceMoments(mean_sqrt, mean_t, var)
 
 
@@ -84,29 +152,45 @@ def empirical_avg_covariance(
     return avg_covariance(empirical_moments(f, cfg), v, eps)
 
 
+# 3-point Gauss-Legendre rule on [0, 1] (nodes, weights): exact up to degree 5
+_GAUSS3 = (
+    (0.5 - math.sqrt(15.0) / 10.0, 5.0 / 18.0),
+    (0.5, 4.0 / 9.0),
+    (0.5 + math.sqrt(15.0) / 10.0, 5.0 / 18.0),
+)
+
+
 def moment_standard_errors(f: FadingUniform, n_samples: int) -> tuple[float, float, float]:
     """Asymptotic standard errors of the three empirical moment estimators.
 
     Computed from exact uniform-law moments: Var(sqrt T)/n for the sqrt mean,
-    Var(T)/n for the mean, and the delta-method variance of
-    mean(T) - mean(sqrt T)^2 for the variance estimator.  All zero when
-    delta_t = 0.
+    Var(T)/n = delta_t^2/(12 n) for the mean, and the delta-method variance
+    of mean(T) - mean(sqrt T)^2 for the variance estimator.  That variance
+    is Var(T - 2 <sqrt T> sqrt T) = mu4 - sigma^4 of sqrt T, formed without
+    cancelling differences: with a = sqrt(t_max), b = sqrt(t_min), sqrt T =
+    b + w x for x in [0, 1] with w = delta_t/(a + b) and density
+    2 (b + w x)/(a + b), whose mean is c = (2a + b)/(3 (a + b)), so
+    mu_k = w^k I_k with I_k the density-weighted mean of (x - c)^k, a
+    polynomial of degree <= 5 that ``_GAUSS3`` integrates exactly.  All zero
+    when delta_t = 0.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
     if f.delta_t == 0.0:
         return 0.0, 0.0, 0.0
-    m = moments_uniform(f)
-    lo, hi, dt = f.t_min, f.t_max, f.delta_t
-    mean_t32 = 2.0 / (5.0 * dt) * (hi**2.5 - lo**2.5)
-    mean_t2 = (hi**3 - lo**3) / (3.0 * dt)
-    var_t = mean_t2 - m.mean_t**2
-    cov_t_sqrt = mean_t32 - m.mean_t * m.mean_sqrt_t
-    # delta method for v = mean(T) - mean(sqrt T)^2: gradient (1, -2 <sqrt T>)
-    var_v = var_t + 4.0 * m.mean_sqrt_t**2 * m.var_sqrt_t - 4.0 * m.mean_sqrt_t * cov_t_sqrt
+    a, b = math.sqrt(f.t_max), math.sqrt(f.t_min)
+    w = f.delta_t / (a + b)
+    c = (2.0 * a + b) / (3.0 * (a + b))
+    i2 = i4 = 0.0
+    for x, weight in _GAUSS3:
+        p = weight * 2.0 * (b + w * x) / (a + b)
+        d2 = (x - c) * (x - c)
+        i2 += p * d2
+        i4 += p * d2 * d2
+    var_v = w**4 * (i4 - i2 * i2)
     root_n = math.sqrt(n_samples)
     return (
-        math.sqrt(m.var_sqrt_t) / root_n,
-        math.sqrt(var_t) / root_n,
-        math.sqrt(max(var_v, 0.0)) / root_n,
+        math.sqrt(moments_uniform(f).var_sqrt_t) / root_n,
+        f.delta_t / math.sqrt(12.0) / root_n,
+        math.sqrt(var_v) / root_n,
     )

@@ -9,7 +9,8 @@ The fading-averaged key rates of the worst-case-rate model are checked
 against mpmath oracles at ``ORACLE_DPS`` digits.  They use the textbook
 spectrum and ``mpmath.quad`` over the transmittance, never the library's
 cancellation-free rewrites or its dilogarithm closed form, and import nothing
-from ``cvqkd_fading``.  mpmath is imported on first use, so the rest of the
+from ``cvqkd_fading``.  So are the Monte-Carlo standard errors, against
+moments of the uniform law taken by quadrature.  mpmath is imported on first use, so the rest of the
 suite runs without it; tests that call these oracles get it through
 ``pytest.importorskip("mpmath")``.
 """
@@ -181,3 +182,25 @@ def hba_asymptotic_rate_oracle(v: float, eps: float, t_min: float, delta_t: floa
             lambda t: _holevo_large_v_oracle(v, t, eps), t_min, delta_t
         )
         return float(mutual_info - holevo)
+
+
+def moment_standard_deviations_oracle(t_min: float, delta_t: float) -> list[float]:
+    """Per-draw standard deviations of the three moment estimators of T
+    uniform on [t_min, t_min + delta_t]: sd(sqrt T), sd(T) and
+    sqrt(mu4 - sigma^4) of sqrt T, the delta-method sd of
+    mean(T) - mean(sqrt T)^2.  Every moment is a tanh-sinh quadrature over
+    the law at twice ``ORACLE_DPS``, the central ones about the quadrature
+    means, so no closed form and no cancelling raw-moment difference enter."""
+    import mpmath
+
+    with mpmath.workdps(2 * ORACLE_DPS):
+        lo, width = mpmath.mpf(t_min), mpmath.mpf(delta_t)
+
+        def mean(g):
+            return mpmath.quad(g, [lo, lo + width]) / width
+
+        mean_t, mean_sqrt = mean(lambda t: t), mean(mpmath.sqrt)
+        var_t = mean(lambda t: (t - mean_t) ** 2)
+        mu2 = mean(lambda t: (mpmath.sqrt(t) - mean_sqrt) ** 2)
+        mu4 = mean(lambda t: (mpmath.sqrt(t) - mean_sqrt) ** 4)
+        return [float(mpmath.sqrt(x)) for x in (mu2, var_t, mu4 - mu2 * mu2)]

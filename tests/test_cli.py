@@ -516,6 +516,20 @@ class TestMcValidateCommand:
         assert code == 0, err
         assert len(out.strip().splitlines()) == 6
 
+    @pytest.mark.parametrize("delta_t", ["1e-7", "3e-6", "1e-12"])
+    def test_narrow_law_exits_zero(self, capsys, delta_t):
+        # the standard errors once came from cancelling raw-moment differences,
+        # and a negative variance made math.sqrt raise at delta_t <= 3.2e-6
+        code, out, err = run_main(
+            ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "0.5",
+             "--delta-t", delta_t, "--n", "1000"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        lines = out.strip().splitlines()
+        assert len(lines) == 6
+        assert all(line.endswith(",true") for line in lines[1:])
+
     def test_samples_once(self, monkeypatch):
         draws = []
         real = montecarlo.sample_transmittance

@@ -1,11 +1,15 @@
 """Sampling validation: determinism, convergence to closed forms, error scaling."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import moment_standard_deviations_oracle
+
+from cvqkd_fading import montecarlo
 from cvqkd_fading.cma import avg_covariance
 from cvqkd_fading.errors import DomainError
 from cvqkd_fading.fading import FadingUniform, TransmittanceMoments, moments_uniform
@@ -112,6 +116,14 @@ class TestInPlaceMoments:
             (0.5, 0.25, 1, 5),
             (0.5, 0.25, 2, 5),
             (1e-12, 1.0, 100_000, 42),
+            # around the first split of the buffer into halves (n > 128) and
+            # at sizes that are not a multiple of Philox's 4-draw block
+            (0.3, 0.4, 127, 1),
+            (0.3, 0.4, 128, 1),
+            (0.3, 0.4, 129, 1),
+            (0.3, 0.4, 136, 1),
+            (0.02, 0.6, 1001, 9),
+            (0.4, 0.2, 2_000_003, 2),
         ],
     )
     def test_equals_the_out_of_place_formula(self, t_min, delta_t, n, seed):
@@ -119,9 +131,12 @@ class TestInPlaceMoments:
         assert empirical_moments(f, cfg) == out_of_place_moments(f, cfg)
 
     def test_draws_equal_the_out_of_place_formula(self):
-        f, cfg = FadingUniform(1e-12, 1.0), SampleConfig(10_000, 42)
-        u = np.random.Generator(np.random.Philox(key=cfg.seed)).random(cfg.n_samples)
-        assert sample_transmittance(f, cfg).tobytes() == (f.t_min + f.delta_t * u).tobytes()
+        f = FadingUniform(1e-12, 1.0)
+        for n in (10_000, 127, 128, 129, 136, 1001, 2_000_003):
+            cfg = SampleConfig(n, 42)
+            u = np.random.Generator(np.random.Philox(key=cfg.seed)).random(cfg.n_samples)
+            expected = (f.t_min + f.delta_t * u).tobytes()
+            assert sample_transmittance(f, cfg).tobytes() == expected, n
 
     def test_peak_memory_is_one_sample_buffer(self):
         # 10^6 draws are 8 MB; a new array per stage peaked at 24 MB
@@ -133,6 +148,50 @@ class TestInPlaceMoments:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * 10**6
+
+
+class TestHalves:
+    """The two numpy rules that let both halves run at once with the serial bits."""
+
+    SIZES = [*range(1, 301), *(2**k + d for k in range(8, 21) for d in (-1, 1)), 10**6 + 1]
+
+    def test_split_is_numpys_top_pairwise_split(self):
+        rng = np.random.default_rng(5)
+        for n in self.SIZES:
+            a = rng.random(n)
+            h = montecarlo._halves(n)
+            assert 0 < h <= n and (h == n or h % 8 == 0)
+            split = np.add.reduce(a[:h]) + np.add.reduce(a[h:])
+            assert split == np.add.reduce(a), (
+                f"numpy's pairwise sum of {n} values no longer splits at {h}: "
+                "the two-half moments would lose the serial bits"
+            )
+
+    def test_advanced_philox_continues_the_serial_stream(self):
+        for n in (129, 136, 1001, 2**16 + 1, 10**6 + 1):
+            h = montecarlo._halves(n)
+            serial = np.random.Generator(np.random.Philox(key=3)).random(n)
+            bits = np.random.Philox(key=3)
+            bits.advance(h // 4)
+            tail = np.random.Generator(bits).random(n - h)
+            assert tail.tobytes() == serial[h:].tobytes(), (
+                f"Philox advanced by {h // 4} blocks does not continue the serial "
+                f"stream at draw {h}: the second half would draw other values"
+            )
+
+    def test_worker_failure_is_raised_in_the_caller(self, monkeypatch):
+        real = montecarlo._fill
+
+        def second_half_fails(f, seed, start, out):
+            if start > 0:
+                raise FloatingPointError("second half")
+            real(f, seed, start, out)
+
+        monkeypatch.setattr(montecarlo, "_fill", second_half_fails)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="second half"):
+            sample_transmittance(FadingUniform(0.3, 0.4), SampleConfig(10_000, 1))
+        assert threading.active_count() == threads
 
 
 class TestEmpiricalCovariance:
@@ -160,6 +219,22 @@ class TestEmpiricalCovariance:
         se_sqrt, se_t, _ = moment_standard_errors(f, cfg.n_samples)
         assert abs(cov.c - ref.c) < 5.0 * math.sqrt(100.0 - 1.0) * se_sqrt
         assert abs(cov.b - ref.b) < 5.0 * (9.0 + 0.03) * se_t
+
+
+class TestStandardErrors:
+    CASES = [
+        (t_min, delta_t)
+        for t_min in (1e-12, 0.02, 0.3, 0.5)
+        for delta_t in (1e-12, 1e-10, 1e-7, 3.2e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.4, 1.0 - t_min)
+        if t_min + delta_t <= 1.0
+    ]
+
+    @pytest.mark.parametrize("t_min, delta_t", CASES)
+    def test_match_the_quadrature_oracle(self, t_min, delta_t):
+        pytest.importorskip("mpmath")
+        got = moment_standard_errors(FadingUniform(t_min, delta_t), 1)
+        for value, ref in zip(got, moment_standard_deviations_oracle(t_min, delta_t)):
+            assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 class TestErrorScaling:
