@@ -153,11 +153,8 @@ def empirical_avg_covariance(
 
 
 # 3-point Gauss-Legendre rule on [0, 1] (nodes, weights): exact up to degree 5
-_GAUSS3 = (
-    (0.5 - math.sqrt(15.0) / 10.0, 5.0 / 18.0),
-    (0.5, 4.0 / 9.0),
-    (0.5 + math.sqrt(15.0) / 10.0, 5.0 / 18.0),
-)
+_ROOT15 = math.sqrt(15.0) / 10.0
+_GAUSS3 = ((0.5 - _ROOT15, 5.0 / 18.0), (0.5, 4.0 / 9.0), (0.5 + _ROOT15, 5.0 / 18.0))
 
 
 def moment_standard_errors(f: FadingUniform, n_samples: int) -> tuple[float, float, float]:
