@@ -10,9 +10,9 @@ against mpmath oracles at ``ORACLE_DPS`` digits.  They use the textbook
 spectrum and ``mpmath.quad`` over the transmittance, never the library's
 cancellation-free rewrites or its dilogarithm closed form, and import nothing
 from ``cvqkd_fading``.  So are the Monte-Carlo standard errors, against
-moments of the uniform law taken by quadrature.  mpmath is imported on first use, so the rest of the
-suite runs without it; tests that call these oracles get it through
-``pytest.importorskip("mpmath")``.
+moments of the uniform law taken by quadrature.  mpmath is imported on
+first use, so the rest of the suite runs without it; tests that call these
+oracles get it through ``pytest.importorskip("mpmath")``.
 """
 
 from __future__ import annotations

@@ -518,8 +518,8 @@ class TestMcValidateCommand:
 
     @pytest.mark.parametrize("delta_t", ["1e-7", "3e-6", "1e-12"])
     def test_narrow_law_exits_zero(self, capsys, delta_t):
-        # the standard errors once came from cancelling raw-moment differences,
-        # and a negative variance made math.sqrt raise at delta_t <= 3.2e-6
+        # the standard errors must not be formed as raw-moment differences:
+        # those cancel as delta_t -> 0 and go negative below about 3.2e-6
         code, out, err = run_main(
             ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "0.5",
              "--delta-t", delta_t, "--n", "1000"],
