@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -116,12 +117,17 @@ class TestInPlaceMoments:
             (0.5, 0.25, 1, 5),
             (0.5, 0.25, 2, 5),
             (1e-12, 1.0, 100_000, 42),
-            # around the first split of the buffer into halves (n > 128) and
-            # at sizes that are not a multiple of Philox's 4-draw block
+            # around numpy's first pairwise split (n > 128), around the first
+            # cut of the buffer into pieces (n >= 2048) and at sizes that are
+            # not a multiple of Philox's 4-draw block
             (0.3, 0.4, 127, 1),
             (0.3, 0.4, 128, 1),
             (0.3, 0.4, 129, 1),
             (0.3, 0.4, 136, 1),
+            (0.3, 0.4, 2047, 1),
+            (0.3, 0.4, 2048, 1),
+            (0.3, 0.4, 2049, 1),
+            (0.3, 0.4, 2056, 1),
             (0.02, 0.6, 1001, 9),
             (0.4, 0.2, 2_000_003, 2),
         ],
@@ -132,7 +138,7 @@ class TestInPlaceMoments:
 
     def test_draws_equal_the_out_of_place_formula(self):
         f = FadingUniform(1e-12, 1.0)
-        for n in (10_000, 127, 128, 129, 136, 1001, 2_000_003):
+        for n in (10_000, 127, 128, 129, 136, 1001, 2047, 2048, 2049, 2_000_003):
             cfg = SampleConfig(n, 42)
             u = np.random.Generator(np.random.Philox(key=cfg.seed)).random(cfg.n_samples)
             expected = (f.t_min + f.delta_t * u).tobytes()
@@ -150,48 +156,85 @@ class TestInPlaceMoments:
         assert peak <= 1.25 * 8 * 10**6
 
 
-class TestHalves:
-    """The two numpy rules that let both halves run at once with the serial bits."""
+class TestPieces:
+    """The numpy rules that let two threads draw and sum the pieces with the
+    serial bits, and the hand-over between the caller and the worker."""
 
-    SIZES = [*range(1, 301), *(2**k + d for k in range(8, 21) for d in (-1, 1)), 10**6 + 1]
+    SIZES = [
+        *range(1, 301),
+        *range(2040, 2064),
+        *(2**k + d for k in range(8, 21) for d in (-1, 1)),
+        10**6 + 1,
+    ]
 
-    def test_split_is_numpys_top_pairwise_split(self):
+    def test_cuts_follow_numpys_pairwise_tree(self):
         rng = np.random.default_rng(5)
         for n in self.SIZES:
             a = rng.random(n)
-            h = montecarlo._halves(n)
-            assert 0 < h <= n and (h == n or h % 8 == 0)
-            split = np.add.reduce(a[:h]) + np.add.reduce(a[h:])
-            assert split == np.add.reduce(a), (
-                f"numpy's pairwise sum of {n} values no longer splits at {h}: "
-                "the two-half moments would lose the serial bits"
+            bounds = montecarlo._bounds(n)
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert all(lo < hi and lo % 8 == 0 for lo, hi in zip(bounds, bounds[1:]))
+            sums = [np.add.reduce(a[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            assert montecarlo._tree_sum(sums) == np.add.reduce(a), (
+                f"numpy's pairwise sum of {n} values no longer splits at {bounds}: "
+                "the moments summed by pieces would lose the serial bits"
             )
 
     def test_advanced_philox_continues_the_serial_stream(self):
-        for n in (129, 136, 1001, 2**16 + 1, 10**6 + 1):
-            h = montecarlo._halves(n)
+        for n in (2048, 2057, 2**16 + 1, 10**6 + 1):
             serial = np.random.Generator(np.random.Philox(key=3)).random(n)
-            bits = np.random.Philox(key=3)
-            bits.advance(h // 4)
-            tail = np.random.Generator(bits).random(n - h)
-            assert tail.tobytes() == serial[h:].tobytes(), (
-                f"Philox advanced by {h // 4} blocks does not continue the serial "
-                f"stream at draw {h}: the second half would draw other values"
-            )
+            bounds = montecarlo._bounds(n)
+            for lo, hi in zip(bounds, bounds[1:]):
+                bits = np.random.Philox(key=3)
+                bits.advance(lo // 4)
+                piece = np.random.Generator(bits).random(hi - lo)
+                assert piece.tobytes() == serial[lo:hi].tobytes(), (
+                    f"Philox advanced by {lo // 4} blocks does not continue the serial "
+                    f"stream at draw {lo}: that piece would draw other values"
+                )
 
-    def test_worker_failure_is_raised_in_the_caller(self, monkeypatch):
-        real = montecarlo._fill
+    def test_worker_failure_is_raised_in_the_caller(self):
+        worker_ran = threading.Event()
 
-        def second_half_fails(f, seed, start, out):
-            if start > 0:
-                raise FloatingPointError("second half")
-            real(f, seed, start, out)
+        def fn(lo, piece):
+            if threading.current_thread() is threading.main_thread():
+                # hold the caller until the worker has taken a piece
+                assert worker_ran.wait(10.0)
+                return 0.0
+            worker_ran.set()
+            raise FloatingPointError("worker piece")
 
-        monkeypatch.setattr(montecarlo, "_fill", second_half_fails)
-        threads = threading.active_count()
-        with pytest.raises(FloatingPointError, match="second half"):
-            sample_transmittance(FadingUniform(0.3, 0.4), SampleConfig(10_000, 1))
-        assert threading.active_count() == threads
+        with pytest.raises(FloatingPointError, match="worker piece"):
+            montecarlo._on_pieces(fn, np.zeros(10**5))
+
+    def test_caller_does_not_wait_for_a_busy_worker(self):
+        f, cfg = FadingUniform(0.3, 0.4), SampleConfig(10**5, 8)
+        expected = empirical_moments(f, cfg)
+        release = threading.Event()
+        montecarlo._submit(release.wait)
+        try:
+            assert empirical_moments(f, cfg) == expected
+        finally:
+            release.set()
+
+    def test_a_job_the_worker_has_yet_to_start_frees_the_buffer(self):
+        # otherwise a late worker keeps one 8 MB buffer alive next to the next
+        release = threading.Event()
+        montecarlo._submit(release.wait)
+        try:
+            t = sample_transmittance(FadingUniform(0.3, 0.4), SampleConfig(10**5, 8))
+            buffer = weakref.ref(t)
+            del t
+            assert buffer() is None
+        finally:
+            release.set()
+
+    def test_one_worker_thread_serves_every_call(self):
+        f = FadingUniform(0.3, 0.4)
+        for seed in range(3):
+            empirical_moments(f, SampleConfig(10**5, seed))
+        names = [thread.name for thread in threading.enumerate()]
+        assert names.count("montecarlo") == 1
 
 
 class TestEmpiricalCovariance:
