@@ -1,6 +1,7 @@
 """Sampling validation: determinism, convergence to closed forms, error scaling."""
 
 import math
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -209,13 +210,44 @@ class TestPieces:
 
     def test_caller_does_not_wait_for_a_busy_worker(self):
         f, cfg = FadingUniform(0.3, 0.4), SampleConfig(10**5, 8)
-        expected = empirical_moments(f, cfg)
+        got = []
         release = threading.Event()
         montecarlo._submit(release.wait)
+        caller = threading.Thread(
+            target=lambda: got.append(empirical_moments(f, cfg)), daemon=True
+        )
         try:
-            assert empirical_moments(f, cfg) == expected
+            caller.start()
+            caller.join(10.0)
+            assert not caller.is_alive(), "the caller waited for the held worker"
         finally:
             release.set()
+        assert got == [out_of_place_moments(f, cfg)]
+
+    def test_concurrent_callers_keep_the_serial_bits(self):
+        # more callers than cores, switching threads every microsecond: a
+        # lost update of the pieces in flight would hang a caller or hand
+        # the worker a piece after its caller returned
+        f = FadingUniform(0.3, 0.4)
+        cfgs = [SampleConfig(20_000 + 8 * seed, seed) for seed in range(6)]
+        got = {}
+
+        def call(i):
+            got[i] = [empirical_moments(f, cfgs[i]) for _ in range(4)]
+
+        callers = [threading.Thread(target=call, args=(i,), daemon=True) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60.0)
+            assert not any(caller.is_alive() for caller in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        for i, cfg in enumerate(cfgs):
+            assert got[i] == [out_of_place_moments(f, cfg)] * 4
 
     def test_a_job_the_worker_has_yet_to_start_frees_the_buffer(self):
         # otherwise a late worker keeps one 8 MB buffer alive next to the next
