@@ -194,19 +194,26 @@ class TestPieces:
                     f"stream at draw {lo}: that piece would draw other values"
                 )
 
-    def test_worker_failure_is_raised_in_the_caller(self):
+    def test_worker_failure_is_raised_in_the_caller(self, monkeypatch):
+        f, cfg = FadingUniform(0.3, 0.4), SampleConfig(10**5, 1)
+        sample_transmittance(f, cfg)  # the worker thread exists from here on
+        threads = threading.active_count()
         worker_ran = threading.Event()
+        real = montecarlo._fill
 
-        def fn(lo, piece):
+        def worker_fails(f, seed, start, out):
             if threading.current_thread() is threading.main_thread():
                 # hold the caller until the worker has taken a piece
                 assert worker_ran.wait(10.0)
-                return 0.0
-            worker_ran.set()
-            raise FloatingPointError("worker piece")
+                real(f, seed, start, out)
+            else:
+                worker_ran.set()
+                raise FloatingPointError("worker piece")
 
+        monkeypatch.setattr(montecarlo, "_fill", worker_fails)
         with pytest.raises(FloatingPointError, match="worker piece"):
-            montecarlo._on_pieces(fn, np.zeros(10**5))
+            sample_transmittance(f, cfg)
+        assert threading.active_count() == threads
 
     def test_caller_does_not_wait_for_a_busy_worker(self):
         f, cfg = FadingUniform(0.3, 0.4), SampleConfig(10**5, 8)
