@@ -509,12 +509,13 @@ def find_positive_threshold(
 def mc_validate_rows(
     v: float, eps: float, f: FadingUniform, cfg: SampleConfig
 ) -> list[tuple[str, float, float, float]]:
-    """(quantity, empirical, closed_form, standard_error) rows for the report."""
-    emp = empirical_moments(f, cfg)
+    """(quantity, empirical, closed_form, standard_error) rows for the report.
+    The closed forms come first, so an invalid V or eps fails before any draw."""
     ref = moments_uniform(f)
-    emp_cov = avg_covariance(emp, v, eps)
     ref_cov = avg_covariance(ref, v, eps)
     se_sqrt, se_t, se_var = moment_standard_errors(f, cfg.n_samples)
+    emp = empirical_moments(f, cfg)
+    emp_cov = avg_covariance(emp, v, eps)
     return [
         ("mean_sqrt_t", emp.mean_sqrt_t, ref.mean_sqrt_t, se_sqrt),
         ("mean_t", emp.mean_t, ref.mean_t, se_t),

@@ -19,7 +19,9 @@ from .errors import DomainError
 class FadingUniform:
     """Uniform transmittance distribution on [t_min, t_min + delta_t].
 
-    delta_t = 0 is the degenerate point mass at t_min.
+    delta_t = 0 is the degenerate point mass at t_min.  A t_max up to 1e-12
+    above 1 is taken as 1: delta_t is stored as 1 - t_min (t_min <= 1), so
+    the moments, the draws and the standard errors all see the same law.
     """
 
     t_min: float
@@ -34,6 +36,8 @@ class FadingUniform:
             raise DomainError(
                 f"t_max = t_min + delta_t must be <= 1, got {self.t_min + self.delta_t!r}"
             )
+        if self.t_min <= 1.0 < self.t_min + self.delta_t:
+            object.__setattr__(self, "delta_t", 1.0 - self.t_min)
 
     @property
     def t_max(self) -> float:

@@ -50,6 +50,7 @@ from .channel import (
     holevo_rows,
     mutual_information_fixed,
     mutual_information_form,
+    require_noise,
     require_variance,
 )
 from .errors import DomainError
@@ -305,10 +306,13 @@ def holevo_asymptotic_regime_floor(eps: float, f: FadingUniform) -> float:
 
 def skr_hba_asymptotic(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     """Large-V key rate: asymptotic worst-case mutual information minus the
-    analytic averaged Holevo bound.  The (1/2) log2 V terms cancel, so the
-    rate is independent of V."""
-    mi = mutual_information_asymptotic(f.t_min, eps, v)
-    hol = avg_holevo_analytic(v, eps, f)
+    analytic averaged Holevo bound, both from one ``asymptotic_block``.  The
+    (1/2) log2 V terms cancel, so the rate is independent of V."""
+    require_variance(v)
+    require_noise(eps)
+    t_min, t_max, delta_t, mi_t_part, h_part, *endpoints = asymptotic_block(eps, f)
+    mi = _mi_asymptotic(mi_t_part, v)
+    hol = _log_average(v, t_min, t_max, delta_t, endpoints[:4], endpoints[4:]) + h_part
     if hol < 0.0:
         raise DomainError(
             f"large-V closed form outside its validity at V = {v!r} (averaged "

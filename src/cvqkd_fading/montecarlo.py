@@ -6,24 +6,16 @@ law and its moments live in ``fading``) as the sample count grows.  The
 security analysis lives entirely at the covariance level, so only second
 moments are simulated; no per-shot quadrature outcomes.
 
-Randomness is pinned to the Philox 4x64 counter-based generator (as wrapped
-by ``numpy.random.Philox``, 10 rounds) keyed with the configured seed, so
+Randomness comes from numpy's PCG64 generator (``numpy.random.PCG64``)
+seeded with the configured seed through ``numpy.random.SeedSequence``, so
 identical configurations reproduce bit-identical streams on any platform.
-The sample buffer is cut into pieces that the caller and one worker thread
-draw and sum in turn (numpy releases the GIL while it fills or sweeps an
-array); a thread slowed by other work on its core just takes fewer pieces.
-Each piece's generator is the same key with its counter advanced to the
-piece's start, and the cuts follow the top levels of numpy's pairwise sum
-tree, so every draw and every moment has the bits of the serial stream and
-the serial sums.
+The whole sample buffer is drawn on the calling thread, and each moment is
+numpy's serial pairwise sum over that one buffer; no thread is started.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +28,7 @@ from .fading import FadingUniform, TransmittanceMoments, moments_uniform
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Number of draws and the 64-bit generator key."""
+    """Number of draws and the 64-bit generator seed."""
 
     n_samples: int
     seed: int
@@ -48,134 +40,16 @@ class SampleConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
-# numpy's pairwise sum adds up to this many values in one unrolled block
-PAIRWISE_BLOCK = 128
-# levels of that sum's tree along which the sample buffer is cut
-SPLIT_DEPTH = 3
-
-
-def _bounds(n: int) -> list[int]:
-    """Piece boundaries of an n-value buffer: numpy's pairwise sum tree
-    cut SPLIT_DEPTH levels down, so 2**SPLIT_DEPTH pieces whose sums, added
-    as a balanced tree (``_tree_sum``), are the sum of all n bit for bit.
-    Every split is a multiple of 8, so also of Philox's 4-draw counter
-    block.  Below 2 * PAIRWISE_BLOCK * 2**SPLIT_DEPTH values a cut could
-    land inside an unsplit block, so the buffer stays one piece."""
-    bounds = [0, n]
-    if n < PAIRWISE_BLOCK << (SPLIT_DEPTH + 1):
-        return bounds
-    for _ in range(SPLIT_DEPTH):
-        cut = [0]
-        for lo, hi in zip(bounds, bounds[1:]):
-            h = (hi - lo) // 2
-            cut += [lo + h - h % 8, hi]
-        bounds = cut
-    return bounds
-
-
-def _tree_sum(sums: list[float]) -> float:
-    """The pieces' sums added pairwise, as numpy adds its tree's halves."""
-    while len(sums) > 1:
-        sums = [sums[i] + sums[i + 1] for i in range(0, len(sums), 2)]
-    return sums[0]
-
-
-_jobs: queue.SimpleQueue | None = None
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    """The worker thread: run each job in turn, for the life of the process."""
-    while True:
-        jobs.get()()
-
-
-def _submit(job) -> None:
-    """Hand job to the module's one worker thread, started on first use."""
-    global _jobs
-    if _jobs is None:
-        _jobs = queue.SimpleQueue()
-        threading.Thread(target=_serve, args=(_jobs,), name="montecarlo", daemon=True).start()
-    _jobs.put(job)
-
-
-def _on_pieces(fn, t: np.ndarray) -> list:
-    """[fn(lo, t[lo:hi]) for each piece of ``_bounds``].  The caller takes
-    the pieces in turn and the worker thread helps once it runs.  The
-    caller never waits for the worker to start, only for a piece the
-    worker is in the middle of, so a worker held up by other work on its
-    core costs at most that piece.  The worker's exception is raised here,
-    and no thread touches t after this returns or raises."""
-    bounds = _bounds(t.size)
-    results: list = [None] * (len(bounds) - 1)
-    if len(results) == 1:
-        return [fn(0, t)]
-    pieces = [t[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    todo = deque(range(len(results)))
-    lock = threading.Condition()
-    running = 0  # pieces taken and not finished
-    errors: list[BaseException] = []
-
-    def take() -> None:
-        nonlocal running
-        while True:
-            with lock:
-                if not todo:
-                    return
-                i = todo.popleft()
-                running += 1
-            try:
-                results[i] = fn(bounds[i], pieces[i])
-            finally:
-                with lock:
-                    running -= 1
-                    lock.notify()
-
-    def help_out() -> None:
-        try:
-            take()
-        except BaseException as exc:  # re-raised in the caller
-            errors.append(exc)
-
-    _submit(help_out)
-    try:
-        take()
-    finally:
-        with lock:
-            todo.clear()
-            lock.wait_for(lambda: running == 0)
-            pieces.clear()  # a job the worker has yet to start must not keep t alive
-    if errors:
-        raise errors[0]
-    return results
-
-
-def _fill(f: FadingUniform, seed: int, start: int, out: np.ndarray) -> None:
-    """Draws start, start + 1, ... of the seed's Philox stream into out, as
-    transmittances; start is a multiple of Philox's 4-draw block."""
-    bits = np.random.Philox(key=seed)
-    bits.advance(start // 4)
-    np.random.Generator(bits).random(out=out)
-    out *= f.delta_t
-    out += f.t_min
-
-
 def sample_transmittance(f: FadingUniform, cfg: SampleConfig) -> np.ndarray:
     """n_samples i.i.d. draws from Uniform[t_min, t_max], deterministic in the seed.
 
     The generator's draw buffer is scaled and shifted in place: each draw
     is t_min + delta_t * u, rounded as the out-of-place expression rounds it.
-    The pieces are drawn on two threads; the bytes are those of one serial
-    stream.
     """
-    t = np.empty(cfg.n_samples)
-    _on_pieces(lambda start, piece: _fill(f, cfg.seed, start, piece), t)
+    t = np.random.Generator(np.random.PCG64(cfg.seed)).random(cfg.n_samples)
+    t *= f.delta_t
+    t += f.t_min
     return t
-
-
-def _sum_then_sqrt(_start: int, piece: np.ndarray) -> tuple[float, float]:
-    """(sum of T, sum of sqrt(T)) over piece, leaving sqrt(T) in it."""
-    sum_t = float(np.add.reduce(piece))
-    return sum_t, float(np.add.reduce(np.sqrt(piece, out=piece)))
 
 
 def empirical_moments(f: FadingUniform, cfg: SampleConfig) -> TransmittanceMoments:
@@ -186,23 +60,17 @@ def empirical_moments(f: FadingUniform, cfg: SampleConfig) -> TransmittanceMomen
     degenerate distribution returns the closed-form moments, exact for any
     sample count.  The draws are overwritten in turn by sqrt(T), its
     deviations from the mean and their squares, so one sample buffer holds
-    every stage.  Each pass runs over the pieces on two threads, and each
-    mean is the pieces' sums added as numpy's pairwise tree adds them and
-    divided by n: the bits of ``t.mean()``.
+    every stage; each mean is numpy's pairwise sum over the buffer divided
+    by n, the bits of ``t.mean()``.
     """
     if f.delta_t == 0.0:
         return moments_uniform(f)
     t = sample_transmittance(f, cfg)
     n = t.size
-    sums = _on_pieces(_sum_then_sqrt, t)
-    mean_t = _tree_sum([s for s, _ in sums]) / n
-    mean_sqrt = _tree_sum([s for _, s in sums]) / n
-
-    def centered_square_sum(_start: int, piece: np.ndarray) -> float:
-        piece -= mean_sqrt
-        return float(np.add.reduce(np.square(piece, out=piece)))
-
-    var = _tree_sum(_on_pieces(centered_square_sum, t)) / n
+    mean_t = float(np.add.reduce(t)) / n
+    mean_sqrt = float(np.add.reduce(np.sqrt(t, out=t))) / n
+    t -= mean_sqrt
+    var = float(np.add.reduce(np.square(t, out=t))) / n
     return TransmittanceMoments(mean_sqrt, mean_t, var)
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from xml.sax.saxutils import escape as sax_escape
 
@@ -529,6 +530,74 @@ class TestMcValidateCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 6
         assert all(line.endswith(",true") for line in lines[1:])
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--v", "0.5"), ("--eps", "-1"), ("--v", "nan"), ("--eps", "nan")]
+    )
+    def test_invalid_input_fails_before_any_draw(self, capsys, monkeypatch, flag, value):
+        draws = []
+        monkeypatch.setattr(montecarlo, "sample_transmittance", lambda f, cfg: draws.append(cfg))
+        argv = ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "0.4",
+                "--delta-t", "0.2", "--n", "10000000"]
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run_main(argv, capsys)
+        assert (code, out, draws) == (1, "", [])
+        assert err.startswith("error: ")
+
+    def test_golden_small_run(self, capsys):
+        # a numpy release that changes the PCG64 stream, the float draw from
+        # it or the pairwise sums fails here first
+        code, out, err = run_main(
+            ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "0.3",
+             "--delta-t", "0.4", "--n", "1000", "--seed", "7"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "quantity,empirical,closed_form,abs_dev,std_err,n_sigma,within_5_sigma",
+            "mean_sqrt_t,0.70056884722860746,0.70224208553717171,0.001673238308564251,"
+            "0.0026184066338908398,0.639,true",
+            "mean_t,0.49768250040725742,0.5,0.0023174995927425779,"
+            "0.0036514837167011078,0.635,true",
+            "var_sqrt_t,0.0068857907000374448,0.0068560533004035579,2.9737399633886913e-05,"
+            "0.00019809617122087343,0.150,true",
+            "cov_c,6.9705720182073128,6.9872205291703828,0.016648510963070073,"
+            "0.026052817059580183,0.639,true",
+            "cov_b,5.4841193286693892,5.5049999999999999,0.020880671330610667,"
+            "0.032899868287476979,0.635,true",
+        ]
+
+    def test_starts_no_thread(self, capsys):
+        threads = threading.active_count()
+        code, _, _ = run_main(
+            ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "0.3",
+             "--delta-t", "0.4", "--n", "100000"],
+            capsys,
+        )
+        assert code == 0
+        assert threading.active_count() == threads
+
+    def test_law_past_one_is_clamped(self, capsys, monkeypatch):
+        # t_min + delta_t up to 1e-12 above 1 is the law on [t_min, 1]: the
+        # closed forms and the draws describe that one law
+        draws = []
+        real = montecarlo.sample_transmittance
+
+        def keep(f, cfg):
+            t = real(f, cfg)
+            draws.append(t.max())
+            return t
+
+        monkeypatch.setattr(montecarlo, "sample_transmittance", keep)
+        code, out, err = run_main(
+            ["mc-validate", "--v", "10", "--eps", "0", "--t-min", "0.5",
+             "--delta-t", "0.500000000001", "--n", "100000"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        closed_form = {line.split(",")[0]: line.split(",")[2] for line in out.splitlines()[1:]}
+        assert closed_form["mean_t"] == "0.75"
+        assert len(draws) == 1 and draws[0] <= 1.0
 
     def test_samples_once(self, monkeypatch):
         draws = []

@@ -4,14 +4,12 @@ import math
 import sys
 import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
 from conftest import moment_standard_deviations_oracle
 
-from cvqkd_fading import montecarlo
 from cvqkd_fading.cma import avg_covariance
 from cvqkd_fading.errors import DomainError
 from cvqkd_fading.fading import FadingUniform, TransmittanceMoments, moments_uniform
@@ -96,7 +94,7 @@ def out_of_place_moments(f, cfg):
     reference the in-place buffer of ``empirical_moments`` must reproduce."""
     if f.delta_t == 0.0:
         return moments_uniform(f)
-    u = np.random.Generator(np.random.Philox(key=cfg.seed)).random(cfg.n_samples)
+    u = np.random.Generator(np.random.PCG64(cfg.seed)).random(cfg.n_samples)
     t = f.t_min + f.delta_t * u
     sqrt_t = np.sqrt(t)
     mean_sqrt = float(sqrt_t.mean())
@@ -118,9 +116,8 @@ class TestInPlaceMoments:
             (0.5, 0.25, 1, 5),
             (0.5, 0.25, 2, 5),
             (1e-12, 1.0, 100_000, 42),
-            # around numpy's first pairwise split (n > 128), around the first
-            # cut of the buffer into pieces (n >= 2048) and at sizes that are
-            # not a multiple of Philox's 4-draw block
+            # around numpy's first pairwise split (n > 128), around 2048 and
+            # at sizes that are not a multiple of 4
             (0.3, 0.4, 127, 1),
             (0.3, 0.4, 128, 1),
             (0.3, 0.4, 129, 1),
@@ -141,7 +138,7 @@ class TestInPlaceMoments:
         f = FadingUniform(1e-12, 1.0)
         for n in (10_000, 127, 128, 129, 136, 1001, 2047, 2048, 2049, 2_000_003):
             cfg = SampleConfig(n, 42)
-            u = np.random.Generator(np.random.Philox(key=cfg.seed)).random(cfg.n_samples)
+            u = np.random.Generator(np.random.PCG64(cfg.seed)).random(cfg.n_samples)
             expected = (f.t_min + f.delta_t * u).tobytes()
             assert sample_transmittance(f, cfg).tobytes() == expected, n
 
@@ -156,85 +153,9 @@ class TestInPlaceMoments:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * 10**6
 
-
-class TestPieces:
-    """The numpy rules that let two threads draw and sum the pieces with the
-    serial bits, and the hand-over between the caller and the worker."""
-
-    SIZES = [
-        *range(1, 301),
-        *range(2040, 2064),
-        *(2**k + d for k in range(8, 21) for d in (-1, 1)),
-        10**6 + 1,
-    ]
-
-    def test_cuts_follow_numpys_pairwise_tree(self):
-        rng = np.random.default_rng(5)
-        for n in self.SIZES:
-            a = rng.random(n)
-            bounds = montecarlo._bounds(n)
-            assert bounds[0] == 0 and bounds[-1] == n
-            assert all(lo < hi and lo % 8 == 0 for lo, hi in zip(bounds, bounds[1:]))
-            sums = [np.add.reduce(a[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-            assert montecarlo._tree_sum(sums) == np.add.reduce(a), (
-                f"numpy's pairwise sum of {n} values no longer splits at {bounds}: "
-                "the moments summed by pieces would lose the serial bits"
-            )
-
-    def test_advanced_philox_continues_the_serial_stream(self):
-        for n in (2048, 2057, 2**16 + 1, 10**6 + 1):
-            serial = np.random.Generator(np.random.Philox(key=3)).random(n)
-            bounds = montecarlo._bounds(n)
-            for lo, hi in zip(bounds, bounds[1:]):
-                bits = np.random.Philox(key=3)
-                bits.advance(lo // 4)
-                piece = np.random.Generator(bits).random(hi - lo)
-                assert piece.tobytes() == serial[lo:hi].tobytes(), (
-                    f"Philox advanced by {lo // 4} blocks does not continue the serial "
-                    f"stream at draw {lo}: that piece would draw other values"
-                )
-
-    def test_worker_failure_is_raised_in_the_caller(self, monkeypatch):
-        f, cfg = FadingUniform(0.3, 0.4), SampleConfig(10**5, 1)
-        sample_transmittance(f, cfg)  # the worker thread exists from here on
-        threads = threading.active_count()
-        worker_ran = threading.Event()
-        real = montecarlo._fill
-
-        def worker_fails(f, seed, start, out):
-            if threading.current_thread() is threading.main_thread():
-                # hold the caller until the worker has taken a piece
-                assert worker_ran.wait(10.0)
-                real(f, seed, start, out)
-            else:
-                worker_ran.set()
-                raise FloatingPointError("worker piece")
-
-        monkeypatch.setattr(montecarlo, "_fill", worker_fails)
-        with pytest.raises(FloatingPointError, match="worker piece"):
-            sample_transmittance(f, cfg)
-        assert threading.active_count() == threads
-
-    def test_caller_does_not_wait_for_a_busy_worker(self):
-        f, cfg = FadingUniform(0.3, 0.4), SampleConfig(10**5, 8)
-        got = []
-        release = threading.Event()
-        montecarlo._submit(release.wait)
-        caller = threading.Thread(
-            target=lambda: got.append(empirical_moments(f, cfg)), daemon=True
-        )
-        try:
-            caller.start()
-            caller.join(10.0)
-            assert not caller.is_alive(), "the caller waited for the held worker"
-        finally:
-            release.set()
-        assert got == [out_of_place_moments(f, cfg)]
-
     def test_concurrent_callers_keep_the_serial_bits(self):
-        # more callers than cores, switching threads every microsecond: a
-        # lost update of the pieces in flight would hang a caller or hand
-        # the worker a piece after its caller returned
+        # more callers than cores, switching threads every microsecond: no
+        # call may see another's buffer or generator
         f = FadingUniform(0.3, 0.4)
         cfgs = [SampleConfig(20_000 + 8 * seed, seed) for seed in range(6)]
         got = {}
@@ -255,25 +176,6 @@ class TestPieces:
             sys.setswitchinterval(interval)
         for i, cfg in enumerate(cfgs):
             assert got[i] == [out_of_place_moments(f, cfg)] * 4
-
-    def test_a_job_the_worker_has_yet_to_start_frees_the_buffer(self):
-        # otherwise a late worker keeps one 8 MB buffer alive next to the next
-        release = threading.Event()
-        montecarlo._submit(release.wait)
-        try:
-            t = sample_transmittance(FadingUniform(0.3, 0.4), SampleConfig(10**5, 8))
-            buffer = weakref.ref(t)
-            del t
-            assert buffer() is None
-        finally:
-            release.set()
-
-    def test_one_worker_thread_serves_every_call(self):
-        f = FadingUniform(0.3, 0.4)
-        for seed in range(3):
-            empirical_moments(f, SampleConfig(10**5, seed))
-        names = [thread.name for thread in threading.enumerate()]
-        assert names.count("montecarlo") == 1
 
 
 class TestEmpiricalCovariance:
@@ -317,6 +219,15 @@ class TestStandardErrors:
         got = moment_standard_errors(FadingUniform(t_min, delta_t), 1)
         for value, ref in zip(got, moment_standard_deviations_oracle(t_min, delta_t)):
             assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("t_min", [1e-12, 0.3, 0.5, 0.9])
+    def test_law_past_one_is_the_law_ending_at_one(self, t_min):
+        past = FadingUniform(t_min, 1.0 - t_min + 5e-13)
+        law = FadingUniform(t_min, 1.0 - t_min)
+        assert past == law and past.t_min + past.delta_t <= 1.0
+        assert moments_uniform(past) == moments_uniform(law)
+        assert moment_standard_errors(past, 1000) == moment_standard_errors(law, 1000)
+        assert sample_transmittance(past, SampleConfig(10_000, 3)).max() <= 1.0
 
 
 class TestErrorScaling:
