@@ -123,9 +123,9 @@ def run_points(approach, v, eps, t_min, delta_t):
     block (a run of points with equal eps, t_min and delta_t) gets its
     shared values once from the scalar code, repeated over its points.  A
     point the array cannot vouch for (its block's scalar code raised, V or
-    eps is out of range, a value fails a check the scalar path makes, or an
-    ``hba_exact`` point needs adaptive Simpson) goes through ``run_point``,
-    so it gets the scalar path's value or exception.
+    eps is out of range, a value fails a check the scalar path makes, or
+    the two levels of its fading average disagree) goes through
+    ``run_point``, so it gets the scalar path's value or exception.
     """
     n = len(v)
     values = np.full((3, n), np.nan)

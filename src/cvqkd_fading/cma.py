@@ -10,8 +10,9 @@ to the modulation variance; this makes the Holevo bound grow quickly with V,
 so the modulation variance must be optimized per fading configuration.
 
 The legitimate rate is the ergodic average of the fixed-channel mutual
-information over the transmittance distribution.  The law and its moments
-(``FadingUniform``, ``moments_uniform``) live in ``fading``.
+information over the transmittance distribution, written with log1p and
+taken by the law's averaging kernel.  The law, its moments and that kernel
+(``FadingUniform``, ``moments_uniform``, ``law_mean``) live in ``fading``.
 """
 
 from __future__ import annotations
@@ -34,14 +35,11 @@ from .channel import (
     require_variance,
 )
 from .errors import DomainError
-from .fading import FadingUniform, TransmittanceMoments, moments_uniform
-from .numerics import LOG2_E, log1p, log2, maximize_scalar
+from .fading import FadingUniform, TransmittanceMoments, law_mean, moments_uniform
+from .numerics import LOG2_E, log1p, maximize_scalar
 
 # how closely ``optimal_variance`` locates the optimum on the V axis
 V_TOL = 1e-3
-# below this eps * t_max, 1 + eps T rounds to 1: the ergodic mutual
-# information takes its eps -> 0 form
-NOISELESS = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -120,45 +118,22 @@ def avg_covariance(m: TransmittanceMoments, v: float, eps: float) -> TwoModeCova
     )
 
 
-def _avg_mi_passive(v_a, lo, hi, dt):
-    return (
-        hi * log2(1.0 + hi * v_a)
-        - lo * log2(1.0 + lo * v_a)
-        + log2((1.0 + hi * v_a) / (1.0 + lo * v_a)) / v_a
-        - dt * LOG2_E
-    ) / (2.0 * dt)
-
-
-def _avg_mi_noisy(v_a, eps, lo, hi, dt):
-    slope = eps + v_a
-    return (
-        (log1p(eps * lo) - log1p(eps * hi)) / eps * LOG2_E
-        + hi * log2((1.0 + hi * slope) / (1.0 + eps * hi))
-        + log2((1.0 + hi * slope) / (1.0 + lo * slope)) / slope
-        + lo * log2((1.0 + eps * lo) / (1.0 + lo * slope))
-    ) / (2.0 * dt)
+def _ergodic_mi_nodes(t, v_a, eps):
+    """The fixed-channel mutual information (1/2) log2(1 + T V_A / (1 + eps T))
+    at every node of t, through log1p, so that it keeps its digits as
+    V_A = V - 1 -> 0."""
+    return (0.5 * LOG2_E) * log1p(v_a * (t / (1.0 + eps * t)))
 
 
 def avg_mutual_information(v: float, eps: float, f: FadingUniform) -> float:
-    """Ergodic mutual information (1/(2 delta_t)) * int log2(1 + T V_A / (1 + eps T)) dT.
-
-    Closed form for eps > 0, its 1/eps group written with log1p; the
-    analytic eps -> 0 limit where eps t_max < NOISELESS, so that 1 + eps T
-    rounds to 1 on the whole support (there the eps > 0 form loses its 1/eps
-    group to rounding, and the limit is within 2e-16 bits of it);
-    fixed-channel value at t_min when delta_t = 0.  Both closed forms take
-    float or ndarray arguments (``skr_cma_rows``).
-    """
+    """Ergodic mutual information (1/(2 delta_t)) * int log2(1 + T V_A / (1 + eps T)) dT:
+    the ``law_mean`` of the fixed-channel value over the law, the
+    fixed-channel value at t_min when delta_t = 0."""
     require_variance(v)
     require_noise(eps)
-    v_a = v - 1.0
-    if v_a == 0.0:
-        return 0.0
     if f.delta_t == 0.0:
         return mutual_information_fixed(ChannelParams(v, f.t_min, eps))
-    if eps * f.t_max < NOISELESS:
-        return _avg_mi_passive(v_a, f.t_min, f.t_max, f.delta_t)
-    return _avg_mi_noisy(v_a, eps, f.t_min, f.t_max, f.delta_t)
+    return law_mean(_ergodic_mi_nodes, f.t_min, f.t_max, v - 1.0, eps)
 
 
 def holevo_cma(v: float, eps: float, f: FadingUniform) -> float:
@@ -187,15 +162,16 @@ def skr_cma_rows(v, eps, t_min, t_max, delta_t, t_eff, ratio, chi_point):
     from ``cma_block``; V >= 1 and eps >= 0 already validated.  Returns
     (mutual_info, holevo, ok), equal to the scalar values bit for bit where
     ok, with ok as in ``channel.holevo_rows``."""
-    v_a = v - 1.0
-    mi = np.zeros(v.size)
-    live = v_a != 0.0
-    point = live & (delta_t == 0.0)
-    passive = live & (delta_t != 0.0) & (eps * t_max < NOISELESS)
-    noisy = live & (delta_t != 0.0) & (eps * t_max >= NOISELESS)
+    point = delta_t == 0.0
+    mi = np.empty(v.size)
     mi[point] = mutual_information_form(v[point], chi_point[point])
-    mi[passive] = _avg_mi_passive(v_a[passive], t_min[passive], t_max[passive], delta_t[passive])
-    mi[noisy] = _avg_mi_noisy(v_a[noisy], eps[noisy], t_min[noisy], t_max[noisy], delta_t[noisy])
+    # one law_mean per block (a run of rows with equal eps and law), so that
+    # its nodes and T / (1 + eps T) are formed once
+    blocks = (eps[1:] != eps[:-1]) | (t_min[1:] != t_min[:-1]) | (delta_t[1:] != delta_t[:-1])
+    cut = np.flatnonzero(blocks) + 1
+    for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), v.size]):
+        if not point[lo]:
+            mi[lo:hi] = law_mean(_ergodic_mi_nodes, t_min[lo], t_max[lo], v[lo:hi] - 1.0, eps[lo])
     eps_eff = effective_excess_noise(ratio, eps, v)
     holevo, ok = holevo_rows(v, t_eff, eps_eff)
     return mi, holevo, ok & (eps_eff >= 0.0) & np.isfinite(mi)

@@ -8,24 +8,16 @@ transmittance distribution.
 
 Two pipelines are provided:
 
-* ``skr_hba_exact`` -- averages the exact fixed-channel Holevo bound over
-  the transmittance; valid for any V >= 1, and the default everywhere.  One
-  array evaluation covers the nodes of a 32-point and a 64-point
-  Gauss-Legendre rule; the 64-point value is accepted when the two agree
-  within tolerance ``numerics.ABS_TOL``/``REL_TOL`` (a nested n/2n error
-  estimate, Piessens et al., QUADPACK, 1983).  Otherwise adaptive Simpson over the
-  scalar ``holevo_fixed`` gives the value: at an x log x endpoint (t_max ->
-  1 at small eps, where lambda2 -> 1), or when a node's spectrum overflows
-  (V beyond ~1e154, where the scalar path raises).  Adaptive Simpson stays
-  the independent oracle the tests hold the Gauss-Legendre value to.
-  ``skr_hba_exact_rows`` evaluates the same
-  node kernel for many rows at once, a chunk of rows per node matrix, for
-  the sweep; a point evaluation is its one-row case.
-* ``skr_hba_asymptotic`` -- the large-V closed form, whose rate is
-  independent of V.  Its averaged Holevo bound is assembled from endpoint
-  antiderivatives (logarithmic part plus a dilogarithm part); the assembly is
-  cross-checked against quadrature of the large-V integrand in the test
-  suite, which is the normative definition.
+* ``skr_hba_exact`` -- the ``fading.law_mean`` of the exact fixed-channel
+  Holevo bound (``holevo_rows`` at the nodes); valid for any V >= 1, and
+  the default everywhere.  QuadratureError where the two tanh-sinh levels
+  disagree; the scalar ``holevo_fixed`` error at the first node that fails
+  its checks (at once beyond V ~ 1e154, where the spectrum overflows).
+  ``skr_hba_exact_rows`` is the same kernel for many rows, for the sweep.
+* ``skr_hba_asymptotic`` -- the large-V form, whose rate is independent of
+  V.  The large-V Holevo bound is (1/2) log2 V plus a V-free part, so its
+  mean is one ``law_mean`` per (eps, law) block.  The paper's closed form
+  of that mean (logarithms and dilogarithms) is a test-suite reference.
 
 The asymptotic forms are parametrized by the equivalent thermal variance,
 which diverges at T = 1, so they require t_max < 1; the exact pipeline
@@ -36,7 +28,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import cache
 
 import numpy as np
 
@@ -54,28 +45,9 @@ from .channel import (
     require_variance,
 )
 from .errors import DomainError
-from .fading import FadingUniform
-from .numerics import ABS_TOL, LOG2_E, REL_TOL, dilog, g_entropy, integrate, log2
-
-_GL_LOW, _GL_HIGH = 32, 64  # node counts of the nested Gauss-Legendre pair
-# rows per node matrix of ``skr_hba_exact_rows``: 6,144 nodes, so the
-# temporaries of a chunk stay small next to the process
-_CHUNK_ROWS = 64
-# below this eps ``htilde`` is its eps -> 0 limit, 0: with 1 - T >= 2^-53,
-# (omega - 1)/2 = T eps / (2 (1 - T)) < 5e-285 and g of it < 1e-280 bits, far
-# below the rounding of the rest of the bound, while the closed form loses
-# every digit to its 1/eps cancellation and then underflows or overflows
-EPS_NEGLIGIBLE = 1e-300
-
-
-@cache
-def _gauss_legendre_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes of both rules on [-1, 1] in one array (low rule first) and the
-    weights of each rule.  Built on first use, so commands that never
-    average the exact bound do not load ``numpy.polynomial``."""
-    low_x, low_w = np.polynomial.legendre.leggauss(_GL_LOW)
-    high_x, high_w = np.polynomial.legendre.leggauss(_GL_HIGH)
-    return np.concatenate((low_x, high_x)), low_w, high_w
+from .fading import FadingUniform, law_mean
+from .numerics import dilog, integrate  # noqa: F401  (looked up by perfbench's tracer)
+from .numerics import g_entropy, g_entropy_array, log2
 
 
 def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
@@ -91,23 +63,15 @@ def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
         )
 
 
-def _node_holevo(v, eps, t):
-    """``holevo_fixed`` at every node of t, and whether all nodes of a row
-    (the last axis of t) pass the scalar path's checks (``holevo_rows``).
-    v and eps are floats, or columns of rows."""
+def _holevo_nodes(t, v, eps):
+    """``holevo_fixed`` at every node of t, NaN at a node that fails a check
+    of the scalar path (``holevo_rows``).  v and eps are floats (one row:
+    the scalar path's error is raised at the first failing node instead) or
+    columns of rows."""
     holevo, ok = holevo_rows(v, t, eps)
-    return holevo, ok.all(axis=-1)
-
-
-def _gauss_legendre(half: float, nodes: np.ndarray) -> float | None:
-    """int holevo_fixed dT over one row's interval from its node values: the
-    64-point value if the 32-point value agrees with it to
-    max(ABS_TOL, REL_TOL * |I|), else None.  Each sum is a 1-D dot product,
-    so a row of a chunk gets the bits a single row gets."""
-    _, low_w, high_w = _gauss_legendre_pair()
-    low = half * float(nodes[:_GL_LOW] @ low_w)
-    high = half * float(nodes[_GL_LOW:] @ high_w)
-    return high if abs(high - low) <= max(ABS_TOL, REL_TOL * abs(high)) else None
+    if not isinstance(v, np.ndarray) and not ok.all():
+        holevo_fixed(ChannelParams(v, float(t[~ok][0]), eps))
+    return np.where(ok, holevo, np.nan)
 
 
 def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
@@ -115,53 +79,29 @@ def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     transmittance.
 
     mutual_info is the fixed-channel value at t_min; holevo is the mean of
-    holevo_fixed(V, T, eps) over [t_min, t_max], the point value when
-    t_max = t_min (delta_t = 0, or below the rounding of t_min).  The
-    integral is divided by t_max - t_min, not by delta_t, whose difference
-    from it (the rounding of t_min + delta_t) is ulp(t_min) / delta_t
-    relative.  V and eps are validated once, here.  The integral is the
-    one-row case of ``skr_hba_exact_rows``: the 64-point
-    Gauss-Legendre value when every node passes the scalar checks and the
-    32-point value is within tolerance ``numerics.ABS_TOL``/``REL_TOL`` of
-    it; otherwise adaptive Simpson (``integrate``) over the scalar
-    ``holevo_fixed``, which raises the scalar path's error where a node of
-    its own fails.
+    holevo_fixed(V, T, eps) over [t_min, t_max] (``law_mean``), the point
+    value when t_max = t_min (delta_t = 0, or below the rounding of t_min).
+    The mean is over t_max - t_min, not delta_t, whose difference from it
+    (the rounding of t_min + delta_t) is ulp(t_min) / delta_t relative.  V
+    and eps are validated once, here.  Raises QuadratureError where the two
+    tanh-sinh levels disagree, and the scalar error at the first node that
+    fails a check of ``holevo_fixed``.
     """
     p = ChannelParams(v, f.t_min, eps)
     mi = mutual_information_fixed(p)
     if f.t_max == f.t_min:
         return SkrBreakdown.from_parts(mi, holevo_fixed(p))
-    half = 0.5 * (f.t_max - f.t_min)
-    nodes, ok = _node_holevo(v, eps, 0.5 * (f.t_max + f.t_min) + half * _gauss_legendre_pair()[0])
-    total = _gauss_legendre(half, nodes) if ok else None
-    if total is None:
-        total = integrate(lambda t: holevo_fixed(ChannelParams(v, t, eps)), f.t_min, f.t_max)
-    return SkrBreakdown.from_parts(mi, total / (2.0 * half))
+    return SkrBreakdown.from_parts(mi, law_mean(_holevo_nodes, f.t_min, f.t_max, v, eps))
 
 
 def skr_hba_exact_rows(v, eps, t_min, t_max):
     """``skr_hba_exact`` at every row of equal-length arrays, V >= 1 and
-    eps >= 0 already validated, t_max the law's (``FadingUniform.t_max``);
-    one node matrix per ``_CHUNK_ROWS`` rows, and ``holevo_rows`` for the
-    rows with t_max = t_min.  Returns (mutual_info, holevo, ok), equal to
-    the scalar values bit for bit where ok.  ok fails where a node or point
-    fails a check, the two rules disagree (the rows adaptive Simpson takes),
-    the Holevo bound is below -PHYSICALITY_SLACK or a value is not finite."""
-    half, mid = 0.5 * (t_max - t_min), 0.5 * (t_max + t_min)
-    x = _gauss_legendre_pair()[0]
-    holevo = np.full(v.size, np.nan)
-    point = half == 0.0
-    point_holevo, point_ok = holevo_rows(v[point], t_min[point], eps[point])
-    holevo[point] = np.where(point_ok, point_holevo, np.nan)
-    wide = np.flatnonzero(~point)
-    for lo in range(0, wide.size, _CHUNK_ROWS):
-        rows = wide[lo : lo + _CHUNK_ROWS]
-        t = mid[rows, None] + half[rows, None] * x
-        nodes, ok = _node_holevo(v[rows, None], eps[rows, None], t)
-        for i, row in zip(np.flatnonzero(ok).tolist(), rows[ok].tolist()):
-            total = _gauss_legendre(float(half[row]), nodes[i])
-            if total is not None:
-                holevo[row] = total / (2.0 * float(half[row]))
+    eps >= 0 already validated, t_max the law's (``FadingUniform.t_max``).
+    Returns (mutual_info, holevo, ok), equal to the scalar values bit for
+    bit where ok.  ok fails where a node fails a check, the two levels
+    disagree, the Holevo bound is below -PHYSICALITY_SLACK or a value is
+    not finite."""
+    holevo = law_mean(_holevo_nodes, t_min, t_max, v, eps)
     mi = mutual_information_form(v, 1.0 / t_min - 1.0 + eps)
     return mi, holevo, (holevo >= -PHYSICALITY_SLACK) & np.isfinite(holevo) & np.isfinite(mi)
 
@@ -171,14 +111,16 @@ def _mi_asymptotic_t_part(t: float, eps: float) -> float:
     return 0.5 * math.log2(t / (t + (1.0 - t) * omega))
 
 
-def _mi_asymptotic(t_part, v):
-    return t_part + 0.5 * log2(v)
+def _plus_half_log2_v(v_free, v):
+    """A large-V quantity from its V-free part: v_free + (1/2) log2 V, for
+    float or ndarray arguments."""
+    return v_free + 0.5 * log2(v)
 
 
 def mutual_information_asymptotic(t: float, eps: float, v: float) -> float:
     """Large-V mutual information (1/2) log2(T / (T + (1-T) omega)) + (1/2) log2 V."""
     require_variance(v)
-    return _mi_asymptotic(_mi_asymptotic_t_part(t, eps), v)
+    return _plus_half_log2_v(_mi_asymptotic_t_part(t, eps), v)
 
 
 def asymptotic_eigenvalues(t: float, eps: float, v: float) -> SymplecticSpectrum:
@@ -210,84 +152,33 @@ def holevo_asymptotic(t: float, eps: float, v: float) -> float:
     return 0.5 * math.log2(arg) + g_entropy((omega - 1.0) / 2.0)
 
 
-def _h_average_antiderivative(t: float, eps: float) -> float:
-    """Antiderivative (up to the 1/(2 delta_t) weight) of twice the thermal
-    entropy term g((omega-1)/2) along the transmittance; contains the
-    dilogarithm pieces.  Requires 0 < eps < 1 and 0 < t < 1."""
+def _thermal_nodes(t, eps):
+    """The thermal entropy term g((omega-1)/2) at every node of t, with
+    (omega-1)/2 = eps T / (2 (1-T)); 0 where eps T underflows."""
+    return g_entropy_array(eps * t / (2.0 * (1.0 - t)))
+
+
+def _large_v_holevo_nodes(t, eps):
+    """The large-V Holevo bound less (1/2) log2 V at every node of t:
+    (1/2) log2(T (1-T) / omega) + g((omega-1)/2), with
+    (1-T)/omega = (1-T)^2 / (1 - T + eps T), so that omega is never formed."""
     tb = 1.0 - t
-    u = 2.0 * tb + eps * t
-    return (
-        2.0 * math.log2(tb)
-        - 2.0 * (eps - 1.0) / (eps - 2.0) * math.log2(t)
-        + 2.0 / (eps - 2.0) * math.log2(u)
-        + t * math.log2(eps * t * u / (4.0 * tb * tb))
-        - (eps - 1.0) / (eps - 2.0) * u * math.log2(u / (eps * t))
-        - eps * LOG2_E * (dilog(tb) - dilog((eps - 2.0) * tb / eps))
-    )
+    return 0.5 * log2(t * tb * tb / (tb + eps * t)) + _thermal_nodes(t, eps)
 
 
 def htilde(eps: float, f: FadingUniform) -> float:
-    """Fading average of the thermal entropy term g((omega-1)/2), in closed form.
-
-    Explicit eps > 0 is required: the expression contains 1/eps and
-    dilogarithm arguments (eps-2)(1-T)/eps; the eps -> 0 limit is exactly 0
-    (passive eavesdropper) and must be substituted by the caller.  Below
-    ``EPS_NEGLIGIBLE`` the limit is returned.
-    """
+    """Fading average of the thermal entropy term g((omega-1)/2), bits
+    (``law_mean``); 0 at eps = 0 (passive eavesdropper)."""
     _require_asymptotic_domain(eps, f)
-    if eps == 0.0:
-        raise DomainError(
-            "htilde is singular at eps = 0; callers must substitute its limit, 0"
-        )
-    if eps < EPS_NEGLIGIBLE:
-        return 0.0
-    try:
-        ends = _h_average_antiderivative(f.t_max, eps) - _h_average_antiderivative(f.t_min, eps)
-    except ValueError:  # eps * t * u underflows to 0 at a tiny t_min (log2 fails)
-        ends = math.nan
-    if not math.isfinite(ends):
-        raise DomainError(f"htilde closed form is not finite at eps = {eps!r} (eps too small)")
-    return ends / (2.0 * f.delta_t)
-
-
-def _log_endpoint(t: float, eps: float) -> tuple[float, float, float, float]:
-    """The V-free pieces (a, k, u, c) of ``_log_antiderivative`` at T = t:
-    a = log2(u) / (1 - eps), k = (1-T)^2 T, u = (1-T) + eps*T and
-    c = log2((1-T)^2)."""
-    tb = 1.0 - t
-    u = tb + eps * t
-    return math.log2(u) / (1.0 - eps), tb * tb * t, u, math.log2(tb * tb)
-
-
-def _log_antiderivative(t, v, a, k, u, c):
-    """Antiderivative (up to the 1/(2 delta_t) weight) of
-    log2(T (1-T) V / omega) along the transmittance, at T = t from the
-    pieces of ``_log_endpoint``: a + t (log2(k V / u) - 2/ln 2) - c."""
-    return a + t * (log2(k * v / u) - 2.0 * LOG2_E) - c
-
-
-def _log_average(v, t_min, t_max, delta_t, lo, hi):
-    """Fading average of log2(T (1-T) V / omega) / 2, the logarithmic part of
-    the averaged large-V Holevo bound, from the ``_log_endpoint`` pieces lo
-    at t_min and hi at t_max; float or ndarray arguments."""
-    return (
-        _log_antiderivative(t_max, v, *hi) - _log_antiderivative(t_min, v, *lo)
-    ) / (2.0 * delta_t)
+    return law_mean(_thermal_nodes, f.t_min, f.t_max, eps)
 
 
 def avg_holevo_analytic(v: float, eps: float, f: FadingUniform) -> float:
-    """Closed-form fading average of the large-V Holevo bound, bits.
-
-    Assembled from the endpoint values of two antiderivatives, taken from
-    the columns of ``asymptotic_block`` that the sweep kernel also uses: the
-    logarithmic part and the thermal entropy part (``htilde``).  At eps = 0
-    the htilde term is replaced by its proven limit, 0.  Quadrature of the
-    large-V integrand is the normative definition; the test suite holds this
-    assembly to it at 1e-6 relative.
-    """
-    t_min, t_max, delta_t, _, h_part, *endpoints = asymptotic_block(eps, f)
+    """Fading average of the large-V Holevo bound, bits: the V-free mean of
+    ``asymptotic_block`` plus (1/2) log2 V, the sweep kernel's columns."""
+    _, holevo_part = asymptotic_block(eps, f)
     require_variance(v)
-    return _log_average(v, t_min, t_max, delta_t, endpoints[:4], endpoints[4:]) + h_part
+    return _plus_half_log2_v(holevo_part, v)
 
 
 def holevo_asymptotic_regime_floor(eps: float, f: FadingUniform) -> float:
@@ -306,47 +197,38 @@ def holevo_asymptotic_regime_floor(eps: float, f: FadingUniform) -> float:
 
 def skr_hba_asymptotic(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     """Large-V key rate: asymptotic worst-case mutual information minus the
-    analytic averaged Holevo bound, both from one ``asymptotic_block``.  The
+    averaged large-V Holevo bound, both from one ``asymptotic_block``.  The
     (1/2) log2 V terms cancel, so the rate is independent of V."""
     require_variance(v)
     require_noise(eps)
-    t_min, t_max, delta_t, mi_t_part, h_part, *endpoints = asymptotic_block(eps, f)
-    mi = _mi_asymptotic(mi_t_part, v)
-    hol = _log_average(v, t_min, t_max, delta_t, endpoints[:4], endpoints[4:]) + h_part
+    mi_part, holevo_part = asymptotic_block(eps, f)
+    hol = _plus_half_log2_v(holevo_part, v)
     if hol < 0.0:
         raise DomainError(
             f"large-V closed form outside its validity at V = {v!r} (averaged "
             "Holevo bound is negative); increase V or use the exact pipeline"
         )
-    return SkrBreakdown.from_parts(mi, hol)
+    return SkrBreakdown.from_parts(_plus_half_log2_v(mi_part, v), hol)
 
 
-def asymptotic_block(eps: float, f: FadingUniform) -> tuple[float, ...]:
+def asymptotic_block(eps: float, f: FadingUniform) -> tuple[float, float]:
     """What ``skr_hba_asymptotic_rows`` needs of one (eps, fading) block,
-    computed by the scalar code and raising its DomainError: t_min, t_max,
-    delta_t, the V-free part of the mutual information, the averaged
-    thermal term (``htilde``, 0 at eps = 0; all of the dilogarithm) and the
-    ``_log_endpoint`` pieces at t_min and at t_max."""
+    computed by the scalar code and raising its DomainError: the V-free
+    parts of the mutual information at t_min and of the averaged Holevo
+    bound (one ``law_mean``)."""
     _require_asymptotic_domain(eps, f)
-    h_part = htilde(eps, f) if eps > 0.0 else 0.0
     return (
-        f.t_min,
-        f.t_max,
-        f.delta_t,
         _mi_asymptotic_t_part(f.t_min, eps),
-        h_part,
-        *_log_endpoint(f.t_min, eps),
-        *_log_endpoint(f.t_max, eps),
+        law_mean(_large_v_holevo_nodes, f.t_min, f.t_max, eps),
     )
 
 
-def skr_hba_asymptotic_rows(v, t_min, t_max, delta_t, mi_t_part, h_part, *endpoints):
+def skr_hba_asymptotic_rows(v, mi_part, holevo_part):
     """``skr_hba_asymptotic`` at every row of equal-length arrays, the block
     columns from ``asymptotic_block``; V >= 1 already validated.  Returns
     (mutual_info, holevo, ok), equal to the scalar values bit for bit where
     ok; ok fails where the averaged Holevo bound is negative (the scalar
     DomainError) or a value is not finite."""
-    mi = _mi_asymptotic(mi_t_part, v)
-    log_part = _log_average(v, t_min, t_max, delta_t, endpoints[:4], endpoints[4:])
-    holevo = log_part + h_part
+    mi = _plus_half_log2_v(mi_part, v)
+    holevo = _plus_half_log2_v(holevo_part, v)
     return mi, holevo, (holevo >= 0.0) & np.isfinite(holevo) & np.isfinite(mi)

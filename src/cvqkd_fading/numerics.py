@@ -2,9 +2,9 @@
 
 Everything here is a pure function: the bosonic entropy ``g_entropy`` (and
 its array form), the real dilogarithm ``dilog``, an adaptive-Simpson
-``integrate`` (which doubles as the independent oracle the closed forms and
-the Gauss-Legendre average are validated against), and a bracketed scalar
-maximizer.  All entropic quantities are in base-2 logarithms, i.e. bits.
+``integrate`` and a bracketed scalar maximizer.  Only the tests call
+``dilog`` (the paper's closed forms) and ``integrate`` (the oracle of
+``fading.law_mean``).  All entropic quantities are in bits.
 
 The closed forms of the package are written once for float and ndarray
 arguments and take their logarithms from ``log2`` and ``log1p`` here:
@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
+from .fading import ABS_TOL, REL_TOL
 
 LN2 = math.log(2.0)
 LOG2_E = 1.0 / LN2
@@ -28,15 +29,13 @@ _TINY = 2.0**-1022
 
 # Integrand evaluations one ``integrate`` call may spend, so an integrand
 # whose rounding noise exceeds the tolerance fails instead of subdividing
-# without end.  The most any call needs on the packaged presets, the test
-# suite and the benchmark sweeps is 849; an integrand whose rounding noise
-# exceeds the tolerance would run past 1e6.
+# without end.  Only the test suite calls ``integrate``; the most one of its
+# calls needs is 849, and an integrand whose rounding noise exceeds the
+# tolerance would run past 1e6.
 MAX_EVALS = 10_000
-# Error targets of ``integrate`` and of the Gauss-Legendre estimate in
-# ``hba``: a panel is accepted below its share of max(ABS_TOL, REL_TOL * |I|),
-# and is halved at most MAX_DEPTH times.
-ABS_TOL = 1e-12
-REL_TOL = 1e-10
+# A panel of ``integrate`` is accepted below its share of
+# max(ABS_TOL, REL_TOL * |I|), the error targets of ``fading.law_mean``, and
+# is halved at most MAX_DEPTH times.
 MAX_DEPTH = 60
 
 

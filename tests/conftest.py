@@ -125,15 +125,20 @@ def _holevo_large_v_oracle(v, t, eps):
 
 def _fading_average_oracle(integrand, t_min, delta_t):
     """(1/delta_t) * int integrand(T) dT over [t_min, t_min + delta_t] by
-    tanh-sinh quadrature; raises if its error estimate is not far below 1e-20.
-    The interval ends at T = 1, as the law's support does: the sum of the
-    doubles 0.8 and 0.2, say, is 1 + 5.6e-17, where the state is unphysical."""
+    tanh-sinh quadrature, as w * int_0^1 integrand(t_min + w u) du / delta_t
+    with the width w = min(delta_t, 1 - t_min) taken exactly, so that a
+    width below the working precision of t_min (down to a subnormal) gives
+    the value at t_min rather than 0.  Raises if the error estimate is not
+    far below 1e-20.  The interval ends at T = 1, as the law's support does:
+    the sum of the doubles 0.8 and 0.2, say, is 1 + 5.6e-17, where the state
+    is unphysical."""
     import mpmath
 
-    value, err = mpmath.quad(integrand, [t_min, min(t_min + delta_t, 1)], error=True)
+    width = min(delta_t, 1 - t_min)
+    value, err = mpmath.quad(lambda u: integrand(t_min + width * u), [0, 1], error=True)
     if err > mpmath.mpf(10) ** (-(ORACLE_DPS // 2)):
         raise ArithmeticError(f"oracle quadrature did not converge (error estimate {err})")
-    return value / delta_t
+    return value * width / delta_t
 
 
 def hba_rate_oracle(v: float, eps: float, t_min: float, delta_t: float) -> float:

@@ -11,6 +11,7 @@ import threading
 from pathlib import Path
 from xml.sax.saxutils import escape as sax_escape
 
+import numpy as np
 import pytest
 
 import cvqkd_fading
@@ -19,8 +20,11 @@ from cvqkd_fading.channel import ChannelParams, skr_fixed
 from cvqkd_fading.cma import avg_covariance, skr_cma
 from cvqkd_fading.errors import DomainError, NumericalError
 from cvqkd_fading.fading import FadingUniform
-from cvqkd_fading.hba import skr_hba_exact
+from cvqkd_fading.hba import holevo_asymptotic, skr_hba_asymptotic, skr_hba_exact
 from cvqkd_fading.montecarlo import SampleConfig, empirical_moments
+
+
+T_MIN_ABOVE_ONE = "error: t_min must satisfy 0 < t_min <= 1, got 1.0000000000001\n"
 
 
 def run_main(argv, capsys):
@@ -104,8 +108,9 @@ class TestPointCommand:
 
     @pytest.mark.parametrize("eps", ["5e-324", "1e-310", "1e-308", "1e-307"])
     def test_tiny_eps_gives_the_eps_zero_row(self, capsys, eps):
-        # below hba.EPS_NEGLIGIBLE htilde takes its eps -> 0 limit; its closed
-        # form exited 1 here ("not finite") or was 5.7e-11 bits off (1e-307)
+        # the thermal term eps T / (2 (1-T)) underflows to nothing next to the
+        # logarithm; the closed form of htilde once exited 1 here ("not
+        # finite") or was 5.7e-11 bits off (1e-307)
         def values(eps):
             code, out, err = run_main(
                 ["point", "--approach", "hba_asymptotic", "--v", "1e4", "--eps", eps,
@@ -123,6 +128,50 @@ class TestPointCommand:
         code, _, _ = run_main(["point", "--approach", "nope", "--v", "1", "--eps", "0",
                                "--t-min", "0.5"], capsys)
         assert code == 1
+
+    @staticmethod
+    def point_row(capsys, approach, v, eps, t_min, delta_t):
+        code, out, err = run_main(
+            ["point", "--approach", approach, "--v", v, "--eps", eps, "--t-min", t_min,
+             "--delta-t", delta_t],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        (row,) = csv.DictReader(out.splitlines())
+        return {k: float(row[k]) for k in ("mutual_info_bits", "holevo_bits", "rate_bits")}
+
+    def test_cma_width_below_the_rounding_of_t_min_is_the_point_value(self, capsys):
+        # the ergodic mutual information was a difference of antiderivatives
+        # over 2 delta_t, and printed -11102.23 bits here
+        tiny = self.point_row(capsys, "cma", "10", "0.01", "0.5", "1e-20")
+        point = self.point_row(capsys, "cma", "10", "0.01", "0.5", "0")
+        assert abs(tiny["mutual_info_bits"] - point["mutual_info_bits"]) <= 1e-12
+
+    def test_asymptotic_width_below_the_rounding_of_t_min_is_the_point_value(self, capsys):
+        # the averaged large-V Holevo bound printed 0 here (rate 6.14 bits)
+        row = self.point_row(capsys, "hba_asymptotic", "1e4", "0.01", "0.5", "1e-20")
+        assert row["holevo_bits"] == pytest.approx(holevo_asymptotic(0.5, 0.01, 1e4), abs=1e-12)
+        assert row["rate_bits"] == pytest.approx(
+            skr_hba_asymptotic(1e4, 0.01, FadingUniform(0.5, 0.001)).rate, abs=1e-3
+        )
+
+    def test_asymptotic_average_where_eps_t_min_underflows(self, capsys):
+        # eps * t_min = 1e-400 made the closed form of htilde exit 1 with
+        # "eps too small"; the kernel averages the thermal term itself
+        row = self.point_row(capsys, "hba_asymptotic", "1e4", "1e-200", "1e-200", "0.1")
+        zero = self.point_row(capsys, "hba_asymptotic", "1e4", "0", "1e-200", "0.1")
+        assert row == zero
+
+    @pytest.mark.parametrize("approach", ["fixed", "cma", "hba_exact", "hba_asymptotic"])
+    def test_t_min_above_one_has_one_message(self, capsys, approach):
+        # the law rejects it itself; each model once did, in its own words
+        code, out, err = run_main(
+            ["point", "--approach", approach, "--v", "10", "--eps", "0.01",
+             "--t-min", "1.0000000000001", "--delta-t", "0"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == T_MIN_ABOVE_ONE
 
 
 SWEEP_CFG = """
@@ -313,13 +362,15 @@ class TestSweep:
         assert bad[1] == bad[10] == "" and bad[11] == "NumericalError: synthetic failure"
 
     def test_quadrature_budget_row_is_an_error_cell(self, tmp_path, capsys, monkeypatch):
-        # every row takes adaptive Simpson, over an integrand whose noise
-        # exceeds rel_tol at V = 1e8 (1e-5 bits) and not at V = 10 (1e-12)
-        real = hba.holevo_fixed
-        monkeypatch.setattr(hba, "_gauss_legendre", lambda half, nodes: None)
-        monkeypatch.setattr(
-            hba, "holevo_fixed", lambda p: real(p) + 1e-13 * p.v * math.sin(1e7 * p.t)
-        )
+        # node values with noise beyond rel_tol at V = 1e8 (1e-5 bits) and
+        # not at V = 10 (1e-12): the first row's tanh-sinh levels disagree
+        real = hba.holevo_rows
+
+        def noisy(v, t, eps):
+            holevo, ok = real(v, t, eps)
+            return holevo + 1e-13 * v * np.sin(1e7 * t), ok
+
+        monkeypatch.setattr(hba, "holevo_rows", noisy)
         csv_path = tmp_path / "budget.csv"
         code, _, err = run_main(
             ["sweep", "--approach", "hba_exact", "--v", "1e8,10", "--eps", "0.01",
@@ -328,11 +379,12 @@ class TestSweep:
         )
         assert code == 3
         assert "1 grid points failed" in err
-        bad, good = csv_path.read_text().strip().splitlines()[1:]
-        assert bad.split(",")[1] == "100000000"
-        assert bad.split(",")[-1].startswith("QuadratureError: evaluation budget exhausted after")
-        assert bad.split(",")[7:10] == ["", "", ""]
-        assert good.split(",")[-1] == ""
+        bad, good = list(csv.reader(csv_path.read_text().splitlines()))[1:]
+        assert bad[1] == "100000000"
+        assert bad[-1].startswith("QuadratureError: fading average on [0.5, 0.9")
+        assert "tanh-sinh levels differ by" in bad[-1]
+        assert bad[7:10] == ["", "", ""]
+        assert good[-1] == ""
 
     def test_svg_written_and_clamped(self, tmp_path):
         # rates at tiny t_min are negative; the linear-axis SVG must clamp at 0
@@ -505,6 +557,15 @@ class TestMcValidateCommand:
         code, out, err = run_main(argv, capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+
+    def test_t_min_above_one_has_the_laws_message(self, capsys):
+        code, out, err = run_main(
+            ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "1.0000000000001",
+             "--delta-t", "0", "--n", "10"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == T_MIN_ABOVE_ONE
 
     def test_pure_loss_point_mass(self, capsys):
         # at V = 1327, T = 0.94, eps = 0 the state is pure-loss (lambda2 = 1

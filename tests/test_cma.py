@@ -23,7 +23,7 @@ from cvqkd_fading.cma import (
 from cvqkd_fading.errors import DomainError
 from cvqkd_fading.fading import FadingUniform, moments_uniform
 from cvqkd_fading.hba import skr_hba_exact
-from cvqkd_fading.numerics import integrate
+from cvqkd_fading.numerics import LOG2_E, integrate
 
 
 def random_fading(rng):
@@ -143,6 +143,28 @@ class TestAvgCovariance:
             assert cov.b == pytest.approx(eff.t_eff * (v + eff.chi_eff), rel=1e-12)
 
 
+def ergodic_mi_antiderivative_form(v, eps, f):
+    """The paper's closed form of the ergodic mutual information, a
+    difference of antiderivatives over 2 delta_t (its eps -> 0 limit at
+    eps = 0).  It loses about ulp(F) / delta_t, and all of its digits as
+    V -> 1, so it is a reference only at delta_t >= 1e-3 and V well above 1."""
+    v_a, lo, hi, dt = v - 1.0, f.t_min, f.t_max, f.delta_t
+    if eps == 0.0:
+        return (
+            hi * math.log2(1.0 + hi * v_a)
+            - lo * math.log2(1.0 + lo * v_a)
+            + math.log2((1.0 + hi * v_a) / (1.0 + lo * v_a)) / v_a
+            - dt * LOG2_E
+        ) / (2.0 * dt)
+    slope = eps + v_a
+    return (
+        (math.log1p(eps * lo) - math.log1p(eps * hi)) / eps * LOG2_E
+        + hi * math.log2((1.0 + hi * slope) / (1.0 + eps * hi))
+        + math.log2((1.0 + hi * slope) / (1.0 + lo * slope)) / slope
+        + lo * math.log2((1.0 + eps * lo) / (1.0 + lo * slope))
+    ) / (2.0 * dt)
+
+
 class TestErgodicMutualInformation:
     def test_no_modulation(self):
         assert avg_mutual_information(1.0, 0.02, FadingUniform(0.4, 0.2)) == 0.0
@@ -171,6 +193,14 @@ class TestErgodicMutualInformation:
                 mi_quadrature(v, eps, f), rel=1e-9
             )
             done += 1
+
+    @pytest.mark.parametrize("v", [1.5, 10.0, 1e3, 1e5])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.03, 0.1])
+    @pytest.mark.parametrize("t_min, delta_t", [(0.1, 1e-3), (0.4, 0.2), (0.02, 0.98), (0.9, 0.05)])
+    def test_matches_the_papers_antiderivative_form(self, v, eps, t_min, delta_t):
+        f = FadingUniform(t_min, delta_t)
+        ref = ergodic_mi_antiderivative_form(v, eps, f)
+        assert abs(avg_mutual_information(v, eps, f) - ref) <= 1e-11 * max(1.0, ref)
 
     @pytest.mark.parametrize("eps", [5e-324, 1e-20, 1e-15, 1e-12, 1e-9, 1e-6])
     def test_tiny_noise_matches_the_oracle(self, eps):

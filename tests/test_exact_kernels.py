@@ -1,5 +1,5 @@
-"""The spectrum, entropy and moment kernels against mpmath, and the physics
-their values must keep.
+"""The spectrum, entropy, moment and averaging kernels against mpmath, and
+the physics their values must keep.
 
 Both fading models rest on three closed forms: the symplectic spectrum of
 the (V, T, eps) state and the entropy g(x), which give the fixed-channel
@@ -7,7 +7,9 @@ Holevo bound that ``hba`` averages, and the moments of sqrt(T), which set
 the effective channel of ``cma``.  Their textbook forms cancel in double
 precision (at large V as T -> 1, at large x, at small fading widths), so
 these property tests hold each kernel to an mpmath evaluation of its
-textbook definition on boxes that reach those regimes.
+textbook definition on boxes that reach those regimes.  The fading averages
+(``fading.law_mean``) are held to mpmath quadrature from subnormal widths
+up to the whole support, as V -> 1 and where eps * t_min underflows.
 """
 
 import math
@@ -17,11 +19,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ORACLE_DPS, entropy_bits_oracle, spectrum_oracle
+from conftest import (
+    ORACLE_DPS,
+    entropy_bits_oracle,
+    ergodic_mutual_info_oracle,
+    hba_asymptotic_rate_oracle,
+    hba_rate_oracle,
+    spectrum_oracle,
+)
 from cvqkd_fading.channel import ChannelParams, holevo_fixed, skr_fixed, spectrum_closed_form
-from cvqkd_fading.cma import holevo_cma
+from cvqkd_fading.cma import avg_mutual_information, holevo_cma, skr_cma
 from cvqkd_fading.fading import FadingUniform, moments_uniform
-from cvqkd_fading.hba import skr_hba_exact
+from cvqkd_fading.hba import skr_hba_asymptotic, skr_hba_exact
 from cvqkd_fading.numerics import g_entropy, g_entropy_array
 
 mpmath = pytest.importorskip("mpmath")
@@ -73,11 +82,11 @@ def test_moments_match_the_oracle(t_min, w):
 
 @st.composite
 def fading_points(draw):
-    """(V, t_min, delta_t) with t_max < 1, where the exact average needs no
-    adaptive Simpson and so has only its rounding."""
+    """(V, t_min, delta_t), the law ending at T = 1 for about a third of the
+    draws."""
     v = 10.0 ** draw(st.floats(0.0, 4.0))
     t_min = draw(st.floats(0.05, 0.75))
-    return v, t_min, draw(st.sampled_from((0.01, 0.2)))
+    return v, t_min, draw(st.sampled_from((0.01, 0.2, 1.0 - t_min)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,11 +98,9 @@ def test_rate_does_not_increase_with_excess_noise(point, eps_pair):
     for rate in (
         lambda eps: skr_fixed(ChannelParams(v, t_min, eps)).rate,
         lambda eps: skr_hba_exact(v, eps, f).rate,
+        lambda eps: skr_cma(v, eps, f).rate,
     ):
         assert rate(hi) <= rate(lo) + 1e-12
-    # the averaged-covariance model through its Holevo bound: its ergodic
-    # mutual information still cancels as V -> 1 (CHANGES.md, FOUND)
-    assert holevo_cma(v, hi, f) >= holevo_cma(v, lo, f) - 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -112,3 +119,66 @@ def test_averaged_holevo_bounds_tend_to_the_fixed_channel(v, eps, t_min, delta_t
     f = FadingUniform(t_min, delta_t)
     for holevo in (skr_hba_exact(v, eps, f).holevo, holevo_cma(v, eps, f)):
         assert abs(holevo - fixed) <= (slope + 1.0) * delta_t + 1e-13 * max(1.0, fixed)
+
+
+@st.composite
+def widths(draw):
+    """(t_min, delta_t): delta_t log-uniform from the smallest subnormal up
+    to the support width 1 - t_min, or below ulp(t_min), or that width."""
+    t_min = draw(st.floats(0.02, 0.95))
+    top = math.log10(1.0 - t_min)
+    delta_t = draw(
+        st.floats(0.0, 1.0).map(lambda w: 10.0 ** (-323.3 + w * (323.3 + top)))
+        | st.just(0.3 * math.ulp(t_min))
+        | st.just(1.0 - t_min)
+    )
+    return t_min, max(delta_t, 5e-324)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=widths(),
+    v=st.floats(0.0, 4.0).map(lambda u: 10.0**u),
+    eps=st.just(0.0) | st.floats(0.0, 0.05),
+)
+@example(width=(0.5, 1e-20), v=10.0, eps=0.01)  # the cma mutual information read -11102 bits
+@example(width=(0.5, 5e-324), v=1e3, eps=0.0)
+@example(width=(0.8, 0.2), v=1e4, eps=0.0)  # an x log x end at T = 1
+def test_averages_match_the_oracle_at_every_width(width, v, eps):
+    f = FadingUniform(*width)
+    # the law as stored: a t_max up to 1e-12 above 1 is taken as 1
+    t_min, delta_t = f.t_min, f.delta_t
+    mi = ergodic_mutual_info_oracle(v, eps, t_min, delta_t)
+    assert abs(avg_mutual_information(v, eps, f) - mi) <= 1e-14 * max(1.0, mi)
+    assert abs(skr_hba_exact(v, eps, f).rate - hba_rate_oracle(v, eps, t_min, delta_t)) <= 1e-13
+    if f.t_max < 1.0:
+        ref = hba_asymptotic_rate_oracle(1e4, eps, t_min, delta_t)
+        assert abs(skr_hba_asymptotic(1e4, eps, f).rate - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    v_a=st.floats(-12.0, 0.0).map(lambda u: 10.0**u),
+    eps=st.just(0.0) | st.floats(0.0, 0.05),
+    t_min=st.floats(0.02, 0.9),
+    w=st.floats(0.0, 1.0),
+)
+@example(v_a=1e-9, eps=0.0, t_min=0.5, w=0.1)  # 100 % off as a difference of antiderivatives
+def test_ergodic_mutual_information_keeps_its_digits_as_v_tends_to_one(v_a, eps, t_min, w):
+    delta_t = max(w * (1.0 - t_min), 1e-3)
+    ref = ergodic_mutual_info_oracle(1.0 + v_a, eps, t_min, delta_t)
+    got = avg_mutual_information(1.0 + v_a, eps, FadingUniform(t_min, delta_t))
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    eps=st.floats(-300.0, -150.0).map(lambda u: 10.0**u),
+    t_min=st.floats(-300.0, -150.0).map(lambda u: 10.0**u),
+    delta_t=st.floats(0.1, 0.5),
+)
+@example(eps=1e-200, t_min=1e-200, delta_t=0.1)  # exited 1 with "eps too small"
+def test_asymptotic_rate_matches_the_oracle_where_eps_t_min_underflows(eps, t_min, delta_t):
+    ref = hba_asymptotic_rate_oracle(1e4, eps, t_min, delta_t)
+    got = skr_hba_asymptotic(1e4, eps, FadingUniform(t_min, delta_t)).rate
+    assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))

@@ -1,7 +1,7 @@
 """The sweep's array path gives every row exactly what ``run_point`` gives it.
 
 ``cli.run_sweep`` evaluates the rows of a grid as one array per approach
-(``hba_exact`` in chunks of Gauss-Legendre node matrices), keeps them as
+(the fading averages in chunks of tanh-sinh node matrices), keeps them as
 columns, writes the CSV block by block from slices of the columns, and
 builds the SVG curves from block slices.  The CSV is a byte contract, so
 these tests hold the sweep to the row-by-row reference it replaced: each row
@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixed_rate_oracle
-from cvqkd_fading import cli, hba, svgplot
+from cvqkd_fading import cli, fading, hba, svgplot
 from cvqkd_fading.channel import ChannelParams, mutual_information_fixed, skr_fixed
 from cvqkd_fading.cma import optimal_variance
 from cvqkd_fading.errors import DomainError, NumericalError
@@ -124,7 +124,7 @@ def assert_rows_equal(got, want):
 
 
 # 0.8 and 0.999 reach t_max = 1 at delta_t = 0.2 and 1e-3: at eps = 0,
-# lambda2 -> 1 there and hba_exact rows fall back to adaptive Simpson
+# lambda2 -> 1 there, an x log x end of the exact average
 t_mins = st.floats(0.01, 1.0) | st.sampled_from([t for _, t in FOUND_POINTS] + [0.8, 0.999])
 
 
@@ -142,12 +142,13 @@ def sweep_configs(draw):
             st.floats(0.0, 6.0).map(lambda x: 10.0**x) | st.sampled_from([1.0000001, 1.0000002]),
             max_size=6,
         ))),
-        # 5e-324 is below hba.EPS_NEGLIGIBLE: htilde takes its eps -> 0 limit
+        # at 5e-324 the thermal term of the large-V average underflows
         eps_list=(0.0, *draw(st.lists(st.floats(0.0, 0.1) | st.sampled_from([-0.0, 5e-324]),
                                       max_size=2))),
         t_min_values=tuple(t_min_values + draw(st.lists(st.sampled_from(t_min_values),
                                                         max_size=2))),
-        delta_t_list=tuple(draw(st.lists(st.sampled_from((0.0, 1e-3, 0.2)), min_size=1,
+        # 1e-20 is below the rounding of every t_min: a point mass in the kernel
+        delta_t_list=tuple(draw(st.lists(st.sampled_from((0.0, 1e-20, 1e-3, 0.2)), min_size=1,
                                          max_size=3, unique=True))),
         # an optimized V may lie below the large-V floor, where hba_asymptotic
         # rows fail on a negative averaged Holevo bound
@@ -228,22 +229,24 @@ def test_preset_outputs_equal_row_by_row_reference(tmp_path, capsys, preset):
     assert_outputs_equal(got_dir, want_dir)
 
 
-def test_htilde_runs_once_per_block(monkeypatch, capsys):
+def test_asymptotic_average_runs_once_per_block(monkeypatch, capsys):
+    # the large-V Holevo bound is (1/2) log2 V plus a V-free mean, one
+    # kernel call per (eps, law) block, eps = 0 included
     calls = []
-    real = hba.htilde
+    real = hba.law_mean
 
-    def counting(eps, f):
-        calls.append((eps, f))
-        return real(eps, f)
+    def counting(integrand, t_min, t_max, *args):
+        calls.append((t_min, t_max, args))
+        return real(integrand, t_min, t_max, *args)
 
-    monkeypatch.setattr(hba, "htilde", counting)
+    monkeypatch.setattr(hba, "law_mean", counting)
     cfg = cli.SweepConfig(
         ("hba_asymptotic",), (1e3, 1e4, 1e5, 1e6), (0.0, 0.01, 0.02), (0.3, 0.5), (0.2,)
     )
     rows, n_errors = cli.run_sweep(cfg)
     capsys.readouterr()
     assert n_errors == 0 and len(rows) == 24
-    assert len(calls) == 4  # the (eps > 0, t_min) blocks; eps = 0 needs none
+    assert len(calls) == 6 and all(isinstance(t_min, float) for t_min, _, _ in calls)
 
 
 def test_run_points_sends_invalid_points_to_run_point():
@@ -292,13 +295,14 @@ def run_points_outcome(approach, v, eps, t_min, delta_t):
 
 
 def test_hba_exact_rows_span_chunks_with_a_fallback_row_in_each(monkeypatch):
-    # 3 chunks; t_min = 0.8, delta_t = 0.2 at eps = 0 ends at T = 1, where
-    # the two rules disagree and the row takes adaptive Simpson
-    n = 2 * hba._CHUNK_ROWS + 10
-    fallback = {5, hba._CHUNK_ROWS + 17, 2 * hba._CHUNK_ROWS + 3}
-    v = [10.0 ** (k / n) * 10.0 for k in range(n)]
-    eps = [0.0 if k in fallback else 0.01 for k in range(n)]
-    t_min = [0.8 if k in fallback else 0.3 + 0.4 * k / n for k in range(n)]
+    # 3 chunks, each with a row the kernel cannot vouch for (V = 1e200: the
+    # spectrum overflows at its nodes), which run_point gives its
+    # DomainError; the rows ending at T = 1 at eps = 0 stay in the array
+    n = 2 * fading.CHUNK_ROWS + 10
+    fallback = {5, fading.CHUNK_ROWS + 17, 2 * fading.CHUNK_ROWS + 3}
+    v = [1e200 if k in fallback else 10.0 ** (k / n) * 10.0 for k in range(n)]
+    eps = [0.0 if k % 7 == 0 else 0.01 for k in range(n)]
+    t_min = [0.8 if k % 7 == 0 else 0.3 + 0.4 * k / n for k in range(n)]
     delta_t = [0.2] * n
     calls = []
     real = cli.run_point
@@ -312,7 +316,8 @@ def test_hba_exact_rows_span_chunks_with_a_fallback_row_in_each(monkeypatch):
     assert sorted(calls) == sorted((v[k], eps[k], t_min[k]) for k in fallback)
     monkeypatch.setattr(cli, "run_point", real)
     assert got == run_points_reference("hba_exact", v, eps, t_min, delta_t)
-    assert all(len(out) == 3 and isinstance(out[0], float) for out in got)
+    assert all(got[k][0] is DomainError for k in fallback)
+    assert all(isinstance(out[0], float) for k, out in enumerate(got) if k not in fallback)
 
 
 def test_hba_exact_point_rows_make_no_run_point_calls(monkeypatch, capsys):
@@ -369,8 +374,9 @@ def test_hba_exact_rows_mutual_info_has_the_scalar_bits():
 
 @pytest.mark.parametrize("eps", [5e-324, 1e-310, 1e-308, 1e-307])
 def test_tiny_eps_rows_equal_the_eps_zero_row(eps):
-    # below hba.EPS_NEGLIGIBLE htilde takes its eps -> 0 limit; its closed form
-    # made these DomainError rows, or was 5.7e-11 bits off (1e-307)
+    # the thermal term eps T / (2 (1-T)) underflows to nothing next to the
+    # logarithm; the closed form of htilde made these DomainError rows, or
+    # was 5.7e-11 bits off (1e-307)
     cfg = cli.SweepConfig(("hba_asymptotic",), (1e4,), (0.0, eps), (0.25,), (0.001,))
     rows, n_errors = cli.run_sweep(cfg)
     zero, tiny = rows
