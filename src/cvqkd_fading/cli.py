@@ -54,6 +54,7 @@ from .hba import (
     skr_hba_exact_rows,
 )
 from .montecarlo import SampleConfig, empirical_moments, moment_standard_errors
+from .numerics import itp_bracket
 from .svgplot import write_line_plot
 
 APPROACHES = ("fixed", "hba_exact", "hba_asymptotic", "cma")
@@ -459,12 +460,16 @@ def find_positive_threshold(
     hi: float | None = None,
     tol: float = 1e-5,
 ) -> tuple[float, float]:
-    """Smallest t_min with non-negative rate, by bisection of rate(t_min) = 0.
+    """Smallest t_min with non-negative rate: the root of rate(t_min) = 0.
 
     Returns (t_min_threshold, threshold_in_dB).  The rate must be monotone
-    over the bracket (checked by sampling) and change sign across it;
-    otherwise a NumericalError is raised ("no sign change").  Bisection
-    stops at b - a <= tol, or where no float lies between a and b.
+    over the bracket (checked at 9 evenly spaced samples) and change sign
+    across it; otherwise a NumericalError is raised ("no sign change").  The
+    ITP root finder (``numerics.itp_bracket``) then shrinks the first
+    sample interval [a, b] whose right end has a non-negative rate, keeping
+    rate(a) < 0 <= rate(b) (rate(lo) = 0 closes on lo), and stops at
+    b - a <= tol, or where no float lies between a and b; the threshold is
+    the midpoint of that final bracket.
     """
     if hi is None:
         hi = 1.0 - delta_t
@@ -489,15 +494,8 @@ def find_positive_threshold(
         raise NumericalError(
             f"no sign change: rate({lo:g}) = {values[0]:.3e}, rate({hi:g}) = {values[-1]:.3e}"
         )
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid in (a, b):
-            break
-        if rate(mid) >= 0.0:
-            b = mid
-        else:
-            a = mid
+    k = next(i for i in range(1, 9) if values[i] >= 0.0)
+    a, b = itp_bracket(rate, samples[k - 1], samples[k], values[k - 1], values[k], tol)
     t_star = 0.5 * (a + b)
     return t_star, attenuation_db(t_star)
 

@@ -34,7 +34,7 @@ from .channel import (
     require_noise,
     require_variance,
 )
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .fading import FadingUniform, TransmittanceMoments, law_mean, moments_uniform
 from .numerics import LOG2_E, log1p, maximize_scalar
 
@@ -187,11 +187,31 @@ def optimal_variance(
 
     Log-spaced pre-scan plus golden-section refinement to ``V_TOL``; returns
     (v_opt, rate_opt) even when the optimum is non-positive (callers
-    interpret rate_opt <= 0 as "no key").
+    interpret rate_opt <= 0 as "no key").  The pre-scan is one
+    ``skr_cma_rows`` call over its points, a point the rows cannot vouch for
+    going through ``skr_cma``; it calls ``skr_cma`` point by point when eps
+    is out of range or ``cma_block`` raises.  Either way (v_opt, rate_opt)
+    are the values of an all-scalar search, bit for bit.
     """
     if not 1.0 <= v_lo < v_hi:
         raise DomainError(f"need 1 <= v_lo < v_hi, got [{v_lo!r}, {v_hi!r}]")
-    return maximize_scalar(lambda v: skr_cma(v, eps, f).rate, v_lo, v_hi, V_TOL)
+
+    def rate(v: float) -> float:
+        return skr_cma(v, eps, f).rate
+
+    try:
+        block = cma_block(eps, f) if 0.0 <= eps < math.inf else None
+    except (DomainError, NumericalError):
+        block = None
+    if block is None:
+        return maximize_scalar(rate, v_lo, v_hi, V_TOL)
+
+    def rates(vs: list[float]) -> list[float]:
+        with np.errstate(all="ignore"):
+            mi, holevo, ok = skr_cma_rows(np.array(vs), *(np.full(len(vs), c) for c in block))
+        return np.where(ok, mi - holevo, np.nan).tolist()
+
+    return maximize_scalar(rate, v_lo, v_hi, V_TOL, rates)
 
 
 def cma_scaling(v: float, eff: EffectiveChannel) -> CmaScaling:

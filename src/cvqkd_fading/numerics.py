@@ -2,9 +2,11 @@
 
 Everything here is a pure function: the bosonic entropy ``g_entropy`` (and
 its array form), the real dilogarithm ``dilog``, an adaptive-Simpson
-``integrate`` and a bracketed scalar maximizer.  Only the tests call
-``dilog`` (the paper's closed forms) and ``integrate`` (the oracle of
-``fading.law_mean``).  All entropic quantities are in bits.
+``integrate``, a bracketed scalar maximizer (``maximize_scalar``, whose
+pre-scan may take all its points in one call) and a bracketing root finder
+(``itp_bracket``).  Only the tests call ``dilog`` (the paper's closed forms)
+and ``integrate`` (the oracle of ``fading.law_mean``).  All entropic
+quantities are in bits.
 
 The closed forms of the package are written once for float and ndarray
 arguments and take their logarithms from ``log2`` and ``log1p`` here:
@@ -14,6 +16,7 @@ alike.  So a point and a sweep row get the same bits from the same form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -174,7 +177,11 @@ N_SCAN = 64  # points of the pre-scan of ``maximize_scalar``
 
 
 def maximize_scalar(
-    f: Callable[[float], float], lo: float, hi: float, x_tol: float
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    x_tol: float,
+    f_many: Callable[[list[float]], list[float]] | None = None,
 ) -> tuple[float, float]:
     """Locate a maximum of f on [lo, hi] to within x_tol.
 
@@ -183,6 +190,12 @@ def maximize_scalar(
     refines; this keeps sharply peaked or mildly multi-modal objectives from
     defeating a bare bracketing search.  Returns (x_star, f(x_star)) for the
     best point evaluated anywhere.
+
+    f_many, when given, maps the list of pre-scan points to f's values at
+    them in one call (NaN where it cannot vouch for a value); a non-finite
+    value is evaluated again through f, so the point gets f's value or
+    exception.  Without it the pre-scan calls f point by point.  The
+    refinement always calls f.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"maximize_scalar requires lo < hi, got [{lo!r}, {hi!r}]")
@@ -203,7 +216,8 @@ def maximize_scalar(
         step = (hi - lo) / (N_SCAN - 1)
         xs = [lo + step * k for k in range(N_SCAN)]
         xs[-1] = hi
-    ys = [ev(x) for x in xs]
+    ys = f_many(xs) if f_many is not None else [ev(x) for x in xs]
+    ys = [y if math.isfinite(y) else ev(x) for x, y in zip(xs, ys)]
 
     i_best = max(range(N_SCAN), key=lambda i: ys[i])
     best_x, best_y = xs[i_best], ys[i_best]
@@ -231,3 +245,43 @@ def maximize_scalar(
         if y > best_y:
             best_x, best_y = x, y
     return best_x, best_y
+
+
+def itp_bracket(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float
+) -> tuple[float, float]:
+    """Shrink a bracket a < b with f(a) = fa < 0 <= fb = f(b) until
+    b - a <= tol or no float lies strictly between a and b; returns the
+    final (a, b), whose ends keep those signs.
+
+    Each step evaluates f once, at the ITP point (Oliveira & Takahashi,
+    ACM TOMS 47(1), 2020; kappa1 = 0.2 / (b - a), kappa2 = 2, n0 = 1): the
+    regula-falsi point, moved towards the midpoint and kept within r of it,
+    where r shrinks so that at most ceil(log2((b - a) / tol)) + 1 steps are
+    taken, one more than bisection needs, while a smooth f converges
+    superlinearly.  fa may be 0 (a root at a); the search then closes on a.
+    """
+    kappa1 = 0.2 / (b - a)
+    # log2 of each side, so that a subnormal tol does not overflow the ratio
+    n_max = max(math.ceil(math.log2(b - a) - math.log2(tol)), 0) + 1
+    # step j may leave a bracket of at most 2^(n_max - j - 1) tol: r is what
+    # that leaves beyond half the bracket, at least 0 (a bisection step), with
+    # 4 ulp of the final bracket kept back for the rounding of its ends
+    half_tol = 0.5 * max(tol - 4.0 * math.ulp(max(abs(a), abs(b))), 0.0)
+    for j in itertools.count():
+        mid = 0.5 * (a + b)
+        if b - a <= tol or not a < mid < b:
+            return a, b
+        r = max(math.ldexp(half_tol, n_max - j) - 0.5 * (b - a), 0.0)
+        x_f = a - fa * (b - a) / (fb - fa) if fb > fa else mid
+        sigma = math.copysign(1.0, mid - x_f)
+        delta = kappa1 * (b - a) ** 2
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        if not a < x < b:
+            x = mid
+        fx = f(x)
+        if fx >= 0.0:
+            b, fb = x, fx
+        else:
+            a, fa = x, fx

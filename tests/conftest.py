@@ -13,15 +13,35 @@ from ``cvqkd_fading``.  So are the Monte-Carlo standard errors, against
 moments of the uniform law taken by quadrature.  mpmath is imported on
 first use, so the rest of the suite runs without it; tests that call these
 oracles get it through ``pytest.importorskip("mpmath")``.
+
+``benchmark_sessions`` hands tests the benchmark's query sessions, so that
+the interactive paths are checked on the inputs they are timed on.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 
 OMEGA_1MODE = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 ORACLE_DPS = 40
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def benchmark_sessions(seed: int, n: int) -> list:
+    """The first n sessions (V, eps, t_min, delta_t, mc_seed) of the
+    benchmark's ``queries`` workload for a seed."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return list(itertools.islice(workloads.sessions(seed), n))
 
 
 def symplectic_eigs_generic(gamma: np.ndarray) -> list[float]:

@@ -297,14 +297,15 @@ def test_criterion_5_threshold_claim():
 
     (a) Each threshold t* is located correctly: the mpmath oracle rate
     (``hba_rate_oracle``), which is monotone in t_min, is negative at
-    t* - 1e-5 and positive at t* + 1e-5 (the bisection tolerance is 1e-5).
+    t* - 1e-5 and positive at t* + 1e-5 (t* is the midpoint of the ITP root
+    finder's final sign-change bracket, at most tol = 1e-5 wide).
     (b) The threshold in dB falls strictly with eps at fixed delta_t and with
     delta_t at fixed eps: more excess noise or wider fading needs a better
     channel.
 
     The literature band of [6, 8] dB is not asserted.  Root-finding on the
     oracle rate puts the (eps, delta_t) = (0.03, 0.6) corner at
-    t_min = 0.2545641, i.e. 5.942028 dB (the program: 5.941983 dB, 2.6e-6
+    t_min = 0.2545641, i.e. 5.942028 dB (the program: 5.942000 dB, 1.7e-6
     from the root in t_min); the other corners are at 7.4292, 6.8706, 7.2584,
     6.6600 and 6.6045 dB.
     """

@@ -14,9 +14,11 @@ from xml.sax.saxutils import escape as sax_escape
 import numpy as np
 import pytest
 
+from conftest import benchmark_sessions
+
 import cvqkd_fading
 from cvqkd_fading import cli, hba, montecarlo, svgplot
-from cvqkd_fading.channel import ChannelParams, skr_fixed
+from cvqkd_fading.channel import ChannelParams, SkrBreakdown, skr_fixed
 from cvqkd_fading.cma import avg_covariance, skr_cma
 from cvqkd_fading.errors import DomainError, NumericalError
 from cvqkd_fading.fading import FadingUniform
@@ -472,6 +474,43 @@ class TestThresholdCommand:
         t1, _ = cli.find_positive_threshold("hba_exact", 10.0, 0.0, 0.2, tol=1e-5)
         t2, _ = cli.find_positive_threshold("hba_exact", 10.0, 0.0, 0.2, tol=1e-7)
         assert abs(t1 - t2) < 2e-5
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 8])
+    def test_root_on_a_prescan_sample_is_found(self, monkeypatch, k):
+        # k = 0: rate(lo) = 0; k = 8: the root is hi, the last sample
+        lo, hi, tol = 0.05, 0.75, 1e-5
+        root = lo + (hi - lo) * k / 8.0  # the pre-scan's own sample
+
+        def rate_line(approach, v, eps, f):
+            return SkrBreakdown.from_parts(f.t_min - root, 0.0)
+
+        monkeypatch.setattr(cli, "run_point", rate_line)
+        t_star, _ = cli.find_positive_threshold("cma", 10.0, 0.01, 0.2, lo, hi, tol)
+        assert abs(t_star - root) <= tol / 2.0
+
+    def test_queries_thresholds_are_bracket_midpoints_in_few_rate_calls(self, monkeypatch):
+        # each threshold of the benchmark's queries sessions is the midpoint
+        # of a sign-change bracket of evaluated points no wider than tol,
+        # found in at most 16 rate evaluations per call on average (9 of them
+        # the pre-scan); bisection of the whole bracket took 25.4
+        real, evaluated = cli.run_point, []
+
+        def recorded(approach, v, eps, f):
+            out = real(approach, v, eps, f)
+            evaluated.append((f.t_min, out.rate))
+            return out
+
+        monkeypatch.setattr(cli, "run_point", recorded)
+        sessions = benchmark_sessions(1, 20)
+        calls = 0
+        for s in sessions:
+            evaluated.clear()
+            t_star, _ = cli.find_positive_threshold("hba_exact", s.v, s.eps, s.delta_t)
+            calls += len(evaluated)
+            a = max(t for t, r in evaluated if r < 0.0)
+            b = min(t for t, r in evaluated if r >= 0.0)
+            assert a < b and b - a <= 1e-5 and t_star == 0.5 * (a + b)
+        assert calls / len(sessions) <= 16.0
 
     def test_bad_tol_fails_fast_and_a_tiny_one_terminates(self):
         # bisection stopped only at b - a <= tol, which adjacent floats never

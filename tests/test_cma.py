@@ -1,17 +1,21 @@
 """Averaged-covariance model: moments, effective parameters, ergodic rate."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import (
+    benchmark_sessions,
     conditional_after_homodyne,
     ergodic_mutual_info_oracle,
     symplectic_eigs_generic,
 )
+from cvqkd_fading import cma
 from cvqkd_fading.channel import ChannelParams, holevo_from_eigenvalues, skr_fixed
 from cvqkd_fading.cma import (
+    V_TOL,
     avg_covariance,
     avg_mutual_information,
     cma_scaling,
@@ -20,10 +24,10 @@ from cvqkd_fading.cma import (
     optimal_variance,
     skr_cma,
 )
-from cvqkd_fading.errors import DomainError
+from cvqkd_fading.errors import DomainError, NumericalError
 from cvqkd_fading.fading import FadingUniform, moments_uniform
 from cvqkd_fading.hba import skr_hba_exact
-from cvqkd_fading.numerics import LOG2_E, integrate
+from cvqkd_fading.numerics import LOG2_E, integrate, maximize_scalar
 
 
 def random_fading(rng):
@@ -300,6 +304,117 @@ class TestOptimalVariance:
     def test_validation(self):
         with pytest.raises(DomainError):
             optimal_variance(0.0, FadingUniform(0.5, 0.1), v_lo=10.0, v_hi=2.0)
+
+
+def scalar_optimal_variance(eps, f, v_lo=1.0 + 1e-6, v_hi=1e4):
+    """``optimal_variance`` with a pre-scan of scalar ``skr_cma`` calls: the
+    reference its row pre-scan must reproduce bit for bit."""
+    if not 1.0 <= v_lo < v_hi:
+        raise DomainError(f"need 1 <= v_lo < v_hi, got [{v_lo!r}, {v_hi!r}]")
+    return maximize_scalar(lambda v: skr_cma(v, eps, f).rate, v_lo, v_hi, V_TOL)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the exception it raised."""
+    try:
+        return fn(*args)
+    except (DomainError, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# the edge box of optimize-v: bracket ends at and next to V = 1 and up to
+# 1e8, point masses, near-point and wide laws, t_min up to 1 (where a width
+# leaves the law's domain), and eps from 0 through subnormal-adjacent to
+# large, plus out-of-range eps that the rows must not take
+EDGE_BOX = [
+    (eps, t_min, delta_t, v_lo, v_hi)
+    for v_lo, v_hi, delta_t, t_min, eps in itertools.product(
+        (1.0, 1.0 + 1e-6, 2.0),
+        (10.0, 1e4, 1e8),
+        (0.0, 1e-20, 1e-6, 0.2),
+        (1e-3, 0.3, 0.8, 1.0),
+        (0.0, 1e-300, 0.01, 0.1),
+    )
+] + [(eps, 0.3, delta_t, 1.0 + 1e-6, 1e4) for eps in (-0.01, math.nan, math.inf) for delta_t in (0.0, 0.2)]
+
+
+class TestOptimalVarianceRowPrescan:
+    """The pre-scan of ``optimal_variance`` is one ``skr_cma_rows`` call; its
+    result must be exactly the all-scalar search's, exceptions included."""
+
+    def test_queries_sessions_match_the_scalar_prescan(self):
+        for seed in (1, 2):
+            for s in benchmark_sessions(seed, 40):
+                f = FadingUniform(s.t_min, s.delta_t)
+                assert optimal_variance(s.eps, f) == scalar_optimal_variance(s.eps, f)
+
+    def test_edge_box_matches_the_scalar_prescan(self):
+        results = []
+        for eps, t_min, delta_t, v_lo, v_hi in EDGE_BOX:
+            try:
+                f = FadingUniform(t_min, delta_t)
+            except DomainError:
+                continue
+            got = outcome(optimal_variance, eps, f, v_lo, v_hi)
+            assert got == outcome(scalar_optimal_variance, eps, f, v_lo, v_hi), (eps, f, v_lo, v_hi)
+            results.append(got)
+        # the box reaches both outcomes: optima and scalar-path exceptions
+        assert sum(isinstance(r[0], str) for r in results) >= 6
+        assert sum(isinstance(r[0], float) for r in results) >= 400
+
+    @pytest.mark.parametrize("bad_row", [0, 17, 63])
+    def test_a_row_the_kernel_cannot_vouch_for_gets_the_scalar_value(self, monkeypatch, bad_row):
+        f, eps = FadingUniform(0.1, 0.2), 0.005
+        real_rows, real_skr = cma.skr_cma_rows, cma.skr_cma
+        flagged, scalar_vs = [], []
+
+        def rows(v, *columns):
+            mi, holevo, ok = real_rows(v, *columns)
+            mi[bad_row], ok[bad_row] = -1e300, False  # a garbage value it does not vouch for
+            flagged.append(float(v[bad_row]))
+            return mi, holevo, ok
+
+        def skr(v, *args):
+            scalar_vs.append(v)
+            return real_skr(v, *args)
+
+        monkeypatch.setattr(cma, "skr_cma_rows", rows)
+        monkeypatch.setattr(cma, "skr_cma", skr)
+        got = optimal_variance(eps, f)
+        assert flagged and flagged[0] in scalar_vs
+        monkeypatch.setattr(cma, "skr_cma_rows", real_rows)
+        assert got == scalar_optimal_variance(eps, f)
+
+    def test_a_row_the_kernel_cannot_vouch_for_gets_the_scalar_exception(self, monkeypatch):
+        f, eps = FadingUniform(0.1, 0.2), 0.005
+        real_rows, real_skr = cma.skr_cma_rows, cma.skr_cma
+        flagged = []
+
+        def rows(v, *columns):
+            mi, holevo, ok = real_rows(v, *columns)
+            ok[5] = False
+            flagged.append(float(v[5]))
+            return mi, holevo, ok
+
+        def skr(v, *args):
+            if flagged and v == flagged[0]:
+                raise NumericalError(f"scalar failure at V = {v!r}")
+            return real_skr(v, *args)
+
+        monkeypatch.setattr(cma, "skr_cma_rows", rows)
+        monkeypatch.setattr(cma, "skr_cma", skr)
+        with pytest.raises(NumericalError, match="scalar failure at V = ") as exc:
+            optimal_variance(eps, f)
+        assert str(exc.value) == f"scalar failure at V = {flagged[0]!r}"
+
+    def test_failing_block_falls_back_to_the_scalar_prescan(self, monkeypatch):
+        f, eps = FadingUniform(0.1, 0.2), 0.005
+
+        def block(*args):
+            raise DomainError("block columns unavailable")
+
+        monkeypatch.setattr(cma, "cma_block", block)
+        assert optimal_variance(eps, f) == scalar_optimal_variance(eps, f)
 
 
 class TestScaling:

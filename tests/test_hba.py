@@ -1,16 +1,13 @@
 """Worst-case-rate model: the exact fading average and the large-V forms."""
 
-import importlib.util
 import math
-import sys
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import fixed_rate_oracle, hba_rate_oracle
+from conftest import benchmark_sessions, fixed_rate_oracle, hba_rate_oracle
 from cvqkd_fading import cli, hba
 from cvqkd_fading.channel import (
     ChannelParams,
@@ -31,9 +28,6 @@ from cvqkd_fading.hba import (
     skr_hba_exact,
 )
 from cvqkd_fading.numerics import LOG2_E, dilog, g_entropy, integrate
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
 
 def holevo_avg_bruteforce(v, eps, f, n=10_000):
     """Midpoint-rule average of the exact Holevo bound, independent of the
@@ -99,16 +93,10 @@ def threshold_prescan_ends(n_sessions):
     """(V, eps, FadingUniform) of the last threshold pre-scan point of the
     first n benchmark query sessions of seed 1: t_min = 1 - delta_t, so the
     law ends at T = 1."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    sessions = workloads.sessions(1)
-    points = []
-    for _ in range(n_sessions):
-        s = next(sessions)
-        points.append((s.v, s.eps, FadingUniform(1.0 - s.delta_t, s.delta_t)))
-    return points
+    return [
+        (s.v, s.eps, FadingUniform(1.0 - s.delta_t, s.delta_t))
+        for s in benchmark_sessions(1, n_sessions)
+    ]
 
 
 class TestFadingUniform:

@@ -1,4 +1,4 @@
-"""Special functions, quadrature and the scalar maximizer."""
+"""Special functions, quadrature, the scalar maximizer and the root finder."""
 
 import math
 
@@ -18,6 +18,7 @@ from cvqkd_fading.numerics import (
     g_entropy,
     g_entropy_array,
     integrate,
+    itp_bracket,
     maximize_scalar,
 )
 
@@ -254,3 +255,93 @@ class TestMaximizeScalar:
             maximize_scalar(math.sin, 0.0, 1.0, 0.0)
         with pytest.raises(NumericalError):
             maximize_scalar(lambda x: math.nan, 0.0, 1.0, 1e-6)
+
+
+def bisection_steps(a, b, tol):
+    """Steps bisection takes to shrink [a, b] to width <= tol."""
+    return math.ceil(math.log2(b - a) - math.log2(tol))
+
+
+def find_bracket(f, a, b, tol):
+    """itp_bracket on [a, b] and the points where it evaluated f."""
+    points = []
+
+    def counted(x):
+        points.append(x)
+        return f(x)
+
+    return itp_bracket(counted, a, b, f(a), f(b), tol), points
+
+
+def step(x):
+    return -1.0 if x < 0.3141 else 1.0
+
+
+def flat_then_linear(x):
+    return -1.0 if x < 0.9 else x - 0.95
+
+
+def linear_then_flat(x):
+    return x - 0.6 if x < 0.6 else 1e-6 * (x - 0.6) - 1e-12
+
+
+# (f, a, b): smooth, steep, step, flat-stretch and one-sided-flat functions
+ROOT_CASES = [
+    (lambda x: x**3 - 0.3, 0.0, 1.0),
+    (lambda x: math.exp(x) - 2.0, 0.0, 2.0),
+    (lambda x: math.tanh(50.0 * (x - 0.37)), 0.0, 1.0),
+    (lambda x: x - 1.0 / 3.0, 0.25, 0.75),
+    (step, 0.0, 1.0),
+    (flat_then_linear, 0.0, 1.0),
+    (linear_then_flat, -1.0, 1.0),
+]
+
+
+class TestItpBracket:
+    @pytest.mark.parametrize("f, a, b", ROOT_CASES)
+    @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-9, 1e-12])
+    def test_final_bracket_keeps_its_signs_within_tol_and_the_step_bound(self, f, a, b, tol):
+        (lo, hi), points = find_bracket(f, a, b, tol)
+        assert a <= lo < hi <= b and hi - lo <= tol
+        assert f(lo) < 0.0 <= f(hi)
+        assert {lo, hi} <= {a, b, *points}
+        assert len(points) <= bisection_steps(a, b, tol) + 1
+
+    def test_smooth_functions_take_far_fewer_steps_than_bisection(self):
+        for f, a, b in ROOT_CASES[:4]:
+            _, points = find_bracket(f, a, b, 1e-9)
+            assert len(points) <= bisection_steps(a, b, 1e-9) // 3
+
+    def test_random_step_and_flat_functions_keep_the_step_bound(self):
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            a = float(rng.uniform(-2.0, 1.0))
+            b = a + float(10.0 ** rng.uniform(-4.0, 1.0))
+            c = float(rng.uniform(a, b))
+            for f in (
+                lambda x: -1.0 if x < c else 1.0,
+                lambda x: min(x - c, 0.0) + 1e-6 * max(x - c, 0.0) - 1e-12,
+                lambda x: x - c if x > c else -1e-3,
+            ):
+                if not f(a) < 0.0 <= f(b):
+                    continue
+                for tol in (1e-5, 1e-9, 1e-14):
+                    if tol < b - a:
+                        (lo, hi), points = find_bracket(f, a, b, tol)
+                        assert hi - lo <= tol and f(lo) < 0.0 <= f(hi)
+                        assert len(points) <= bisection_steps(a, b, tol) + 1
+
+    def test_root_at_the_low_end_is_found(self):
+        # f(a) = 0: every evaluation is >= 0, so the bracket closes on a
+        for f in (lambda x: x - 0.25, lambda x: 0.0):
+            (lo, hi), points = find_bracket(f, 0.25, 1.0, 1e-6)
+            assert lo == 0.25 and hi - lo <= 1e-6
+            assert len(points) <= bisection_steps(0.25, 1.0, 1e-6) + 1
+
+    @pytest.mark.parametrize("tol", [1e-300, 5e-324])
+    def test_tol_below_float_spacing_terminates_at_adjacent_floats(self, tol):
+        for f, a, b in ROOT_CASES:
+            (lo, hi), points = find_bracket(f, a, b, tol)
+            assert math.nextafter(lo, math.inf) == hi
+            assert f(lo) < 0.0 <= f(hi)
+            assert len(points) <= 64
