@@ -42,7 +42,8 @@ from operator import itemgetter
 import numpy as np
 
 from .channel import ChannelParams, SkrBreakdown, derive_chi, skr_fixed, skr_fixed_rows
-from .cma import V_TOL, avg_covariance, cma_block, optimal_variance, skr_cma, skr_cma_rows
+from .cma import V_TOL, avg_covariance, cma_block, optimal_variance, require_v_bracket
+from .cma import skr_cma, skr_cma_rows
 from .errors import DomainError, NumericalError
 from .fading import FadingUniform, moments_uniform
 from .hba import (
@@ -230,8 +231,7 @@ class SweepConfig:
                     raise DomainError(f"{name} values must be finite and {bound}, got {x!r}")
         if self.jobs < 1:
             raise DomainError(f"jobs must be >= 1, got {self.jobs!r}")
-        if not 1.0 <= self.v_lo < self.v_hi:
-            raise DomainError(f"need 1 <= v_lo < v_hi, got [{self.v_lo!r}, {self.v_hi!r}]")
+        require_v_bracket(self.v_lo, self.v_hi)
 
 
 @dataclass(slots=True)

@@ -34,7 +34,7 @@ from .channel import (
     require_noise,
     require_variance,
 )
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .fading import FadingUniform, TransmittanceMoments, law_mean, moments_uniform
 from .numerics import LOG2_E, log1p, maximize_scalar
 
@@ -149,8 +149,8 @@ def skr_cma(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
 
 
 def cma_block(eps: float, f: FadingUniform) -> tuple[float, ...]:
-    """What ``skr_cma_rows`` needs of one (eps, fading) block, computed by the
-    scalar code and raising its DomainError: eps, t_min, t_max, delta_t,
+    """The columns of ``skr_cma_rows`` for an (eps, fading) pair, computed by
+    the scalar code and raising its DomainError: eps, t_min, t_max, delta_t,
     t_eff, Var(sqrt T)/t_eff and, for a point mass, chi at t_min (else NaN)."""
     t_eff, ratio = _effective_coefficients(moments_uniform(f))
     chi_point = derive_chi(f.t_min, eps) if f.delta_t == 0.0 else math.nan
@@ -158,23 +158,27 @@ def cma_block(eps: float, f: FadingUniform) -> tuple[float, ...]:
 
 
 def skr_cma_rows(v, eps, t_min, t_max, delta_t, t_eff, ratio, chi_point):
-    """``skr_cma`` at every row of equal-length arrays, the block columns
-    from ``cma_block``; V >= 1 and eps >= 0 already validated.  Returns
-    (mutual_info, holevo, ok), equal to the scalar values bit for bit where
-    ok, with ok as in ``channel.holevo_rows``."""
+    """``skr_cma`` at every row of equal-length arrays, each row's columns
+    from ``cma_block``; V >= 1 and eps >= 0 already validated.  A point mass
+    takes the fixed-channel mutual information, the other rows one
+    ``law_mean`` call.  Returns (mutual_info, holevo, ok), equal to the
+    scalar values bit for bit where ok, with ok as in ``channel.holevo_rows``."""
     point = delta_t == 0.0
+    avg = ~point
     mi = np.empty(v.size)
     mi[point] = mutual_information_form(v[point], chi_point[point])
-    # one law_mean per block (a run of rows with equal eps and law), so that
-    # its nodes and T / (1 + eps T) are formed once
-    blocks = (eps[1:] != eps[:-1]) | (t_min[1:] != t_min[:-1]) | (delta_t[1:] != delta_t[:-1])
-    cut = np.flatnonzero(blocks) + 1
-    for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), v.size]):
-        if not point[lo]:
-            mi[lo:hi] = law_mean(_ergodic_mi_nodes, t_min[lo], t_max[lo], v[lo:hi] - 1.0, eps[lo])
+    mi[avg] = law_mean(_ergodic_mi_nodes, t_min[avg], t_max[avg], v[avg] - 1.0, eps[avg])
     eps_eff = effective_excess_noise(ratio, eps, v)
     holevo, ok = holevo_rows(v, t_eff, eps_eff)
     return mi, holevo, ok & (eps_eff >= 0.0) & np.isfinite(mi)
+
+
+def require_v_bracket(v_lo: float, v_hi: float) -> None:
+    """The rule 1 <= v_lo < v_hi < inf on the bracket of ``optimal_variance``."""
+    if not 1.0 <= v_lo < v_hi:
+        raise DomainError(f"need 1 <= v_lo < v_hi, got [{v_lo!r}, {v_hi!r}]")
+    if v_hi == math.inf:
+        raise DomainError(f"v_hi must be finite, got {v_hi!r}")
 
 
 def optimal_variance(
@@ -187,31 +191,21 @@ def optimal_variance(
 
     Log-spaced pre-scan plus golden-section refinement to ``V_TOL``; returns
     (v_opt, rate_opt) even when the optimum is non-positive (callers
-    interpret rate_opt <= 0 as "no key").  The pre-scan is one
-    ``skr_cma_rows`` call over its points, a point the rows cannot vouch for
-    going through ``skr_cma``; it calls ``skr_cma`` point by point when eps
-    is out of range or ``cma_block`` raises.  Either way (v_opt, rate_opt)
-    are the values of an all-scalar search, bit for bit.
+    interpret rate_opt <= 0 as "no key").  The bracket and eps are checked
+    first, and a ``cma_block`` error propagates.  The pre-scan is one
+    ``skr_cma_rows`` call, a point the rows cannot vouch for going through
+    ``skr_cma``, so (v_opt, rate_opt) are an all-scalar search's, bit for bit.
     """
-    if not 1.0 <= v_lo < v_hi:
-        raise DomainError(f"need 1 <= v_lo < v_hi, got [{v_lo!r}, {v_hi!r}]")
-
-    def rate(v: float) -> float:
-        return skr_cma(v, eps, f).rate
-
-    try:
-        block = cma_block(eps, f) if 0.0 <= eps < math.inf else None
-    except (DomainError, NumericalError):
-        block = None
-    if block is None:
-        return maximize_scalar(rate, v_lo, v_hi, V_TOL)
+    require_v_bracket(v_lo, v_hi)
+    require_noise(eps)
+    block = cma_block(eps, f)
 
     def rates(vs: list[float]) -> list[float]:
         with np.errstate(all="ignore"):
             mi, holevo, ok = skr_cma_rows(np.array(vs), *(np.full(len(vs), c) for c in block))
         return np.where(ok, mi - holevo, np.nan).tolist()
 
-    return maximize_scalar(rate, v_lo, v_hi, V_TOL, rates)
+    return maximize_scalar(lambda v: skr_cma(v, eps, f).rate, v_lo, v_hi, V_TOL, rates)
 
 
 def cma_scaling(v: float, eff: EffectiveChannel) -> CmaScaling:

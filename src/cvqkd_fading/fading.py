@@ -104,15 +104,20 @@ def moments_uniform(f: FadingUniform) -> TransmittanceMoments:
     """Closed-form moments of the uniform fading law.  With a = sqrt(t_max)
     and b = sqrt(t_min), <sqrt(T)> = 2 (a^2 + ab + b^2) / (3 (a + b)) and
     Var(sqrt(T)) = delta_t^2 (a^2 + 4ab + b^2) / (18 (a + b)^4): the
-    cancelling differences a^3 - b^3 and <T> - <sqrt(T)>^2 divided out."""
+    cancelling differences a^3 - b^3 and <T> - <sqrt(T)>^2 divided out.
+    They are taken on the law scaled by the 4^k (k >= 0) that lifts t_max to
+    [1/4, 1], exact and changing no normal value's bits, so that no power of
+    a small T underflows."""
     if f.delta_t == 0.0:
         return TransmittanceMoments(math.sqrt(f.t_min), f.t_min, 0.0)
-    a, b = math.sqrt(f.t_max), math.sqrt(f.t_min)
+    k = max(-math.frexp(f.t_max)[1] // 2, 0)
+    t_min, t_max, delta_t = (math.ldexp(x, 2 * k) for x in (f.t_min, f.t_max, f.delta_t))
+    a, b = math.sqrt(t_max), math.sqrt(t_min)
     sum2 = (a + b) * (a + b)
+    var_sqrt_t = delta_t * delta_t * (t_max + 4.0 * a * b + t_min) / (18.0 * (sum2 * sum2))
     return TransmittanceMoments(
-        2.0 * (f.t_max + a * b + f.t_min) / (3.0 * (a + b)),
-        f.t_min + 0.5 * f.delta_t,
-        f.delta_t * f.delta_t * (f.t_max + 4.0 * a * b + f.t_min) / (18.0 * (sum2 * sum2)),
+        math.ldexp(2.0 * (t_max + a * b + t_min) / (3.0 * (a + b)), -k),
+        *(math.ldexp(x, -2 * k) for x in (t_min + 0.5 * delta_t, var_sqrt_t)),
     )
 
 
@@ -135,16 +140,14 @@ def law_mean(integrand, t_min, t_max, *args):
     the integrand's value at t_min where t_max == t_min.
 
     integrand maps an array of nodes, and args as given, to the values at
-    those nodes, elementwise.  One row (no ndarray among the arguments): the
-    fine level where the two levels agree to max(ABS_TOL, REL_TOL * |mean|),
-    else QuadratureError with the gap.  Rows (some equal-length ndarrays,
-    the other arguments shared by every row): per ``CHUNK_ROWS`` rows the
-    integrand gets a (rows, nodes) matrix of nodes, one row of them for a
-    shared law, and each array arg as a column; a row gets the bits it gets
-    alone, or NaN where its levels disagree.
+    those nodes, elementwise.  One row (t_min a float): the fine level where
+    the two levels agree to max(ABS_TOL, REL_TOL * |mean|), else
+    QuadratureError with the gap.  Rows (every argument an equal-length
+    ndarray, one entry per row): per ``CHUNK_ROWS`` rows the integrand gets
+    a (rows, nodes) matrix of nodes and each arg as a column; a row gets the
+    bits it gets alone, or NaN where its levels disagree.
     """
-    arrays = [a for a in (t_min, t_max, *args) if isinstance(a, np.ndarray)]
-    if not arrays:
+    if not isinstance(t_min, np.ndarray):
         mid, fine, coarse = _levels(integrand, t_min, t_max, args)
         if t_max == t_min:
             return float(mid)
@@ -154,12 +157,10 @@ def law_mean(integrand, t_min, t_max, *args):
                 f"tanh-sinh levels differ by {abs(fine - coarse):.3e}"
             )
         return float(fine)
-    mid, fine, coarse = np.empty((3, arrays[0].size))
-    for start in range(0, fine.size, CHUNK_ROWS):
+    mid, fine, coarse = np.empty((3, t_min.size))
+    for start in range(0, t_min.size, CHUNK_ROWS):
         rows = slice(start, start + CHUNK_ROWS)
-        lo, hi, *columns = (
-            a[rows, None] if isinstance(a, np.ndarray) else a for a in (t_min, t_max, *args)
-        )
+        lo, hi, *columns = (a[rows, None] for a in (t_min, t_max, *args))
         mid[rows], fine[rows], coarse[rows] = _levels(integrand, lo, hi, columns)
     agree = np.abs(fine - coarse) <= np.maximum(ABS_TOL, REL_TOL * np.abs(fine))
     return np.where(t_max == t_min, mid, np.where(agree, fine, np.nan))

@@ -16,6 +16,7 @@ numpy's serial pairwise sum over that one buffer; no thread is started.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,7 @@ def moment_standard_errors(f: FadingUniform, n_samples: int) -> tuple[float, flo
     2 (b + w x)/(a + b), whose mean is c = (2a + b)/(3 (a + b)), so
     mu_k = w^k I_k with I_k the density-weighted mean of (x - c)^k, a
     polynomial of degree <= 5 that ``_GAUSS3`` integrates exactly.  All zero
-    when delta_t = 0.
+    when delta_t = 0.  A variance below the normal range is rooted factor by factor.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
@@ -114,10 +115,10 @@ def moment_standard_errors(f: FadingUniform, n_samples: int) -> tuple[float, flo
         d2 = (x - c) * (x - c)
         i2 += p * d2
         i4 += p * d2 * d2
+    var_sqrt = moments_uniform(f).var_sqrt_t
     var_v = w**4 * (i4 - i2 * i2)
+    # a variance below the normal range lost digits its root keeps: root its factors
+    sd_sqrt = math.sqrt(var_sqrt) if var_sqrt >= sys.float_info.min else w * math.sqrt(i2)
+    sd_v = math.sqrt(var_v) if var_v >= sys.float_info.min else w * w * math.sqrt(i4 - i2 * i2)
     root_n = math.sqrt(n_samples)
-    return (
-        math.sqrt(moments_uniform(f).var_sqrt_t) / root_n,
-        f.delta_t / math.sqrt(12.0) / root_n,
-        math.sqrt(var_v) / root_n,
-    )
+    return sd_sqrt / root_n, f.delta_t / math.sqrt(12.0) / root_n, sd_v / root_n

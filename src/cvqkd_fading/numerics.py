@@ -188,8 +188,9 @@ def maximize_scalar(
     A coarse pre-scan of ``N_SCAN`` points (log-spaced when lo > 0, linear
     otherwise) picks the best bracket, which golden-section search then
     refines; this keeps sharply peaked or mildly multi-modal objectives from
-    defeating a bare bracketing search.  Returns (x_star, f(x_star)) for the
-    best point evaluated anywhere.
+    defeating a bare bracketing search, and stops once a probe no longer lies
+    strictly inside the bracket (float spacing above x_tol).  Returns
+    (x_star, f(x_star)) for the best point evaluated anywhere.
 
     f_many, when given, maps the list of pre-scan points to f's values at
     them in one call (NaN where it cannot vouch for a value); a non-finite
@@ -224,11 +225,11 @@ def maximize_scalar(
     a = xs[i_best - 1] if i_best > 0 else xs[0]
     b = xs[i_best + 1] if i_best < N_SCAN - 1 else xs[-1]
 
-    # golden-section refinement on [a, b]
+    # golden-section refinement on [a, b], while its probes lie inside it
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = ev(c), ev(d)
-    while b - a > x_tol:
+    while b - a > x_tol and a < c < b and a < d < b:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

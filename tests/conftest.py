@@ -209,6 +209,40 @@ def hba_asymptotic_rate_oracle(v: float, eps: float, t_min: float, delta_t: floa
         return float(mutual_info - holevo)
 
 
+def sqrt_t_moments_oracle(t_min: float, delta_t: float) -> list:
+    """<sqrt T>, <T>, Var(sqrt T), sd(T) and sqrt(mu4 - mu2^2) of sqrt T
+    (the per-draw sds of ``moment_standard_deviations_oracle``) for T
+    uniform on [t_min, t_min + delta_t], delta_t > 0, as mpmath numbers.
+
+    sqrt T = s has density 2 s / delta_t on [sqrt(t_min), sqrt(t_max)], so
+    <s> = 2 (s^3 / 3) / delta_t between the ends, and the central moment
+    E[(s - m)^k] is 2 [y^(k+2) / (k+2) + m y^(k+1) / (k+1)] / delta_t
+    between the ends, y = s - m.  The ends differ by about delta_t /
+    (2 sqrt(t_min)): s^3 cancels by the decades d of t_min / delta_t, and m
+    must then be right to ``ORACLE_DPS`` digits of y, so the sums are taken
+    at ``ORACLE_DPS`` + 2 d + 20 digits (which also hold t_min + delta_t
+    exactly); mpmath's exponent does not underflow."""
+    import math
+
+    import mpmath
+
+    dps = ORACLE_DPS + 20 + 2 * max(0, math.ceil(math.log10(t_min) - math.log10(delta_t)))
+    with mpmath.workdps(dps):
+        lo, width = mpmath.mpf(t_min), mpmath.mpf(delta_t)
+        ends = mpmath.sqrt(lo + width), mpmath.sqrt(lo)
+        mean = 2 * (ends[0] ** 3 - ends[1] ** 3) / (3 * width)
+
+        def central(k):
+            def anti(s):
+                y = s - mean
+                return y ** (k + 2) / (k + 2) + mean * y ** (k + 1) / (k + 1)
+
+            return 2 * (anti(ends[0]) - anti(ends[1])) / width
+
+        mu2, mu4 = central(2), central(4)
+        return [mean, lo + width / 2, mu2, width / mpmath.sqrt(12), mpmath.sqrt(mu4 - mu2 * mu2)]
+
+
 def moment_standard_deviations_oracle(t_min: float, delta_t: float) -> list[float]:
     """Per-draw standard deviations of the three moment estimators of T
     uniform on [t_min, t_min + delta_t]: sd(sqrt T), sd(T) and

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -573,6 +574,83 @@ class TestOptimizeCommand:
         assert code == 0
         assert float(out.strip().splitlines()[1].split(",")[3]) == pytest.approx(937.9, abs=0.1)
         assert err == ""
+
+
+    def test_bracket_wider_than_its_float_spacing_allows_ends(self, capsys):
+        # ulp(1e16) = 2 > V_TOL: the golden-section search never ended here
+        def stop(signum, frame):
+            raise TimeoutError("optimize-v did not end within 20 s")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(20)
+        try:
+            code, out, err = run_main(
+                ["optimize-v", "--eps", "0", "--t-min", "0.3", "--delta-t", "0", "--v-hi", "1e16"],
+                capsys,
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0
+        assert float(out.strip().splitlines()[1].split(",")[3]) == 1e16
+        assert err.startswith(
+            "warning: v_opt = 10000000000000000 is within 0.001 of the bracket edge v_hi"
+        )
+
+    def test_infinite_v_hi_exits_one_naming_it(self, capsys):
+        code, out, err = run_main(
+            ["optimize-v", "--eps", "0.01", "--t-min", "0.3", "--delta-t", "0.2", "--v-hi", "inf"],
+            capsys,
+        )
+        assert (code, out, err) == (1, "", "error: v_hi must be finite, got inf\n")
+
+    def test_sweep_with_infinite_v_hi_exits_one_before_evaluating(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "optimal_variance", lambda *args: calls.append(args))
+        code, out, err = run_main(
+            ["sweep", "--approach", "cma", "--v", "10", "--eps", "0.01", "--t-min", "0.3",
+             "--delta-t", "0.2", "--optimize-v", "cma", "--v-hi", "inf"],
+            capsys,
+        )
+        assert (code, out, err) == (1, "", "error: v_hi must be finite, got inf\n")
+        assert calls == []
+
+
+class TestTinyLaws:
+    """Laws far below T = 1e-154, where the moments' closed forms once
+    underflowed to 0 / 0 (a ZeroDivisionError traceback) or to 0."""
+
+    LAW = ["--t-min", "1e-300", "--delta-t", "1e-300"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["point", "--approach", "cma", "--v", "10", "--eps", "0.01", *LAW],
+            ["optimize-v", "--eps", "0.01", *LAW],
+            ["sweep", "--approach", "cma", "--v", "10", "--eps", "0.01", *LAW],
+        ],
+    )
+    def test_cma_answers(self, capsys, argv):
+        code, out, err = run_main(argv, capsys)
+        assert (code, err) == (0, "")
+        row = out.strip().splitlines()[1].split(",")
+        assert all(math.isfinite(float(cell)) for cell in row[1:-1] if cell)
+
+    @pytest.mark.parametrize("law, var_sqrt_t", [("1e-300", 1.4157444218835646e-302),
+                                                 ("1e-160", 1.4157444218835649e-162)])
+    def test_mc_validate_within_bands(self, capsys, law, var_sqrt_t):
+        # var_sqrt_t and its standard error printed 0 at 1e-160, and the
+        # check failed; mpmath gives Var(sqrt T) = 1.4157444218835e-162 there
+        code, out, err = run_main(
+            ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", law, "--delta-t", law,
+             "--n", "100000"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        rows = {line.split(",")[0]: line.split(",") for line in out.strip().splitlines()[1:]}
+        assert all(row[-1] == "true" for row in rows.values())
+        assert float(rows["var_sqrt_t"][2]) == pytest.approx(var_sqrt_t, rel=1e-14)
+        assert all(float(rows[name][4]) > 0.0 for name in ("mean_sqrt_t", "var_sqrt_t"))
 
 
 class TestMcValidateCommand:

@@ -12,7 +12,7 @@ from conftest import (
     ergodic_mutual_info_oracle,
     symplectic_eigs_generic,
 )
-from cvqkd_fading import cma
+from cvqkd_fading import cli, cma
 from cvqkd_fading.channel import ChannelParams, holevo_from_eigenvalues, skr_fixed
 from cvqkd_fading.cma import (
     V_TOL,
@@ -407,14 +407,50 @@ class TestOptimalVarianceRowPrescan:
             optimal_variance(eps, f)
         assert str(exc.value) == f"scalar failure at V = {flagged[0]!r}"
 
-    def test_failing_block_falls_back_to_the_scalar_prescan(self, monkeypatch):
-        f, eps = FadingUniform(0.1, 0.2), 0.005
+    @pytest.mark.parametrize("eps", [-0.01, math.nan, math.inf])
+    def test_invalid_eps_fails_before_the_rows(self, monkeypatch, eps):
+        rows = []
+        monkeypatch.setattr(cma, "skr_cma_rows", lambda *args: rows.append(args))
+        with pytest.raises(DomainError) as exc:
+            optimal_variance(eps, FadingUniform(0.1, 0.2))
+        assert str(exc.value) == f"excess noise must satisfy eps >= 0, got {eps!r}"
+        assert rows == []
+
+    def test_a_block_error_propagates(self, monkeypatch):
+        error = DomainError("block columns unavailable")
 
         def block(*args):
-            raise DomainError("block columns unavailable")
+            raise error
 
         monkeypatch.setattr(cma, "cma_block", block)
-        assert optimal_variance(eps, f) == scalar_optimal_variance(eps, f)
+        with pytest.raises(DomainError) as exc:
+            optimal_variance(0.005, FadingUniform(0.1, 0.2))
+        assert exc.value is error
+
+
+def test_sweep_averages_its_cma_rows_in_one_law_mean_call(monkeypatch, capsys):
+    # six averaged blocks (two eps, three t_min) and six point masses: the
+    # averaged rows go to one law_mean call, the point masses to none
+    calls = []
+    real = cma.law_mean
+
+    def counting(integrand, t_min, t_max, *args):
+        calls.append(t_min)
+        return real(integrand, t_min, t_max, *args)
+
+    monkeypatch.setattr(cma, "law_mean", counting)
+    cfg = cli.SweepConfig(("cma",), (2.0, 10.0, 100.0), (0.0, 0.01), (0.1, 0.3, 0.5), (0.0, 0.2))
+    rows, n_errors = cli.run_sweep(cfg)
+    capsys.readouterr()
+    assert n_errors == 0 and len(rows) == 36
+    assert len(calls) == 1 and calls[0].shape == (18,)
+    for i, row in enumerate(rows):
+        want = skr_cma(row.v, row.eps, FadingUniform(row.t_min, row.delta_t))
+        assert (row.mutual_info, row.holevo, row.rate) == (
+            want.mutual_info,
+            want.holevo,
+            want.rate,
+        ), i
 
 
 class TestScaling:

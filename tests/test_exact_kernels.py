@@ -26,11 +26,13 @@ from conftest import (
     hba_asymptotic_rate_oracle,
     hba_rate_oracle,
     spectrum_oracle,
+    sqrt_t_moments_oracle,
 )
 from cvqkd_fading.channel import ChannelParams, holevo_fixed, skr_fixed, spectrum_closed_form
 from cvqkd_fading.cma import avg_mutual_information, holevo_cma, skr_cma
 from cvqkd_fading.fading import FadingUniform, moments_uniform
 from cvqkd_fading.hba import skr_hba_asymptotic, skr_hba_exact
+from cvqkd_fading.montecarlo import moment_standard_errors
 from cvqkd_fading.numerics import g_entropy, g_entropy_array
 
 mpmath = pytest.importorskip("mpmath")
@@ -78,6 +80,32 @@ def test_moments_match_the_oracle(t_min, w):
         var_sqrt = (lo + hi) / 2 - mean_sqrt**2
     assert abs(m.mean_sqrt_t - mean_sqrt) <= 1e-14 * mean_sqrt
     assert abs(m.var_sqrt_t - var_sqrt) <= 1e-14 * var_sqrt
+
+
+# a law anywhere in the double range: t_min and delta_t log-uniform down to
+# the smallest subnormal, t_min + delta_t <= 1
+tiny_laws = st.tuples(st.floats(-323.3, 0.0), st.floats(-323.3, 0.0)).map(
+    lambda uv: (10.0**uv[0], (1.0 - 10.0**uv[0]) * 10.0**uv[1])
+).filter(lambda law: law[1] > 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(law=tiny_laws)
+@example(law=(1e-300, 1e-300))  # Var(sqrt T) was 0 / 0, a ZeroDivisionError
+@example(law=(1e-160, 1e-160))  # Var(sqrt T) and two standard errors were 0
+@example(law=(0.5, 1e-160))  # Var(sqrt T) subnormal, its root normal
+@example(law=(1e-100, 1e-160))  # delta_t^2 underflows, Var(sqrt T) does not
+@example(law=(5e-324, 5e-324))
+def test_moments_and_standard_errors_down_to_subnormal_laws_match_the_oracle(law):
+    f = FadingUniform(*law)
+    m = moments_uniform(f)
+    mean_sqrt, mean_t, var_sqrt, sd_t, sd_var = sqrt_t_moments_oracle(f.t_min, f.delta_t)
+    got = (m.mean_sqrt_t, m.mean_t, m.var_sqrt_t, *moment_standard_errors(f, 1))
+    want = (mean_sqrt, mean_t, var_sqrt, mpmath.sqrt(var_sqrt), sd_t, sd_var)
+    for k, (value, ref) in enumerate(zip(got, want)):
+        # 1e-14 relative, or 4 units of the last subnormal place: below the
+        # normal range only the absolute error of a value is bounded
+        assert abs(mpmath.mpf(value) - ref) <= 1e-14 * ref + 4 * mpmath.mpf(2) ** -1074, k
 
 
 @st.composite

@@ -248,6 +248,22 @@ class TestMaximizeScalar:
         grid = np.linspace(0.0, 10.0, 10_000)
         assert fx >= float(np.max(np.sin(3.0 * grid) + 0.5 * np.sin(0.5 * grid))) - 1e-9
 
+    @pytest.mark.parametrize("peak", [1e16, 3e15])
+    def test_stops_where_the_float_spacing_exceeds_x_tol(self, peak):
+        # ulp(1e16) = 2 > x_tol: the bracket can never be as narrow as x_tol,
+        # so the search must end once its probes stop lying inside it
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) > 1000:
+                raise RuntimeError("the golden-section search does not stop")
+            return -abs(x - peak)
+
+        x, fx = maximize_scalar(f, 1.0, 1e16, 1e-3)
+        assert abs(x - peak) <= 4 * math.ulp(peak)
+        assert fx == f(x)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             maximize_scalar(math.sin, 1.0, 1.0, 1e-6)
