@@ -31,6 +31,9 @@ PHYSICALITY_SLACK = 1e-12
 # relative rounding slack of the covariance invariants: 8 ulp of the products
 ROUNDING_ULPS = 8.0 * 2.0**-52
 
+# 1/T overflows exactly for T <= 2^-1024 (about 5.6e-309, a subnormal)
+T_FLOOR = 2.0**-1024
+
 
 def require_variance(v: float) -> None:
     """The rule V >= 1 (finite) on a modulation-plus-vacuum variance."""
@@ -48,6 +51,8 @@ def derive_chi(t: float, eps: float) -> float:
     """Total channel-added noise referred to the input: 1/T - 1 + eps."""
     if not (math.isfinite(t) and 0.0 < t <= 1.0):
         raise DomainError(f"transmittance must satisfy 0 < T <= 1, got {t!r}")
+    if t <= T_FLOOR:
+        raise DomainError(f"transmittance T = {t!r} is too small: 1/T overflows below 5.6e-309")
     require_noise(eps)
     return 1.0 / t - 1.0 + eps
 
@@ -256,24 +261,32 @@ def holevo_from_eigenvalues(lambda1: float, lambda2: float, lambda3: float) -> f
 
 
 def holevo_fixed(p: ChannelParams) -> float:
-    """Eavesdropper's Holevo bound for one fixed channel point, bits."""
-    return holevo_from_eigenvalues(*spectrum_closed_form(p.v, p.t, p.eps, math.sqrt))
+    """Eavesdropper's Holevo bound for one fixed channel point, bits.  The
+    exact spectrum squares V(1 - T) and T eps, so beyond about 1e154 it is
+    not finite and a DomainError names the point."""
+    lams = spectrum_closed_form(p.v, p.t, p.eps, math.sqrt)
+    if not all(map(math.isfinite, lams)):
+        raise DomainError(
+            f"exact spectrum overflows at V = {p.v!r}, T = {p.t!r}, eps = {p.eps!r} "
+            "(V (1 - T) or T eps beyond about 1e154); hba_asymptotic covers large V"
+        )
+    return holevo_from_eigenvalues(*lams)
 
 
 def holevo_rows(v, t, eps) -> tuple[np.ndarray, np.ndarray]:
     """``holevo_fixed`` at every element of broadcast (V, T, eps) arrays,
     equal to the scalar values bit for bit, and the mask of the elements that
-    pass every check of the scalar path: T in (0, 1], eigenvalues finite and
-    >= 1 - PHYSICALITY_SLACK, Holevo >= -PHYSICALITY_SLACK.  Beyond
-    V ~ 1e154 the squares overflow and the spectrum is inf or NaN, which the
-    checks reject, as the scalar path does; numpy's warnings are silenced on
-    the way.  Masked-out elements hold meaningless values."""
+    pass every check of the scalar path: T in (T_FLOOR, 1], eigenvalues
+    finite and >= 1 - PHYSICALITY_SLACK, Holevo >= -PHYSICALITY_SLACK.
+    Beyond V ~ 1e154 the squares overflow and the spectrum is inf or NaN,
+    which the checks reject, as the scalar path does; numpy's warnings are
+    silenced on the way.  Masked-out elements hold meaningless values."""
     with np.errstate(all="ignore"):
         lams = np.array(spectrum_closed_form(v, t, eps, np.sqrt))
         g = g_entropy_array(np.maximum((lams - 1.0) / 2.0, 0.0))
     holevo = g[0] + g[1] - g[2]
     physical = (lams >= 1.0 - PHYSICALITY_SLACK) & (lams < math.inf)
-    ok = (t > 0.0) & (t <= 1.0) & physical.all(axis=0) & (holevo >= -PHYSICALITY_SLACK)
+    ok = (t > T_FLOOR) & (t <= 1.0) & physical.all(axis=0) & (holevo >= -PHYSICALITY_SLACK)
     return holevo, ok
 
 

@@ -5,14 +5,13 @@ Subcommands: ``point``, ``sweep``, ``optimize-v``, ``threshold``,
 ``mc-validate``, ``preset``.  Sweeps read flat key=value config files
 (``sweep --config``); the packaged presets ``fig2``, ``fig3`` and ``fig45``
 are such files and every key can be overridden by the command-line flag of
-the same name (flags win).  Sweeps run serially; the ``jobs`` key and
-``--jobs`` flag are still accepted (>= 1) but have no effect.  A sweep keeps
-its rows as columns (``SweepRows``) from the grid to the files: each
-approach's rows are evaluated with ``run_points`` as one array, what a block
-of rows (one approach, eps, delta_t and t_min; only V varies) has in common
-computed once, and the CSV and SVG files are written from block slices of
-the columns.  Every value, and so every output byte, is the one
-``run_point`` gives for that row.
+the same name (flags win).  Sweeps run serially.  A sweep keeps its rows as
+a block table and columns (``SweepRows``) from the grid to the files: each
+approach's blocks (one approach, eps, delta_t and t_min; only V varies) go
+to ``run_points``, which makes what a block has in common once and
+evaluates the rows as one array, and the CSV and SVG files are written from
+block slices of the columns.  Every value, and so every output byte, is the
+one ``run_point`` gives for that row.
 
 Output is CSV (UTF-8, LF, 17 significant digits) with one flat schema::
 
@@ -115,61 +114,52 @@ _ROW_MODELS = {
 }
 
 
-def run_points(approach, v, eps, t_min, delta_t):
-    """Evaluate the points (v[i], eps[i], t_min[i], delta_t[i]) of one
-    approach, each with the values ``run_point`` gives for it.
+def run_points(approach, blocks, v):
+    """Evaluate the rows of one approach's blocks, each with the values
+    ``run_point`` gives for it.
 
-    Returns (mutual_info, holevo, rate) as lists of floats and {index:
-    exception} for the points whose evaluation raised; the values at those
-    points are meaningless.  The points are evaluated as one array: a
-    block (a run of points with equal eps, t_min and delta_t) gets its
-    shared values once from the scalar code, repeated over its points.  A
-    point the array cannot vouch for (its block's scalar code raised, V or
-    eps is out of range, a value fails a check the scalar path makes, or
-    the two levels of its fading average disagree) goes through
-    ``run_point``, so it gets the scalar path's value or exception.
+    blocks are ``SweepRows.blocks`` entries (approach, eps, t_min, delta_t,
+    start, stop) and v the V column they index; a NaN V marks a row that is
+    not evaluated.  V and eps are not checked here: every sweep V and eps
+    has passed ``SweepConfig`` (an optimized V, ``require_v_bracket``).
+    Returns (mutual_info, holevo, rate), float arrays the length of v that
+    are NaN at the rows not evaluated, and {row: exception} for the rows
+    whose evaluation raised; the values at those rows are meaningless.
+    Each block's law and columns are made once by the scalar code, and the
+    rows of all blocks are one array evaluation.  A row the array cannot
+    vouch for (its block's scalar code raised, a value fails a check the
+    scalar path makes, or the two levels of its fading average disagree)
+    goes through ``run_point``, so it gets the scalar path's value or
+    exception.
     """
-    n = len(v)
-    values = np.full((3, n), np.nan)
-    scalar = range(n)
-    model = _ROW_MODELS.get(approach)
-    if model is not None and n:
-        block_columns, kernel = model
-        va, ea, ta, da = (np.array(x, dtype=float) for x in (v, eps, t_min, delta_t))
-        starts = np.flatnonzero(
-            np.r_[True, (ea[1:] != ea[:-1]) | (ta[1:] != ta[:-1]) | (da[1:] != da[:-1])]
-        )
-        counts = np.diff(np.r_[starts, n])
-        table, good = [], np.zeros(starts.size, dtype=bool)
-        for k, i in enumerate(starts.tolist()):
-            try:
-                table.append(block_columns(eps[i], FadingUniform(t_min[i], delta_t[i])))
-            except (DomainError, NumericalError):
-                continue
-            good[k] = True
-        in_good = np.repeat(good, counts)
-        valid = (va >= 1.0) & (va < math.inf) & (ea >= 0.0) & (ea < math.inf)
-        todo = np.flatnonzero(in_good & valid)
-        if todo.size:
-            columns = np.repeat(np.array(table), counts[good], axis=0)[valid[in_good]]
-            with np.errstate(all="ignore"):
-                mi, holevo, ok = kernel(va[todo], *columns.T)
-            done = todo[ok]
-            values[0, done], values[1, done] = mi[ok], holevo[ok]
-            values[2] = values[0] - values[1]
-            pending = np.ones(n, dtype=bool)
-            pending[done] = False
-            scalar = np.flatnonzero(pending).tolist()
-    mutual_info, holevo, rate = values.tolist()
-    failed = {}
-    for i in scalar:
+    v = np.asarray(v, dtype=float)
+    values = np.full((3, v.size), np.nan)
+    todo = ~np.isnan(v)
+    block_columns, kernel = _ROW_MODELS[approach]
+    table, row_block = [], np.full(v.size, -1)
+    for _, eps, t_min, delta_t, start, stop in blocks:
         try:
-            out = run_point(approach, v[i], eps[i], FadingUniform(t_min[i], delta_t[i]))
-        except (DomainError, NumericalError) as exc:
-            failed[i] = exc
-        else:
-            mutual_info[i], holevo[i], rate[i] = out.mutual_info, out.holevo, out.rate
-    return mutual_info, holevo, rate, failed
+            table.append(block_columns(eps, FadingUniform(t_min, delta_t)))
+        except (DomainError, NumericalError):
+            continue
+        row_block[start:stop] = len(table) - 1
+    index = np.flatnonzero(todo & (row_block >= 0))
+    if index.size:
+        with np.errstate(all="ignore"):
+            mi, holevo, ok = kernel(v[index], *np.array(table)[row_block[index]].T)
+        done = index[ok]
+        values[:, done] = mi[ok], holevo[ok], mi[ok] - holevo[ok]
+        todo[done] = False
+    failed = {}
+    for _, eps, t_min, delta_t, start, stop in blocks:
+        for i in (start + np.flatnonzero(todo[start:stop])).tolist():
+            try:
+                out = run_point(approach, float(v[i]), eps, FadingUniform(t_min, delta_t))
+            except (DomainError, NumericalError) as exc:
+                failed[i] = exc
+            else:
+                values[:, i] = out.mutual_info, out.holevo, out.rate
+    return (*values, failed)
 
 
 def fmt(x: float | None) -> str:
@@ -204,7 +194,9 @@ class SweepConfig:
     svg_path: str | None = None
     log_y: bool = False
     title: str = ""
-    jobs: int = 1  # accepted for existing configs and callers; has no effect
+    # no effect and no config key; kept only because perfbench/run.py passes
+    # jobs=, until a benchmark change drops it there
+    jobs: int = 1
 
     def __post_init__(self) -> None:
         for name, values, allowed in (
@@ -229,8 +221,6 @@ class SweepConfig:
             for x in values:
                 if not (math.isfinite(x) and ok(x)):
                     raise DomainError(f"{name} values must be finite and {bound}, got {x!r}")
-        if self.jobs < 1:
-            raise DomainError(f"jobs must be >= 1, got {self.jobs!r}")
         require_v_bracket(self.v_lo, self.v_hi)
 
 
@@ -349,7 +339,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepRows, int]:
     """Evaluate the whole grid, one ``run_points`` call per approach (an
     optimize-v row first gets its V from ``optimal_variance``), and write the
     CSV/SVG artifacts.  Every row gets the values or the error ``run_point``
-    gives it.  ``cfg.jobs`` has no effect.  Returns (rows, n_error_rows)."""
+    gives it.  Returns (rows, n_error_rows)."""
     rows, skipped = build_grid(cfg)
     sys.stderr.writelines(f"{line}\n" for line in skipped)
     v, errors = rows.v, rows.errors
@@ -362,15 +352,10 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepRows, int]:
                 errors[start] = f"{type(exc).__name__}: {exc}"
     for approach, group in itertools.groupby(rows.blocks, key=itemgetter(0)):
         group = list(group)
-        lo, hi = group[0][4], group[-1][5]
-        shared = np.array([b[1:4] for b in group], dtype=object)  # the config's floats
-        shared = np.repeat(shared, [b[5] - b[4] for b in group], axis=0)
-        index = np.delete(np.arange(lo, hi), [i - lo for i in errors if lo <= i < hi])
-        eps, t_min, delta_t = shared[index - lo].T.tolist()
-        *values, failed = run_points(approach, v[index].tolist(), eps, t_min, delta_t)
-        rows.mutual_info[index], rows.holevo[index], rows.rate[index] = values
-        for k, exc in failed.items():
-            i = int(index[k])
+        span = slice(group[0][4], group[-1][5])
+        *values, failed = run_points(approach, group, v)
+        rows.mutual_info[span], rows.holevo[span], rows.rate[span] = (x[span] for x in values)
+        for i, exc in failed.items():
             errors[i] = f"{type(exc).__name__}: {exc}"
             if approach in rows.optimized:  # an optimize-v row keeps empty V cells
                 v[i] = math.nan
@@ -615,7 +600,6 @@ _SWEEP_KEYS = {
     "svg": ("svg_path", str),
     "log_y": ("log_y", _parse_bool),
     "title": ("title", str),
-    "jobs": ("jobs", int),
 }
 
 

@@ -26,7 +26,6 @@ from .channel import (
     ChannelParams,
     SkrBreakdown,
     TwoModeCovariance,
-    derive_chi,
     holevo_fixed,
     holevo_rows,
     mutual_information_fixed,
@@ -151,13 +150,12 @@ def skr_cma(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
 def cma_block(eps: float, f: FadingUniform) -> tuple[float, ...]:
     """The columns of ``skr_cma_rows`` for an (eps, fading) pair, computed by
     the scalar code and raising its DomainError: eps, t_min, t_max, delta_t,
-    t_eff, Var(sqrt T)/t_eff and, for a point mass, chi at t_min (else NaN)."""
+    t_eff and Var(sqrt T)/t_eff."""
     t_eff, ratio = _effective_coefficients(moments_uniform(f))
-    chi_point = derive_chi(f.t_min, eps) if f.delta_t == 0.0 else math.nan
-    return eps, f.t_min, f.t_max, f.delta_t, t_eff, ratio, chi_point
+    return eps, f.t_min, f.t_max, f.delta_t, t_eff, ratio
 
 
-def skr_cma_rows(v, eps, t_min, t_max, delta_t, t_eff, ratio, chi_point):
+def skr_cma_rows(v, eps, t_min, t_max, delta_t, t_eff, ratio):
     """``skr_cma`` at every row of equal-length arrays, each row's columns
     from ``cma_block``; V >= 1 and eps >= 0 already validated.  A point mass
     takes the fixed-channel mutual information, the other rows one
@@ -166,7 +164,7 @@ def skr_cma_rows(v, eps, t_min, t_max, delta_t, t_eff, ratio, chi_point):
     point = delta_t == 0.0
     avg = ~point
     mi = np.empty(v.size)
-    mi[point] = mutual_information_form(v[point], chi_point[point])
+    mi[point] = mutual_information_form(v[point], 1.0 / t_min[point] - 1.0 + eps[point])
     mi[avg] = law_mean(_ergodic_mi_nodes, t_min[avg], t_max[avg], v[avg] - 1.0, eps[avg])
     eps_eff = effective_excess_noise(ratio, eps, v)
     holevo, ok = holevo_rows(v, t_eff, eps_eff)

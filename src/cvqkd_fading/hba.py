@@ -87,10 +87,7 @@ def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     tanh-sinh levels disagree, and the scalar error at the first node that
     fails a check of ``holevo_fixed``.
     """
-    p = ChannelParams(v, f.t_min, eps)
-    mi = mutual_information_fixed(p)
-    if f.t_max == f.t_min:
-        return SkrBreakdown.from_parts(mi, holevo_fixed(p))
+    mi = mutual_information_fixed(ChannelParams(v, f.t_min, eps))
     return SkrBreakdown.from_parts(mi, law_mean(_holevo_nodes, f.t_min, f.t_max, v, eps))
 
 

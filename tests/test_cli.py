@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 from xml.sax.saxutils import escape as sax_escape
 
@@ -210,9 +211,9 @@ class TestConfigParsing:
             cli._parse_t_min("0.5:0.1:0.1")
 
     def test_overrides_win(self):
-        cfg = cli.sweep_config_from_sources(SWEEP_CFG, {"v": "20", "jobs": "2"})
+        cfg = cli.sweep_config_from_sources(SWEEP_CFG, {"v": "20", "title": "override"})
         assert cfg.v_list == (20.0,)
-        assert cfg.jobs == 2
+        assert cfg.title == "override"
         assert cfg.approaches == ("hba_exact", "cma")
 
     def test_unknown_key(self):
@@ -232,13 +233,15 @@ class TestConfigParsing:
 
 
 def fail_at_t_min_04(run_points):
-    """``run_points`` with every point at t_min = 0.4 failing."""
+    """``run_points`` with every evaluated row at t_min = 0.4 failing."""
 
-    def flaky(approach, v, eps, t_min, delta_t):
-        *values, failed = run_points(approach, v, eps, t_min, delta_t)
-        for i, t in enumerate(t_min):
-            if abs(t - 0.4) < 1e-9:
-                failed[i] = NumericalError("synthetic failure")
+    def flaky(approach, blocks, v):
+        *values, failed = run_points(approach, blocks, v)
+        for _, _, t_min, _, start, stop in blocks:
+            if abs(t_min - 0.4) < 1e-9:
+                for i in range(start, stop):
+                    if not math.isnan(v[i]):
+                        failed[i] = NumericalError("synthetic failure")
         return (*values, failed)
 
     return flaky
@@ -277,12 +280,15 @@ class TestSweep:
         cli.run_sweep(cfg2)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_parallel_output_identical(self, tmp_path):
-        serial = self.make_cfg(tmp_path, csv=str(tmp_path / "serial.csv"))
-        parallel = self.make_cfg(tmp_path, csv=str(tmp_path / "par.csv"), jobs="2")
-        cli.run_sweep(serial)
-        cli.run_sweep(parallel)
-        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
+    def test_jobs_is_an_unknown_key(self, tmp_path, capsys):
+        # sweeps are serial: neither a jobs config key nor a --jobs flag exists
+        config = tmp_path / "jobs.cfg"
+        config.write_text(SWEEP_CFG + "jobs = 2\n")
+        code, out, err = run_main(["sweep", "--config", str(config)], capsys)
+        assert (code, out, err) == (1, "", "error: unknown sweep key 'jobs'\n")
+        code, out, err = run_main(["preset", "fig45", "--jobs", "2"], capsys)
+        assert code == 1 and out == ""
+        assert err.endswith("error: unrecognized arguments: --jobs 2\n")
 
     def test_fixed_channel_skipped_for_nonzero_width(self, tmp_path, capsys):
         cfg = cli.sweep_config_from_sources(
@@ -301,12 +307,11 @@ class TestSweep:
             ("--v", "0.5"),
             ("--t-min", "nan"),
             ("--delta-t", "-0.1"),
-            ("--jobs", "0"),
         ],
     )
     def test_invalid_grid_value_exits_one(self, capsys, flag, value):
         argv = ["sweep", "--approach", "cma", "--v", "10", "--eps", "0",
-                "--t-min", "0.4", "--delta-t", "0.2", "--jobs", "1"]
+                "--t-min", "0.4", "--delta-t", "0.2"]
         argv[argv.index(flag) + 1] = value
         code, out, err = run_main(argv, capsys)
         assert code == 1
@@ -336,9 +341,10 @@ class TestSweep:
         # line breaks take the same RFC 4180 path
         message = 'eigenvalue must be >= 1, got "0.9"\nsecond line'
 
-        def failing(approach, v, eps, t_min, delta_t):
-            nan = [math.nan] * len(v)
-            return nan, nan, nan, {i: DomainError(message) for i in range(len(v))}
+        def failing(approach, blocks, v):
+            nan = np.full(len(v), math.nan)
+            rows = [i for *_, start, stop in blocks for i in range(start, stop)]
+            return nan, nan, nan, {i: DomainError(message) for i in rows}
 
         monkeypatch.setattr(cli, "run_points", failing)
         code, out, _ = run_main(
@@ -651,6 +657,97 @@ class TestTinyLaws:
         assert all(row[-1] == "true" for row in rows.values())
         assert float(rows["var_sqrt_t"][2]) == pytest.approx(var_sqrt_t, rel=1e-14)
         assert all(float(rows[name][4]) > 0.0 for name in ("mean_sqrt_t", "var_sqrt_t"))
+
+
+class TestFloatRange:
+    """Valid inputs at the ends of the float range exit 1 with a message that
+    names the input: not the text of an internal check ("g_entropy requires
+    finite x >= 0", "rate must equal mutual_info - holevo"), a traceback or
+    a numpy warning."""
+
+    TOO_SMALL = "transmittance T = 1e-320 is too small: 1/T overflows below 5.6e-309"
+
+    @staticmethod
+    def run_quietly(argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_main(argv, capsys)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--approach", "fixed"],
+            ["--approach", "cma", "--delta-t", "0.1"],
+            ["--approach", "hba_exact", "--delta-t", "0.1"],
+        ],
+    )
+    def test_large_v_names_v(self, capsys, argv):
+        # the exact spectrum squares V (1 - T): it overflows beyond ~1e154
+        code, out, err = self.run_quietly(
+            ["point", *argv, "--v", "1e200", "--eps", "0.01", "--t-min", "0.5"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: exact spectrum overflows at V = 1e+200, T = ")
+        assert err.endswith("; hba_asymptotic covers large V\n")
+
+    def test_large_v_asymptotic_answers(self, capsys):
+        code, out, err = self.run_quietly(
+            ["point", "--approach", "hba_asymptotic", "--v", "1e200", "--eps", "0.01",
+             "--t-min", "0.5", "--delta-t", "0.1"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert math.isfinite(float(out.splitlines()[1].split(",")[9]))
+
+    def test_large_v_sweep_row_has_the_point_message(self, capsys):
+        code, out, err = self.run_quietly(
+            ["sweep", "--approach", "fixed", "--v", "1e200,10", "--eps", "0.01",
+             "--t-min", "0.5", "--delta-t", "0"],
+            capsys,
+        )
+        assert code == 3 and err == "1 grid points failed; see the error column\n"
+        bad, good = list(csv.reader(out.splitlines()))[1:]
+        assert bad[11].startswith("DomainError: exact spectrum overflows at V = 1e+200, T = 0.5")
+        assert good[11] == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["point", "--approach", "fixed", "--v", "10"],
+            ["point", "--approach", "cma", "--v", "10", "--delta-t", "0"],
+            ["point", "--approach", "hba_exact", "--v", "10", "--delta-t", "0.5"],
+            ["optimize-v", "--delta-t", "0"],
+        ],
+    )
+    def test_subnormal_t_names_t(self, capsys, argv):
+        code, out, err = self.run_quietly([*argv, "--eps", "0.01", "--t-min", "1e-320"], capsys)
+        assert (code, out, err) == (1, "", f"error: {self.TOO_SMALL}\n")
+
+    def test_subnormal_t_sweep_row_has_the_point_message(self, capsys):
+        code, out, err = self.run_quietly(
+            ["sweep", "--approach", "fixed", "--v", "10", "--eps", "0.01",
+             "--t-min", "1e-320,0.5", "--delta-t", "0"],
+            capsys,
+        )
+        assert code == 3 and err == "1 grid points failed; see the error column\n"
+        bad, good = list(csv.reader(out.splitlines()))[1:]
+        assert (bad[11], good[11]) == (f"DomainError: {self.TOO_SMALL}", "")
+
+    def test_cma_law_wholly_below_the_bound_fails_the_same_way(self, capsys):
+        # its effective transmittance is subnormal too; the rate printed was
+        # of order 1e-320, made of underflow
+        argv = ["--approach", "cma", "--v", "10", "--eps", "0.01",
+                "--t-min", "1e-320", "--delta-t", "1e-320"]
+        code, out, err = self.run_quietly(["point", *argv], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: transmittance T = ")
+        assert err.endswith(" is too small: 1/T overflows below 5.6e-309\n")
+        code, out, _ = self.run_quietly(["sweep", *argv], capsys)
+        assert code == 3
+        assert list(csv.reader(out.splitlines()))[1][11] == "DomainError: " + err[7:-1]
 
 
 class TestMcValidateCommand:

@@ -11,6 +11,7 @@ cell and every SVG drawn from curves regrouped row by row.
 """
 
 import dataclasses
+import itertools
 import math
 import tempfile
 import warnings
@@ -124,8 +125,11 @@ def assert_rows_equal(got, want):
 
 
 # 0.8 and 0.999 reach t_max = 1 at delta_t = 0.2 and 1e-3: at eps = 0,
-# lambda2 -> 1 there, an x log x end of the exact average
-t_mins = st.floats(0.01, 1.0) | st.sampled_from([t for _, t in FOUND_POINTS] + [0.8, 0.999])
+# lambda2 -> 1 there, an x log x end of the exact average; 1/T overflows
+# at 1e-320
+t_mins = st.floats(0.01, 1.0) | st.sampled_from(
+    [t for _, t in FOUND_POINTS] + [0.8, 0.999, 1e-320]
+)
 
 
 @st.composite
@@ -137,9 +141,11 @@ def sweep_configs(draw):
     t_min_values = draw(st.lists(t_mins, min_size=1, max_size=4))  # unsorted
     return cli.SweepConfig(
         approaches=tuple(approaches),
-        # 1.0000001 and 1.0000002 are both "V=1" in a curve label
+        # 1.0000001 and 1.0000002 are both "V=1" in a curve label; the exact
+        # spectrum overflows at 1e200
         v_list=(1.0, *draw(st.lists(
-            st.floats(0.0, 6.0).map(lambda x: 10.0**x) | st.sampled_from([1.0000001, 1.0000002]),
+            st.floats(0.0, 6.0).map(lambda x: 10.0**x)
+            | st.sampled_from([1.0000001, 1.0000002, 1e200]),
             max_size=6,
         ))),
         # at 5e-324 the thermal term of the large-V average underflows
@@ -250,13 +256,22 @@ def test_asymptotic_average_runs_once_per_block(monkeypatch, capsys):
 
 
 def test_run_points_sends_invalid_points_to_run_point():
-    mi, holevo, rate, failed = cli.run_points(
-        "fixed", [0.5, 10.0, math.nan], [0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.0, 0.0, 0.0]
-    )
-    assert set(failed) == {0, 2}
-    assert all(isinstance(exc, DomainError) for exc in failed.values())
+    # V is checked once, by SweepConfig, not per row: V = 0.5 never reaches
+    # run_points, and a NaN V (a failed optimize-v row) is not evaluated; a
+    # block the array cannot take (a fixed channel of nonzero width) goes
+    # row by row to run_point and its DomainError
+    for bad in (0.5, math.nan):
+        with pytest.raises(DomainError, match="v values must be finite and >= 1"):
+            cli.SweepConfig(("fixed",), (bad,), (0.0,), (0.5,), (0.0,))
+        with pytest.raises(DomainError, match="variance must satisfy V >= 1"):
+            cli.run_point("fixed", bad, 0.0, FadingUniform(0.5))
+    blocks = [("fixed", 0.0, 0.5, 0.0, 0, 2), ("fixed", 0.0, 0.5, 0.2, 2, 3)]
+    mi, holevo, rate, failed = cli.run_points("fixed", blocks, [10.0, math.nan, 10.0])
+    assert list(failed) == [2] and isinstance(failed[2], DomainError)
+    assert str(failed[2]) == "fixed-channel evaluation requires delta_t = 0"
     want = skr_fixed(ChannelParams(10.0, 0.5, 0.0))
-    assert (mi[1], holevo[1], rate[1]) == (want.mutual_info, want.holevo, want.rate)
+    assert (mi[0], holevo[0], rate[0]) == (want.mutual_info, want.holevo, want.rate)
+    assert np.isnan([mi[1], holevo[1], rate[1]]).all()
 
 
 def test_run_points_fails_negative_asymptotic_holevo():
@@ -264,12 +279,23 @@ def test_run_points_fails_negative_asymptotic_holevo():
     # point to run_point, which raises on the negative averaged Holevo bound
     f = FadingUniform(0.4, 0.2)
     mi, holevo, rate, failed = cli.run_points(
-        "hba_asymptotic", [1.5, 1e4], [0.01, 0.01], [f.t_min] * 2, [f.delta_t] * 2
+        "hba_asymptotic", [("hba_asymptotic", 0.01, f.t_min, f.delta_t, 0, 2)], [1.5, 1e4]
     )
     assert list(failed) == [0]
     assert str(failed[0]).startswith("large-V closed form outside its validity at V = 1.5")
     want = hba.skr_hba_asymptotic(1e4, 0.01, f)
     assert (mi[1], holevo[1], rate[1]) == (want.mutual_info, want.holevo, want.rate)
+
+
+def row_blocks(approach, eps, t_min, delta_t):
+    """The block table of rows given one by one: one block per run of rows
+    with equal (eps, t_min, delta_t)."""
+    blocks, start = [], 0
+    for key, run in itertools.groupby(zip(eps, t_min, delta_t)):
+        stop = start + len(list(run))
+        blocks.append((approach, *key, start, stop))
+        start = stop
+    return blocks
 
 
 def run_points_reference(approach, v, eps, t_min, delta_t):
@@ -287,11 +313,46 @@ def run_points_reference(approach, v, eps, t_min, delta_t):
 
 
 def run_points_outcome(approach, v, eps, t_min, delta_t):
-    mi, holevo, rate, failed = cli.run_points(approach, v, eps, t_min, delta_t)
+    blocks = row_blocks(approach, eps, t_min, delta_t)
+    mi, holevo, rate, failed = cli.run_points(approach, blocks, v)
     return [
         (type(failed[i]), str(failed[i])) if i in failed else (mi[i], holevo[i], rate[i])
         for i in range(len(v))
     ]
+
+
+@pytest.mark.parametrize(
+    "approach, bad_block",
+    [
+        ("fixed", (0.01, 1e-320, 0.0)),  # 1/T overflows: the block raises
+        ("cma", (0.01, 0.9, 0.2)),  # t_max past 1: the law raises
+        ("hba_asymptotic", (0.01, 0.8, 0.2)),  # t_max = 1: the block raises
+        ("hba_exact", (0.01, 0.9, 0.2)),
+    ],
+)
+def test_failing_block_between_good_ones_and_nan_rows_match_run_point(approach, bad_block):
+    # a NaN V (an optimize-v row whose optimum failed) is left unevaluated
+    # in a good block and in the failing one; every other row has exactly
+    # run_point's value or exception
+    delta_t = 0.0 if approach == "fixed" else 0.2
+    good = [(0.01, 0.3, delta_t), (0.0, 0.5, delta_t)]
+    table = [good[0], bad_block, good[1]]
+    v = [10.0, math.nan, 1e4, 10.0, math.nan, 2.0, 1e3, 5e3]
+    spans = [(0, 3), (3, 5), (5, 8)]
+    blocks = [(approach, *b, start, stop) for b, (start, stop) in zip(table, spans)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mi, holevo, rate, failed = cli.run_points(approach, blocks, v)
+    for (eps, t_min, dt), (start, stop) in zip(table, spans):
+        for i in range(start, stop):
+            got = (mi[i], holevo[i], rate[i])
+            if math.isnan(v[i]):
+                assert i not in failed and np.isnan(got).all()
+                continue
+            if i in failed:
+                got = (type(failed[i]), str(failed[i]))
+            assert got == run_points_reference(approach, [v[i]], [eps], [t_min], [dt])[0], i
+    assert 3 in failed and {0, 2, 6, 7}.isdisjoint(failed)
 
 
 def test_hba_exact_rows_span_chunks_with_a_fallback_row_in_each(monkeypatch):
@@ -337,13 +398,20 @@ def test_hba_exact_point_rows_make_no_run_point_calls(monkeypatch, capsys):
         assert (row.mutual_info, row.holevo, row.rate) == (want.mutual_info, want.holevo, want.rate)
 
 
-def test_hba_exact_invalid_points_get_the_run_point_exception():
+def test_hba_exact_invalid_points_are_rejected_at_the_sweep_boundary():
+    # run_points checks no V or eps: each invalid pair is a DomainError of
+    # SweepConfig before any row is built, as it is of run_point; the valid
+    # row keeps run_point's value
     v = [0.5, math.nan, math.inf, 10.0, 10.0, 10.0, 10.0]
     eps = [0.01, 0.01, 0.01, -0.1, math.nan, math.inf, 0.01]
-    got = run_points_outcome("hba_exact", v, eps, [0.4] * 7, [0.2] * 7)
-    assert got == run_points_reference("hba_exact", v, eps, [0.4] * 7, [0.2] * 7)
-    assert all(out[0] is DomainError for out in got[:6])
-    assert isinstance(got[6][0], float)
+    for v_, eps_ in zip(v[:6], eps[:6]):
+        with pytest.raises(DomainError, match="values must be finite and >= "):
+            cli.SweepConfig(("hba_exact",), (v_,), (eps_,), (0.4,), (0.2,))
+        with pytest.raises(DomainError):
+            cli.run_point("hba_exact", v_, eps_, FadingUniform(0.4, 0.2))
+    got = run_points_outcome("hba_exact", v[6:], eps[6:], [0.4], [0.2])
+    assert got == run_points_reference("hba_exact", v[6:], eps[6:], [0.4], [0.2])
+    assert isinstance(got[0][0], float)
 
 
 def test_hba_exact_overflowing_row_is_an_error_without_warnings():
