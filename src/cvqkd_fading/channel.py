@@ -8,7 +8,8 @@ channel input.  This module evaluates, for one fixed channel point, the
 mutual information of the legitimate parties, the eavesdropper's Holevo bound
 from the symplectic spectrum of the shared state, and their difference (the
 asymptotic secret key rate under collective attacks, unit reconciliation
-efficiency).
+efficiency).  The mutual information has one form for every model,
+``mutual_information_form``, through log1p of T (V - 1) / (1 + eps T).
 
 Negative rates are returned as-is; callers decide whether to clamp for
 reporting.
@@ -17,12 +18,12 @@ reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import g_entropy, g_entropy_array, log2
+from .numerics import LOG2_E, g_entropy, g_entropy_array, log1p
 
 # slack for >= 1 physicality bounds: a square root near a pure state can
 # round a symplectic eigenvalue an ulp below 1
@@ -47,12 +48,23 @@ def require_noise(eps: float) -> None:
         raise DomainError(f"excess noise must satisfy eps >= 0, got {eps!r}")
 
 
-def derive_chi(t: float, eps: float) -> float:
-    """Total channel-added noise referred to the input: 1/T - 1 + eps."""
+def require_transmittance(t: float) -> None:
+    """The rule T_FLOOR < T <= 1 on a transmittance."""
     if not (math.isfinite(t) and 0.0 < t <= 1.0):
         raise DomainError(f"transmittance must satisfy 0 < T <= 1, got {t!r}")
     if t <= T_FLOOR:
         raise DomainError(f"transmittance T = {t!r} is too small: 1/T overflows below 5.6e-309")
+
+
+def require_open_transmittance(t: float) -> None:
+    """The rule 0 < T < 1 of the forms that diverge at T = 1."""
+    if not (math.isfinite(t) and 0.0 < t < 1.0):
+        raise DomainError(f"thermal variance needs 0 < T < 1 (diverges at T = 1), got {t!r}")
+
+
+def derive_chi(t: float, eps: float) -> float:
+    """Total channel-added noise referred to the input: 1/T - 1 + eps."""
+    require_transmittance(t)
     require_noise(eps)
     return 1.0 / t - 1.0 + eps
 
@@ -63,10 +75,7 @@ def derive_omega(t: float, eps: float) -> float:
     Diverges as T -> 1, so T = 1 is rejected; the added noise satisfies
     chi = (1-T) * omega / T.
     """
-    if not (math.isfinite(t) and 0.0 < t < 1.0):
-        raise DomainError(
-            f"thermal variance needs 0 < T < 1 (diverges at T = 1), got {t!r}"
-        )
+    require_open_transmittance(t)
     require_noise(eps)
     return 1.0 + t * eps / (1.0 - t)
 
@@ -74,22 +83,26 @@ def derive_omega(t: float, eps: float) -> float:
 @dataclass(frozen=True)
 class ChannelParams:
     """One fixed channel point: modulation-plus-vacuum variance V (SNU, >= 1),
-    transmittance T in (0, 1], excess noise eps >= 0 (SNU, channel input).
-    The added noise chi = 1/T - 1 + eps is derived once, at construction."""
+    transmittance T in (T_FLOOR, 1], excess noise eps >= 0 (SNU, channel
+    input)."""
 
     v: float
     t: float
     eps: float
-    chi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_variance(self.v)
-        object.__setattr__(self, "chi", derive_chi(self.t, self.eps))
+        require_transmittance(self.t)
+        require_noise(self.eps)
 
     @property
     def v_a(self) -> float:
         """Modulation variance V_A = V - 1."""
         return self.v - 1.0
+
+    @property
+    def chi(self) -> float:
+        return derive_chi(self.t, self.eps)
 
     @property
     def omega(self) -> float:
@@ -192,15 +205,16 @@ def joint_covariance(p: ChannelParams) -> TwoModeCovariance:
     )
 
 
-def mutual_information_form(v, chi):
-    """Homodyne mutual information (1/2) log2((V + chi) / (1 + chi)), bits,
-    for float or ndarray arguments."""
-    return 0.5 * log2((v + chi) / (1.0 + chi))
+def mutual_information_form(t, v_a, eps):
+    """Homodyne mutual information (1/2) log2(1 + T V_A / (1 + eps T)), bits,
+    for float or ndarray arguments (``fading.law_mean``'s integrand
+    signature), through log1p so that it keeps its digits as T V_A -> 0."""
+    return (0.5 * LOG2_E) * log1p(v_a * (t / (1.0 + eps * t)))
 
 
 def mutual_information_fixed(p: ChannelParams) -> float:
-    """Homodyne mutual information (1/2) log2((V + chi) / (1 + chi)), bits."""
-    return mutual_information_form(p.v, p.chi)
+    """Homodyne mutual information of one fixed channel point, bits."""
+    return mutual_information_form(p.t, p.v_a, p.eps)
 
 
 def spectrum_closed_form(v, t, eps, sqrt):
@@ -296,9 +310,8 @@ def skr_fixed(p: ChannelParams) -> SkrBreakdown:
 
 
 def skr_fixed_rows(v: np.ndarray, t: np.ndarray, eps: np.ndarray):
-    """``skr_fixed`` at every row of equal-length arrays, (T, eps) already
-    validated (``derive_chi``): (mutual_info, holevo, ok) with ok as in
-    ``holevo_rows``."""
-    mi = mutual_information_form(v, 1.0 / t - 1.0 + eps)
+    """``skr_fixed`` at every row of equal-length arrays, V, T and eps
+    already validated: (mutual_info, holevo, ok) with ok as in
+    ``holevo_rows``.  The mutual information of valid inputs is finite."""
     holevo, ok = holevo_rows(v, t, eps)
-    return mi, holevo, ok & np.isfinite(mi)
+    return mutual_information_form(t, v - 1.0, eps), holevo, ok

@@ -40,7 +40,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .channel import ChannelParams, SkrBreakdown, derive_chi, skr_fixed, skr_fixed_rows
+from .channel import ChannelParams, SkrBreakdown, require_transmittance, skr_fixed, skr_fixed_rows
 from .cma import V_TOL, avg_covariance, cma_block, optimal_variance, require_v_bracket
 from .cma import skr_cma, skr_cma_rows
 from .errors import DomainError, NumericalError
@@ -96,7 +96,7 @@ def run_point(approach: str, v: float, eps: float, f: FadingUniform) -> SkrBreak
 
 def _fixed_block(eps: float, f: FadingUniform) -> tuple[float, float]:
     _require_point_mass(f)
-    derive_chi(f.t_min, eps)
+    require_transmittance(f.t_min)
     return f.t_min, eps
 
 

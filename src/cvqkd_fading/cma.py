@@ -10,9 +10,10 @@ to the modulation variance; this makes the Holevo bound grow quickly with V,
 so the modulation variance must be optimized per fading configuration.
 
 The legitimate rate is the ergodic average of the fixed-channel mutual
-information over the transmittance distribution, written with log1p and
-taken by the law's averaging kernel.  The law, its moments and that kernel
-(``FadingUniform``, ``moments_uniform``, ``law_mean``) live in ``fading``.
+information (``channel.mutual_information_form``) over the transmittance
+distribution, taken by the law's averaging kernel.  The law, its moments
+and that kernel (``FadingUniform``, ``moments_uniform``, ``law_mean``) live
+in ``fading``.
 """
 
 from __future__ import annotations
@@ -23,19 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    T_FLOOR,
     ChannelParams,
     SkrBreakdown,
     TwoModeCovariance,
     holevo_fixed,
     holevo_rows,
-    mutual_information_fixed,
     mutual_information_form,
     require_noise,
     require_variance,
 )
 from .errors import DomainError
 from .fading import FadingUniform, TransmittanceMoments, law_mean, moments_uniform
-from .numerics import LOG2_E, log1p, maximize_scalar
+from .numerics import maximize_scalar
 
 # how closely ``optimal_variance`` locates the optimum on the V axis
 V_TOL = 1e-3
@@ -117,29 +118,40 @@ def avg_covariance(m: TransmittanceMoments, v: float, eps: float) -> TwoModeCova
     )
 
 
-def _ergodic_mi_nodes(t, v_a, eps):
-    """The fixed-channel mutual information (1/2) log2(1 + T V_A / (1 + eps T))
-    at every node of t, through log1p, so that it keeps its digits as
-    V_A = V - 1 -> 0."""
-    return (0.5 * LOG2_E) * log1p(v_a * (t / (1.0 + eps * t)))
-
-
 def avg_mutual_information(v: float, eps: float, f: FadingUniform) -> float:
     """Ergodic mutual information (1/(2 delta_t)) * int log2(1 + T V_A / (1 + eps T)) dT:
     the ``law_mean`` of the fixed-channel value over the law, the
-    fixed-channel value at t_min when delta_t = 0."""
+    fixed-channel value at t_min when t_max = t_min."""
     require_variance(v)
     require_noise(eps)
-    if f.delta_t == 0.0:
-        return mutual_information_fixed(ChannelParams(v, f.t_min, eps))
-    return law_mean(_ergodic_mi_nodes, f.t_min, f.t_max, v - 1.0, eps)
+    return law_mean(mutual_information_form, f.t_min, f.t_max, v - 1.0, eps)
 
 
 def holevo_cma(v: float, eps: float, f: FadingUniform) -> float:
     """Holevo bound of the averaged state: the fixed-channel bound evaluated
-    at the effective parameters (t_eff, eps_eff), bits."""
-    eff = effective_params(moments_uniform(f), eps, v)
-    return holevo_fixed(ChannelParams(v, eff.t_eff, eff.eps_eff))
+    at the effective parameters (t_eff, eps_eff), bits.  Where t_eff is at
+    or below T_FLOOR, or the exact spectrum overflows, the DomainError names
+    the inputs, not the effective channel."""
+    t_eff, ratio = _effective_coefficients(moments_uniform(f))
+    require_noise(eps)
+    require_variance(v)
+    eps_eff = effective_excess_noise(ratio, eps, v)
+    try:
+        return holevo_fixed(ChannelParams(v, t_eff, eps_eff))
+    except DomainError:
+        # V and eps are valid and t_eff <= 1, so past T_FLOOR the one failure
+        # left is a spectrum (or eps_eff) that is not finite
+        if t_eff <= T_FLOOR:
+            issue = f"t_eff = <sqrt T>^2 = {t_eff!r} is too small: 1/T overflows below 5.6e-309"
+        else:
+            issue = (
+                "its exact spectrum overflows (V (1 - t_eff), V^2 Var(sqrt T) or "
+                "t_eff eps beyond about 1e154)"
+            )
+    raise DomainError(
+        f"averaged state at V = {v!r}, eps = {eps!r}, t_min = {f.t_min!r}, "
+        f"delta_t = {f.delta_t!r}: {issue}"
+    )
 
 
 def skr_cma(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
@@ -149,23 +161,25 @@ def skr_cma(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
 
 def cma_block(eps: float, f: FadingUniform) -> tuple[float, ...]:
     """The columns of ``skr_cma_rows`` for an (eps, fading) pair, computed by
-    the scalar code and raising its DomainError: eps, t_min, t_max, delta_t,
-    t_eff and Var(sqrt T)/t_eff."""
+    the scalar code and raising its DomainError: eps, t_min, t_max, t_eff
+    and Var(sqrt T)/t_eff."""
     t_eff, ratio = _effective_coefficients(moments_uniform(f))
-    return eps, f.t_min, f.t_max, f.delta_t, t_eff, ratio
+    return eps, f.t_min, f.t_max, t_eff, ratio
 
 
-def skr_cma_rows(v, eps, t_min, t_max, delta_t, t_eff, ratio):
+def skr_cma_rows(v, eps, t_min, t_max, t_eff, ratio):
     """``skr_cma`` at every row of equal-length arrays, each row's columns
-    from ``cma_block``; V >= 1 and eps >= 0 already validated.  A point mass
-    takes the fixed-channel mutual information, the other rows one
-    ``law_mean`` call.  Returns (mutual_info, holevo, ok), equal to the
-    scalar values bit for bit where ok, with ok as in ``channel.holevo_rows``."""
-    point = delta_t == 0.0
+    from ``cma_block``; V >= 1 and eps >= 0 already validated.  A point
+    mass (t_max == t_min) takes the mutual information at t_min, the value
+    ``law_mean`` returns for it after evaluating all its nodes; the other
+    rows take one ``law_mean`` call.
+    Returns (mutual_info, holevo, ok), equal to the scalar values bit for
+    bit where ok, with ok as in ``channel.holevo_rows``."""
+    point = t_max == t_min
     avg = ~point
     mi = np.empty(v.size)
-    mi[point] = mutual_information_form(v[point], 1.0 / t_min[point] - 1.0 + eps[point])
-    mi[avg] = law_mean(_ergodic_mi_nodes, t_min[avg], t_max[avg], v[avg] - 1.0, eps[avg])
+    mi[point] = mutual_information_form(t_min[point], v[point] - 1.0, eps[point])
+    mi[avg] = law_mean(mutual_information_form, t_min[avg], t_max[avg], v[avg] - 1.0, eps[avg])
     eps_eff = effective_excess_noise(ratio, eps, v)
     holevo, ok = holevo_rows(v, t_eff, eps_eff)
     return mi, holevo, ok & (eps_eff >= 0.0) & np.isfinite(mi)

@@ -19,9 +19,12 @@ Two pipelines are provided:
   mean is one ``law_mean`` per (eps, law) block.  The paper's closed form
   of that mean (logarithms and dilogarithms) is a test-suite reference.
 
-The asymptotic forms are parametrized by the equivalent thermal variance,
-which diverges at T = 1, so they require t_max < 1; the exact pipeline
-accepts t_max = 1.
+The large-V parts are written in (T, 1 - T, eps), never through the
+equivalent thermal variance omega = 1 + T eps / (1 - T): the mutual
+information less (1/2) log2 V is (1/2) log2(T / (1 + eps T)), and the
+Holevo bound's is (1/2) log2(T (1-T)^2 / (1 - T + eps T)) + g(eps T / (2 (1-T))).
+Its thermal term diverges at T = 1, so they require t_max < 1; the exact
+pipeline accepts t_max = 1.  Any eps >= 0 is in their domain.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 
 from .channel import (
     PHYSICALITY_SLACK,
+    T_FLOOR,
     ChannelParams,
     SkrBreakdown,
     SymplecticSpectrum,
@@ -42,12 +46,14 @@ from .channel import (
     mutual_information_fixed,
     mutual_information_form,
     require_noise,
+    require_open_transmittance,
+    require_transmittance,
     require_variance,
 )
 from .errors import DomainError
 from .fading import FadingUniform, law_mean
-from .numerics import dilog, integrate  # noqa: F401  (looked up by perfbench's tracer)
-from .numerics import g_entropy, g_entropy_array, log2
+from .numerics import dilog, g_entropy, integrate  # noqa: F401  (looked up by perfbench's tracer)
+from .numerics import g_entropy_array, log2
 
 
 def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
@@ -57,10 +63,8 @@ def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
         )
     if f.delta_t <= 0.0:
         raise DomainError("analytic fading average needs delta_t > 0")
-    if not (math.isfinite(eps) and 0.0 <= eps < 1.0):
-        raise DomainError(
-            f"analytic average is implemented for 0 <= eps < 1, got {eps!r}"
-        )
+    require_transmittance(f.t_min)
+    require_noise(eps)
 
 
 def _holevo_nodes(t, v, eps):
@@ -95,17 +99,17 @@ def skr_hba_exact_rows(v, eps, t_min, t_max):
     """``skr_hba_exact`` at every row of equal-length arrays, V >= 1 and
     eps >= 0 already validated, t_max the law's (``FadingUniform.t_max``).
     Returns (mutual_info, holevo, ok), equal to the scalar values bit for
-    bit where ok.  ok fails where a node fails a check, the two levels
-    disagree, the Holevo bound is below -PHYSICALITY_SLACK or a value is
-    not finite."""
+    bit where ok.  ok fails where t_min <= T_FLOOR (the scalar path's rule),
+    a node fails a check, the two levels disagree, or the Holevo bound is
+    below -PHYSICALITY_SLACK or not finite."""
     holevo = law_mean(_holevo_nodes, t_min, t_max, v, eps)
-    mi = mutual_information_form(v, 1.0 / t_min - 1.0 + eps)
-    return mi, holevo, (holevo >= -PHYSICALITY_SLACK) & np.isfinite(holevo) & np.isfinite(mi)
+    ok = (holevo >= -PHYSICALITY_SLACK) & np.isfinite(holevo) & (t_min > T_FLOOR)
+    return mutual_information_form(t_min, v - 1.0, eps), holevo, ok
 
 
-def _mi_asymptotic_t_part(t: float, eps: float) -> float:
-    omega = derive_omega(t, eps)
-    return 0.5 * math.log2(t / (t + (1.0 - t) * omega))
+def _mi_asymptotic_t_part(t, eps):
+    """The large-V mutual information less (1/2) log2 V: (1/2) log2(T / (1 + eps T))."""
+    return 0.5 * log2(t / (1.0 + eps * t))
 
 
 def _plus_half_log2_v(v_free, v):
@@ -115,8 +119,10 @@ def _plus_half_log2_v(v_free, v):
 
 
 def mutual_information_asymptotic(t: float, eps: float, v: float) -> float:
-    """Large-V mutual information (1/2) log2(T / (T + (1-T) omega)) + (1/2) log2 V."""
+    """Large-V mutual information (1/2) log2(T / (1 + eps T)) + (1/2) log2 V."""
     require_variance(v)
+    require_open_transmittance(t)
+    require_noise(eps)
     return _plus_half_log2_v(_mi_asymptotic_t_part(t, eps), v)
 
 
@@ -138,15 +144,16 @@ def asymptotic_eigenvalues(t: float, eps: float, v: float) -> SymplecticSpectrum
 def holevo_asymptotic(t: float, eps: float, v: float) -> float:
     """Large-V Holevo bound (1/2) log2(T (1-T) V / omega) + g((omega-1)/2), bits."""
     require_variance(v)
-    omega = derive_omega(t, eps)
-    arg = t * (1.0 - t) * v / omega
+    require_open_transmittance(t)
+    require_noise(eps)
+    arg = _regime_ratio(t, eps) * v
     if arg <= 1.0:
         warnings.warn(
             f"large-V Holevo bound evaluated outside its regime (T(1-T)V/omega = {arg:.3g} <= 1)",
             RuntimeWarning,
             stacklevel=2,
         )
-    return 0.5 * math.log2(arg) + g_entropy((omega - 1.0) / 2.0)
+    return _plus_half_log2_v(_large_v_holevo_nodes(t, eps), v)
 
 
 def _thermal_nodes(t, eps):
@@ -155,12 +162,17 @@ def _thermal_nodes(t, eps):
     return g_entropy_array(eps * t / (2.0 * (1.0 - t)))
 
 
+def _regime_ratio(t, eps):
+    """T (1-T) / omega = T (1-T)^2 / (1 - T + eps T), so that omega is never
+    formed: the large-V Holevo bound holds where V times this exceeds 1."""
+    tb = 1.0 - t
+    return t * tb * tb / (tb + eps * t)
+
+
 def _large_v_holevo_nodes(t, eps):
     """The large-V Holevo bound less (1/2) log2 V at every node of t:
-    (1/2) log2(T (1-T) / omega) + g((omega-1)/2), with
-    (1-T)/omega = (1-T)^2 / (1 - T + eps T), so that omega is never formed."""
-    tb = 1.0 - t
-    return 0.5 * log2(t * tb * tb / (tb + eps * t)) + _thermal_nodes(t, eps)
+    (1/2) log2(T (1-T) / omega) + g((omega-1)/2)."""
+    return 0.5 * log2(_regime_ratio(t, eps)) + _thermal_nodes(t, eps)
 
 
 def htilde(eps: float, f: FadingUniform) -> float:
@@ -186,26 +198,23 @@ def holevo_asymptotic_regime_floor(eps: float, f: FadingUniform) -> float:
     somewhere on the support and the closed form is outside its validity.
     """
     _require_asymptotic_domain(eps, f)
-    worst = min(
-        t * (1.0 - t) / derive_omega(t, eps) for t in (f.t_min, f.t_max)
-    )
-    return 1.0 / worst
+    return 1.0 / min(_regime_ratio(f.t_min, eps), _regime_ratio(f.t_max, eps))
 
 
 def skr_hba_asymptotic(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     """Large-V key rate: asymptotic worst-case mutual information minus the
-    averaged large-V Holevo bound, both from one ``asymptotic_block``.  The
-    (1/2) log2 V terms cancel, so the rate is independent of V."""
+    averaged large-V Holevo bound, both from one ``asymptotic_block``, by
+    the row kernel.  The (1/2) log2 V terms cancel, so the rate is
+    independent of V."""
     require_variance(v)
     require_noise(eps)
-    mi_part, holevo_part = asymptotic_block(eps, f)
-    hol = _plus_half_log2_v(holevo_part, v)
+    mi, hol, _ = skr_hba_asymptotic_rows(v, *asymptotic_block(eps, f))
     if hol < 0.0:
         raise DomainError(
             f"large-V closed form outside its validity at V = {v!r} (averaged "
             "Holevo bound is negative); increase V or use the exact pipeline"
         )
-    return SkrBreakdown.from_parts(_plus_half_log2_v(mi_part, v), hol)
+    return SkrBreakdown.from_parts(mi, hol)
 
 
 def asymptotic_block(eps: float, f: FadingUniform) -> tuple[float, float]:
@@ -221,11 +230,11 @@ def asymptotic_block(eps: float, f: FadingUniform) -> tuple[float, float]:
 
 
 def skr_hba_asymptotic_rows(v, mi_part, holevo_part):
-    """``skr_hba_asymptotic`` at every row of equal-length arrays, the block
-    columns from ``asymptotic_block``; V >= 1 already validated.  Returns
-    (mutual_info, holevo, ok), equal to the scalar values bit for bit where
-    ok; ok fails where the averaged Holevo bound is negative (the scalar
-    DomainError) or a value is not finite."""
+    """``skr_hba_asymptotic`` at every row of equal-length arrays (or at one
+    float V, which is how the scalar path takes it), the block columns from
+    ``asymptotic_block``; V >= 1 already validated.  Returns (mutual_info,
+    holevo, ok); ok fails where the averaged Holevo bound is negative (the
+    scalar path's DomainError) or a value is not finite."""
     mi = _plus_half_log2_v(mi_part, v)
     holevo = _plus_half_log2_v(holevo_part, v)
     return mi, holevo, (holevo >= 0.0) & np.isfinite(holevo) & np.isfinite(mi)

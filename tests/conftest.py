@@ -124,6 +124,17 @@ def _mutual_info_oracle(v, eps, t):
     return mpmath.log((v + chi) / (1 + chi), 2) / 2
 
 
+def mutual_info_oracle(v: float, eps: float, t: float) -> float:
+    """Fixed-channel mutual information (1/2) log2(1 + T (V-1) / (1 + eps T)),
+    bits, through mpmath's log1p: the ratio form above keeps only
+    ``ORACLE_DPS`` - 24 digits at T = 1e-12, V - 1 = 1e-12."""
+    import mpmath
+
+    with mpmath.workdps(ORACLE_DPS):
+        v, eps, t = (mpmath.mpf(x) for x in (v, eps, t))
+        return float(mpmath.log1p(t * (v - 1) / (1 + eps * t)) / (2 * mpmath.log(2)))
+
+
 def fixed_rate_oracle(v: float, eps: float, t: float) -> float:
     """Fixed-channel key rate, bits: ``_mutual_info_oracle`` minus
     ``_holevo_exact_oracle``."""

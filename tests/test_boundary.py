@@ -56,9 +56,6 @@ RULES = {
     "v": "variance must satisfy V >= 1, got {!r}",
     "eps": "excess noise must satisfy eps >= 0, got {!r}",
 }
-# the large-V closed form checks its own eps domain first, 0 <= eps < 1
-MODEL_EPS_RULE = "analytic average is implemented for 0 <= eps < 1, got {!r}"
-MODEL_EPS_FUNCTIONS = {"avg_holevo_analytic", "htilde", "holevo_asymptotic_regime_floor"}
 BAD = {"v": (0.5, math.nan, math.inf), "eps": (-0.01, math.nan)}
 
 
@@ -80,6 +77,5 @@ def test_public_function_rejects_bad_v_and_eps(name, arg, bad):
     params = inspect.signature(fn).parameters
     kwargs = {p: VALID[p] for p in params if params[p].default is inspect.Parameter.empty}
     kwargs[arg] = bad
-    rule = MODEL_EPS_RULE if arg == "eps" and name in MODEL_EPS_FUNCTIONS else RULES[arg]
-    with pytest.raises(DomainError, match=f"^{re.escape(rule.format(bad))}$"):
+    with pytest.raises(DomainError, match=f"^{re.escape(RULES[arg].format(bad))}$"):
         fn(**kwargs)

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import conditional_after_homodyne, symplectic_eigs_generic
+from conftest import conditional_after_homodyne, mutual_info_oracle, symplectic_eigs_generic
 from cvqkd_fading.channel import (
     ChannelParams,
     SkrBreakdown,
@@ -21,8 +21,10 @@ from cvqkd_fading.channel import (
     joint_covariance,
     mutual_information_fixed,
     skr_fixed,
+    skr_fixed_rows,
     symplectic_pair,
 )
+from cvqkd_fading.cli import run_point
 from cvqkd_fading.cma import avg_covariance
 from cvqkd_fading.errors import DomainError
 from cvqkd_fading.fading import FadingUniform, moments_uniform
@@ -100,6 +102,31 @@ class TestMutualInformation:
         for p in random_params(rng, 100):
             alt = 0.5 * math.log2(1.0 + p.t * p.v_a / (1.0 + p.eps * p.t))
             assert mutual_information_fixed(p) == pytest.approx(alt, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v_a=st.floats(-12.0, 5.0).map(lambda u: 10.0**u),
+        t=st.floats(-12.0, 0.0).map(lambda u: 10.0**u),
+        eps=st.just(0.0) | st.floats(1e-6, 0.1),
+    )
+    @example(v_a=1e-12, t=1e-12, eps=0.0)
+    def test_every_path_matches_the_oracle(self, v_a, t, eps):
+        # (1/2) log2((V + chi) / (1 + chi)) lost the digits of T (V-1) to
+        # the rounding of chi = 1/T - 1 + eps: 100 % off at T = 1e-10
+        pytest.importorskip("mpmath")
+        v = 1.0 + v_a
+        want = mutual_info_oracle(v, eps, t)
+        f = FadingUniform(t)
+        got = [run_point(a, v, eps, f).mutual_info for a in ("fixed", "hba_exact", "cma")]
+        got.append(float(skr_fixed_rows(*(np.array([x]) for x in (v, t, eps)))[0][0]))
+        for x in got:
+            assert abs(x - want) <= 1e-15 * want
+
+    def test_tiny_signal_keeps_its_digits(self):
+        # point --approach fixed --v 1.000001 --eps 0 --t-min 1e-10 printed
+        # 1.6017e-16 bits
+        mi = mutual_information_fixed(ChannelParams(1.000001, 1e-10, 0.0))
+        assert abs(mi - 7.2134752038513886e-17) <= 2.0 * math.ulp(7.2134752038513886e-17)
 
 
 class TestSymplecticSpectrum:

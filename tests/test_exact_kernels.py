@@ -199,6 +199,17 @@ def test_ergodic_mutual_information_keeps_its_digits_as_v_tends_to_one(v_a, eps,
     assert abs(got - ref) <= 1e-13 * ref
 
 
+@pytest.mark.parametrize(
+    "eps, t_min, delta_t", [(1.0, 0.5, 0.4), (1.5, 0.3, 0.2), (1.5, 0.02, 0.6), (20.0, 0.1, 0.3)]
+)
+def test_asymptotic_rate_matches_the_oracle_at_eps_of_one_and_above(eps, t_min, delta_t):
+    # the rule eps < 1 came from the dilogarithm closed form; the law_mean
+    # nodes hold for any eps >= 0
+    ref = hba_asymptotic_rate_oracle(1e4, eps, t_min, delta_t)
+    got = skr_hba_asymptotic(1e4, eps, FadingUniform(t_min, delta_t)).rate
+    assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     eps=st.floats(-300.0, -150.0).map(lambda u: 10.0**u),

@@ -489,7 +489,7 @@ class TestAnalyticAverage:
         with pytest.raises(DomainError):
             avg_holevo_analytic(1e3, 0.005, FadingUniform(0.4, 0.6))
         with pytest.raises(DomainError):
-            avg_holevo_analytic(1e3, 1.0, FadingUniform(0.4, 0.2))
+            avg_holevo_analytic(1e3, -0.01, FadingUniform(0.4, 0.2))
         with pytest.raises(DomainError):
             avg_holevo_analytic(0.5, 0.005, FadingUniform(0.4, 0.2))
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixed_rate_oracle
@@ -148,8 +148,9 @@ def sweep_configs(draw):
             | st.sampled_from([1.0000001, 1.0000002, 1e200]),
             max_size=6,
         ))),
-        # at 5e-324 the thermal term of the large-V average underflows
-        eps_list=(0.0, *draw(st.lists(st.floats(0.0, 0.1) | st.sampled_from([-0.0, 5e-324]),
+        # at 5e-324 the thermal term of the large-V average underflows; the
+        # large-V form once rejected eps >= 1
+        eps_list=(0.0, *draw(st.lists(st.floats(0.0, 0.1) | st.sampled_from([-0.0, 5e-324, 1.5]),
                                       max_size=2))),
         t_min_values=tuple(t_min_values + draw(st.lists(st.sampled_from(t_min_values),
                                                         max_size=2))),
@@ -179,6 +180,9 @@ def outcome(fn, cfg):
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=sweep_configs())
+# the mutual information at t_min is finite below T_FLOOR, but the point
+# path rejects that t_min
+@example(cfg=cli.SweepConfig(("hba_exact",), (10.0,), (0.0,), (1e-320,), (1e-20,)))
 def test_sweep_rows_equal_run_point(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         got_dir, want_dir = Path(tmp, "got"), Path(tmp, "want")

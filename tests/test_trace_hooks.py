@@ -8,6 +8,7 @@ refactor that drops or rebinds a traced lookup fails here instead of
 breaking ``perfbench/run.py --trace 1``.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import cvqkd_fading
 import cvqkd_fading.cli  # noqa: F401  (install looks modules up as package attributes)
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PACKAGE = Path(cvqkd_fading.__file__).resolve().parent
 
 
 def load_tracing():
@@ -87,3 +89,21 @@ def test_traced_mc_validate_counts_its_samples(capsys):
     assert tracer.metrics()["montecarlo.samples"] == n
     assert tracer.calls["montecarlo.empirical_moments"] == 1
     assert tracer.calls["montecarlo.sample_transmittance"] == 1
+
+
+def test_every_unused_import_is_a_traced_site():
+    # an import the module itself does not use is kept (noqa: F401) only
+    # where the tracer looks a function up by it, so a dead import cannot
+    # hide behind noqa; ``test_install_and_uninstall_restore_every_site``
+    # fails where a traced one is dropped
+    tracing = load_tracing()
+    traced = {(module, attr) for module, attr, _ in tracing.SPANS + tracing.COUNTS}
+    exempt = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]
+            ):
+                exempt += [(path.stem, alias.asname or alias.name) for alias in node.names]
+    assert exempt and not set(exempt) - traced, sorted(set(exempt) - traced)
