@@ -330,7 +330,7 @@ def build_grid(cfg: SweepConfig) -> tuple[SweepRows, list[str]]:
                         v_column += kept
                         blocks.append((approach, eps, t_min, delta_t, start, len(v_column)))
                     if dropped:
-                        tail = f" eps={eps:g} t_min={t_min:g} delta_t={delta_t:g}: {issue}"
+                        tail = f" eps={eps!r} t_min={t_min!r} delta_t={delta_t!r}: {issue}"
                         skipped += [head + v_cells[v] + tail for v in dropped]
     return SweepRows(blocks, v_column, frozenset(cfg.optimize_v)), skipped
 

@@ -23,8 +23,8 @@ The large-V parts are written in (T, 1 - T, eps), never through the
 equivalent thermal variance omega = 1 + T eps / (1 - T): the mutual
 information less (1/2) log2 V is (1/2) log2(T / (1 + eps T)), and the
 Holevo bound's is (1/2) log2(T (1-T)^2 / (1 - T + eps T)) + g(eps T / (2 (1-T))).
-Its thermal term diverges at T = 1, so they require t_max < 1; the exact
-pipeline accepts t_max = 1.  Any eps >= 0 is in their domain.
+Its thermal term diverges at T = 1, so the pipeline needs t_max < 1; the mutual
+information alone and the exact pipeline take T = 1.  Any eps >= 0 is in their domain.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _plus_half_log2_v(v_free, v):
 def mutual_information_asymptotic(t: float, eps: float, v: float) -> float:
     """Large-V mutual information (1/2) log2(T / (1 + eps T)) + (1/2) log2 V."""
     require_variance(v)
-    require_open_transmittance(t)
+    require_transmittance(t)
     require_noise(eps)
     return _plus_half_log2_v(_mi_asymptotic_t_part(t, eps), v)
 

@@ -9,8 +9,8 @@ moments are simulated; no per-shot quadrature outcomes.
 Randomness comes from numpy's PCG64 generator (``numpy.random.PCG64``)
 seeded with the configured seed through ``numpy.random.SeedSequence``, so
 identical configurations reproduce bit-identical streams on any platform.
-The whole sample buffer is drawn on the calling thread, and each moment is
-numpy's serial pairwise sum over that one buffer; no thread is started.
+The stream is drawn on the calling thread in blocks of 2^16 draws into one
+reused 512 KB buffer, whatever the sample count; no thread is started.
 """
 
 from __future__ import annotations
@@ -41,16 +41,19 @@ class SampleConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
-def sample_transmittance(f: FadingUniform, cfg: SampleConfig) -> np.ndarray:
-    """n_samples i.i.d. draws from Uniform[t_min, t_max], deterministic in the seed.
+BLOCK = 2**16  # draws per block: 512 KB of float64, a buffer that stays in L2
 
-    The generator's draw buffer is scaled and shifted in place: each draw
-    is t_min + delta_t * u, rounded as the out-of-place expression rounds it.
+
+def sample_transmittance(f: FadingUniform, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the next i.i.d. draws of ``rng`` from Uniform[t_min, t_max].
+
+    The generator's draws are scaled and shifted in place: each draw is
+    t_min + delta_t * u, rounded as the out-of-place expression rounds it.
     """
-    t = np.random.Generator(np.random.PCG64(cfg.seed)).random(cfg.n_samples)
-    t *= f.delta_t
-    t += f.t_min
-    return t
+    rng.random(out=out)
+    out *= f.delta_t
+    out += f.t_min
+    return out
 
 
 def empirical_moments(f: FadingUniform, cfg: SampleConfig) -> TransmittanceMoments:
@@ -59,20 +62,27 @@ def empirical_moments(f: FadingUniform, cfg: SampleConfig) -> TransmittanceMomen
     The variance uses the population definition matching the closed form (no
     ddof correction), computed in centered form to avoid cancellation.  The
     degenerate distribution returns the closed-form moments, exact for any
-    sample count.  The draws are overwritten in turn by sqrt(T), its
-    deviations from the mean and their squares, so one sample buffer holds
-    every stage; each mean is numpy's pairwise sum over the buffer divided
-    by n, the bits of ``t.mean()``.
+    sample count.  ``BLOCK`` draws at a time fill one buffer that sqrt(T), its
+    deviations d from the block mean and their squares overwrite in turn,
+    each summed pairwise by numpy.  A block of n_b, its mean c above the
+    whole mean, adds sum d^2 + c (2 sum d + n_b c) to the centred sum of
+    squares (Chan, Golub and LeVeque, 1983), exact to first order; the blocks
+    merge in ``math.fsum``, so n <= ``BLOCK`` keeps one whole-buffer pass's bits.
     """
     if f.delta_t == 0.0:
         return moments_uniform(f)
-    t = sample_transmittance(f, cfg)
-    n = t.size
-    mean_t = float(np.add.reduce(t)) / n
-    mean_sqrt = float(np.add.reduce(np.sqrt(t, out=t))) / n
-    t -= mean_sqrt
-    var = float(np.add.reduce(np.square(t, out=t))) / n
-    return TransmittanceMoments(mean_sqrt, mean_t, var)
+    n, rng = cfg.n_samples, np.random.Generator(np.random.PCG64(cfg.seed))
+    buf, blocks = np.empty(min(n, BLOCK)), []
+    for start in range(0, n, BLOCK):
+        t = sample_transmittance(f, rng, buf[: n - start])
+        sum_t, sum_sqrt = np.add.reduce(t), np.add.reduce(np.sqrt(t, out=t))
+        sum_d = np.add.reduce(np.subtract(t, sum_sqrt / t.size, out=t))
+        blocks.append((t.size, sum_t, sum_sqrt, sum_d, np.add.reduce(np.square(t, out=t))))
+    sizes, sums_t, sums_sqrt, sums_d, sums_d2 = np.array(blocks).T
+    mean_sqrt = math.fsum(sums_sqrt) / n
+    c = sums_sqrt / sizes - mean_sqrt
+    var = math.fsum([*sums_d2, *(c * (2.0 * sums_d + sizes * c))]) / n
+    return TransmittanceMoments(mean_sqrt, math.fsum(sums_t) / n, var)
 
 
 def empirical_avg_covariance(

@@ -102,8 +102,8 @@ def write_line_plot(
 
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys[shown].min()), float(ys[shown].max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    if x_hi - x_lo <= 1e-9 * abs(x_lo):  # a range too narrow for ticks to step through
+        x_hi = x_lo + max(1.0, 1e-9 * abs(x_lo))
     if log_y:
         pad = (y_hi / y_lo) ** 0.05 if y_hi > y_lo else 2.0
         y_lo, y_hi = y_lo / pad, y_hi * pad

@@ -440,6 +440,22 @@ class TestSweep:
                 str(svg_path), [("c", [0.1, 0.2], [-1.0, 0.0])], "x", "y", log_y=True
             )
 
+    @pytest.mark.parametrize("xs", [[1e16, 1e16 + 2.0], [1e200, 1e200], [0.0, 0.0]])
+    def test_svg_x_range_narrower_than_a_tick_step_ends(self, tmp_path, xs):
+        # V = 1e16 and the next float but one: the tick loop added a step
+        # below ulp(1e16) forever; two equal V of 1e200 raised ValueError
+        def stop(signum, frame):
+            raise TimeoutError("write_line_plot did not end within 20 s")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(20)
+        try:
+            svgplot.write_line_plot(str(tmp_path / "x.svg"), [("c", xs, [1.0, 2.0])], "V", "y")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (tmp_path / "x.svg").read_text().endswith("</svg>\n")
+
 
 class TestThresholdCommand:
     def test_hba_threshold_in_claimed_band(self, capsys):
@@ -769,6 +785,17 @@ class TestFloatRange:
         assert code == 0 and out == cli.CSV_HEADER + "\n"
         assert err.endswith(f": {self.TOO_SMALL}\n") and err.count("\n") == 1
 
+    def test_skip_line_prints_the_inputs_as_the_message_does(self, capsys):
+        # :g printed t_min=9.99989e-321 next to the message's T = 1e-320
+        code, _, err = self.run_quietly(
+            ["sweep", "--approach", "hba_asymptotic", "--v", "10", "--eps", "0.01",
+             "--t-min", "1e-320", "--delta-t", "0.1"],
+            capsys,
+        )
+        assert code == 0
+        assert err == (f"skip approach=hba_asymptotic V=10 eps=0.01 t_min=1e-320 "
+                       f"delta_t=0.1: {self.TOO_SMALL}\n")
+
     @pytest.mark.parametrize(
         "argv, v, delta_t, t_eff",
         [
@@ -856,7 +883,7 @@ class TestMcValidateCommand:
     )
     def test_invalid_input_fails_before_any_draw(self, capsys, monkeypatch, flag, value):
         draws = []
-        monkeypatch.setattr(montecarlo, "sample_transmittance", lambda f, cfg: draws.append(cfg))
+        monkeypatch.setattr(montecarlo, "sample_transmittance", lambda *args: draws.append(args))
         argv = ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "0.4",
                 "--delta-t", "0.2", "--n", "10000000"]
         argv[argv.index(flag) + 1] = value
@@ -903,8 +930,8 @@ class TestMcValidateCommand:
         draws = []
         real = montecarlo.sample_transmittance
 
-        def keep(f, cfg):
-            t = real(f, cfg)
+        def keep(f, rng, out):
+            t = real(f, rng, out)
             draws.append(t.max())
             return t
 
@@ -917,20 +944,21 @@ class TestMcValidateCommand:
         assert (code, err) == (0, "")
         closed_form = {line.split(",")[0]: line.split(",")[2] for line in out.splitlines()[1:]}
         assert closed_form["mean_t"] == "0.75"
-        assert len(draws) == 1 and draws[0] <= 1.0
+        assert len(draws) == 2 and max(draws) <= 1.0  # 100,000 draws are two blocks
 
     def test_samples_once(self, monkeypatch):
-        draws = []
+        # one pass over the stream: each draw is taken once, block by block
+        sizes = []
         real = montecarlo.sample_transmittance
 
-        def counting(f, cfg):
-            draws.append(cfg)
-            return real(f, cfg)
+        def counting(f, rng, out):
+            sizes.append(out.size)
+            return real(f, rng, out)
 
         monkeypatch.setattr(montecarlo, "sample_transmittance", counting)
-        f, cfg = FadingUniform(0.4, 0.2), SampleConfig(10_000, 7)
+        f, cfg = FadingUniform(0.4, 0.2), SampleConfig(2 * montecarlo.BLOCK + 1, 7)
         rows = {name: emp for name, emp, _, _ in cli.mc_validate_rows(10.0, 0.03, f, cfg)}
-        assert len(draws) == 1
+        assert sizes == [montecarlo.BLOCK, montecarlo.BLOCK, 1]
         ref = avg_covariance(empirical_moments(f, cfg), 10.0, 0.03)
         assert rows["cov_b"] == ref.b
         assert rows["cov_c"] == ref.c

@@ -515,3 +515,14 @@ class TestAsymptoticRate:
         exact = skr_fixed(ChannelParams(1e8, 0.4, 0.01)).mutual_info
         asym = mutual_information_asymptotic(0.4, 0.01, 1e8)
         assert exact == pytest.approx(asym, abs=1e-6)
+
+    def test_mutual_information_asymptotic_is_finite_at_t_one(self):
+        # (1/2) log2(T V / (1 + eps T)) has no thermal term to diverge at
+        # T = 1; the large-V spectrum and Holevo bound keep 0 < T < 1
+        mi = mutual_information_asymptotic(1.0, 0.01, 1e4)
+        assert mi == pytest.approx(0.5 * math.log2(1e4 / 1.01), rel=1e-15, abs=0.0)
+        for t in (0.0, 1.0 + 1e-12, math.nan):
+            with pytest.raises(DomainError):
+                mutual_information_asymptotic(t, 0.01, 1e4)
+        with pytest.raises(DomainError, match="diverges at T = 1"):
+            holevo_asymptotic(1.0, 0.01, 1e4)

@@ -4,16 +4,21 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import moment_standard_deviations_oracle
 
+from cvqkd_fading import montecarlo
 from cvqkd_fading.cma import avg_covariance
 from cvqkd_fading.errors import DomainError
 from cvqkd_fading.fading import FadingUniform, TransmittanceMoments, moments_uniform
 from cvqkd_fading.montecarlo import (
+    BLOCK,
     SampleConfig,
     empirical_avg_covariance,
     empirical_moments,
@@ -22,34 +27,40 @@ from cvqkd_fading.montecarlo import (
 )
 
 
+def draw(f, cfg):
+    """The whole stream of cfg in one ``sample_transmittance`` call."""
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    return sample_transmittance(f, rng, np.empty(cfg.n_samples))
+
+
 class TestSampling:
     def test_degenerate_width_gives_constant_draws(self):
-        draws = sample_transmittance(FadingUniform(0.37), SampleConfig(5, 1))
+        draws = draw(FadingUniform(0.37), SampleConfig(5, 1))
         assert np.all(draws == 0.37)
 
     def test_draws_stay_in_support(self):
         f = FadingUniform(0.3, 0.4)
-        draws = sample_transmittance(f, SampleConfig(10_000, 9))
+        draws = draw(f, SampleConfig(10_000, 9))
         assert draws.min() >= f.t_min
         assert draws.max() < f.t_max
 
     def test_mean_within_clt_band(self):
         # uniform on [0,1]: sd = 1/sqrt(12); 4-sigma band at n = 1e6
-        draws = sample_transmittance(FadingUniform(1e-12, 1.0), SampleConfig(1_000_000, 42))
+        draws = draw(FadingUniform(1e-12, 1.0), SampleConfig(1_000_000, 42))
         band = 4.0 * (1.0 / math.sqrt(12.0)) / 1000.0
         assert abs(float(draws.mean()) - 0.5) < band
 
     def test_bitwise_determinism(self):
         f = FadingUniform(0.2, 0.5)
         cfg = SampleConfig(4096, 123456789)
-        a = sample_transmittance(f, cfg)
-        b = sample_transmittance(f, cfg)
+        a = draw(f, cfg)
+        b = draw(f, cfg)
         assert a.tobytes() == b.tobytes()
 
     def test_seed_changes_stream(self):
         f = FadingUniform(0.2, 0.5)
-        a = sample_transmittance(f, SampleConfig(64, 1))
-        b = sample_transmittance(f, SampleConfig(64, 2))
+        a = draw(f, SampleConfig(64, 1))
+        b = draw(f, SampleConfig(64, 2))
         assert a.tobytes() != b.tobytes()
 
     def test_config_validation(self):
@@ -90,8 +101,9 @@ class TestEmpiricalMoments:
 
 
 def out_of_place_moments(f, cfg):
-    """The moments formed with a new array per stage: the written-out
-    reference the in-place buffer of ``empirical_moments`` must reproduce."""
+    """The moments formed with a new array per stage over the whole stream:
+    the written-out reference ``empirical_moments`` must reproduce bit for
+    bit while the stream fits in one block."""
     if f.delta_t == 0.0:
         return moments_uniform(f)
     u = np.random.Generator(np.random.PCG64(cfg.seed)).random(cfg.n_samples)
@@ -101,6 +113,20 @@ def out_of_place_moments(f, cfg):
     mean_t = float(t.mean())
     var = float(np.mean((sqrt_t - mean_sqrt) ** 2))
     return TransmittanceMoments(mean_sqrt, mean_t, var)
+
+
+def exact_sums_moments(f, cfg):
+    """The moments of the same draws with every sum taken by ``math.fsum``;
+    the squared deviations from the rounded mean less n times its distance
+    from the exact mean, (sum d)^2 / n."""
+    n = cfg.n_samples
+    u = np.random.Generator(np.random.PCG64(cfg.seed)).random(n)
+    t = f.t_min + f.delta_t * u
+    sqrt_t = np.sqrt(t)
+    mean_sqrt = math.fsum(sqrt_t) / n
+    d = sqrt_t - mean_sqrt
+    var = (math.fsum(d * d) - math.fsum(d) ** 2 / n) / n
+    return TransmittanceMoments(mean_sqrt, math.fsum(t) / n, var)
 
 
 class TestInPlaceMoments:
@@ -131,27 +157,71 @@ class TestInPlaceMoments:
         ],
     )
     def test_equals_the_out_of_place_formula(self, t_min, delta_t, n, seed):
+        # one block is the whole-buffer pass bit for bit; more blocks merge
+        # to within 1e-15 of the exact sums, as that pass comes to 4.2e-16
         f, cfg = FadingUniform(t_min, delta_t), SampleConfig(n, seed)
-        assert empirical_moments(f, cfg) == out_of_place_moments(f, cfg)
+        got = empirical_moments(f, cfg)
+        if n <= BLOCK:
+            assert got == out_of_place_moments(f, cfg)
+        else:
+            ref = astuple(exact_sums_moments(f, cfg))
+            assert astuple(got) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
-    def test_draws_equal_the_out_of_place_formula(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t_min=st.floats(1e-12, 0.99),
+        width=st.floats(-12.0, 0.0).map(lambda u: 10.0**u),
+        n=st.tuples(st.integers(0, 2), st.integers(1, BLOCK)).map(lambda q: q[0] * BLOCK + q[1]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_blocks_merge_to_the_exact_sums(self, t_min, width, n, seed):
+        # each mean within 1e-15 relative of the exact sums, and the variance
+        # too, up to the (4 ulp)^2 a mean off by its rounding adds to every
+        # squared deviation: all a narrow law's variance can hold.  A merge
+        # without the deviations' sum is first order off there (9e-15
+        # relative at delta_t = 1e-3)
+        f, cfg = FadingUniform(t_min, min(width, 1.0 - t_min)), SampleConfig(n, seed)
+        got, ref = empirical_moments(f, cfg), exact_sums_moments(f, cfg)
+        if n <= BLOCK:
+            assert got == out_of_place_moments(f, cfg)
+        assert abs(got.mean_sqrt_t - ref.mean_sqrt_t) <= 1e-15 * ref.mean_sqrt_t
+        assert abs(got.mean_t - ref.mean_t) <= 1e-15 * ref.mean_t
+        floor = (4.0 * sys.float_info.epsilon * ref.mean_sqrt_t) ** 2
+        assert abs(got.var_sqrt_t - ref.var_sqrt_t) <= 1e-15 * ref.var_sqrt_t + floor
+
+    def test_draws_equal_the_out_of_place_formula(self, monkeypatch):
+        # the blocks empirical_moments draws, put end to end, are one
+        # Generator.random(n) stream scaled and shifted
         f = FadingUniform(1e-12, 1.0)
-        for n in (10_000, 127, 128, 129, 136, 1001, 2047, 2048, 2049, 2_000_003):
+        real, blocks = montecarlo.sample_transmittance, []
+
+        def keep(*args):
+            t = real(*args)
+            blocks.append(t.copy())
+            return t
+
+        monkeypatch.setattr(montecarlo, "sample_transmittance", keep)
+        for n in (10_000, 127, 128, 129, 136, 1001, 2047, 2048, 2049, BLOCK, BLOCK + 1, 2_000_003):
             cfg = SampleConfig(n, 42)
             u = np.random.Generator(np.random.PCG64(cfg.seed)).random(cfg.n_samples)
             expected = (f.t_min + f.delta_t * u).tobytes()
-            assert sample_transmittance(f, cfg).tobytes() == expected, n
+            blocks.clear()
+            empirical_moments(f, cfg)
+            assert [b.size for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1), n
+            assert np.concatenate(blocks).tobytes() == expected, n
 
     def test_peak_memory_is_one_sample_buffer(self):
-        # 10^6 draws are 8 MB; a new array per stage peaked at 24 MB
-        f, cfg = FadingUniform(0.3, 0.4), SampleConfig(10**6, 7)
+        # 10^7 draws would be 80 MB in one buffer; one block is 512 KB at any
+        # n.  A first call warms numpy's generator set-up, a one-off 1 MB
+        f, cfg = FadingUniform(0.3, 0.4), SampleConfig(10**7, 7)
+        empirical_moments(f, SampleConfig(10, 7))
         tracemalloc.start()
         try:
             empirical_moments(f, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 8 * 10**6
+        assert peak <= 1.25 * 8 * BLOCK
 
     def test_concurrent_callers_keep_the_serial_bits(self):
         # more callers than cores, switching threads every microsecond: no
@@ -227,7 +297,7 @@ class TestStandardErrors:
         assert past == law and past.t_min + past.delta_t <= 1.0
         assert moments_uniform(past) == moments_uniform(law)
         assert moment_standard_errors(past, 1000) == moment_standard_errors(law, 1000)
-        assert sample_transmittance(past, SampleConfig(10_000, 3)).max() <= 1.0
+        assert draw(past, SampleConfig(10_000, 3)).max() <= 1.0
 
 
 class TestErrorScaling:

@@ -183,6 +183,10 @@ def outcome(fn, cfg):
 # the mutual information at t_min is finite below T_FLOOR, but the point
 # path rejects that t_min
 @example(cfg=cli.SweepConfig(("hba_exact",), (10.0,), (0.0,), (1e-320,), (1e-20,)))
+# one plotted V of 1e200: widening its x range by 1.0 left it empty, and the
+# tick step's log10(0) escaped as ValueError
+@example(cfg=cli.SweepConfig(("hba_asymptotic",), (1.0, 1e200), (0.0,), (0.5,), (1e-20,),
+                             x_axes=("variance",)))
 def test_sweep_rows_equal_run_point(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         got_dir, want_dir = Path(tmp, "got"), Path(tmp, "want")

@@ -72,23 +72,23 @@ def test_traced_sweep_counts_what_it_writes_and_skips(tmp_path, capsys):
 
 
 def test_traced_mc_validate_counts_its_samples(capsys):
-    # the benchmark's montecarlo.samples reads len() of what the module's
-    # sample_transmittance returns, looked up by empirical_moments
+    # the benchmark's montecarlo.samples sums len() of each block the
+    # module's sample_transmittance returns, looked up by empirical_moments
     tracing = load_tracing()
-    n = 20_000
-    tracer = tracing.Tracer()
-    tracer.install(cvqkd_fading)
-    try:
-        code = cvqkd_fading.cli.main(
-            ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "0.3",
-             "--delta-t", "0.4", "--n", str(n)]
-        )
-    finally:
-        tracer.uninstall()
-    assert code == 0 and len(capsys.readouterr().out.splitlines()) == 6
-    assert tracer.metrics()["montecarlo.samples"] == n
-    assert tracer.calls["montecarlo.empirical_moments"] == 1
-    assert tracer.calls["montecarlo.sample_transmittance"] == 1
+    for n, blocks in ((20_000, 1), (150_001, 3)):
+        tracer = tracing.Tracer()
+        tracer.install(cvqkd_fading)
+        try:
+            code = cvqkd_fading.cli.main(
+                ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "0.3",
+                 "--delta-t", "0.4", "--n", str(n)]
+            )
+        finally:
+            tracer.uninstall()
+        assert code == 0 and len(capsys.readouterr().out.splitlines()) == 6
+        assert tracer.metrics()["montecarlo.samples"] == n
+        assert tracer.calls["montecarlo.empirical_moments"] == 1
+        assert tracer.calls["montecarlo.sample_transmittance"] == blocks, n
 
 
 def test_every_unused_import_is_a_traced_site():
