@@ -8,10 +8,10 @@ are such files and every key can be overridden by the command-line flag of
 the same name (flags win).  Sweeps run serially.  A sweep keeps its rows as
 a block table and columns (``SweepRows``) from the grid to the files: each
 approach's blocks (one approach, eps, delta_t and t_min; only V varies) go
-to ``run_points``, which makes what a block has in common once and
-evaluates the rows as one array, and the CSV and SVG files are written from
-block slices of the columns.  Every value, and so every output byte, is the
-one ``run_point`` gives for that row.
+to ``run_points``, which evaluates the rows as one array, and the files are
+written from slices of the columns; what rows share (a law, its moments, a
+cell, a label) is made once per distinct value.  Every value, and so every
+output byte, is the one ``run_point`` gives for that row.
 
 Output is CSV (UTF-8, LF, 17 significant digits) with one flat schema::
 
@@ -41,7 +41,7 @@ from operator import itemgetter
 import numpy as np
 
 from .channel import ChannelParams, SkrBreakdown, require_transmittance, skr_fixed, skr_fixed_rows
-from .cma import V_TOL, avg_covariance, cma_block, optimal_variance, require_v_bracket
+from .cma import V_TOL, avg_covariance, cma_law_columns, optimal_variance, require_v_bracket
 from .cma import skr_cma, skr_cma_rows
 from .errors import DomainError, NumericalError
 from .fading import FadingUniform, moments_uniform
@@ -66,6 +66,7 @@ CSV_HEADER = (
     "approach,V,eps,t_min,delta_t,t_mean,attenuation_db,"
     "mutual_info_bits,holevo_bits,rate_bits,v_opt,error"
 )
+CSV_ROWS = 256  # rows per piece of ``csv_blocks``: the file is never held whole
 
 
 def attenuation_db(t: float) -> float:
@@ -94,71 +95,71 @@ def run_point(approach: str, v: float, eps: float, f: FadingUniform) -> SkrBreak
     raise DomainError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
 
 
-def _fixed_block(eps: float, f: FadingUniform) -> tuple[float, float]:
+def _fixed_law(f: FadingUniform) -> tuple[float]:
     _require_point_mass(f)
     require_transmittance(f.t_min)
-    return f.t_min, eps
+    return (f.t_min,)
 
 
-def _exact_block(eps: float, f: FadingUniform) -> tuple[float, float, float]:
-    return eps, f.t_min, f.t_max
-
-
-# approach -> (columns of one (eps, fading) block, from the scalar code; the
-# row kernel taking V and those columns repeated over the block's rows)
+# approach -> (the columns of a fading law, from the scalar code; those of an
+# (eps, law) block; the row kernel taking V and the columns of each row's block)
 _ROW_MODELS = {
-    "fixed": (_fixed_block, skr_fixed_rows),
-    "cma": (cma_block, skr_cma_rows),
-    "hba_asymptotic": (asymptotic_block, skr_hba_asymptotic_rows),
-    "hba_exact": (_exact_block, skr_hba_exact_rows),
+    "fixed": (_fixed_law, lambda eps, law: (*law, eps), skr_fixed_rows),
+    "cma": (cma_law_columns, lambda eps, law: (eps, *law), skr_cma_rows),
+    "hba_asymptotic": (lambda f: f, asymptotic_block, skr_hba_asymptotic_rows),
+    "hba_exact": (lambda f: (f.t_min, f.t_max), lambda eps, law: (eps, *law), skr_hba_exact_rows),
 }
 
 
-def run_points(approach, blocks, v):
+def run_points(approach, blocks, v, laws=None):
     """Evaluate the rows of one approach's blocks, each with the values
     ``run_point`` gives for it.
 
-    blocks are ``SweepRows.blocks`` entries (approach, eps, t_min, delta_t,
-    start, stop) and v the V column they index; a NaN V marks a row that is
-    not evaluated.  V and eps are not checked here: every sweep V and eps
-    has passed ``SweepConfig`` (an optimized V, ``require_v_bracket``).
-    Returns (mutual_info, holevo, rate), float arrays the length of v that
-    are NaN at the rows not evaluated, and {row: exception} for the rows
-    whose evaluation raised; the values at those rows are meaningless.
-    Each block's law and columns are made once by the scalar code, and the
-    rows of all blocks are one array evaluation.  A row the array cannot
-    vouch for (its block's scalar code raised, a value fails a check the
-    scalar path makes, or the two levels of its fading average disagree)
-    goes through ``run_point``, so it gets the scalar path's value or
-    exception.
+    blocks are ``SweepRows.blocks`` entries, v the V column they index (a NaN
+    V is not evaluated) and laws their ``SweepRows.laws`` (by default built
+    per block); V and eps have passed ``SweepConfig`` or ``require_v_bracket``.
+    Returns (mutual_info, holevo, rate), arrays the length of v (NaN where
+    not evaluated), and {row: exception} for the rows that raised.  The
+    scalar code makes each law object's columns and each block's once; the
+    rows are one array evaluation, and a row the array cannot vouch for (its
+    block's scalar code raised, a value fails a scalar check, or the two
+    levels of its average disagree) goes through ``run_point``.
     """
     v = np.asarray(v, dtype=float)
     values = np.full((3, v.size), np.nan)
-    todo = ~np.isnan(v)
-    block_columns, kernel = _ROW_MODELS[approach]
-    table, row_block = [], np.full(v.size, -1)
-    for _, eps, t_min, delta_t, start, stop in blocks:
+    law_columns, block_columns, kernel = _ROW_MODELS[approach]
+    laws = [None] * len(blocks) if laws is None else list(laws)
+    by_law, table, slot = {}, [], []  # per law object: its columns; per block: its table row
+    for b, (_, eps, t_min, delta_t, *_) in enumerate(blocks):
         try:
-            table.append(block_columns(eps, FadingUniform(t_min, delta_t)))
+            f = laws[b] = laws[b] or FadingUniform(t_min, delta_t)  # kept alive: id(f) is a key
+            if id(f) not in by_law:
+                by_law[id(f)] = law_columns(f)
+            table.append(block_columns(eps, by_law[id(f)]))
+            slot.append(len(table) - 1)
         except (DomainError, NumericalError):
-            continue
-        row_block[start:stop] = len(table) - 1
-    index = np.flatnonzero(todo & (row_block >= 0))
-    if index.size:
+            slot.append(-1)
+    # every row of every block: its block and its index in v
+    *_, start, counts = _block_values(blocks)
+    block = np.repeat(np.arange(len(blocks)), counts)
+    row = np.arange(block.size) + np.repeat(start - np.cumsum(counts) + counts, counts)
+    slot = np.array(slot, dtype=np.intp)[block]
+    todo = ~np.isnan(v[row])
+    use = np.flatnonzero(todo & (slot >= 0))
+    if use.size:
         with np.errstate(all="ignore"):
-            mi, holevo, ok = kernel(v[index], *np.array(table)[row_block[index]].T)
-        done = index[ok]
-        values[:, done] = mi[ok], holevo[ok], mi[ok] - holevo[ok]
-        todo[done] = False
+            mi, holevo, ok = kernel(v[row[use]], *np.array(table)[slot[use]].T)
+        values[:, row[use[ok]]] = mi[ok], holevo[ok], mi[ok] - holevo[ok]
+        todo[use[ok]] = False
     failed = {}
-    for _, eps, t_min, delta_t, start, stop in blocks:
-        for i in (start + np.flatnonzero(todo[start:stop])).tolist():
-            try:
-                out = run_point(approach, float(v[i]), eps, FadingUniform(t_min, delta_t))
-            except (DomainError, NumericalError) as exc:
-                failed[i] = exc
-            else:
-                values[:, i] = out.mutual_info, out.holevo, out.rate
+    for i, b in zip(row[todo].tolist(), block[todo].tolist()):
+        _, eps, t_min, delta_t, *_ = blocks[b]
+        try:
+            out = run_point(approach, float(v[i]), eps, laws[b] or FadingUniform(t_min, delta_t))
+        except (DomainError, NumericalError) as exc:
+            failed[i] = exc
+        else:
+            values[:, i] = out.mutual_info, out.holevo, out.rate
     return (*values, failed)
 
 
@@ -247,13 +248,14 @@ class SweepRows(Sequence):
 
     ``blocks`` holds (approach, eps, t_min, delta_t, start, stop) for each
     run of rows that share approach, eps, delta_t and t_min (the config's
-    own objects, so 0.0 and -0.0 never share cells).  ``v``, ``mutual_info``,
-    ``holevo`` and ``rate`` are float arrays and ``errors`` maps a row index
-    to its error text (its values are meaningless).  V of an ``optimized``
-    approach comes from ``optimal_variance``: NaN while pending or failed."""
+    own objects, so 0.0 and -0.0 never share cells), ``laws`` their laws,
+    one per (t_min, delta_t).  ``v``, ``mutual_info``, ``holevo`` and
+    ``rate`` are float arrays and ``errors`` maps a row index to its error
+    text (its values are meaningless).  V of an ``optimized`` approach comes
+    from ``optimal_variance``: NaN while pending or failed."""
 
-    def __init__(self, blocks, v, optimized=frozenset()):
-        self.blocks, self.optimized, self.errors = blocks, optimized, {}
+    def __init__(self, blocks, v, optimized=frozenset(), laws=None):
+        self.blocks, self.optimized, self.laws, self.errors = blocks, optimized, laws, {}
         self.v = np.array(v, dtype=float)
         self.mutual_info, self.holevo, self.rate = np.full((3, self.v.size), math.nan)
 
@@ -265,35 +267,66 @@ class SweepRows(Sequence):
             return [self[k] for k in range(len(self))[i]]
         i = range(len(self))[i]
         block = self.blocks[bisect.bisect_right(self.blocks, i, key=itemgetter(4)) - 1]
-        error = self.errors.get(i, "")
-        v, *values = (float(col[i]) for col in (self.v, self.mutual_info, self.holevo, self.rate))
-        v = None if math.isnan(v) else v
-        mi, holevo, rate = (None if error or math.isnan(x) else x for x in values)
-        v_opt = v if block[0] in self.optimized else None
-        return SweepRow(block[0], v, *block[1:4], mi, holevo, rate, v_opt, error)
+        return next(self._rows(block, i, i + 1))
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self._rows(b, *b[4:]) for b in self.blocks)
+
+    def _rows(self, block, start: int, stop: int):
+        columns = (self.v, self.mutual_info, self.holevo, self.rate)
+        for i, v, *values in zip(range(start, stop), *(c[start:stop].tolist() for c in columns)):
+            error = self.errors.get(i, "")
+            mi, holevo, rate = (None if error or math.isnan(x) else x for x in values)
+            v = None if math.isnan(v) else v
+            v_opt = v if block[0] in self.optimized else None
+            yield SweepRow(block[0], v, *block[1:4], mi, holevo, rate, v_opt, error)
+
+
+def _block_values(blocks):
+    """Each block's eps, t_min and delta_t (float arrays), start and row count."""
+    columns = [np.fromiter(map(itemgetter(k), blocks), float, len(blocks)) for k in range(1, 6)]
+    eps, t_min, delta_t, start, stop = columns
+    return eps, t_min, delta_t, start.astype(np.intp), (stop - start).astype(np.intp)
+
+
+def _cells(x, cell):
+    """cell(value) at each entry of the float array x, once per bit pattern (-0.0 is not 0.0)."""
+    _, first, inverse = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
+    return np.array([cell(value) for value in x[first].tolist()], dtype=object)[inverse]
 
 
 def csv_blocks(rows: SweepRows):
-    """The CSV text, the header and then one string per block: the one
-    formatter of the schema.  Each V cell is formatted once per value, the
-    five cells a block shares once per block; an error row's value cells are
-    blank, and so are its V cells on an optimize-v row."""
+    """The CSV text, the header and then pieces of at most ``CSV_ROWS`` rows
+    of one approach: the one formatter of the schema.  Each cell is made once
+    per distinct value, the five a block shares joined once per block; an
+    error row's value cells are blank, and so is a NaN V's (a failed optimum)."""
     yield CSV_HEADER + "\n"
-    v_all = rows.v.tolist()
-    v_cells = {v: fmt(v) for v in set(v_all)}
+    eps, t_min, delta_t, _, counts = _block_values(rows.blocks)
+    cells = [_cells(x, fmt) for x in (eps, t_min, delta_t, t_min + 0.5 * delta_t)]
+    cells += [_cells(t_min, lambda t: fmt(attenuation_db(t)))]
+    shared = np.repeat(np.array(list(map(",".join, zip(*cells))), dtype=object), counts)
+    v_cells = _cells(rows.v, lambda v: "" if math.isnan(v) else fmt(v))  # failed optimize-v: NaN
+    columns = (v_cells, shared, rows.mutual_info, rows.holevo, rows.rate)
     failed = sorted(rows.errors)
-    for approach, eps, t_min, delta_t, start, stop in rows.blocks:
-        shared = ",".join(map(fmt, (eps, t_min, delta_t, t_min + 0.5 * delta_t)))
-        shared += "," + fmt(attenuation_db(t_min))
+    for approach, group in itertools.groupby(rows.blocks, key=itemgetter(0)):
+        group = list(group)
         v_opt = approach in rows.optimized
-        line = f"{approach},%s,{shared},%.17g,%.17g,%.17g,{'%s' if v_opt else ''},\n".__mod__
-        v_block = list(map(v_cells.__getitem__, v_all[start:stop]))
-        columns = [col[start:stop].tolist() for col in (rows.mutual_info, rows.holevo, rows.rate)]
-        lines = list(map(line, zip(v_block, *columns, *([v_block] if v_opt else []))))
-        for i in failed[bisect.bisect_left(failed, start) : bisect.bisect_left(failed, stop)]:
-            v_cell = "" if v_opt else v_block[i - start]
-            lines[i - start] = f"{approach},{v_cell},{shared},,,,,{csv_text(rows.errors[i])}\n"
-        yield "".join(lines)
+        line = f"{approach},%s,%s,%.17g,%.17g,%.17g,{'%s' if v_opt else ''},\n".__mod__
+        for start in range(group[0][4], group[-1][5], CSV_ROWS):
+            stop = min(start + CSV_ROWS, group[-1][5])
+            v_piece, *values = (c[start:stop].tolist() for c in columns)
+            lines = list(map(line, zip(v_piece, *values, *([v_piece] if v_opt else []))))
+            for i in failed[bisect.bisect_left(failed, start) : bisect.bisect_left(failed, stop)]:
+                error = csv_text(rows.errors[i])
+                lines[i - start] = f"{approach},{v_piece[i - start]},{shared[i]},,,,,{error}\n"
+            yield "".join(lines)
+
+
+def _law_or_issue(t_min: float, delta_t: float) -> tuple[FadingUniform | None, str]:
+    try:
+        return FadingUniform(t_min, delta_t), ""
+    except DomainError as exc:
+        return None, str(exc)
 
 
 def build_grid(cfg: SweepConfig) -> tuple[SweepRows, list[str]]:
@@ -302,37 +335,37 @@ def build_grid(cfg: SweepConfig) -> tuple[SweepRows, list[str]]:
     t_min) that keeps a row; an optimize-v row's V is NaN.  Combinations
     outside the target model's domain are skipped with the model's own
     DomainError message; the large-V closed form also skips every V up to its
-    validity floor.  Each V cell of a skip line is formatted once."""
-    blocks, v_column, skipped = [], [], []
+    validity floor.  Each law and each V cell of a skip line is made once."""
+    blocks, laws, v_column, skipped = [], [], [], []
     v_cells = {v: fmt(v) for v in cfg.v_list}
     v_cells[math.nan] = "opt"  # the optimize-v slot is this very NaN object
+    grid = [[_law_or_issue(t, d) for t in cfg.t_min_values] for d in cfg.delta_t_list]
     for approach in cfg.approaches:
         v_slots = (math.nan,) if approach in cfg.optimize_v else cfg.v_list
         head = f"skip approach={approach} V="
         for eps in cfg.eps_list:
-            for delta_t in cfg.delta_t_list:
-                for t_min in cfg.t_min_values:
+            for delta_t, grid_row in zip(cfg.delta_t_list, grid):
+                for t_min, (f, issue) in zip(cfg.t_min_values, grid_row):
                     v_floor = 0.0  # SweepConfig ensures V >= 1
-                    try:
-                        f = FadingUniform(t_min, delta_t)
-                        if approach == "fixed":
+                    try:  # f is None where the law failed, and issue its error
+                        if approach == "fixed" and f:
                             _require_point_mass(f)
-                        elif approach == "hba_asymptotic":
+                        elif approach == "hba_asymptotic" and f:
                             v_floor = holevo_asymptotic_regime_floor(eps, f)
                     except DomainError as exc:
-                        kept, dropped, issue = (), v_slots, str(exc)
-                    else:
-                        kept = [v for v in v_slots if not v <= v_floor]  # NaN is kept
-                        dropped = [v for v in v_slots if v <= v_floor]
-                        issue = f"V below the large-V validity floor {v_floor:.6g}"
+                        issue = str(exc)
+                    kept = () if issue else [v for v in v_slots if not v <= v_floor]  # NaN is kept
+                    dropped = v_slots if issue else [v for v in v_slots if v <= v_floor]
                     if kept:
                         start = len(v_column)
                         v_column += kept
                         blocks.append((approach, eps, t_min, delta_t, start, len(v_column)))
+                        laws.append(f)
                     if dropped:
+                        issue = issue or f"V below the large-V validity floor {v_floor:.6g}"
                         tail = f" eps={eps!r} t_min={t_min!r} delta_t={delta_t!r}: {issue}"
                         skipped += [head + v_cells[v] + tail for v in dropped]
-    return SweepRows(blocks, v_column, frozenset(cfg.optimize_v)), skipped
+    return SweepRows(blocks, v_column, frozenset(cfg.optimize_v), laws), skipped
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[SweepRows, int]:
@@ -343,17 +376,16 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepRows, int]:
     rows, skipped = build_grid(cfg)
     sys.stderr.writelines(f"{line}\n" for line in skipped)
     v, errors = rows.v, rows.errors
-    for approach, eps, t_min, delta_t, start, _ in rows.blocks:
+    for (approach, eps, *_, start, _), f in zip(rows.blocks, rows.laws):
         if approach in rows.optimized:  # one row per block
             try:
-                f = FadingUniform(t_min, delta_t)
                 v[start], _ = optimal_variance(eps, f, cfg.v_lo, cfg.v_hi)
             except (DomainError, NumericalError) as exc:
                 errors[start] = f"{type(exc).__name__}: {exc}"
-    for approach, group in itertools.groupby(rows.blocks, key=itemgetter(0)):
-        group = list(group)
-        span = slice(group[0][4], group[-1][5])
-        *values, failed = run_points(approach, group, v)
+    for approach, group in itertools.groupby(zip(rows.blocks, rows.laws), key=lambda b: b[0][0]):
+        blocks, laws = zip(*group)
+        span = slice(blocks[0][4], blocks[-1][5])
+        *values, failed = run_points(approach, blocks, v, laws)
         rows.mutual_info[span], rows.holevo[span], rows.rate[span] = (x[span] for x in values)
         for i, exc in failed.items():
             errors[i] = f"{type(exc).__name__}: {exc}"
@@ -379,7 +411,7 @@ def _curves(rows: SweepRows, axis: str, column: str, log_y: bool):
     by the block.  Curves with equal labels are one curve.  Error rows are
     not plotted, and on a linear axis negative values are clamped at 0."""
     blocks = rows.blocks
-    counts = [stop - start for *_, start, stop in blocks]
+    eps, t_min, delta_t, _, counts = _block_values(blocks)
     ys = getattr(rows, _Y_ATTRS[column])
     if not log_y:
         ys = np.maximum(ys, 0.0)  # SVG never plots negative rates
@@ -387,21 +419,20 @@ def _curves(rows: SweepRows, axis: str, column: str, log_y: bool):
     if axis == "variance":
         xs, v_key, v_labels = rows.v, np.zeros(len(rows), dtype=np.intp), [""]
     else:
-        xs = np.repeat([
-            t if axis == "t_min" else t + 0.5 * d if axis == "t_mean" else attenuation_db(t)
-            for _, _, t, d, *_ in blocks
-        ], counts)
-        values, inverse = np.unique(rows.v, return_inverse=True)
-        names = {"V=opt ": 0}  # each V formatted once
-        v_key = np.array([names.setdefault(f"V={v:g} ", len(names)) for v in values.tolist()])
-        v_key = v_key.astype(np.intp)[inverse]
+        xs = np.repeat(
+            t_min if axis == "t_min" else t_min + 0.5 * delta_t if axis == "t_mean"
+            else _cells(t_min, attenuation_db).astype(float), counts
+        )
+        names = {"V=opt ": 0}
+        v_key = _cells(rows.v, lambda v: names.setdefault(f"V={v:g} ", len(names))).astype(np.intp)
         v_key[np.repeat([b[0] in rows.optimized for b in blocks], counts).astype(bool)] = 0
         v_labels = list(names)
-    templates, block_key = {}, []
-    for b in blocks:
-        template = f"{b[0]} {{}}eps={b[1]:g} dT={b[3]:g}"
-        template += f" t_min={b[2]:g}" if axis == "variance" else ""
-        block_key.append(templates.setdefault(template, len(templates)))
+    parts = [(" {}eps=", eps), (" dT=", delta_t)] + [(" t_min=", t_min)] * (axis == "variance")
+    template = np.array([b[0] for b in blocks], dtype=object)
+    for part, x in parts:
+        template += part + _cells(x, "{:g}".format)
+    templates = {}
+    block_key = [templates.setdefault(t, len(templates)) for t in template.tolist()]
     key = np.repeat(block_key, counts).astype(np.intp) * len(v_labels) + v_key
     index = np.delete(np.arange(len(rows)), list(rows.errors))
     keys, first, curve = np.unique(key[index], return_index=True, return_inverse=True)

@@ -159,17 +159,16 @@ def skr_cma(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     return SkrBreakdown.from_parts(avg_mutual_information(v, eps, f), holevo_cma(v, eps, f))
 
 
-def cma_block(eps: float, f: FadingUniform) -> tuple[float, ...]:
-    """The columns of ``skr_cma_rows`` for an (eps, fading) pair, computed by
-    the scalar code and raising its DomainError: eps, t_min, t_max, t_eff
-    and Var(sqrt T)/t_eff."""
+def cma_law_columns(f: FadingUniform) -> tuple[float, ...]:
+    """The columns of ``skr_cma_rows`` after eps, computed by the scalar code
+    and raising its DomainError: t_min, t_max, t_eff and Var(sqrt T)/t_eff."""
     t_eff, ratio = _effective_coefficients(moments_uniform(f))
-    return eps, f.t_min, f.t_max, t_eff, ratio
+    return f.t_min, f.t_max, t_eff, ratio
 
 
 def skr_cma_rows(v, eps, t_min, t_max, t_eff, ratio):
     """``skr_cma`` at every row of equal-length arrays, each row's columns
-    from ``cma_block``; V >= 1 and eps >= 0 already validated.  A point
+    eps and ``cma_law_columns``; V >= 1 and eps >= 0 already validated.  A point
     mass (t_max == t_min) takes the mutual information at t_min, the value
     ``law_mean`` returns for it after evaluating all its nodes; the other
     rows take one ``law_mean`` call.
@@ -204,13 +203,13 @@ def optimal_variance(
     Log-spaced pre-scan plus golden-section refinement to ``V_TOL``; returns
     (v_opt, rate_opt) even when the optimum is non-positive (callers
     interpret rate_opt <= 0 as "no key").  The bracket and eps are checked
-    first, and a ``cma_block`` error propagates.  The pre-scan is one
+    first, and a ``cma_law_columns`` error propagates.  The pre-scan is one
     ``skr_cma_rows`` call, a point the rows cannot vouch for going through
     ``skr_cma``, so (v_opt, rate_opt) are an all-scalar search's, bit for bit.
     """
     require_v_bracket(v_lo, v_hi)
     require_noise(eps)
-    block = cma_block(eps, f)
+    block = eps, *cma_law_columns(f)
 
     def rates(vs: list[float]) -> list[float]:
         with np.errstate(all="ignore"):

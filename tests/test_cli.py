@@ -242,8 +242,8 @@ class TestConfigParsing:
 def fail_at_t_min_04(run_points):
     """``run_points`` with every evaluated row at t_min = 0.4 failing."""
 
-    def flaky(approach, blocks, v):
-        *values, failed = run_points(approach, blocks, v)
+    def flaky(approach, blocks, v, laws):
+        *values, failed = run_points(approach, blocks, v, laws)
         for _, _, t_min, _, start, stop in blocks:
             if abs(t_min - 0.4) < 1e-9:
                 for i in range(start, stop):
@@ -348,7 +348,7 @@ class TestSweep:
         # line breaks take the same RFC 4180 path
         message = 'eigenvalue must be >= 1, got "0.9"\nsecond line'
 
-        def failing(approach, blocks, v):
+        def failing(approach, blocks, v, laws):
             nan = np.full(len(v), math.nan)
             rows = [i for *_, start, stop in blocks for i in range(start, stop)]
             return nan, nan, nan, {i: DomainError(message) for i in rows}

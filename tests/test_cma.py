@@ -422,7 +422,7 @@ class TestOptimalVarianceRowPrescan:
         def block(*args):
             raise error
 
-        monkeypatch.setattr(cma, "cma_block", block)
+        monkeypatch.setattr(cma, "cma_law_columns", block)
         with pytest.raises(DomainError) as exc:
             optimal_variance(0.005, FadingUniform(0.1, 0.2))
         assert exc.value is error

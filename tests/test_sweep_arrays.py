@@ -2,15 +2,19 @@
 
 ``cli.run_sweep`` evaluates the rows of a grid as one array per approach
 (the fading averages in chunks of tanh-sinh node matrices), keeps them as
-columns, writes the CSV block by block from slices of the columns, and
-builds the SVG curves from block slices.  The CSV is a byte contract, so
-these tests hold the sweep to the row-by-row reference it replaced: each row
-through ``run_point`` (after ``optimal_variance`` for an optimize-v row),
-compared with ``==``, error rows with the same text, the CSV written cell by
-cell and every SVG drawn from curves regrouped row by row.
+columns, writes the CSV in pieces from slices of the columns, and builds
+the SVG curves from block slices.  The CSV is a byte contract, so these
+tests hold the sweep to the row-by-row reference it replaced: the grid
+expanded by nested loops with its skip lines, each row through
+``run_point`` (after ``optimal_variance`` for an optimize-v row), compared
+with ``==``, error rows with the same text, the CSV written cell by cell
+and every SVG drawn from curves regrouped row by row.
 """
 
+import collections
+import contextlib
 import dataclasses
+import io
 import itertools
 import math
 import tempfile
@@ -23,7 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixed_rate_oracle
-from cvqkd_fading import cli, fading, hba, svgplot
+from cvqkd_fading import cli, cma, fading, hba, svgplot
 from cvqkd_fading.channel import ChannelParams, mutual_information_fixed, skr_fixed
 from cvqkd_fading.cma import optimal_variance
 from cvqkd_fading.errors import DomainError, NumericalError
@@ -34,9 +38,42 @@ from cvqkd_fading.fading import FadingUniform
 FOUND_POINTS = ((1e3, 0.988695), (1e4, 0.985585), (1e5, 0.98587))
 
 
+def reference_grid(cfg):
+    """The grid expanded by nested loops in the declared order (approach,
+    eps, delta_t, t_min, V), one law per row: (rows, skip lines).  An
+    optimize-v row's V is None."""
+    rows, skipped = [], []
+    for approach in cfg.approaches:
+        for eps in cfg.eps_list:
+            for delta_t in cfg.delta_t_list:
+                for t_min in cfg.t_min_values:
+                    for v in (None,) if approach in cfg.optimize_v else cfg.v_list:
+                        issue = ""
+                        try:
+                            f = FadingUniform(t_min, delta_t)
+                            if approach == "fixed" and f.delta_t != 0.0:
+                                raise DomainError("fixed-channel evaluation requires delta_t = 0")
+                            if approach == "hba_asymptotic":
+                                floor = hba.holevo_asymptotic_regime_floor(eps, f)
+                                if v is not None and v <= floor:
+                                    issue = f"V below the large-V validity floor {floor:.6g}"
+                        except DomainError as exc:
+                            issue = str(exc)
+                        if issue:
+                            v_cell = "opt" if v is None else cli.fmt(v)
+                            skipped.append(
+                                f"skip approach={approach} V={v_cell} eps={eps!r} "
+                                f"t_min={t_min!r} delta_t={delta_t!r}: {issue}"
+                            )
+                        else:
+                            rows.append(cli.SweepRow(approach, v, eps, t_min, delta_t))
+    return rows, skipped
+
+
 def reference_rows(cfg):
-    """The grid evaluated row by row, as the sweep did before arrays."""
-    rows = list(cli.build_grid(cfg)[0])
+    """The grid evaluated row by row, as the sweep did before arrays:
+    (rows, skip lines)."""
+    rows, skipped = reference_grid(cfg)
     for row in rows:
         try:
             f = FadingUniform(row.t_min, row.delta_t)
@@ -50,7 +87,16 @@ def reference_rows(cfg):
         if row.v is None:
             row.v_opt = v
         row.v, row.mutual_info, row.holevo, row.rate = v, out.mutual_info, out.holevo, out.rate
-    return rows
+    return rows, skipped
+
+
+def sweep_and_skips(cfg):
+    """``cli.run_sweep(cfg)`` and the grid's skip lines it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rows, n_errors = cli.run_sweep(cfg)
+    skipped = [line for line in err.getvalue().splitlines() if not line.startswith("skip plot ")]
+    return rows, n_errors, skipped
 
 
 def reference_csv(rows):
@@ -187,6 +233,16 @@ def outcome(fn, cfg):
 # tick step's log10(0) escaped as ValueError
 @example(cfg=cli.SweepConfig(("hba_asymptotic",), (1.0, 1e200), (0.0,), (0.5,), (1e-20,),
                              x_axes=("variance",)))
+# 0.0 and -0.0 are equal but never share a cell, a label or a skip line; a
+# memo keyed by the value alone would merge them
+@example(cfg=cli.SweepConfig(("fixed", "hba_asymptotic", "cma"), (10.0, 1e4), (0.0, -0.0),
+                             (0.5, 0.9), (0.0, 0.2), x_axes=("variance", "t_min")))
+@example(cfg=cli.SweepConfig(("fixed", "hba_exact", "cma"), (10.0,), (0.01,), (0.5, 0.3),
+                             (0.0, -0.0), x_axes=("t_mean", "variance", "attenuation_db"),
+                             optimize_v=("cma",)))
+# two t_min entries of one value, distinct objects: two blocks, both kept
+@example(cfg=cli.SweepConfig(("hba_exact", "cma"), (10.0, 100.0), (0.0, 0.01),
+                             (0.5, float("0.5"), 0.7), (0.2, 0.4), x_axes=("t_min", "t_mean")))
 def test_sweep_rows_equal_run_point(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         got_dir, want_dir = Path(tmp, "got"), Path(tmp, "want")
@@ -194,15 +250,18 @@ def test_sweep_rows_equal_run_point(cfg):
         cfg = dataclasses.replace(
             cfg, csv_path=str(got_dir / "sweep.csv"), svg_path=str(got_dir / "sweep.svg")
         )
-        got, got_exc = outcome(cli.run_sweep, cfg)
+        got, got_exc = outcome(sweep_and_skips, cfg)
         want, want_exc = outcome(reference_rows, cfg)
         # no exception escapes either: a row that fails is an error row in both;
         # should one escape, the sweep must fail the same way the row-by-row
         # loop does
         assert got_exc == want_exc
         if want_exc is None:
-            rows, n_errors = got
+            (rows, n_errors, skipped), (want, want_skipped) = got, want
+            assert skipped == want_skipped
             assert_rows_equal(rows, want)
+            # iteration walks the block table; an index bisects it
+            assert list(rows) == [rows[i] for i in range(len(rows))]
             assert n_errors == sum(1 for row in want if row.error)
             # error text formats values with !r, which numpy 2 writes np.float64(...)
             assert not any("np.float64(" in row.error for row in rows)
@@ -228,16 +287,16 @@ def test_found_points_stay_error_rows(v, t_min):
 
 
 @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig45"])
-def test_preset_outputs_equal_row_by_row_reference(tmp_path, capsys, preset):
+def test_preset_outputs_equal_row_by_row_reference(tmp_path, preset):
     got_dir, want_dir = tmp_path / "got", tmp_path / "want"
     got_dir.mkdir(), want_dir.mkdir()
     cfg = cli.sweep_config_from_sources(cli.load_preset(preset), {})
     cfg = dataclasses.replace(
         cfg, csv_path=str(got_dir / "sweep.csv"), svg_path=str(got_dir / "sweep.svg")
     )
-    cli.run_sweep(cfg)
-    capsys.readouterr()
-    want = reference_rows(cfg)
+    _, _, skipped = sweep_and_skips(cfg)
+    want, want_skipped = reference_rows(cfg)
+    assert skipped == want_skipped
     (want_dir / "sweep.csv").write_text(reference_csv(want), encoding="utf-8")
     reference_svgs(cfg, want, want_dir)
     assert_outputs_equal(got_dir, want_dir)
@@ -261,6 +320,51 @@ def test_asymptotic_average_runs_once_per_block(monkeypatch, capsys):
     capsys.readouterr()
     assert n_errors == 0 and len(rows) == 24
     assert len(calls) == 6 and all(isinstance(t_min, float) for t_min, _, _ in calls)
+
+
+def test_sweep_makes_each_law_its_moments_and_attenuation_once(monkeypatch, tmp_path, capsys):
+    # a fig2-shaped grid, two approaches: one law per (t_min, delta_t), shared
+    # by every block on it; the cma moments once per law its rows keep; one
+    # attenuation per t_min of a kept row
+    calls = collections.Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(cli, "FadingUniform")
+    counting(cma, "moments_uniform")
+    counting(cli, "attenuation_db")
+    # t_max passes 1 from t_min 0.42 (delta_t 0.6) and 0.82 (0.2) on
+    t_mins = tuple(0.02 + 0.04 * k for k in range(24))
+    cfg = cli.SweepConfig(
+        ("hba_exact", "cma"), (10.0, 100.0), (0.0, 0.005, 0.03), t_mins, (0.2, 0.6),
+        x_axes=("t_min", "t_mean"), log_y=True,
+        csv_path=str(tmp_path / "sweep.csv"), svg_path=str(tmp_path / "sweep.svg"),
+    )
+    rows, n_errors = cli.run_sweep(cfg)
+    capsys.readouterr()
+    assert n_errors == 0 and len(rows) == 2 * 2 * 3 * (20 + 10)
+    assert calls["FadingUniform"] == len(t_mins) * 2
+    assert calls["moments_uniform"] == len({(r.t_min, r.delta_t) for r in rows}) == 30
+    assert calls["attenuation_db"] == len({r.t_min for r in rows}) == 20
+
+
+def test_csv_pieces_cut_anywhere(monkeypatch):
+    # pieces of four rows cut blocks, the boundary between the approaches
+    # and the error rows (V = 1e200 overflows the fixed-channel spectrum);
+    # the text is still the one written cell by cell
+    cfg = cli.SweepConfig(("fixed", "cma"), (10.0, 1e200, 100.0), (0.0, 0.01), (0.3, 0.5, 0.7),
+                          (0.0,), optimize_v=("cma",))
+    rows, n_errors = sweep_and_skips(cfg)[:2]
+    monkeypatch.setattr(cli, "CSV_ROWS", 4)
+    assert n_errors == 6 and len(rows) == 24
+    assert "".join(cli.csv_blocks(rows)) == reference_csv(rows)
 
 
 def test_run_points_sends_invalid_points_to_run_point():
