@@ -10,8 +10,10 @@ a block table and columns (``SweepRows``) from the grid to the files: each
 approach's blocks (one approach, eps, delta_t and t_min; only V varies) go
 to ``run_points``, which evaluates the rows as one array, and the files are
 written from slices of the columns; what rows share (a law, its moments, a
-cell, a label) is made once per distinct value.  Every value, and so every
-output byte, is the one ``run_point`` gives for that row.
+cell, a label) is made once per distinct value, and the value cells and
+SVG coordinates are made per array by ``digits``, byte for byte Python's
+``'%.17g'`` and ``'%.2f'``.  Every value, and so every output byte, is the
+one ``run_point`` gives for that row.
 
 Output is CSV (UTF-8, LF, 17 significant digits) with one flat schema::
 
@@ -40,6 +42,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import digits
 from .channel import ChannelParams, SkrBreakdown, require_transmittance, skr_fixed, skr_fixed_rows
 from .cma import V_TOL, avg_covariance, cma_law_columns, optimal_variance, require_v_bracket
 from .cma import skr_cma, skr_cma_rows
@@ -66,7 +69,7 @@ CSV_HEADER = (
     "approach,V,eps,t_min,delta_t,t_mean,attenuation_db,"
     "mutual_info_bits,holevo_bits,rate_bits,v_opt,error"
 )
-CSV_ROWS = 256  # rows per piece of ``csv_blocks``: the file is never held whole
+CSV_ROWS = 1024  # rows per piece of ``csv_blocks``: the file is never held whole
 
 
 def attenuation_db(t: float) -> float:
@@ -297,29 +300,42 @@ def _cells(x, cell):
 
 def csv_blocks(rows: SweepRows):
     """The CSV text, the header and then pieces of at most ``CSV_ROWS`` rows
-    of one approach: the one formatter of the schema.  Each cell is made once
-    per distinct value, the five a block shares joined once per block; an
-    error row's value cells are blank, and so is a NaN V's (a failed optimum)."""
+    of one approach: the one formatter of the schema.  A piece is one byte
+    matrix of NUL-padded cells side by side: the V cells (made once per
+    distinct V) and the five cells a block shares (joined once per block)
+    gathered by index, the value cells from ``digits.g17`` and the separators
+    as constant columns; its NULs are dropped in one pass.  An error row's
+    value cells are blank, and so is a NaN V's (a failed optimum): its line
+    is spliced in after that pass."""
     yield CSV_HEADER + "\n"
     eps, t_min, delta_t, _, counts = _block_values(rows.blocks)
     cells = [_cells(x, fmt) for x in (eps, t_min, delta_t, t_min + 0.5 * delta_t)]
     cells += [_cells(t_min, lambda t: fmt(attenuation_db(t)))]
-    shared = np.repeat(np.array(list(map(",".join, zip(*cells))), dtype=object), counts)
-    v_cells = _cells(rows.v, lambda v: "" if math.isnan(v) else fmt(v))  # failed optimize-v: NaN
-    columns = (v_cells, shared, rows.mutual_info, rows.holevo, rows.rate)
+    shared = digits.cells(list(map(",".join, zip(*cells))))
+    block = np.repeat(np.arange(len(rows.blocks)), counts)
+    _, first, v_index = np.unique(rows.v.view(np.int64), return_index=True, return_inverse=True)
+    v_cells = digits.cells(["" if math.isnan(v) else fmt(v) for v in rows.v[first].tolist()])
+    columns = (rows.mutual_info, rows.holevo, rows.rate)
     failed = sorted(rows.errors)
     for approach, group in itertools.groupby(rows.blocks, key=itemgetter(0)):
         group = list(group)
-        v_opt = approach in rows.optimized
-        line = f"{approach},%s,%s,%.17g,%.17g,%.17g,{'%s' if v_opt else ''},\n".__mod__
         for start in range(group[0][4], group[-1][5], CSV_ROWS):
             stop = min(start + CSV_ROWS, group[-1][5])
-            v_piece, *values = (c[start:stop].tolist() for c in columns)
-            lines = list(map(line, zip(v_piece, *values, *([v_piece] if v_opt else []))))
+            m, v = stop - start, np.take(v_cells, v_index[start:stop], axis=0)
+            values = np.concatenate([c[start:stop] for c in columns])
+            mi, holevo, rate = digits.g17(values).reshape(3, m, -1)
+            block_cells = np.take(shared, block[start:stop], axis=0)
+            head = digits.side_by_side([f"{approach},", v, ",", block_cells], m)
+            v_opt = [v] if approach in rows.optimized else []
+            parts = [head, ",", mi, ",", holevo, ",", rate, ",", *v_opt, ",\n"]
+            matrix = digits.side_by_side(parts, m)
+            pieces, at = [], 0
             for i in failed[bisect.bisect_left(failed, start) : bisect.bisect_left(failed, stop)]:
-                error = csv_text(rows.errors[i])
-                lines[i - start] = f"{approach},{v_piece[i - start]},{shared[i]},,,,,{error}\n"
-            yield "".join(lines)
+                error = f",,,,,{csv_text(rows.errors[i])}\n"  # after the row's head cells
+                pieces += [matrix[at : i - start], head[i - start], error]
+                at = i - start + 1
+            pieces.append(matrix[at:])
+            yield "".join(p if isinstance(p, str) else digits.text(p) for p in pieces)
 
 
 def _law_or_issue(t_min: float, delta_t: float) -> tuple[FadingUniform | None, str]:
@@ -439,10 +455,10 @@ def _curves(rows: SweepRows, axis: str, column: str, log_y: bool):
     by_first = np.argsort(first)
     curve = np.argsort(by_first)[curve]  # curves numbered in the order of their first row
     index = index[np.argsort(curve, kind="stable")]
-    stops = np.cumsum(np.bincount(curve))[:-1]
+    xs, ys, stops = xs[index], ys[index], np.cumsum(np.bincount(curve)).tolist()
     template_of, m = list(templates), len(v_labels)
     labels = [template_of[k // m].format(v_labels[k % m]) for k in keys[by_first].tolist()]
-    return list(zip(labels, np.split(xs[index], stops), np.split(ys[index], stops)))
+    return [(label, xs[a:b], ys[a:b]) for label, a, b in zip(labels, [0, *stops], stops)]
 
 
 def write_sweep_svgs(cfg: SweepConfig, rows: SweepRows) -> None:

@@ -2,7 +2,8 @@
 
 Just enough for monotone rate/information curves; no plotting dependency.
 Callers pass a list of (label, xs, ys) series.  On a log axis, points with
-y <= 0 break the polyline instead of being clamped.
+y <= 0 break the polyline instead of being clamped.  Point coordinates are
+written as one byte matrix of ``digits.f2`` cells, Python's ``'%.2f'``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 
+from . import digits
 from .errors import DomainError
 
 PALETTE = [
@@ -85,7 +87,7 @@ def write_line_plot(
     """Render the series, each (label, xs, ys) with its points in any order,
     to an SVG file at path.  All pixel coordinates are computed as arrays by
     the scalar ``px``/``py`` operations in their order, so each has the
-    scalar bits; each distinct x pixel is formatted once."""
+    scalar bits, and written as ``'%.2f'`` gives them, by ``digits.f2``."""
     if not series:
         raise DomainError("cannot plot an empty series list")
 
@@ -169,24 +171,21 @@ def write_line_plot(
     )
 
     # each run of shown points of a series is one polyline, or a circle when
-    # it is one point long; on a log axis a point with y <= 0 ends a run.  One
-    # format string writes every coordinate, a NUL after each run's last point
+    # it is one point long; on a log axis a point with y <= 0 ends a run.  The
+    # coordinates are one byte matrix: the ``digits.f2`` cells of each point,
+    # a comma between them and a space after, a line break after a run's last
     kept = np.flatnonzero(shown)
     owner = curve[kept]
     starts = np.flatnonzero((np.diff(kept, prepend=-2) != 1) | (np.diff(owner, prepend=-1) != 0))
     y_shown = ys[kept]
     if log_y:
         y_shown = np.log10(y_shown)
-    x_pixels, x_index = np.unique(px(xs[kept]), return_inverse=True)
-    x_cells = [f"{x:.2f}" for x in x_pixels.tolist()]
-    cells: list = [None] * (2 * kept.size)
-    cells[0::2] = map(x_cells.__getitem__, x_index.tolist())
-    cells[1::2] = py(y_shown).tolist()
-    ends = np.full(kept.size, " ", dtype=object)
-    ends[starts - 1] = "\0"  # the last point's, ends[-1], is the end of the text
-    text = "%s,%.2f".join(["", *ends[:-1].tolist(), ""]) % tuple(cells)
+    ends = np.full((kept.size, 1), ord(" "), np.uint8)
+    ends[starts - 1] = ord("\n")  # the last point's, ends[-1], is the end of the text
+    columns = [digits.f2(px(xs[kept])), ",", digits.f2(py(y_shown)), ends]
+    points = digits.side_by_side(columns, kept.size)
     runs: list[list[str]] = [[] for _ in series]
-    for k, run in zip(owner[starts].tolist(), text.split("\0")):
+    for k, run in zip(owner[starts].tolist(), digits.text(points).split("\n")):
         runs[k].append(run)
 
     # legend entries whose baseline lies above the plot box's bottom edge; when

@@ -18,6 +18,7 @@ import io
 import itertools
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -365,6 +366,66 @@ def test_csv_pieces_cut_anywhere(monkeypatch):
     monkeypatch.setattr(cli, "CSV_ROWS", 4)
     assert n_errors == 6 and len(rows) == 24
     assert "".join(cli.csv_blocks(rows)) == reference_csv(rows)
+    # cells Python formats, not the arrays: V = 1e300 (hba_asymptotic answers
+    # there), rates in exponent notation (V = 1 + 1e-6), the Holevo bound 0
+    # of a fixed channel at T = 1, eps -0.0, and the blank V of a failed
+    # optimum (hba_asymptotic's V_opt below the large-V floor); error rows
+    # open and close pieces of every length
+    sweeps = [
+        cli.SweepConfig(("hba_asymptotic", "fixed", "cma"), (1e300, 1.000001, 10.0),
+                        (0.0, -0.0, 0.01), (0.3, 1.0), (0.0, 0.2), optimize_v=("cma",)),
+        cli.SweepConfig(("hba_asymptotic", "cma"), (10.0,), (0.0, 0.01), (0.05, 0.3, 0.1),
+                        (0.2,), optimize_v=("hba_asymptotic",)),
+    ]
+    rows = [sweep_and_skips(cfg)[0] for cfg in sweeps]
+    text = reference_csv(rows[0]) + reference_csv(rows[1])
+    for cell in (",1.0000000000000001e+300,", "e-07,", ",0,", ",-0,", "\nhba_asymptotic,,0,"):
+        assert cell in text
+    opens = closes = False
+    for piece_rows in range(1, 8):
+        monkeypatch.setattr(cli, "CSV_ROWS", piece_rows)
+        for r in rows:
+            assert "".join(cli.csv_blocks(r)) == reference_csv(r)
+            for _, group in itertools.groupby(r.blocks, key=lambda b: b[0]):
+                group = list(group)
+                starts = range(group[0][4], group[-1][5], piece_rows)
+                opens |= piece_rows > 1 and any(i in r.errors for i in starts)
+                closes |= piece_rows > 1 and any(
+                    min(i + piece_rows, group[-1][5]) - 1 in r.errors for i in starts
+                )
+    assert opens and closes
+
+
+def test_csv_is_written_in_pieces():
+    # a grid shaped like the benchmark's sweep_closed_form (76,665 rows, a
+    # 12.5 MB file): write_csv peaks under 8 MB of traced memory (3.9 MB
+    # with pieces of 1,024 rows), while a writer that holds the file whole
+    # needs about twice its size
+    cfg = cli.SweepConfig(("hba_asymptotic", "cma", "fixed"),
+                          tuple(np.geomspace(1.3, 1e5, 100).tolist()),
+                          tuple(np.linspace(0.0, 0.03, 4).tolist()),
+                          tuple(np.linspace(0.02, 0.78, 50).tolist()), (0.0, 0.2))
+    with contextlib.redirect_stderr(io.StringIO()):
+        rows, _ = cli.build_grid(cfg)
+    rng = np.random.default_rng(3)
+    rows.mutual_info[:], rows.holevo[:] = rng.uniform(0.0, 5.0, (2, len(rows)))
+    rows.rate[:] = rows.mutual_info - rows.holevo
+    bound = 8_000_000
+
+    def peak(write):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "sweep.csv")
+            tracemalloc.start()
+            try:
+                write(path)
+                return tracemalloc.get_traced_memory()[1], path.stat().st_size
+            finally:
+                tracemalloc.stop()
+
+    in_pieces, size = peak(lambda path: cli.write_csv(str(path), rows))
+    whole, _ = peak(lambda path: path.write_text("".join(cli.csv_blocks(rows))))
+    assert len(rows) > 70_000 and size > 12_000_000
+    assert in_pieces < bound < whole
 
 
 def test_run_points_sends_invalid_points_to_run_point():
