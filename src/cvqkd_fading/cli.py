@@ -8,12 +8,12 @@ are such files and every key can be overridden by the command-line flag of
 the same name (flags win).  Sweeps run serially.  A sweep keeps its rows as
 a block table and columns (``SweepRows``) from the grid to the files: each
 approach's blocks (one approach, eps, delta_t and t_min; only V varies) go
-to ``run_points``, which evaluates the rows as one array, and the files are
-written from slices of the columns; what rows share (a law, its moments, a
-cell, a label) is made once per distinct value, and the value cells and
-SVG coordinates are made per array by ``digits``, byte for byte Python's
-``'%.17g'`` and ``'%.2f'``.  Every value, and so every output byte, is the
-one ``run_point`` gives for that row.
+to ``run_points``, which evaluates the rows in array slices, and the files
+are written a piece at a time from slices of the columns; what rows share
+(a law, its moments, a cell, a label) is made once per distinct value, and
+the value cells and SVG coordinates are made per array by ``digits``, byte
+for byte Python's ``'%.17g'`` and ``'%.2f'``.  Every value, and so every
+output byte, is the one ``run_point`` gives for that row.
 
 Output is CSV (UTF-8, LF, 17 significant digits) with one flat schema::
 
@@ -70,6 +70,7 @@ CSV_HEADER = (
     "mutual_info_bits,holevo_bits,rate_bits,v_opt,error"
 )
 CSV_ROWS = 1024  # rows per piece of ``csv_blocks``: the file is never held whole
+KERNEL_ROWS = 8192  # rows per call of a row kernel in ``run_points``
 
 
 def attenuation_db(t: float) -> float:
@@ -124,9 +125,9 @@ def run_points(approach, blocks, v, laws=None):
     Returns (mutual_info, holevo, rate), arrays the length of v (NaN where
     not evaluated), and {row: exception} for the rows that raised.  The
     scalar code makes each law object's columns and each block's once; the
-    rows are one array evaluation, and a row the array cannot vouch for (its
-    block's scalar code raised, a value fails a scalar check, or the two
-    levels of its average disagree) goes through ``run_point``.
+    rows go to the kernel ``KERNEL_ROWS`` at a time, and a row it cannot
+    vouch for (its block's scalar code raised, a value fails a scalar check,
+    or the two levels of its average disagree) goes through ``run_point``.
     """
     v = np.asarray(v, dtype=float)
     values = np.full((3, v.size), np.nan)
@@ -148,10 +149,10 @@ def run_points(approach, blocks, v, laws=None):
     row = np.arange(block.size) + np.repeat(start - np.cumsum(counts) + counts, counts)
     slot = np.array(slot, dtype=np.intp)[block]
     todo = ~np.isnan(v[row])
-    use = np.flatnonzero(todo & (slot >= 0))
-    if use.size:
+    table, ready = np.array(table), np.flatnonzero(todo & (slot >= 0))
+    for use in (ready[k : k + KERNEL_ROWS] for k in range(0, ready.size, KERNEL_ROWS)):
         with np.errstate(all="ignore"):
-            mi, holevo, ok = kernel(v[row[use]], *np.array(table)[slot[use]].T)
+            mi, holevo, ok = kernel(v[row[use]], *table[slot[use]].T)
         values[:, row[use[ok]]] = mi[ok], holevo[ok], mi[ok] - holevo[ok]
         todo[use[ok]] = False
     failed = {}
@@ -345,13 +346,39 @@ def _law_or_issue(t_min: float, delta_t: float) -> tuple[FadingUniform | None, s
         return None, str(exc)
 
 
-def build_grid(cfg: SweepConfig) -> tuple[SweepRows, list[str]]:
+class SkipLines(Sequence):
+    """A grid's skip lines, one per skipped V, each made when read from its
+    block's (head, tail, skipped V values) and the V cells; only these small
+    records are kept."""
+
+    def __init__(self, blocks, v_cells):
+        self.blocks, self.v_cells = blocks, v_cells
+        self.stops = list(itertools.accumulate(len(b[2]) for b in blocks))
+
+    def __len__(self) -> int:
+        return self.stops[-1] if self.stops else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i = range(len(self))[i]
+        b = bisect.bisect_right(self.stops, i)
+        head, tail, dropped = self.blocks[b]
+        return head + self.v_cells[dropped[i - self.stops[b]]] + tail  # an index from its end
+
+    def __iter__(self):
+        for head, tail, dropped in self.blocks:
+            yield from (head + self.v_cells[v] + tail for v in dropped)
+
+
+def build_grid(cfg: SweepConfig) -> tuple[SweepRows, SkipLines]:
     """Expand the config into evaluation rows in deterministic declared order
     (approach, eps, delta_t, t_min, V), one block per (approach, eps, delta_t,
     t_min) that keeps a row; an optimize-v row's V is NaN.  Combinations
     outside the target model's domain are skipped with the model's own
     DomainError message; the large-V closed form also skips every V up to its
-    validity floor.  Each law and each V cell of a skip line is made once."""
+    validity floor.  Each law and each V cell of a skip line is made once; the
+    lines themselves only as they are read (``SkipLines``)."""
     blocks, laws, v_column, skipped = [], [], [], []
     v_cells = {v: fmt(v) for v in cfg.v_list}
     v_cells[math.nan] = "opt"  # the optimize-v slot is this very NaN object
@@ -380,15 +407,17 @@ def build_grid(cfg: SweepConfig) -> tuple[SweepRows, list[str]]:
                     if dropped:
                         issue = issue or f"V below the large-V validity floor {v_floor:.6g}"
                         tail = f" eps={eps!r} t_min={t_min!r} delta_t={delta_t!r}: {issue}"
-                        skipped += [head + v_cells[v] + tail for v in dropped]
-    return SweepRows(blocks, v_column, frozenset(cfg.optimize_v), laws), skipped
+                        skipped.append((head, tail, dropped))
+    return SweepRows(blocks, v_column, frozenset(cfg.optimize_v), laws), SkipLines(skipped, v_cells)
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[SweepRows, int]:
     """Evaluate the whole grid, one ``run_points`` call per approach (an
     optimize-v row first gets its V from ``optimal_variance``), and write the
     CSV/SVG artifacts.  Every row gets the values or the error ``run_point``
-    gives it.  Returns (rows, n_error_rows)."""
+    gives it.  The skip lines go to stderr as they are made, the CSV and
+    each SVG to their files a piece at a time: no output is held whole.
+    Returns (rows, n_error_rows)."""
     rows, skipped = build_grid(cfg)
     sys.stderr.writelines(f"{line}\n" for line in skipped)
     v, errors = rows.v, rows.errors

@@ -1,13 +1,15 @@
 """Minimal self-contained SVG line plots (axes, ticks, legend, optional log y).
 
-Just enough for monotone rate/information curves; no plotting dependency.
-Callers pass a list of (label, xs, ys) series.  On a log axis, points with
-y <= 0 break the polyline instead of being clamped.  Point coordinates are
-written as one byte matrix of ``digits.f2`` cells, Python's ``'%.2f'``.
+Just enough for monotone rate/information curves, from a list of (label,
+xs, ys) series; no plotting dependency.  On a log axis, points with y <= 0
+break the polyline instead of being clamped.  The file is written a piece
+of curves at a time, the coordinates as ``digits.f2`` cells (``'%.2f'``).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +32,7 @@ PALETTE = [
 
 WIDTH, HEIGHT = 860, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 190, 40, 55
+SVG_POINTS = 8192  # points per piece of the curves' text: the file is never held whole
 
 
 def escape(text: str) -> str:
@@ -85,9 +88,12 @@ def write_line_plot(
     log_y: bool = False,
 ) -> None:
     """Render the series, each (label, xs, ys) with its points in any order,
-    to an SVG file at path.  All pixel coordinates are computed as arrays by
-    the scalar ``px``/``py`` operations in their order, so each has the
-    scalar bits, and written as ``'%.2f'`` gives them, by ``digits.f2``."""
+    to an SVG file at path: the header, whose ticks need the ranges of all
+    points, then the curves a piece at a time, then the end.  The file is
+    opened once no check can skip the plot.  All pixel coordinates are
+    computed as arrays by the scalar ``px``/``py`` operations in their
+    order, so each has the scalar bits, and written as ``'%.2f'`` gives
+    them, by ``digits.f2``."""
     if not series:
         raise DomainError("cannot plot an empty series list")
 
@@ -95,9 +101,13 @@ def write_line_plot(
     curve = np.repeat(np.arange(len(series)), sizes)
     xs = np.concatenate([x for _, x, _ in series], dtype=float)
     ys = np.concatenate([y for _, _, y in series], dtype=float)
-    # every series sorted once, stably by (x, y): the order of sorted(points)
-    order = np.lexsort((ys, xs, curve))
-    xs, ys = xs[order], ys[order]
+    # every series in the order of sorted(points): a stable sort by (x, y) of
+    # only the series not already in it (a NaN always takes the sort)
+    ordered = (xs[:-1] < xs[1:]) | (xs[:-1] == xs[1:]) & (ys[:-1] <= ys[1:])
+    sort = np.isin(curve, curve[1:][~ordered & (curve[:-1] == curve[1:])])
+    order = np.flatnonzero(sort)
+    order = order[np.lexsort((ys[order], xs[order], curve[order]))]
+    xs[sort], ys[sort] = xs[order], ys[order]
     shown = ys > 0.0 if log_y else np.ones(ys.size, dtype=bool)
     if not shown.any():
         raise DomainError("no plottable points (log axis with no positive values?)")
@@ -170,53 +180,54 @@ def write_line_plot(
         f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{escape(y_label)}</text>'
     )
 
-    # each run of shown points of a series is one polyline, or a circle when
-    # it is one point long; on a log axis a point with y <= 0 ends a run.  The
-    # coordinates are one byte matrix: the ``digits.f2`` cells of each point,
-    # a comma between them and a space after, a line break after a run's last
-    kept = np.flatnonzero(shown)
-    owner = curve[kept]
-    starts = np.flatnonzero((np.diff(kept, prepend=-2) != 1) | (np.diff(owner, prepend=-1) != 0))
-    y_shown = ys[kept]
-    if log_y:
-        y_shown = np.log10(y_shown)
-    ends = np.full((kept.size, 1), ord(" "), np.uint8)
-    ends[starts - 1] = ord("\n")  # the last point's, ends[-1], is the end of the text
-    columns = [digits.f2(px(xs[kept])), ",", digits.f2(py(y_shown)), ends]
-    points = digits.side_by_side(columns, kept.size)
-    runs: list[list[str]] = [[] for _ in series]
-    for k, run in zip(owner[starts].tolist(), digits.text(points).split("\n")):
-        runs[k].append(run)
-
     # legend entries whose baseline lies above the plot box's bottom edge; when
     # the curves outnumber them, the last one says how many are not listed
     legend_rows = (plot_h - 14) // 16 + 1
     listed = len(series) if len(series) <= legend_rows else legend_rows - 1
     lx = MARGIN_L + plot_w + 10
-    for i, ((label, _, _), segments) in enumerate(zip(series, runs)):
-        color = PALETTE[i % len(PALETTE)]
-        for run in segments:
-            if " " in run:
-                parts.append(
-                    f'<polyline points="{run}" fill="none" stroke="{color}" stroke-width="1.6"/>'
-                )
-            else:
-                cx, cy = run.split(",")
-                parts.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
-        if i >= listed:
-            continue
-        ly = MARGIN_T + 14 + 16 * i
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(f'<text x="{lx + 23}" y="{ly}">{escape(label)}</text>')
-    if listed < len(series):
-        parts.append(
-            f'<text x="{lx + 23}" y="{MARGIN_T + 14 + 16 * listed}">'
-            f"\u2026 and {len(series) - listed} more</text>"
-        )
-
-    parts.append("</svg>")
+    bounds = [0, *itertools.accumulate(sizes)]  # series i holds points bounds[i] to bounds[i + 1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+        first = 0
+        while first < len(series):
+            # a piece: series first to last - 1, at most SVG_POINTS points or
+            # one longer series.  A run of shown points is one polyline (a
+            # circle if one point long); its coordinates are rows of one byte
+            # matrix: the ``digits.f2`` cells, a comma and a space or line break
+            last = max(first + 1, bisect.bisect_right(bounds, bounds[first] + SVG_POINTS) - 1)
+            kept = bounds[first] + np.flatnonzero(shown[bounds[first] : bounds[last]])
+            owner = curve[kept]
+            step = (np.diff(kept, prepend=-2) != 1) | (np.diff(owner, prepend=-1) != 0)
+            starts = np.flatnonzero(step)
+            y_shown = np.log10(ys[kept]) if log_y else ys[kept]
+            ends = np.full((kept.size, 1), ord(" "), np.uint8)
+            ends[starts - 1] = ord("\n")  # the last point's, ends[-1], is the end of the text
+            columns = [digits.f2(px(xs[kept])), ",", digits.f2(py(y_shown)), ends]
+            text = digits.text(digits.side_by_side(columns, kept.size))
+            runs: list[list[str]] = [[] for _ in range(first, last)]
+            for k, run in zip(owner[starts].tolist(), text.split("\n")):
+                runs[k - first].append(run)
+            for i, (label, _, _), segments in zip(itertools.count(first), series[first:last], runs):
+                color = PALETTE[i % len(PALETTE)]
+                for run in segments:
+                    if " " in run:
+                        parts.append(f'<polyline points="{run}" fill="none" '
+                                     f'stroke="{color}" stroke-width="1.6"/>')
+                    else:
+                        cx, cy = run.split(",")
+                        parts.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
+                if i >= listed:
+                    continue
+                ly = MARGIN_T + 14 + 16 * i
+                parts.append(
+                    f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
+                    f'stroke="{color}" stroke-width="2"/>'
+                )
+                parts.append(f'<text x="{lx + 23}" y="{ly}">{escape(label)}</text>')
+            fh.write("".join(f"{part}\n" for part in parts))
+            parts, first = [], last
+        if listed < len(series):
+            parts.append(
+                f'<text x="{lx + 23}" y="{MARGIN_T + 14 + 16 * listed}">'
+                f"\u2026 and {len(series) - listed} more</text>"
+            )
+        fh.write("".join(f"{part}\n" for part in [*parts, "</svg>"]))

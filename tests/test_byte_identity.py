@@ -1,0 +1,99 @@
+"""Every output byte of the presets and of one small sweep, held by sha256.
+
+``tests/golden/digests.json`` holds the digest of every file and stream the
+three presets and ``SWEEP`` write (CSV, every SVG, stdout and stderr),
+with the numpy version and the platform they were made on.  The bits
+depend on the logarithms of numpy (and on the SIMD code numpy dispatches
+them to) and of the C library, so on another numpy version or platform the
+test skips and says why; ``test_golden.py`` still holds the presets to
+1e-12 there.  On the recorded one a single moved byte fails.
+
+A change that moves bits on purpose rewrites the digests in the same
+commit, from a checkout's root::
+
+    PYTHONPATH=src python tests/test_byte_identity.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cvqkd_fading import cli
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+# all four approaches; an optimize-v block (cma); error rows (V = 1e200
+# overflows the exact spectrum); skips (fixed at delta_t > 0,
+# hba_asymptotic at delta_t = 0 and below its large-V floor); log-axis
+# plots, whose y <= 0 breaks a curve
+SWEEP = ["sweep", "--approach", "fixed,hba_exact,hba_asymptotic,cma",
+         "--v", "1.5,10,1e3,1e200", "--eps", "0,0.02", "--t-min", "0.1:0.7:0.3",
+         "--delta-t", "0,0.2", "--optimize-v", "cma", "--x-axis", "t_min,variance",
+         "--y-column", "rate_bits,holevo_bits", "--log-y", "true",
+         "--csv", "sweep.csv", "--svg", "sweep.svg"]
+RUNS = {name: ["preset", name, "--csv", f"{name}.csv", "--svg", f"{name}.svg"]
+        for name in ("fig2", "fig3", "fig45")} | {"sweep": SWEEP}
+
+
+def platform_tag() -> str:
+    """The OS, machine and C library, and the SIMD targets numpy runs its
+    float64 logarithms and exponentials on."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+
+        info = opt_func_info(func_name="log|log2|log10|log1p|exp|expm1", signature="float64")
+        simd = "+".join(sorted({sig["current"] for f in info.values() for sig in f.values()}))
+    except ImportError:
+        simd = "unknown"
+    return "-".join([sys.platform, platform.machine(), *platform.libc_ver(), simd])
+
+
+def digests(out_dir: Path) -> tuple[dict, dict]:
+    """Run every command of RUNS in its own directory under out_dir: the
+    sha256 of each file it writes and of its stdout and stderr, and the
+    exit code of each command."""
+    found, codes = {}, {}
+    cwd = os.getcwd()
+    for name, argv in RUNS.items():
+        (out_dir / name).mkdir()
+        os.chdir(out_dir / name)  # file names in the stderr lines are relative
+        try:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                codes[name] = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+        for stream, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+            found[f"{name}/{stream}"] = hashlib.sha256(text.encode()).hexdigest()
+        for path in sorted((out_dir / name).iterdir()):
+            found[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return found, codes
+
+
+def test_outputs_keep_their_digests(tmp_path):
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    here = {"numpy": np.__version__, "platform": platform_tag()}
+    for key, value in here.items():
+        if want[key] != value:
+            pytest.skip(f"digests made on {key} {want[key]}, running on {value}")
+    got, codes = digests(tmp_path)
+    assert codes == {"fig2": 0, "fig3": 0, "fig45": 0, "sweep": 3}
+    assert sorted(got) == sorted(want["digests"])
+    moved = sorted(key for key in got if got[key] != want["digests"][key])
+    assert not moved, f"outputs whose bytes moved: {moved}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {"numpy": np.__version__, "platform": platform_tag(), "digests": digests(Path(tmp))[0]}
+    DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(record['digests'])} digests to {DIGESTS}")

@@ -428,6 +428,150 @@ def test_csv_is_written_in_pieces():
     assert in_pieces < bound < whole
 
 
+def closed_form_shaped_grid():
+    """A grid shaped like the benchmark's sweep_closed_form: 76,665 rows in
+    800 blocks, and 43,335 skip lines (one per skipped V)."""
+    return cli.SweepConfig(("hba_asymptotic", "cma", "fixed"),
+                           tuple(np.geomspace(1.3, 1e5, 100).tolist()),
+                           tuple(np.linspace(0.0, 0.03, 4).tolist()),
+                           tuple(np.linspace(0.02, 0.78, 50).tolist()), (0.0, 0.2))
+
+
+def traced_peak(fn):
+    """The traced allocation peak of fn(), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_svg_is_written_in_pieces(monkeypatch, tmp_path):
+    # the sweep_closed_form-shaped plots (76,665 points in 1,556 and 800
+    # curves, files of 1.1-1.2 MB): write_line_plot peaks under 6 MB of
+    # traced memory (3.9 MB with pieces of 8,192 points), while the same
+    # writer with the whole point text in one piece, joined into one
+    # document, needs about 13 MB
+    rows, _ = cli.build_grid(closed_form_shaped_grid())
+    rng = np.random.default_rng(3)
+    rows.mutual_info[:], rows.holevo[:] = rng.uniform(0.0, 5.0, (2, len(rows)))
+    rows.rate[:] = rows.mutual_info - rows.holevo
+    bound = 6_000_000
+    for axis, n_curves in (("t_mean", 1556), ("variance", 800)):
+        series = cli._curves(rows, axis, "rate_bits", False)
+        assert len(series) == n_curves and sum(len(xs) for _, xs, _ in series) == len(rows)
+        in_pieces = traced_peak(
+            lambda: svgplot.write_line_plot(str(tmp_path / "pieces.svg"), series, axis, "rate")
+        )
+        with monkeypatch.context() as m:
+            m.setattr(svgplot, "SVG_POINTS", len(rows))
+            whole = traced_peak(
+                lambda: svgplot.write_line_plot(str(tmp_path / "whole.svg"), series, axis, "rate")
+            )
+        assert (tmp_path / "pieces.svg").read_bytes() == (tmp_path / "whole.svg").read_bytes()
+        assert (tmp_path / "pieces.svg").stat().st_size > 1_000_000
+        assert in_pieces < bound < whole
+
+
+def test_skip_lines_are_made_when_read():
+    # build_grid keeps one record per skipped block (about 0.2 MB on the
+    # sweep_closed_form-shaped grid), not its 43,335 lines (8.3 MB as a list
+    # of strings); the lines are made as they are read
+    cfg = closed_form_shaped_grid()
+    tracemalloc.start()
+    try:
+        rows, skips = cli.build_grid(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+        lines = list(skips)
+        whole = tracemalloc.get_traced_memory()[0] - held
+        del skips
+        kept = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    bound = 1_000_000
+    assert len(rows) == 76_665 and len(lines) == 43_335
+    assert kept < bound < whole
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=sweep_configs())
+@example(cfg=cli.SweepConfig(("fixed", "hba_asymptotic", "cma"), (10.0, 1e4, 1.5), (0.0, -0.0),
+                             (0.5, 0.9), (0.0, 0.2), optimize_v=("hba_asymptotic",)))
+def test_skip_lines_are_a_sequence_of_the_reference_lines(cfg):
+    # len() is the number of lines written (the benchmark's cli.skipped_rows
+    # reads it), every iteration gives the same lines, an index or a slice
+    # the line at that place, and the lines are the row-by-row reference's
+    _, skips = cli.build_grid(cfg)
+    _, want = reference_grid(cfg)
+    lines = list(skips)
+    assert lines == list(skips) == want and len(skips) == len(want)
+    assert [skips[i] for i in range(-len(skips), len(skips))] == want + want
+    assert skips[1::3] == want[1::3]
+    with pytest.raises(IndexError):
+        skips[len(want)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        cli.run_sweep(cfg)
+    assert err.getvalue().splitlines()[: len(skips)] == want
+
+
+def test_kernel_and_svg_pieces_cut_anywhere(monkeypatch, tmp_path):
+    # row-kernel slices of a few rows and SVG pieces of a few points cut
+    # blocks, curves, runs broken on a log axis, fallback rows (V = 1e200)
+    # and error rows: every output byte and every value stays the one of a
+    # sweep in whole pieces
+    cfg = cli.SweepConfig(("fixed", "hba_exact", "hba_asymptotic", "cma"),
+                          (1.5, 10.0, 1e3, 1e200), (0.0, 0.02), (0.1, 0.4, 0.7, 0.02),
+                          (0.0, 0.2), x_axes=("t_min", "variance"),
+                          y_columns=("rate_bits", "holevo_bits"), log_y=True,
+                          optimize_v=("cma",))
+
+    def outputs(name, kernel_rows, svg_points):
+        out = tmp_path / name
+        out.mkdir()
+        monkeypatch.setattr(cli, "KERNEL_ROWS", kernel_rows)
+        monkeypatch.setattr(svgplot, "SVG_POINTS", svg_points)
+        rows, n_errors, _ = sweep_and_skips(dataclasses.replace(
+            cfg, csv_path=str(out / "sweep.csv"), svg_path=str(out / "sweep.svg")))
+        return list(rows), n_errors, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    whole = outputs("whole", 10**6, 10**6)
+    assert whole[1] > 0 and len(whole[2]) == 5
+    for kernel_rows, svg_points in ((1, 1), (3, 2), (7, 5)):
+        assert outputs(f"cut{kernel_rows}", kernel_rows, svg_points) == whole
+
+
+def test_svg_sorts_only_what_is_out_of_order(tmp_path):
+    # V and t_min listed out of order, with duplicate points: each plot has
+    # the bytes of the same series handed over sorted as sorted(points)
+    # sorts them; a tie in x, and a NaN, still take the sort
+    cfg = cli.SweepConfig(("hba_exact", "cma"), (100.0, 2.0, 10.0, 2.0), (0.01,),
+                          (0.5, 0.1, 0.3, 0.1), (0.2,), x_axes=("t_min", "variance"),
+                          csv_path=str(tmp_path / "sweep.csv"),
+                          svg_path=str(tmp_path / "sweep.svg"))
+    rows, _, _ = sweep_and_skips(cfg)
+    for axis in cfg.x_axes:
+        series = cli._curves(rows, axis, "rate_bits", False)
+        assert any(list(xs) != sorted(xs) for _, xs, _ in series)
+        in_order = [(label, *map(list, zip(*sorted(zip(xs, ys))))) for label, xs, ys in series]
+        path = tmp_path / f"sorted_{axis}.svg"
+        svgplot.write_line_plot(str(path), in_order, axis, "rate_bits")
+        assert path.read_bytes() == (tmp_path / f"sweep_{axis}_rate_bits.svg").read_bytes()
+    # on a log axis a NaN or a y <= 0 is not drawn but breaks its run
+    nan = math.nan
+    series = [("a", [3.0, 1.0, 2.0], [1.0, 2.0, 3.0]), ("b", [1.0, 1.0, 2.0], [2.0, 1.0, 0.5]),
+              ("c", [1.0, 1.0, 2.0], [nan, 1.0, 1.0]), ("d", [1.0, 2.0, 2.0], [0.5, nan, 0.2]),
+              ("e", [0.5, 1.0, 1.5], [3.0, 2.0, 1.0]), ("f", [0.5, 0.5, 1.5], [3.0, -1.0, 1.0])]
+    in_order = []
+    for label, xs, ys in series:
+        order = np.lexsort((ys, xs))  # a NaN last among equal x, as the plot sorts it
+        in_order.append((label, np.array(xs)[order], np.array(ys)[order]))
+    for name, given in (("given", series), ("in_order", in_order)):
+        svgplot.write_line_plot(str(tmp_path / f"{name}.svg"), given, "x", "y", log_y=True)
+    assert (tmp_path / "given.svg").read_bytes() == (tmp_path / "in_order.svg").read_bytes()
+
+
 def test_run_points_sends_invalid_points_to_run_point():
     # V is checked once, by SweepConfig, not per row: V = 0.5 never reaches
     # run_points, and a NaN V (a failed optimize-v row) is not evaluated; a
