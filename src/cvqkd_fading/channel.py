@@ -310,8 +310,9 @@ def skr_fixed(p: ChannelParams) -> SkrBreakdown:
 
 
 def skr_fixed_rows(v: np.ndarray, t: np.ndarray, eps: np.ndarray):
-    """``skr_fixed`` at every row of equal-length arrays, V, T and eps
-    already validated: (mutual_info, holevo, ok) with ok as in
-    ``holevo_rows``.  The mutual information of valid inputs is finite."""
+    """``skr_fixed`` at every cell of arrays that broadcast (rows, or blocks
+    x V with (blocks, 1) columns T and eps), V, T and eps already
+    validated: (mutual_info, holevo, ok) with ok as in ``holevo_rows``.  The
+    mutual information of valid inputs is finite."""
     holevo, ok = holevo_rows(v, t, eps)
     return mutual_information_form(t, v - 1.0, eps), holevo, ok

@@ -70,7 +70,8 @@ CSV_HEADER = (
     "mutual_info_bits,holevo_bits,rate_bits,v_opt,error"
 )
 CSV_ROWS = 1024  # rows per piece of ``csv_blocks``: the file is never held whole
-KERNEL_ROWS = 8192  # rows per call of a row kernel in ``run_points``
+AXIS_POINTS = 10**6  # most points a range or logspace spec may expand to
+KERNEL_ROWS = 8192  # cells (blocks x V) per call of a row kernel in ``run_points``
 
 
 def attenuation_db(t: float) -> float:
@@ -124,8 +125,11 @@ def run_points(approach, blocks, v, laws=None):
     per block); V and eps have passed ``SweepConfig`` or ``require_v_bracket``.
     Returns (mutual_info, holevo, rate), arrays the length of v (NaN where
     not evaluated), and {row: exception} for the rows that raised.  The
-    scalar code makes each law object's columns and each block's once; the
-    rows go to the kernel ``KERNEL_ROWS`` at a time, and a row it cannot
+    scalar code makes each law object's columns and each block's once.  The
+    kernel takes a matrix of V, one row per block (NaN after a block's end),
+    and each block column as a (blocks, 1) array, so what a block's rows
+    share is computed once: runs of whole blocks of at most ``KERNEL_ROWS``
+    cells per call, a wider block cut along V.  A row the kernel cannot
     vouch for (its block's scalar code raised, a value fails a scalar check,
     or the two levels of its average disagree) goes through ``run_point``.
     """
@@ -133,28 +137,36 @@ def run_points(approach, blocks, v, laws=None):
     values = np.full((3, v.size), np.nan)
     law_columns, block_columns, kernel = _ROW_MODELS[approach]
     laws = [None] * len(blocks) if laws is None else list(laws)
-    by_law, table, slot = {}, [], []  # per law object: its columns; per block: its table row
+    by_law, table, ready = {}, [], []  # per law object: its columns; per block taken: its own, b
     for b, (_, eps, t_min, delta_t, *_) in enumerate(blocks):
         try:
             f = laws[b] = laws[b] or FadingUniform(t_min, delta_t)  # kept alive: id(f) is a key
             if id(f) not in by_law:
                 by_law[id(f)] = law_columns(f)
             table.append(block_columns(eps, by_law[id(f)]))
-            slot.append(len(table) - 1)
+            ready.append(b)
         except (DomainError, NumericalError):
-            slot.append(-1)
+            pass
     # every row of every block: its block and its index in v
     *_, start, counts = _block_values(blocks)
+    first = np.cumsum(counts) - counts  # a block's first entry in block and row
     block = np.repeat(np.arange(len(blocks)), counts)
-    row = np.arange(block.size) + np.repeat(start - np.cumsum(counts) + counts, counts)
-    slot = np.array(slot, dtype=np.intp)[block]
+    row = np.arange(block.size) + np.repeat(start - first, counts)
     todo = ~np.isnan(v[row])
-    table, ready = np.array(table), np.flatnonzero(todo & (slot >= 0))
-    for use in (ready[k : k + KERNEL_ROWS] for k in range(0, ready.size, KERNEL_ROWS)):
-        with np.errstate(all="ignore"):
-            mi, holevo, ok = kernel(v[row[use]], *table[slot[use]].T)
-        values[:, row[use[ok]]] = mi[ok], holevo[ok], mi[ok] - holevo[ok]
-        todo[use[ok]] = False
+    ready, table = np.array(ready, dtype=np.intp), np.array(table).T
+    width = min(int(counts[ready].max(initial=1)), KERNEL_ROWS)  # V per kernel call
+    step = KERNEL_ROWS // width  # blocks per kernel call
+    for k in range(0, ready.size, step):
+        b, columns = ready[k : k + step], [column[k : k + step, None] for column in table]
+        end = int(counts[b].max())
+        for cols in (np.arange(at, min(at + width, end)) for at in range(0, end, width)):
+            inside = cols < counts[b, None]
+            cells = np.where(inside, first[b, None] + cols, 0)  # entries of row, block, todo
+            with np.errstate(all="ignore"):
+                mi, holevo, ok = kernel(np.where(inside, v[row[cells]], np.nan), *columns)
+            ok = ok & inside & todo[cells]
+            values[:, row[cells[ok]]] = mi[ok], holevo[ok], mi[ok] - holevo[ok]
+            todo[cells[ok]] = False
     failed = {}
     for i, b in zip(row[todo].tolist(), block[todo].tolist()):
         _, eps, t_min, delta_t, *_ = blocks[b]
@@ -349,7 +361,7 @@ def _law_or_issue(t_min: float, delta_t: float) -> tuple[FadingUniform | None, s
 class SkipLines(Sequence):
     """A grid's skip lines, one per skipped V, each made when read from its
     block's (head, tail, skipped V values) and the V cells; only these small
-    records are kept."""
+    records are kept.  ``block_texts`` makes a block's lines as one string."""
 
     def __init__(self, blocks, v_cells):
         self.blocks, self.v_cells = blocks, v_cells
@@ -369,6 +381,12 @@ class SkipLines(Sequence):
     def __iter__(self):
         for head, tail, dropped in self.blocks:
             yield from (head + self.v_cells[v] + tail for v in dropped)
+
+    def block_texts(self):
+        """The lines with their line ends, one string per skipped block."""
+        for head, tail, dropped in self.blocks:
+            cells = map(self.v_cells.__getitem__, dropped)
+            yield head + f"{tail}\n{head}".join(cells) + tail + "\n"
 
 
 def build_grid(cfg: SweepConfig) -> tuple[SweepRows, SkipLines]:
@@ -415,11 +433,11 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepRows, int]:
     """Evaluate the whole grid, one ``run_points`` call per approach (an
     optimize-v row first gets its V from ``optimal_variance``), and write the
     CSV/SVG artifacts.  Every row gets the values or the error ``run_point``
-    gives it.  The skip lines go to stderr as they are made, the CSV and
+    gives it.  The skip lines go to stderr a block at a time, the CSV and
     each SVG to their files a piece at a time: no output is held whole.
     Returns (rows, n_error_rows)."""
     rows, skipped = build_grid(cfg)
-    sys.stderr.writelines(f"{line}\n" for line in skipped)
+    sys.stderr.writelines(skipped.block_texts())
     v, errors = rows.v, rows.errors
     for (approach, eps, *_, start, _), f in zip(rows.blocks, rows.laws):
         if approach in rows.optimized:  # one row per block
@@ -611,8 +629,8 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
         except ValueError as exc:
             raise DomainError(f"bad logspace spec {text!r}") from exc
-        if not (0.0 < lo < hi and n >= 2):
-            raise DomainError(f"bad logspace spec {text!r}")
+        if not (0.0 < lo < hi and 2 <= n <= AXIS_POINTS):
+            raise DomainError(f"bad logspace spec {text!r} (lo < hi, 2 to {AXIS_POINTS} points)")
         ratio = (hi / lo) ** (1.0 / (n - 1))
         values = [lo * ratio**k for k in range(n)]
         values[-1] = hi
@@ -632,8 +650,8 @@ def _parse_t_min(text: str) -> tuple[float, ...]:
             start, stop, step = float(start_s), float(stop_s), float(step_s)
         except ValueError as exc:
             raise DomainError(f"bad t_min range {text!r}") from exc
-        if step <= 0.0 or stop < start:
-            raise DomainError(f"bad t_min range {text!r}")
+        if not (start <= stop and 0.0 < step < math.inf and (stop - start) / step <= AXIS_POINTS):
+            raise DomainError(f"bad t_min range {text!r} (finite, at most {AXIS_POINTS} points)")
         n = int(round((stop - start) / step))
         values = [start + k * step for k in range(n + 1)]
         return tuple(v for v in values if v <= stop + 1e-12)

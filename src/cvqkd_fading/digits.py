@@ -76,7 +76,8 @@ def _quads(n, groups: int):
     """The ASCII digits of the int64 array n >= 0, 4·groups of them: (n.size, groups) uint32."""
     quads = np.empty((n.size, groups), np.intp)
     for g in range(groups - 1, 0, -1):
-        n, quads[:, g] = np.divmod(n, 10_000)
+        q = n // 10_000  # numpy divides by a constant faster than divmod does
+        quads[:, g], n = n - q * 10_000, q
     quads[:, 0] = n
     return np.take(_QUADS, quads)
 

@@ -27,7 +27,7 @@ from .errors import DomainError, QuadratureError
 # levels must agree to max(ABS_TOL, REL_TOL * |mean|).
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
-# rows per node matrix of ``law_mean``: 6,592 nodes, so the temporaries of a
+# cells per chunk of ``law_mean``: 6,592 nodes, so the temporaries of a
 # chunk stay in cache
 CHUNK_ROWS = 64
 
@@ -121,14 +121,19 @@ def moments_uniform(f: FadingUniform) -> TransmittanceMoments:
     )
 
 
-def _levels(integrand, lo, hi, args):
-    """integrand(T, *args) at the middle node of [lo, hi] and its fine and
-    coarse means; lo and hi are floats, or columns of rows.  Each sum runs
-    over the last axis only, so a row of a chunk gets the bits the same row
-    gets alone; doubling the terms is exact, so the coarse level is twice
-    the sum of every other fine term."""
+def _nodes(lo, hi):
+    """The nodes of [lo, hi] along a last axis; lo and hi are floats, or
+    columns with a last axis of 1."""
     half = 0.5 * (hi - lo)
-    y = integrand(np.concatenate((lo + half * _D_LO, hi - half * _D_HI), axis=-1), *args)
+    return np.concatenate((lo + half * _D_LO, hi - half * _D_HI), axis=-1)
+
+
+def _levels(y):
+    """The middle node's value and the fine and coarse means of y, an
+    integrand's values at the nodes along the last axis.  Each sum runs over
+    the last axis only, so a cell of a chunk gets the bits the same cell gets
+    alone; doubling the terms is exact, so the coarse level is twice the sum
+    of every other fine term."""
     terms = y * _W
     coarse = 2.0 * np.add.reduce(terms[..., 1::2], axis=-1)
     return y[..., _MID], np.add.reduce(terms, axis=-1), coarse
@@ -142,13 +147,15 @@ def law_mean(integrand, t_min, t_max, *args):
     integrand maps an array of nodes, and args as given, to the values at
     those nodes, elementwise.  One row (t_min a float): the fine level where
     the two levels agree to max(ABS_TOL, REL_TOL * |mean|), else
-    QuadratureError with the gap.  Rows (every argument an equal-length
-    ndarray, one entry per row): per ``CHUNK_ROWS`` rows the integrand gets
-    a (rows, nodes) matrix of nodes and each arg as a column; a row gets the
-    bits it gets alone, or NaN where its levels disagree.
+    QuadratureError with the gap.  Cells (ndarrays that broadcast: rows, or
+    blocks x V with (blocks, 1) block columns): chunks of at most
+    ``CHUNK_ROWS`` cells, whole blocks or one cut along V, go to the
+    integrand with the node axis last, so what the block columns alone give
+    is computed once per block; a cell gets the bits it gets alone, or NaN
+    where its levels disagree.
     """
     if not isinstance(t_min, np.ndarray):
-        mid, fine, coarse = _levels(integrand, t_min, t_max, args)
+        mid, fine, coarse = _levels(integrand(_nodes(t_min, t_max), *args))
         if t_max == t_min:
             return float(mid)
         if not abs(fine - coarse) <= max(ABS_TOL, REL_TOL * abs(fine)):
@@ -157,10 +164,19 @@ def law_mean(integrand, t_min, t_max, *args):
                 f"tanh-sinh levels differ by {abs(fine - coarse):.3e}"
             )
         return float(fine)
-    mid, fine, coarse = np.empty((3, t_min.size))
-    for start in range(0, t_min.size, CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        lo, hi, *columns = (a[rows, None] for a in (t_min, t_max, *args))
-        mid[rows], fine[rows], coarse[rows] = _levels(integrand, lo, hi, columns)
+    shape = np.broadcast_shapes(*(a.shape for a in (t_min, t_max, *args)))
+    mid, fine, coarse = np.empty((3, *shape))
+    # whole blocks (first-axis entries) per chunk, or one cut along V; t_min
+    # and t_max are block columns, never cut, and rows have no V axis to cut
+    width = math.prod(shape[1:])
+    step = max(CHUNK_ROWS // width, 1)
+    cuts = [slice(c, c + CHUNK_ROWS) for c in range(0, width, CHUNK_ROWS)]
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        t = _nodes(t_min[rows, ..., None], t_max[rows, ..., None])  # once per block
+        for at in ((rows, cut)[: len(shape)] for cut in cuts):
+            # a (blocks, 1) column is not cut: it broadcasts along V
+            rest = [a[(rows, ..., None) if a.shape[-1] == 1 else at + (None,)] for a in args]
+            mid[at], fine[at], coarse[at] = _levels(integrand(t, *rest))
     agree = np.abs(fine - coarse) <= np.maximum(ABS_TOL, REL_TOL * np.abs(fine))
     return np.where(t_max == t_min, mid, np.where(agree, fine, np.nan))

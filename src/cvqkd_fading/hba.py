@@ -96,7 +96,8 @@ def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
 
 
 def skr_hba_exact_rows(v, eps, t_min, t_max):
-    """``skr_hba_exact`` at every row of equal-length arrays, V >= 1 and
+    """``skr_hba_exact`` at every cell of arrays that broadcast (rows, or
+    blocks x V with (blocks, 1) columns eps, t_min and t_max), V >= 1 and
     eps >= 0 already validated, t_max the law's (``FadingUniform.t_max``).
     Returns (mutual_info, holevo, ok), equal to the scalar values bit for
     bit where ok.  ok fails where t_min <= T_FLOOR (the scalar path's rule),
@@ -230,8 +231,9 @@ def asymptotic_block(eps: float, f: FadingUniform) -> tuple[float, float]:
 
 
 def skr_hba_asymptotic_rows(v, mi_part, holevo_part):
-    """``skr_hba_asymptotic`` at every row of equal-length arrays (or at one
-    float V, which is how the scalar path takes it), the block columns from
+    """``skr_hba_asymptotic`` at every cell of arrays that broadcast (rows,
+    or blocks x V with (blocks, 1) block columns; or at one float V, which
+    is how the scalar path takes it), the block columns from
     ``asymptotic_block``; V >= 1 already validated.  Returns (mutual_info,
     holevo, ok); ok fails where the averaged Holevo bound is negative (the
     scalar path's DomainError) or a value is not finite."""

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 from xml.sax.saxutils import escape as sax_escape
@@ -216,6 +217,36 @@ class TestConfigParsing:
             cli._parse_float_list("logspace:5:1:10")
         with pytest.raises(DomainError):
             cli._parse_t_min("0.5:0.1:0.1")
+
+    @pytest.mark.parametrize(
+        "flag, spec",
+        [
+            ("t-min", "0.1:inf:0.1"),
+            ("t-min", "-inf:0.5:0.1"),
+            ("t-min", "nan:0.5:0.1"),
+            ("t-min", "0.1:0.5:inf"),
+            ("t-min", "0.1:0.9:1e-12"),  # 8e11 points
+            ("t-min", "-1e308:1e308:1"),  # stop - start overflows
+            ("v", "logspace:1:10:1000000000000"),
+        ],
+    )
+    def test_range_specs_fail_fast(self, capsys, flag, spec):
+        # an infinite or NaN bound, or more points than AXIS_POINTS, is an
+        # invalid argument: exit 1 with one error line, refused before any
+        # list of values is built
+        args = {"approach": "fixed", "v": "10", "eps": "0", "t-min": "0.5", "delta-t": "0"}
+        args[flag] = spec
+        argv = ["sweep", *(f"--{key}={value}" for key, value in args.items())]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 1 and peak < 1_000_000
+        assert err.splitlines() == [err.strip()] and err.startswith("error: bad ")
+        assert f"{cli.AXIS_POINTS} points" in err and spec in err
 
     def test_overrides_win(self):
         cfg = cli.sweep_config_from_sources(SWEEP_CFG, {"v": "20", "title": "override"})

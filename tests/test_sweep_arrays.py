@@ -31,7 +31,7 @@ from conftest import fixed_rate_oracle
 from cvqkd_fading import cli, cma, fading, hba, svgplot
 from cvqkd_fading.channel import ChannelParams, mutual_information_fixed, skr_fixed
 from cvqkd_fading.cma import optimal_variance
-from cvqkd_fading.errors import DomainError, NumericalError
+from cvqkd_fading.errors import DomainError, NumericalError, QuadratureError
 from cvqkd_fading.fading import FadingUniform
 
 # fixed-channel points at eps = 0 where lambda2 once rounded below 1 - 1e-12
@@ -506,6 +506,10 @@ def test_skip_lines_are_a_sequence_of_the_reference_lines(cfg):
     _, want = reference_grid(cfg)
     lines = list(skips)
     assert lines == list(skips) == want and len(skips) == len(want)
+    # what run_sweep writes: one string per skipped block, the same text
+    texts = list(skips.block_texts())
+    assert len(texts) == len(skips.blocks)
+    assert "".join(texts) == "".join(f"{line}\n" for line in want)
     assert [skips[i] for i in range(-len(skips), len(skips))] == want + want
     assert skips[1::3] == want[1::3]
     with pytest.raises(IndexError):
@@ -527,19 +531,146 @@ def test_kernel_and_svg_pieces_cut_anywhere(monkeypatch, tmp_path):
                           y_columns=("rate_bits", "holevo_bits"), log_y=True,
                           optimize_v=("cma",))
 
-    def outputs(name, kernel_rows, svg_points):
+    def outputs(name, kernel_rows, chunk_rows, svg_points):
         out = tmp_path / name
         out.mkdir()
         monkeypatch.setattr(cli, "KERNEL_ROWS", kernel_rows)
+        monkeypatch.setattr(fading, "CHUNK_ROWS", chunk_rows)
         monkeypatch.setattr(svgplot, "SVG_POINTS", svg_points)
         rows, n_errors, _ = sweep_and_skips(dataclasses.replace(
             cfg, csv_path=str(out / "sweep.csv"), svg_path=str(out / "sweep.svg")))
         return list(rows), n_errors, {p.name: p.read_bytes() for p in out.iterdir()}
 
-    whole = outputs("whole", 10**6, 10**6)
+    whole = outputs("whole", 10**6, 10**6, 10**6)
     assert whole[1] > 0 and len(whole[2]) == 5
-    for kernel_rows, svg_points in ((1, 1), (3, 2), (7, 5)):
-        assert outputs(f"cut{kernel_rows}", kernel_rows, svg_points) == whole
+    # kernel calls and law_mean chunks narrower than a block (4 V) cut it along V
+    for kernel_rows, chunk_rows, svg_points in ((1, 1, 1), (3, 2, 2), (7, 3, 5), (6, 5, 3)):
+        assert outputs(f"cut{kernel_rows}", kernel_rows, chunk_rows, svg_points) == whole
+
+
+@pytest.mark.parametrize("kernel_rows, chunk_rows", [(8192, 64), (5, 3), (2, 1)])
+def test_run_points_on_ragged_blocks_equal_run_point(monkeypatch, capsys, kernel_rows, chunk_rows):
+    # hba_asymptotic blocks cut short by the large-V floor are ragged rows of
+    # the blocks x V matrix (NaN after their end), and optimize-v blocks are
+    # one row wide: every row still has run_point's value, also where kernel
+    # calls and law_mean chunks are narrower than one block
+    monkeypatch.setattr(cli, "KERNEL_ROWS", kernel_rows)
+    monkeypatch.setattr(fading, "CHUNK_ROWS", chunk_rows)
+    cfg = cli.SweepConfig(("hba_asymptotic", "cma", "hba_exact", "fixed"),
+                          tuple(np.geomspace(1.5, 1e5, 9).tolist()), (0.0, 0.02),
+                          (0.05, 0.4, 0.7), (0.0, 0.2), optimize_v=("hba_exact",))
+    rows, _ = cli.run_sweep(cfg)
+    capsys.readouterr()
+    want, _ = reference_rows(cfg)
+    assert_rows_equal(rows, want)
+    widths = {a: {b[5] - b[4] for b in rows.blocks if b[0] == a} for a in cfg.approaches}
+    assert len(widths["hba_asymptotic"]) > 1 and widths["hba_exact"] == {1}
+    assert widths["cma"] == widths["fixed"] == {9}
+
+
+def test_sweep_with_a_long_v_list_peaks_below_a_bound(monkeypatch, capsys):
+    # 10^4 V per block: a kernel call stays within KERNEL_ROWS cells and a
+    # law_mean chunk within CHUNK_ROWS cells of 103 nodes, so each run_points
+    # call of the sweep peaks at about 2.6 MB of traced memory; one kernel
+    # call for all 20,000 cma rows needs 4.2 MB, a law_mean chunk of one
+    # whole block (10,000 x 103 nodes) 15 MB
+    cfg = cli.SweepConfig(("fixed", "cma"), tuple(np.geomspace(1.5, 1e5, 10_000).tolist()),
+                          (0.01,), (0.3,), (0.0, 0.2))
+    real = cli.run_points
+    bound = 3_500_000
+
+    def peak():
+        peaks = []
+
+        def traced(*args):
+            out = []
+            peaks.append(traced_peak(lambda: out.append(real(*args))))
+            return out[0]
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "run_points", traced)
+            rows, n_errors = cli.run_sweep(cfg)
+        capsys.readouterr()
+        assert len(rows) == 30_000 and n_errors == 0 and len(peaks) == 2
+        return max(peaks)
+
+    assert peak() < bound
+    with monkeypatch.context() as m:
+        m.setattr(cli, "KERNEL_ROWS", 30_000)
+        assert peak() > bound
+    with monkeypatch.context() as m:
+        m.setattr(fading, "CHUNK_ROWS", 10_000)
+        assert peak() > bound
+
+
+def test_cma_integrand_gets_one_node_row_per_averaged_block(monkeypatch, capsys):
+    # a fig3-shaped grid (45 V from 1.3 to 2000) with point masses: what the
+    # mutual information shares across a block, its nodes and T / (1 + eps T),
+    # is computed once per averaged block, not once per row
+    shapes = []
+    real = cma.mutual_information_form
+
+    def counting(t, v_a, eps):
+        shapes.append(t.shape)
+        return real(t, v_a, eps)
+
+    monkeypatch.setattr(cma, "mutual_information_form", counting)
+    cfg = cli.sweep_config_from_sources(
+        cli.load_preset("fig3"), {"approach": "cma", "eps": "0,0.01", "delta_t": "0,0.2"}
+    )
+    cfg = dataclasses.replace(cfg, csv_path=None, svg_path=None)
+    rows, n_errors = cli.run_sweep(cfg)
+    capsys.readouterr()
+    averaged = sum(1 for b in rows.blocks if b[3] > 0.0)
+    assert n_errors == 0 and averaged == 10 and len(rows) == 20 * 45
+    node_rows = [math.prod(shape[:-1]) for shape in shapes if shape[-1] == 103]
+    assert sum(node_rows) == averaged
+
+
+@st.composite
+def law_layouts(draw):
+    """(seed, width, blocks) of a blocks x V matrix: each block (t_min,
+    delta_t, eps, length), its V cells NaN after length."""
+    width = draw(st.integers(1, 3) | st.integers(fading.CHUNK_ROWS - 2, fading.CHUNK_ROWS + 40))
+    block = st.tuples(
+        st.floats(0.01, 0.8),
+        st.sampled_from((0.0, 1e-20, 1e-3, 0.2)),  # point masses, exact and in rounding
+        st.floats(0.0, 0.1) | st.just(0.0),
+        st.integers(1, width),
+    )
+    return draw(st.integers(0, 2**32 - 1)), width, draw(st.lists(block, min_size=1, max_size=4))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(layout=law_layouts())
+@example(layout=(7, fading.CHUNK_ROWS + 30, [(0.3, 0.2, 0.01, fading.CHUNK_ROWS + 30),
+                                              (0.8, 0.2, 0.0, 5), (0.5, 0.0, 0.02, 40)]))
+def test_law_mean_on_block_columns_has_every_cell_scalar_bits(layout):
+    # (blocks, 1) law columns and a (blocks, width) V matrix: every cell is
+    # the scalar law_mean of its block and V, bit for bit (NaN where the
+    # scalar levels disagree), and the padding after a block's end is NaN
+    seed, width, blocks = layout
+    t_min, delta_t, eps, lengths = zip(*blocks)
+    t_max = [FadingUniform(t, d).t_max for t, d in zip(t_min, delta_t)]
+    v = np.full((len(blocks), width), np.nan)
+    rng = np.random.default_rng(seed)
+    for b, m in enumerate(lengths):
+        v[b, :m] = 10.0 ** rng.uniform(0.0, 6.0, m)
+    columns = [np.array(c, dtype=float)[:, None] for c in (t_min, t_max, eps)]
+    for integrand, shift in ((cma.mutual_information_form, 1.0), (hba._holevo_nodes, 0.0)):
+        got = fading.law_mean(integrand, columns[0], columns[1], v - shift, columns[2])
+        assert got.shape == v.shape
+        for b, m in enumerate(lengths):
+            want = []
+            for x in v[b, :m].tolist():
+                try:
+                    want.append(fading.law_mean(integrand, t_min[b], t_max[b], x - shift, eps[b]))
+                except QuadratureError:
+                    want.append(math.nan)
+            cells = got[b, :m]
+            assert np.where(np.isnan(cells), 0.0, cells).tobytes() == np.nan_to_num(want).tobytes()
+            assert np.isnan(cells).tolist() == np.isnan(want).tolist()
+            assert np.isnan(got[b, m:]).all()
 
 
 def test_svg_sorts_only_what_is_out_of_order(tmp_path):
