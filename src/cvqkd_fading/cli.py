@@ -49,7 +49,7 @@ from .cma import skr_cma, skr_cma_rows
 from .errors import DomainError, NumericalError
 from .fading import FadingUniform, moments_uniform
 from .hba import (
-    asymptotic_block,
+    asymptotic_law_columns,
     holevo_asymptotic_regime_floor,
     skr_hba_asymptotic,
     skr_hba_asymptotic_rows,
@@ -106,13 +106,13 @@ def _fixed_law(f: FadingUniform) -> tuple[float]:
     return (f.t_min,)
 
 
-# approach -> (the columns of a fading law, from the scalar code; those of an
-# (eps, law) block; the row kernel taking V and the columns of each row's block)
+# approach -> (the columns of a fading law, from the scalar code and raising
+# its DomainError; the row kernel, called as kernel(V, eps, *law columns))
 _ROW_MODELS = {
-    "fixed": (_fixed_law, lambda eps, law: (*law, eps), skr_fixed_rows),
-    "cma": (cma_law_columns, lambda eps, law: (eps, *law), skr_cma_rows),
-    "hba_asymptotic": (lambda f: f, asymptotic_block, skr_hba_asymptotic_rows),
-    "hba_exact": (lambda f: (f.t_min, f.t_max), lambda eps, law: (eps, *law), skr_hba_exact_rows),
+    "fixed": (_fixed_law, skr_fixed_rows),
+    "cma": (cma_law_columns, skr_cma_rows),
+    "hba_asymptotic": (asymptotic_law_columns, skr_hba_asymptotic_rows),
+    "hba_exact": (lambda f: (f.t_min, f.t_max), skr_hba_exact_rows),
 }
 
 
@@ -125,17 +125,18 @@ def run_points(approach, blocks, v, laws=None):
     per block); V and eps have passed ``SweepConfig`` or ``require_v_bracket``.
     Returns (mutual_info, holevo, rate), arrays the length of v (NaN where
     not evaluated), and {row: exception} for the rows that raised.  The
-    scalar code makes each law object's columns and each block's once.  The
-    kernel takes a matrix of V, one row per block (NaN after a block's end),
-    and each block column as a (blocks, 1) array, so what a block's rows
-    share is computed once: runs of whole blocks of at most ``KERNEL_ROWS``
-    cells per call, a wider block cut along V.  A row the kernel cannot
+    scalar code makes each law object's columns once; a block's columns are
+    its eps and its law's.  The kernel takes a matrix of V, one row per
+    block (NaN after a block's end), and each block column as a (blocks, 1)
+    array, so what a block's rows share is computed once: runs of whole
+    blocks of at most ``KERNEL_ROWS`` cells per call, a wider block cut
+    along V.  A row the kernel cannot
     vouch for (its block's scalar code raised, a value fails a scalar check,
     or the two levels of its average disagree) goes through ``run_point``.
     """
     v = np.asarray(v, dtype=float)
     values = np.full((3, v.size), np.nan)
-    law_columns, block_columns, kernel = _ROW_MODELS[approach]
+    law_columns, kernel = _ROW_MODELS[approach]
     laws = [None] * len(blocks) if laws is None else list(laws)
     by_law, table, ready = {}, [], []  # per law object: its columns; per block taken: its own, b
     for b, (_, eps, t_min, delta_t, *_) in enumerate(blocks):
@@ -143,7 +144,7 @@ def run_points(approach, blocks, v, laws=None):
             f = laws[b] = laws[b] or FadingUniform(t_min, delta_t)  # kept alive: id(f) is a key
             if id(f) not in by_law:
                 by_law[id(f)] = law_columns(f)
-            table.append(block_columns(eps, by_law[id(f)]))
+            table.append((eps, *by_law[id(f)]))
             ready.append(b)
         except (DomainError, NumericalError):
             pass
@@ -358,29 +359,16 @@ def _law_or_issue(t_min: float, delta_t: float) -> tuple[FadingUniform | None, s
         return None, str(exc)
 
 
-class SkipLines(Sequence):
-    """A grid's skip lines, one per skipped V, each made when read from its
-    block's (head, tail, skipped V values) and the V cells; only these small
-    records are kept.  ``block_texts`` makes a block's lines as one string."""
+class SkipLines:
+    """A grid's skip lines, one per skipped V, kept as its blocks' (head,
+    tail, skipped V values) records and the V cells; ``block_texts`` makes
+    a block's lines as one string, when read."""
 
     def __init__(self, blocks, v_cells):
         self.blocks, self.v_cells = blocks, v_cells
-        self.stops = list(itertools.accumulate(len(b[2]) for b in blocks))
 
     def __len__(self) -> int:
-        return self.stops[-1] if self.stops else 0
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        i = range(len(self))[i]
-        b = bisect.bisect_right(self.stops, i)
-        head, tail, dropped = self.blocks[b]
-        return head + self.v_cells[dropped[i - self.stops[b]]] + tail  # an index from its end
-
-    def __iter__(self):
-        for head, tail, dropped in self.blocks:
-            yield from (head + self.v_cells[v] + tail for v in dropped)
+        return sum(len(dropped) for _, _, dropped in self.blocks)
 
     def block_texts(self):
         """The lines with their line ends, one string per skipped block."""
@@ -396,7 +384,7 @@ def build_grid(cfg: SweepConfig) -> tuple[SweepRows, SkipLines]:
     outside the target model's domain are skipped with the model's own
     DomainError message; the large-V closed form also skips every V up to its
     validity floor.  Each law and each V cell of a skip line is made once; the
-    lines themselves only as they are read (``SkipLines``)."""
+    lines themselves only as they are written (``SkipLines``)."""
     blocks, laws, v_column, skipped = [], [], [], []
     v_cells = {v: fmt(v) for v in cfg.v_list}
     v_cells[math.nan] = "opt"  # the optimize-v slot is this very NaN object

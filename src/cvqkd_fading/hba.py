@@ -16,8 +16,10 @@ Two pipelines are provided:
   ``skr_hba_exact_rows`` is the same kernel for many rows, for the sweep.
 * ``skr_hba_asymptotic`` -- the large-V form, whose rate is independent of
   V.  The large-V Holevo bound is (1/2) log2 V plus a V-free part, so its
-  mean is one ``law_mean`` per (eps, law) block.  The paper's closed form
-  of that mean (logarithms and dilogarithms) is a test-suite reference.
+  mean is one ``law_mean`` per (eps, law) block: ``skr_hba_asymptotic_rows``
+  takes it over a sweep's block columns, the scalar path at one point.  The
+  paper's closed form of that mean (logarithms and dilogarithms) is a
+  test-suite reference.
 
 The large-V parts are written in (T, 1 - T, eps), never through the
 equivalent thermal variance omega = 1 + T eps / (1 - T): the mutual
@@ -56,7 +58,10 @@ from .numerics import dilog, g_entropy, integrate  # noqa: F401  (looked up by p
 from .numerics import g_entropy_array, log2
 
 
-def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
+def asymptotic_law_columns(f: FadingUniform) -> tuple[float, float]:
+    """The columns of ``skr_hba_asymptotic_rows`` after eps, t_min and
+    t_max, raising the DomainError of a law outside the large-V form's
+    domain."""
     if f.t_max >= 1.0:
         raise DomainError(
             "asymptotic routines need t_max < 1 (thermal variance diverges at T = 1)"
@@ -64,6 +69,11 @@ def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
     if f.delta_t <= 0.0:
         raise DomainError("analytic fading average needs delta_t > 0")
     require_transmittance(f.t_min)
+    return f.t_min, f.t_max
+
+
+def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
+    asymptotic_law_columns(f)
     require_noise(eps)
 
 
@@ -184,11 +194,11 @@ def htilde(eps: float, f: FadingUniform) -> float:
 
 
 def avg_holevo_analytic(v: float, eps: float, f: FadingUniform) -> float:
-    """Fading average of the large-V Holevo bound, bits: the V-free mean of
-    ``asymptotic_block`` plus (1/2) log2 V, the sweep kernel's columns."""
-    _, holevo_part = asymptotic_block(eps, f)
+    """Fading average of the large-V Holevo bound, bits: (1/2) log2 V plus
+    the ``law_mean`` of its V-free part, as in ``skr_hba_asymptotic_rows``."""
+    _require_asymptotic_domain(eps, f)
     require_variance(v)
-    return _plus_half_log2_v(holevo_part, v)
+    return _plus_half_log2_v(law_mean(_large_v_holevo_nodes, f.t_min, f.t_max, eps), v)
 
 
 def holevo_asymptotic_regime_floor(eps: float, f: FadingUniform) -> float:
@@ -204,12 +214,11 @@ def holevo_asymptotic_regime_floor(eps: float, f: FadingUniform) -> float:
 
 def skr_hba_asymptotic(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     """Large-V key rate: asymptotic worst-case mutual information minus the
-    averaged large-V Holevo bound, both from one ``asymptotic_block``, by
-    the row kernel.  The (1/2) log2 V terms cancel, so the rate is
-    independent of V."""
+    averaged large-V Holevo bound, by the row kernel at one point.  The
+    (1/2) log2 V terms cancel, so the rate is independent of V."""
     require_variance(v)
     require_noise(eps)
-    mi, hol, _ = skr_hba_asymptotic_rows(v, *asymptotic_block(eps, f))
+    mi, hol, _ = skr_hba_asymptotic_rows(v, eps, *asymptotic_law_columns(f))
     if hol < 0.0:
         raise DomainError(
             f"large-V closed form outside its validity at V = {v!r} (averaged "
@@ -218,25 +227,17 @@ def skr_hba_asymptotic(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     return SkrBreakdown.from_parts(mi, hol)
 
 
-def asymptotic_block(eps: float, f: FadingUniform) -> tuple[float, float]:
-    """What ``skr_hba_asymptotic_rows`` needs of one (eps, fading) block,
-    computed by the scalar code and raising its DomainError: the V-free
-    parts of the mutual information at t_min and of the averaged Holevo
-    bound (one ``law_mean``)."""
-    _require_asymptotic_domain(eps, f)
-    return (
-        _mi_asymptotic_t_part(f.t_min, eps),
-        law_mean(_large_v_holevo_nodes, f.t_min, f.t_max, eps),
-    )
-
-
-def skr_hba_asymptotic_rows(v, mi_part, holevo_part):
+def skr_hba_asymptotic_rows(v, eps, t_min, t_max):
     """``skr_hba_asymptotic`` at every cell of arrays that broadcast (rows,
-    or blocks x V with (blocks, 1) block columns; or at one float V, which
-    is how the scalar path takes it), the block columns from
-    ``asymptotic_block``; V >= 1 already validated.  Returns (mutual_info,
-    holevo, ok); ok fails where the averaged Holevo bound is negative (the
-    scalar path's DomainError) or a value is not finite."""
-    mi = _plus_half_log2_v(mi_part, v)
-    holevo = _plus_half_log2_v(holevo_part, v)
+    or blocks x V with (blocks, 1) columns eps, t_min and t_max; or at one
+    float point, which is how the scalar path takes it), the columns after
+    eps from ``asymptotic_law_columns``; V >= 1 and eps >= 0 already
+    validated.  The V-free parts depend on the block columns alone: the
+    mutual information's at t_min, and one ``law_mean`` of the Holevo
+    bound's, NaN where its two levels disagree (the scalar path's
+    QuadratureError).  Returns (mutual_info, holevo, ok); ok fails where the
+    averaged Holevo bound is negative (the scalar path's DomainError) or a
+    value is not finite."""
+    mi = _plus_half_log2_v(_mi_asymptotic_t_part(t_min, eps), v)
+    holevo = _plus_half_log2_v(law_mean(_large_v_holevo_nodes, t_min, t_max, eps), v)
     return mi, holevo, (holevo >= 0.0) & np.isfinite(holevo) & np.isfinite(mi)

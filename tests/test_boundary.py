@@ -1,5 +1,6 @@
-"""The package's seams: which module may import which, and the input rules
-every public function that takes V or eps enforces at its boundary."""
+"""The package's seams: which module may import which, the input rules
+every public function that takes V or eps enforces at its boundary, and no
+top-level definition that nothing reads."""
 
 import ast
 import inspect
@@ -79,3 +80,34 @@ def test_public_function_rejects_bad_v_and_eps(name, arg, bad):
     kwargs[arg] = bad
     with pytest.raises(DomainError, match=f"^{re.escape(RULES[arg].format(bad))}$"):
         fn(**kwargs)
+
+
+def top_level_definitions(tree):
+    """The names a module's top level defines: functions, classes and
+    assignment targets (dunder names such as ``__all__`` aside)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id
+
+
+def test_every_definition_is_public_or_read():
+    # a helper that only a deleted feature used is dead code: every top-level
+    # definition is exported or read by name somewhere in the package
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    read = set(cvqkd_fading.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    defined = [(m, name) for m, tree in sorted(trees.items()) for name in top_level_definitions(tree)]
+    assert [f"{m}.{name}" for m, name in defined if name not in read] == []

@@ -118,7 +118,7 @@ class TestMutualInformation:
         want = mutual_info_oracle(v, eps, t)
         f = FadingUniform(t)
         got = [run_point(a, v, eps, f).mutual_info for a in ("fixed", "hba_exact", "cma")]
-        got.append(float(skr_fixed_rows(*(np.array([x]) for x in (v, t, eps)))[0][0]))
+        got.append(float(skr_fixed_rows(*(np.array([x]) for x in (v, eps, t)))[0][0]))
         for x in got:
             assert abs(x - want) <= 1e-15 * want
 

@@ -304,8 +304,9 @@ def test_preset_outputs_equal_row_by_row_reference(tmp_path, preset):
 
 
 def test_asymptotic_average_runs_once_per_block(monkeypatch, capsys):
-    # the large-V Holevo bound is (1/2) log2 V plus a V-free mean, one
-    # kernel call per (eps, law) block, eps = 0 included
+    # the large-V Holevo bound is (1/2) log2 V plus a V-free mean: one
+    # law_mean call over the (blocks, 1) columns of all six (eps, law)
+    # blocks, eps = 0 included
     calls = []
     real = hba.law_mean
 
@@ -320,7 +321,61 @@ def test_asymptotic_average_runs_once_per_block(monkeypatch, capsys):
     rows, n_errors = cli.run_sweep(cfg)
     capsys.readouterr()
     assert n_errors == 0 and len(rows) == 24
-    assert len(calls) == 6 and all(isinstance(t_min, float) for t_min, _, _ in calls)
+    assert [t_min.shape for t_min, _, _ in calls] == [(6, 1)]
+
+
+def test_run_points_averages_over_block_columns_only(monkeypatch, capsys):
+    # on a fig3-shaped grid with every approach, each law_mean call that
+    # run_points makes takes block columns, never one block's floats; the
+    # fallback rows' run_point calls are the only scalar ones
+    calls, state = [], {"approach": None}
+    real_points, real_point = cli.run_points, cli.run_point
+
+    def points(approach, *args):
+        state["approach"] = approach
+        try:
+            return real_points(approach, *args)
+        finally:
+            state["approach"] = None
+
+    def point(*args):
+        approach, state["approach"] = state["approach"], None
+        try:
+            return real_point(*args)
+        finally:
+            state["approach"] = approach
+
+    for module in (hba, cma):
+        def counting(integrand, t_min, *args, real=module.law_mean):
+            calls.append((state["approach"], isinstance(t_min, np.ndarray)))
+            return real(integrand, t_min, *args)
+
+        monkeypatch.setattr(module, "law_mean", counting)
+    monkeypatch.setattr(cli, "run_points", points)
+    monkeypatch.setattr(cli, "run_point", point)
+    cfg = cli.sweep_config_from_sources(cli.load_preset("fig3"), {
+        "approach": ",".join(cli.APPROACHES), "eps": "0,0.01", "delta_t": "0,0.2"
+    })
+    rows, _ = cli.run_sweep(dataclasses.replace(cfg, csv_path=None, svg_path=None))
+    capsys.readouterr()
+    assert {b[0] for b in rows.blocks} == set(cli.APPROACHES)
+    by_rows = {approach for approach, rows_mode in calls if approach and rows_mode}
+    assert by_rows == {"hba_exact", "hba_asymptotic", "cma"}
+    assert [c for c in calls if c[0] and not c[1]] == []
+
+
+def test_unresolved_asymptotic_averages_are_run_point_errors(monkeypatch, capsys):
+    # with no error target met, every averaged row of the large-V form is the
+    # QuadratureError row of the row-by-row reference, text included
+    monkeypatch.setattr(fading, "ABS_TOL", 0.0)
+    monkeypatch.setattr(fading, "REL_TOL", 0.0)
+    cfg = cli.SweepConfig(("hba_asymptotic",), (1e3, 1e4, 1e5), (0.0, 0.01), (0.3, 0.5), (0.2,))
+    rows, n_errors = cli.run_sweep(cfg)
+    capsys.readouterr()
+    want, _ = reference_rows(cfg)
+    assert_rows_equal(rows, want)
+    assert n_errors == len(rows) == 12
+    assert all(row.error.startswith("QuadratureError: ") for row in rows)
 
 
 def test_sweep_makes_each_law_its_moments_and_attenuation_once(monkeypatch, tmp_path, capsys):
@@ -476,21 +531,23 @@ def test_svg_is_written_in_pieces(monkeypatch, tmp_path):
 
 def test_skip_lines_are_made_when_read():
     # build_grid keeps one record per skipped block (about 0.2 MB on the
-    # sweep_closed_form-shaped grid), not its 43,335 lines (8.3 MB as a list
-    # of strings); the lines are made as they are read
+    # sweep_closed_form-shaped grid), not the text of its 43,335 lines; the
+    # lines are made as they are read
     cfg = closed_form_shaped_grid()
     tracemalloc.start()
     try:
         rows, skips = cli.build_grid(cfg)
         held = tracemalloc.get_traced_memory()[0]
-        lines = list(skips)
+        n_lines = len(skips)
+        texts = list(skips.block_texts())
         whole = tracemalloc.get_traced_memory()[0] - held
         del skips
         kept = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     bound = 1_000_000
-    assert len(rows) == 76_665 and len(lines) == 43_335
+    assert len(rows) == 76_665 and n_lines == 43_335
+    assert sum(text.count("\n") for text in texts) == n_lines
     assert kept < bound < whole
 
 
@@ -498,22 +555,16 @@ def test_skip_lines_are_made_when_read():
 @given(cfg=sweep_configs())
 @example(cfg=cli.SweepConfig(("fixed", "hba_asymptotic", "cma"), (10.0, 1e4, 1.5), (0.0, -0.0),
                              (0.5, 0.9), (0.0, 0.2), optimize_v=("hba_asymptotic",)))
-def test_skip_lines_are_a_sequence_of_the_reference_lines(cfg):
+def test_skip_lines_are_the_reference_lines(cfg):
     # len() is the number of lines written (the benchmark's cli.skipped_rows
-    # reads it), every iteration gives the same lines, an index or a slice
-    # the line at that place, and the lines are the row-by-row reference's
+    # reads it), one string per skipped block, every reading the same text,
+    # and the lines are the row-by-row reference's
     _, skips = cli.build_grid(cfg)
     _, want = reference_grid(cfg)
-    lines = list(skips)
-    assert lines == list(skips) == want and len(skips) == len(want)
-    # what run_sweep writes: one string per skipped block, the same text
     texts = list(skips.block_texts())
-    assert len(texts) == len(skips.blocks)
+    assert texts == list(skips.block_texts()) and len(texts) == len(skips.blocks)
     assert "".join(texts) == "".join(f"{line}\n" for line in want)
-    assert [skips[i] for i in range(-len(skips), len(skips))] == want + want
-    assert skips[1::3] == want[1::3]
-    with pytest.raises(IndexError):
-        skips[len(want)]
+    assert len(skips) == len(want)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         cli.run_sweep(cfg)
