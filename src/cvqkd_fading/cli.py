@@ -130,9 +130,9 @@ def run_points(approach, blocks, v, laws=None):
     block (NaN after a block's end), and each block column as a (blocks, 1)
     array, so what a block's rows share is computed once: runs of whole
     blocks of at most ``KERNEL_ROWS`` cells per call, a wider block cut
-    along V.  A row the kernel cannot
-    vouch for (its block's scalar code raised, a value fails a scalar check,
-    or the two levels of its average disagree) goes through ``run_point``.
+    along V.  A row the kernel cannot vouch for (its law's scalar code
+    raised, a value fails a scalar check, or the two levels of its average
+    disagree) goes through ``run_point``.
     """
     v = np.asarray(v, dtype=float)
     values = np.full((3, v.size), np.nan)
