@@ -8,12 +8,12 @@ are such files and every key can be overridden by the command-line flag of
 the same name (flags win).  Sweeps run serially.  A sweep keeps its rows as
 a block table and columns (``SweepRows``) from the grid to the files: each
 approach's blocks (one approach, eps, delta_t and t_min; only V varies) go
-to ``run_points``, which evaluates the rows in array slices, and the files
-are written a piece at a time from slices of the columns; what rows share
-(a law, its moments, a cell, a label) is made once per distinct value, and
-the value cells and SVG coordinates are made per array by ``digits``, byte
-for byte Python's ``'%.17g'`` and ``'%.2f'``.  Every value, and so every
-output byte, is the one ``run_point`` gives for that row.
+to ``run_points``, which evaluates the rows in array slices into those
+columns, and the files are written a piece at a time from their slices;
+what rows share (a law, its moments, a cell, a label) is made once per
+distinct value, and the value cells and SVG coordinates are made per array
+by ``digits``, byte for byte Python's ``'%.17g'`` and ``'%.2f'``.  Every
+value, and so every output byte, is the one ``run_point`` gives that row.
 
 Output is CSV (UTF-8, LF, 17 significant digits) with one flat schema::
 
@@ -44,8 +44,8 @@ import numpy as np
 
 from . import digits
 from .channel import ChannelParams, SkrBreakdown, require_transmittance, skr_fixed, skr_fixed_rows
-from .cma import V_TOL, avg_covariance, cma_law_columns, optimal_variance, require_v_bracket
-from .cma import skr_cma, skr_cma_rows
+from .cma import V_HI, V_LO, V_TOL, avg_covariance, cma_law_columns, optimal_variance
+from .cma import require_v_bracket, skr_cma, skr_cma_rows
 from .errors import DomainError, NumericalError
 from .fading import FadingUniform, moments_uniform
 from .hba import (
@@ -116,44 +116,36 @@ _ROW_MODELS = {
 }
 
 
-def run_points(approach, blocks, v, laws=None):
-    """Evaluate the rows of one approach's blocks, each with the values
-    ``run_point`` gives for it.
+def run_points(rows, approach, blocks):
+    """Evaluate the rows of one approach's blocks (indices into
+    ``rows.blocks``) in place, each with the values ``run_point`` gives it.
 
-    blocks are ``SweepRows.blocks`` entries, v the V column they index (a NaN
-    V is not evaluated) and laws their ``SweepRows.laws`` (by default built
-    per block); V and eps have passed ``SweepConfig`` or ``require_v_bracket``.
-    Returns (mutual_info, holevo, rate), arrays the length of v (NaN where
-    not evaluated), and {row: exception} for the rows that raised.  The
-    scalar code makes each law object's columns once; a block's columns are
-    its eps and its law's.  The kernel takes a matrix of V, one row per
-    block (NaN after a block's end), and each block column as a (blocks, 1)
-    array, so what a block's rows share is computed once: runs of whole
-    blocks of at most ``KERNEL_ROWS`` cells per call, a wider block cut
-    along V.  A row the kernel cannot vouch for (its law's scalar code
-    raised, a value fails a scalar check, or the two levels of its average
-    disagree) goes through ``run_point``.
+    V and eps have passed ``SweepConfig`` or ``require_v_bracket``; a NaN V
+    is not evaluated.  Writes ``rows.mutual_info``, ``holevo`` and ``rate``
+    and returns {row: exception} for the rows that raised.  The scalar code
+    makes each law object's columns once; a block's columns are its eps and
+    its law's.  The kernel takes a matrix of V, one row per block (NaN after
+    a block's end), and each block column as a (blocks, 1) array, so what a
+    block's rows share is computed once: runs of whole blocks of at most
+    ``KERNEL_ROWS`` cells per call, a wider block cut along V.  A row the
+    kernel cannot vouch for (its law's scalar code raised, a value fails a
+    scalar check, or the two levels of its average disagree) goes through
+    ``run_point``.
     """
-    v = np.asarray(v, dtype=float)
-    values = np.full((3, v.size), np.nan)
     law_columns, kernel = _ROW_MODELS[approach]
-    laws = [None] * len(blocks) if laws is None else list(laws)
+    v, start, counts = rows.v, rows.block_start, rows.block_rows
     by_law, table, ready = {}, [], []  # per law object: its columns; per block taken: its own, b
-    for b, (_, eps, t_min, delta_t, *_) in enumerate(blocks):
+    left = [np.empty(0, dtype=np.intp)]  # rows for run_point
+    for b in blocks:
+        f = rows.laws[b]
         try:
-            f = laws[b] = laws[b] or FadingUniform(t_min, delta_t)  # kept alive: id(f) is a key
             if id(f) not in by_law:
                 by_law[id(f)] = law_columns(f)
-            table.append((eps, *by_law[id(f)]))
-            ready.append(b)
         except (DomainError, NumericalError):
-            pass
-    # every row of every block: its block and its index in v
-    *_, start, counts = _block_values(blocks)
-    first = np.cumsum(counts) - counts  # a block's first entry in block and row
-    block = np.repeat(np.arange(len(blocks)), counts)
-    row = np.arange(block.size) + np.repeat(start - first, counts)
-    todo = ~np.isnan(v[row])
+            left.append(np.arange(start[b], start[b] + counts[b]))
+            continue
+        table.append((rows.blocks[b][1], *by_law[id(f)]))
+        ready.append(b)
     ready, table = np.array(ready, dtype=np.intp), np.array(table).T
     width = min(int(counts[ready].max(initial=1)), KERNEL_ROWS)  # V per kernel call
     step = KERNEL_ROWS // width  # blocks per kernel call
@@ -162,22 +154,25 @@ def run_points(approach, blocks, v, laws=None):
         end = int(counts[b].max())
         for cols in (np.arange(at, min(at + width, end)) for at in range(0, end, width)):
             inside = cols < counts[b, None]
-            cells = np.where(inside, first[b, None] + cols, 0)  # entries of row, block, todo
+            cells = np.where(inside, start[b, None] + cols, 0)  # the rows, 0 after a block's end
+            x = np.where(inside, v[cells], np.nan)
             with np.errstate(all="ignore"):
-                mi, holevo, ok = kernel(np.where(inside, v[row[cells]], np.nan), *columns)
-            ok = ok & inside & todo[cells]
-            values[:, row[cells[ok]]] = mi[ok], holevo[ok], mi[ok] - holevo[ok]
-            todo[cells[ok]] = False
+                mi, holevo, ok = kernel(x, *columns)
+            todo = ~np.isnan(x)
+            ok = ok & todo
+            rows.values[:, cells[ok]] = mi[ok], holevo[ok], mi[ok] - holevo[ok]
+            left.append(cells[todo & ~ok])
+    left = np.concatenate(left)
     failed = {}
-    for i, b in zip(row[todo].tolist(), block[todo].tolist()):
-        _, eps, t_min, delta_t, *_ = blocks[b]
+    for i in np.sort(left[~np.isnan(v[left])]).tolist():
+        b = rows.row_block[i]
         try:
-            out = run_point(approach, float(v[i]), eps, laws[b] or FadingUniform(t_min, delta_t))
+            out = run_point(approach, float(v[i]), rows.blocks[b][1], rows.laws[b])
         except (DomainError, NumericalError) as exc:
             failed[i] = exc
         else:
-            values[:, i] = out.mutual_info, out.holevo, out.rate
-    return (*values, failed)
+            rows.values[:, i] = out.mutual_info, out.holevo, out.rate
+    return failed
 
 
 def fmt(x: float | None) -> str:
@@ -206,8 +201,8 @@ class SweepConfig:
     x_axes: tuple[str, ...] = ("t_min",)
     y_columns: tuple[str, ...] = ("rate_bits",)
     optimize_v: tuple[str, ...] = ()
-    v_lo: float = 1.0 + 1e-6
-    v_hi: float = 1e4
+    v_lo: float = V_LO
+    v_hi: float = V_HI
     csv_path: str | None = None
     svg_path: str | None = None
     log_y: bool = False
@@ -265,16 +260,25 @@ class SweepRows(Sequence):
 
     ``blocks`` holds (approach, eps, t_min, delta_t, start, stop) for each
     run of rows that share approach, eps, delta_t and t_min (the config's
-    own objects, so 0.0 and -0.0 never share cells), ``laws`` their laws,
-    one per (t_min, delta_t).  ``v``, ``mutual_info``, ``holevo`` and
-    ``rate`` are float arrays and ``errors`` maps a row index to its error
-    text (its values are meaningless).  V of an ``optimized`` approach comes
-    from ``optimal_variance``: NaN while pending or failed."""
+    own objects, so 0.0 and -0.0 never share cells), in row order, and
+    ``laws`` their laws, one object per (t_min, delta_t).  The block
+    columns ``block_eps``, ``block_t_min``, ``block_delta_t`` (floats),
+    ``block_start`` and ``block_rows`` (its row count) are made once, as is
+    ``row_block``, each row's block.  ``v``, ``mutual_info``, ``holevo`` and
+    ``rate`` are float arrays (the last three the rows of ``values``) and
+    ``errors`` maps a row index to its error text (its values are
+    meaningless).  V of an ``optimized`` approach comes from
+    ``optimal_variance``: NaN while pending or failed."""
 
-    def __init__(self, blocks, v, optimized=frozenset(), laws=None):
-        self.blocks, self.optimized, self.laws, self.errors = blocks, optimized, laws, {}
+    def __init__(self, blocks, v, laws, optimized=frozenset()):
+        self.blocks, self.laws, self.optimized, self.errors = blocks, laws, optimized, {}
         self.v = np.array(v, dtype=float)
-        self.mutual_info, self.holevo, self.rate = np.full((3, self.v.size), math.nan)
+        self.values = np.full((3, self.v.size), math.nan)
+        self.mutual_info, self.holevo, self.rate = self.values
+        columns = [np.fromiter(map(itemgetter(k), blocks), float, len(blocks)) for k in range(1, 6)]
+        self.block_eps, self.block_t_min, self.block_delta_t, start, stop = columns
+        self.block_start, self.block_rows = start.astype(np.intp), (stop - start).astype(np.intp)
+        self.row_block = np.repeat(np.arange(len(blocks)), self.block_rows)
 
     def __len__(self) -> int:
         return self.v.size
@@ -283,8 +287,7 @@ class SweepRows(Sequence):
         if isinstance(i, slice):
             return [self[k] for k in range(len(self))[i]]
         i = range(len(self))[i]
-        block = self.blocks[bisect.bisect_right(self.blocks, i, key=itemgetter(4)) - 1]
-        return next(self._rows(block, i, i + 1))
+        return next(self._rows(self.blocks[self.row_block[i]], i, i + 1))
 
     def __iter__(self):
         return itertools.chain.from_iterable(self._rows(b, *b[4:]) for b in self.blocks)
@@ -297,13 +300,6 @@ class SweepRows(Sequence):
             v = None if math.isnan(v) else v
             v_opt = v if block[0] in self.optimized else None
             yield SweepRow(block[0], v, *block[1:4], mi, holevo, rate, v_opt, error)
-
-
-def _block_values(blocks):
-    """Each block's eps, t_min and delta_t (float arrays), start and row count."""
-    columns = [np.fromiter(map(itemgetter(k), blocks), float, len(blocks)) for k in range(1, 6)]
-    eps, t_min, delta_t, start, stop = columns
-    return eps, t_min, delta_t, start.astype(np.intp), (stop - start).astype(np.intp)
 
 
 def _cells(x, cell):
@@ -322,11 +318,10 @@ def csv_blocks(rows: SweepRows):
     value cells are blank, and so is a NaN V's (a failed optimum): its line
     is spliced in after that pass."""
     yield CSV_HEADER + "\n"
-    eps, t_min, delta_t, _, counts = _block_values(rows.blocks)
+    eps, t_min, delta_t = rows.block_eps, rows.block_t_min, rows.block_delta_t
     cells = [_cells(x, fmt) for x in (eps, t_min, delta_t, t_min + 0.5 * delta_t)]
     cells += [_cells(t_min, lambda t: fmt(attenuation_db(t)))]
     shared = digits.cells(list(map(",".join, zip(*cells))))
-    block = np.repeat(np.arange(len(rows.blocks)), counts)
     _, first, v_index = np.unique(rows.v.view(np.int64), return_index=True, return_inverse=True)
     v_cells = digits.cells(["" if math.isnan(v) else fmt(v) for v in rows.v[first].tolist()])
     columns = (rows.mutual_info, rows.holevo, rows.rate)
@@ -338,7 +333,7 @@ def csv_blocks(rows: SweepRows):
             m, v = stop - start, np.take(v_cells, v_index[start:stop], axis=0)
             values = np.concatenate([c[start:stop] for c in columns])
             mi, holevo, rate = digits.g17(values).reshape(3, m, -1)
-            block_cells = np.take(shared, block[start:stop], axis=0)
+            block_cells = np.take(shared, rows.row_block[start:stop], axis=0)
             head = digits.side_by_side([f"{approach},", v, ",", block_cells], m)
             v_opt = [v] if approach in rows.optimized else []
             parts = [head, ",", mi, ",", holevo, ",", rate, ",", *v_opt, ",\n"]
@@ -414,11 +409,12 @@ def build_grid(cfg: SweepConfig) -> tuple[SweepRows, SkipLines]:
                         issue = issue or f"V below the large-V validity floor {v_floor:.6g}"
                         tail = f" eps={eps!r} t_min={t_min!r} delta_t={delta_t!r}: {issue}"
                         skipped.append((head, tail, dropped))
-    return SweepRows(blocks, v_column, frozenset(cfg.optimize_v), laws), SkipLines(skipped, v_cells)
+    return SweepRows(blocks, v_column, laws, frozenset(cfg.optimize_v)), SkipLines(skipped, v_cells)
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[SweepRows, int]:
-    """Evaluate the whole grid, one ``run_points`` call per approach (an
+    """Evaluate the whole grid, one ``run_points`` call per approach on the
+    indices of its blocks, which fills the rows' columns in place (an
     optimize-v row first gets its V from ``optimal_variance``), and write the
     CSV/SVG artifacts.  Every row gets the values or the error ``run_point``
     gives it.  The skip lines go to stderr a block at a time, the CSV and
@@ -433,12 +429,9 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepRows, int]:
                 v[start], _ = optimal_variance(eps, f, cfg.v_lo, cfg.v_hi)
             except (DomainError, NumericalError) as exc:
                 errors[start] = f"{type(exc).__name__}: {exc}"
-    for approach, group in itertools.groupby(zip(rows.blocks, rows.laws), key=lambda b: b[0][0]):
-        blocks, laws = zip(*group)
-        span = slice(blocks[0][4], blocks[-1][5])
-        *values, failed = run_points(approach, blocks, v, laws)
-        rows.mutual_info[span], rows.holevo[span], rows.rate[span] = (x[span] for x in values)
-        for i, exc in failed.items():
+    by_approach = itertools.groupby(range(len(rows.blocks)), key=lambda b: rows.blocks[b][0])
+    for approach, blocks in by_approach:
+        for i, exc in run_points(rows, approach, list(blocks)).items():
             errors[i] = f"{type(exc).__name__}: {exc}"
             if approach in rows.optimized:  # an optimize-v row keeps empty V cells
                 v[i] = math.nan
@@ -461,8 +454,8 @@ def _curves(rows: SweepRows, axis: str, column: str, log_y: bool):
     of one (approach, V label, eps, delta_t) across t_min, its x value shared
     by the block.  Curves with equal labels are one curve.  Error rows are
     not plotted, and on a linear axis negative values are clamped at 0."""
-    blocks = rows.blocks
-    eps, t_min, delta_t, _, counts = _block_values(blocks)
+    blocks, row_block = rows.blocks, rows.row_block
+    eps, t_min, delta_t = rows.block_eps, rows.block_t_min, rows.block_delta_t
     ys = getattr(rows, _Y_ATTRS[column])
     if not log_y:
         ys = np.maximum(ys, 0.0)  # SVG never plots negative rates
@@ -470,13 +463,13 @@ def _curves(rows: SweepRows, axis: str, column: str, log_y: bool):
     if axis == "variance":
         xs, v_key, v_labels = rows.v, np.zeros(len(rows), dtype=np.intp), [""]
     else:
-        xs = np.repeat(
+        xs = (
             t_min if axis == "t_min" else t_min + 0.5 * delta_t if axis == "t_mean"
-            else _cells(t_min, attenuation_db).astype(float), counts
-        )
+            else _cells(t_min, attenuation_db).astype(float)
+        )[row_block]
         names = {"V=opt ": 0}
         v_key = _cells(rows.v, lambda v: names.setdefault(f"V={v:g} ", len(names))).astype(np.intp)
-        v_key[np.repeat([b[0] in rows.optimized for b in blocks], counts).astype(bool)] = 0
+        v_key[np.array([b[0] in rows.optimized for b in blocks], dtype=bool)[row_block]] = 0
         v_labels = list(names)
     parts = [(" {}eps=", eps), (" dT=", delta_t)] + [(" t_min=", t_min)] * (axis == "variance")
     template = np.array([b[0] for b in blocks], dtype=object)
@@ -484,7 +477,7 @@ def _curves(rows: SweepRows, axis: str, column: str, log_y: bool):
         template += part + _cells(x, "{:g}".format)
     templates = {}
     block_key = [templates.setdefault(t, len(templates)) for t in template.tolist()]
-    key = np.repeat(block_key, counts).astype(np.intp) * len(v_labels) + v_key
+    key = np.array(block_key, dtype=np.intp)[row_block] * len(v_labels) + v_key
     index = np.delete(np.arange(len(rows)), list(rows.errors))
     keys, first, curve = np.unique(key[index], return_index=True, return_inverse=True)
     by_first = np.argsort(first)
@@ -711,6 +704,14 @@ def sweep_config_from_sources(
     return SweepConfig(**kwargs)
 
 
+def _config_file(path: str | None) -> str | None:
+    """The text of a ``sweep --config`` file, or None without one."""
+    if not path:
+        return None
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def load_preset(name: str) -> str:
     candidate = resources.files("cvqkd_fading").joinpath("presets", f"{name}.cfg")
     if not candidate.is_file():
@@ -751,21 +752,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_point.add_argument("--eps", type=float, required=True)
     p_point.add_argument("--t-min", type=float, required=True)
     p_point.add_argument("--delta-t", type=float, default=0.0)
+    p_point.set_defaults(run=cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep from config/flags")
     p_sweep.add_argument("--config", help="flat key=value config file")
     _add_sweep_override_flags(p_sweep)
+    p_sweep.set_defaults(run=lambda args: cmd_sweep(args, _config_file(args.config)))
 
     p_preset = sub.add_parser("preset", help="run a packaged sweep preset")
     p_preset.add_argument("name", choices=("fig2", "fig3", "fig45"))
     _add_sweep_override_flags(p_preset)
+    p_preset.set_defaults(run=lambda args: cmd_sweep(args, load_preset(args.name)))
 
     p_opt = sub.add_parser("optimize-v", help="optimal modulation variance (averaged-state model)")
     p_opt.add_argument("--eps", type=float, required=True)
     p_opt.add_argument("--t-min", type=float, required=True)
     p_opt.add_argument("--delta-t", type=float, default=0.0)
-    p_opt.add_argument("--v-lo", type=float, default=1.0 + 1e-6)
-    p_opt.add_argument("--v-hi", type=float, default=1e4)
+    p_opt.add_argument("--v-lo", type=float, default=V_LO)
+    p_opt.add_argument("--v-hi", type=float, default=V_HI)
+    p_opt.set_defaults(run=cmd_optimize)
 
     p_thr = sub.add_parser("threshold", help="t_min where the rate crosses zero")
     p_thr.add_argument("--approach", required=True, choices=APPROACHES)
@@ -775,6 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--lo", type=float, default=1e-3)
     p_thr.add_argument("--hi", type=float, default=None)
     p_thr.add_argument("--tol", type=float, default=1e-5)
+    p_thr.set_defaults(run=cmd_threshold)
 
     p_mc = sub.add_parser("mc-validate", help="sampling check of the averaged covariance")
     p_mc.add_argument("--v", type=float, required=True)
@@ -783,13 +789,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--delta-t", type=float, default=0.0)
     p_mc.add_argument("--n", type=int, default=1_000_000)
     p_mc.add_argument("--seed", type=int, default=20240)
+    p_mc.set_defaults(run=cmd_mc_validate)
     return parser
 
 
 def cmd_point(args: argparse.Namespace) -> int:
-    out = run_point(args.approach, args.v, args.eps, FadingUniform(args.t_min, args.delta_t))
-    rows = SweepRows([(args.approach, args.eps, args.t_min, args.delta_t, 0, 1)], [args.v])
-    rows.mutual_info[0], rows.holevo[0], rows.rate[0] = out.mutual_info, out.holevo, out.rate
+    f = FadingUniform(args.t_min, args.delta_t)
+    out = run_point(args.approach, args.v, args.eps, f)
+    rows = SweepRows([(args.approach, args.eps, args.t_min, args.delta_t, 0, 1)], [args.v], [f])
+    rows.values[:, 0] = out.mutual_info, out.holevo, out.rate
     sys.stdout.writelines(csv_blocks(rows))
     return 0
 
@@ -857,23 +865,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "point":
-            return cmd_point(args)
-        if args.command == "sweep":
-            config_text = None
-            if args.config:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    config_text = fh.read()
-            return cmd_sweep(args, config_text)
-        if args.command == "preset":
-            return cmd_sweep(args, load_preset(args.name))
-        if args.command == "optimize-v":
-            return cmd_optimize(args)
-        if args.command == "threshold":
-            return cmd_threshold(args)
-        if args.command == "mc-validate":
-            return cmd_mc_validate(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -883,7 +875,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

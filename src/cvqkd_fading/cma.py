@@ -38,8 +38,10 @@ from .errors import DomainError
 from .fading import FadingUniform, TransmittanceMoments, law_mean, moments_uniform
 from .numerics import maximize_scalar
 
-# how closely ``optimal_variance`` locates the optimum on the V axis
+# how closely ``optimal_variance`` locates the optimum on the V axis, and
+# its default bracket [V_LO, V_HI]
 V_TOL = 1e-3
+V_LO, V_HI = 1.0 + 1e-6, 1e4
 
 
 @dataclass(frozen=True)
@@ -196,8 +198,8 @@ def require_v_bracket(v_lo: float, v_hi: float) -> None:
 def optimal_variance(
     eps: float,
     f: FadingUniform,
-    v_lo: float = 1.0 + 1e-6,
-    v_hi: float = 1e4,
+    v_lo: float = V_LO,
+    v_hi: float = V_HI,
 ) -> tuple[float, float]:
     """Modulation variance maximizing the averaged-state key rate on [v_lo, v_hi].
 

@@ -119,8 +119,9 @@ def write_line_plot(
     if log_y:
         pad = (y_hi / y_lo) ** 0.05 if y_hi > y_lo else 2.0
         y_lo, y_hi = y_lo / pad, y_hi * pad
-    else:
-        pad = 0.05 * (y_hi - y_lo) or 1.0
+    else:  # a range too narrow for ticks to step through is padded as equal values are
+        flat = y_hi - y_lo <= 1e-9 * abs(y_lo)
+        pad = max(1.0, 1e-9 * abs(y_lo)) if flat else 0.05 * (y_hi - y_lo) or 1.0
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R

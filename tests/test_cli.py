@@ -273,14 +273,15 @@ class TestConfigParsing:
 def fail_at_t_min_04(run_points):
     """``run_points`` with every evaluated row at t_min = 0.4 failing."""
 
-    def flaky(approach, blocks, v, laws):
-        *values, failed = run_points(approach, blocks, v, laws)
-        for _, _, t_min, _, start, stop in blocks:
+    def flaky(rows, approach, blocks):
+        failed = run_points(rows, approach, blocks)
+        for b in blocks:
+            _, _, t_min, _, start, stop = rows.blocks[b]
             if abs(t_min - 0.4) < 1e-9:
                 for i in range(start, stop):
-                    if not math.isnan(v[i]):
+                    if not math.isnan(rows.v[i]):
                         failed[i] = NumericalError("synthetic failure")
-        return (*values, failed)
+        return failed
 
     return flaky
 
@@ -379,10 +380,8 @@ class TestSweep:
         # line breaks take the same RFC 4180 path
         message = 'eigenvalue must be >= 1, got "0.9"\nsecond line'
 
-        def failing(approach, blocks, v, laws):
-            nan = np.full(len(v), math.nan)
-            rows = [i for *_, start, stop in blocks for i in range(start, stop)]
-            return nan, nan, nan, {i: DomainError(message) for i in rows}
+        def failing(rows, approach, blocks):
+            return {i: DomainError(message) for b in blocks for i in range(*rows.blocks[b][4:])}
 
         monkeypatch.setattr(cli, "run_points", failing)
         code, out, _ = run_main(
@@ -486,6 +485,95 @@ class TestSweep:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert (tmp_path / "x.svg").read_text().endswith("</svg>\n")
+
+    def test_narrow_y_range_and_random_sweeps_end_under_a_memory_cap(self, tmp_path):
+        # two large-V rates 2 ulp apart (the rate does not depend on V) gave a
+        # y pad of 1e-17 and a tick step below half an ulp, so the tick list
+        # grew until memory ran out; a child capped at 1 GiB of address space
+        # runs that sweep, its plot alone and small random sweeps, and each
+        # must end with an exit code, without a traceback or a RuntimeWarning
+        proc = subprocess.run(
+            [sys.executable, "-c", CAPPED_SWEEPS, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["problems"] == [] and out["repro"] == [0, 10]
+
+
+# A child process: caps its address space at 1 GiB, then runs the sweep
+# whose two rates lie 2 ulp apart, a plot of those two rates, and 200 small
+# seeded random sweeps, writing into the directory named by its argument;
+# prints the runs that raised, warned or gave an unknown exit code, and the
+# repro's exit code and SVG text count.
+CAPPED_SWEEPS = r"""
+import contextlib, io, json, os, random, resource, sys, traceback, warnings
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from cvqkd_fading import cli, svgplot
+
+csv, svg = (os.path.join(sys.argv[1], name) for name in ("a.csv", "a.svg"))
+problems = []
+
+def run(argv):
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except Exception:
+                code = None
+                err.write(traceback.format_exc())
+    warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code not in (0, 1, 2, 3) or "Traceback" in err.getvalue() or warned:
+        problems.append([argv, code, err.getvalue()[-500:], warned])
+    return code
+
+code = run(["sweep", "--approach", "hba_asymptotic", "--v", "32.66996082287544,314.07515052726706",
+            "--eps", "0", "--t-min", "0.5", "--delta-t", "0.37796883434360806",
+            "--x-axis", "variance", "--csv", csv, "--svg", svg])
+repro = [code, open(svg).read().count("<text") if os.path.exists(svg) else None]
+try:
+    svgplot.write_line_plot(svg, [("c", [1.0, 2.0], [0.67087454155026172, 0.67087454155026194])],
+                            "x", "y")
+except Exception:
+    problems.append(["write_line_plot", None, traceback.format_exc()[-500:], []])
+
+rng = random.Random(30)
+
+def pick(values, most):
+    return ",".join(map(repr, rng.sample(values, rng.randint(1, most))))
+
+for _ in range(200):
+    start = rng.uniform(0.01, 0.8)
+    t_min = rng.choice([
+        pick([rng.uniform(0.001, 1.0) for _ in range(3)], 3),
+        f"{start!r}:{start + rng.uniform(0.0, 0.4)!r}:{rng.uniform(0.05, 0.3)!r}",
+    ])
+    v = rng.choice([
+        pick([1.0, 1.5, 10 ** rng.uniform(0.0, 6.0), 10 ** rng.uniform(0.0, 6.0)], 3),
+        f"logspace:{10 ** rng.uniform(0.0, 2.0)!r}:{10 ** rng.uniform(2.0, 6.0)!r}:{rng.randint(2, 4)}",
+    ])
+    approaches = rng.sample(cli.APPROACHES, rng.randint(1, 4))
+    argv = [
+        "sweep", "--approach", ",".join(approaches),
+        "--v", v,
+        "--eps=" + pick([0.0, -0.0, rng.uniform(0.0, 0.05), 0.2], 2),
+        "--t-min", t_min,
+        "--delta-t", pick([0.0, 1e-20, rng.uniform(0.0, 0.5), 0.2], 2),
+        "--x-axis", ",".join(rng.sample(cli.X_AXES, rng.randint(1, 4))),
+        "--y-column", ",".join(rng.sample(cli.Y_COLUMNS, rng.randint(1, 2))),
+        "--log-y", rng.choice(["true", "false"]),
+        "--csv", csv, "--svg", svg,
+    ]
+    if rng.random() < 0.1:
+        argv += ["--optimize-v", rng.choice(approaches)]
+    run(argv)
+print(json.dumps({"problems": problems, "repro": repro}))
+"""
 
 
 class TestThresholdCommand:

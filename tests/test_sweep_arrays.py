@@ -331,10 +331,10 @@ def test_run_points_averages_over_block_columns_only(monkeypatch, capsys):
     calls, state = [], {"approach": None}
     real_points, real_point = cli.run_points, cli.run_point
 
-    def points(approach, *args):
+    def points(rows, approach, *args):
         state["approach"] = approach
         try:
-            return real_points(approach, *args)
+            return real_points(rows, approach, *args)
         finally:
             state["approach"] = None
 
@@ -620,15 +620,16 @@ def test_run_points_on_ragged_blocks_equal_run_point(monkeypatch, capsys, kernel
 
 
 def test_sweep_with_a_long_v_list_peaks_below_a_bound(monkeypatch, capsys):
-    # 10^4 V per block: a kernel call stays within KERNEL_ROWS cells and a
-    # law_mean chunk within CHUNK_ROWS cells of 103 nodes, so each run_points
-    # call of the sweep peaks at about 2.6 MB of traced memory; one kernel
-    # call for all 20,000 cma rows needs 4.2 MB, a law_mean chunk of one
-    # whole block (10,000 x 103 nodes) 15 MB
+    # 10^4 V per block: a kernel call stays within KERNEL_ROWS cells, a
+    # law_mean chunk within CHUNK_ROWS cells of 103 nodes, and run_points
+    # writes into the sweep's columns, so each run_points call of the sweep
+    # peaks at about 1.6 MB of traced memory; one kernel call for all 20,000
+    # cma rows needs 3.1 MB, a law_mean chunk of one whole block (10,000 x
+    # 103 nodes) 14 MB
     cfg = cli.SweepConfig(("fixed", "cma"), tuple(np.geomspace(1.5, 1e5, 10_000).tolist()),
                           (0.01,), (0.3,), (0.0, 0.2))
     real = cli.run_points
-    bound = 3_500_000
+    bound = 2_500_000
 
     def peak():
         peaks = []
@@ -764,26 +765,26 @@ def test_run_points_sends_invalid_points_to_run_point():
             cli.SweepConfig(("fixed",), (bad,), (0.0,), (0.5,), (0.0,))
         with pytest.raises(DomainError, match="variance must satisfy V >= 1"):
             cli.run_point("fixed", bad, 0.0, FadingUniform(0.5))
-    blocks = [("fixed", 0.0, 0.5, 0.0, 0, 2), ("fixed", 0.0, 0.5, 0.2, 2, 3)]
-    mi, holevo, rate, failed = cli.run_points("fixed", blocks, [10.0, math.nan, 10.0])
+    rows = sweep_rows([("fixed", 0.0, 0.5, 0.0, 0, 2), ("fixed", 0.0, 0.5, 0.2, 2, 3)],
+                      [10.0, math.nan, 10.0])
+    failed = cli.run_points(rows, "fixed", [0, 1])
     assert list(failed) == [2] and isinstance(failed[2], DomainError)
     assert str(failed[2]) == "fixed-channel evaluation requires delta_t = 0"
     want = skr_fixed(ChannelParams(10.0, 0.5, 0.0))
-    assert (mi[0], holevo[0], rate[0]) == (want.mutual_info, want.holevo, want.rate)
-    assert np.isnan([mi[1], holevo[1], rate[1]]).all()
+    assert tuple(rows.values[:, 0]) == (want.mutual_info, want.holevo, want.rate)
+    assert np.isnan(rows.values[:, 1:]).all()
 
 
 def test_run_points_fails_negative_asymptotic_holevo():
     # V = 1.5 is far below the large-V floor; the array path must hand the
     # point to run_point, which raises on the negative averaged Holevo bound
     f = FadingUniform(0.4, 0.2)
-    mi, holevo, rate, failed = cli.run_points(
-        "hba_asymptotic", [("hba_asymptotic", 0.01, f.t_min, f.delta_t, 0, 2)], [1.5, 1e4]
-    )
+    rows = sweep_rows([("hba_asymptotic", 0.01, f.t_min, f.delta_t, 0, 2)], [1.5, 1e4])
+    failed = cli.run_points(rows, "hba_asymptotic", [0])
     assert list(failed) == [0]
     assert str(failed[0]).startswith("large-V closed form outside its validity at V = 1.5")
     want = hba.skr_hba_asymptotic(1e4, 0.01, f)
-    assert (mi[1], holevo[1], rate[1]) == (want.mutual_info, want.holevo, want.rate)
+    assert tuple(rows.values[:, 1]) == (want.mutual_info, want.holevo, want.rate)
 
 
 def row_blocks(approach, eps, t_min, delta_t):
@@ -795,6 +796,22 @@ def row_blocks(approach, eps, t_min, delta_t):
         blocks.append((approach, *key, start, stop))
         start = stop
     return blocks
+
+
+def sweep_rows(blocks, v):
+    """``SweepRows`` of a block table and V column, with each block's law."""
+    return cli.SweepRows(blocks, v, [FadingUniform(*b[2:4]) for b in blocks])
+
+
+def run_points_outcome(approach, v, eps, t_min, delta_t):
+    """``run_points`` on rows given one by one: (mutual_info, holevo, rate)
+    or the exception's type and text at every row."""
+    rows = sweep_rows(row_blocks(approach, eps, t_min, delta_t), v)
+    failed = cli.run_points(rows, approach, range(len(rows.blocks)))
+    return [
+        (type(failed[i]), str(failed[i])) if i in failed else tuple(rows.values[:, i].tolist())
+        for i in range(len(v))
+    ]
 
 
 def run_points_reference(approach, v, eps, t_min, delta_t):
@@ -811,22 +828,13 @@ def run_points_reference(approach, v, eps, t_min, delta_t):
     return out
 
 
-def run_points_outcome(approach, v, eps, t_min, delta_t):
-    blocks = row_blocks(approach, eps, t_min, delta_t)
-    mi, holevo, rate, failed = cli.run_points(approach, blocks, v)
-    return [
-        (type(failed[i]), str(failed[i])) if i in failed else (mi[i], holevo[i], rate[i])
-        for i in range(len(v))
-    ]
-
-
 @pytest.mark.parametrize(
     "approach, bad_block",
     [
         ("fixed", (0.01, 1e-320, 0.0)),  # 1/T overflows: the block raises
-        ("cma", (0.01, 0.9, 0.2)),  # t_max past 1: the law raises
+        ("cma", (0.01, 1e-320, 0.0)),  # every row raises in run_point
         ("hba_asymptotic", (0.01, 0.8, 0.2)),  # t_max = 1: the block raises
-        ("hba_exact", (0.01, 0.9, 0.2)),
+        ("hba_exact", (0.01, 1e-320, 0.0)),
     ],
 )
 def test_failing_block_between_good_ones_and_nan_rows_match_run_point(approach, bad_block):
@@ -838,13 +846,13 @@ def test_failing_block_between_good_ones_and_nan_rows_match_run_point(approach, 
     table = [good[0], bad_block, good[1]]
     v = [10.0, math.nan, 1e4, 10.0, math.nan, 2.0, 1e3, 5e3]
     spans = [(0, 3), (3, 5), (5, 8)]
-    blocks = [(approach, *b, start, stop) for b, (start, stop) in zip(table, spans)]
+    rows = sweep_rows([(approach, *b, start, stop) for b, (start, stop) in zip(table, spans)], v)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mi, holevo, rate, failed = cli.run_points(approach, blocks, v)
+        failed = cli.run_points(rows, approach, range(3))
     for (eps, t_min, dt), (start, stop) in zip(table, spans):
         for i in range(start, stop):
-            got = (mi[i], holevo[i], rate[i])
+            got = tuple(rows.values[:, i].tolist())
             if math.isnan(v[i]):
                 assert i not in failed and np.isnan(got).all()
                 continue
