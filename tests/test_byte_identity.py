@@ -38,8 +38,16 @@ SWEEP = ["sweep", "--approach", "fixed,hba_exact,hba_asymptotic,cma",
          "--delta-t", "0,0.2", "--optimize-v", "cma", "--x-axis", "t_min,variance",
          "--y-column", "rate_bits,holevo_bits", "--log-y", "true",
          "--csv", "sweep.csv", "--svg", "sweep.svg"]
+# scalar point masses (delta_t = 0): every approach that takes one, each
+# through run_point's own branch
+POINT_MASS = {"optimize-v": ["optimize-v", "--eps", "0.01", "--t-min", "0.3"]}
+for approach in ("fixed", "hba_exact", "cma"):
+    POINT_MASS[f"point_{approach}"] = ["point", "--approach", approach, "--v", "10",
+                                       "--eps", "0.01", "--t-min", "0.3"]
+    POINT_MASS[f"threshold_{approach}"] = ["threshold", "--approach", approach, "--v", "10",
+                                           "--eps", "0.1", "--delta-t", "0"]
 RUNS = {name: ["preset", name, "--csv", f"{name}.csv", "--svg", f"{name}.svg"]
-        for name in ("fig2", "fig3", "fig45")} | {"sweep": SWEEP}
+        for name in ("fig2", "fig3", "fig45")} | {"sweep": SWEEP} | POINT_MASS
 
 
 def platform_tag() -> str:
@@ -84,7 +92,7 @@ def test_outputs_keep_their_digests(tmp_path):
         if want[key] != value:
             pytest.skip(f"digests made on {key} {want[key]}, running on {value}")
     got, codes = digests(tmp_path)
-    assert codes == {"fig2": 0, "fig3": 0, "fig45": 0, "sweep": 3}
+    assert codes == {"fig2": 0, "fig3": 0, "fig45": 0, "sweep": 3} | dict.fromkeys(POINT_MASS, 0)
     assert sorted(got) == sorted(want["digests"])
     moved = sorted(key for key in got if got[key] != want["digests"][key])
     assert not moved, f"outputs whose bytes moved: {moved}"
