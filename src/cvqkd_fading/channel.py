@@ -308,11 +308,3 @@ def skr_fixed(p: ChannelParams) -> SkrBreakdown:
     """Secret key rate breakdown for a fixed channel (may be negative)."""
     return SkrBreakdown.from_parts(mutual_information_fixed(p), holevo_fixed(p))
 
-
-def skr_fixed_rows(v: np.ndarray, eps: np.ndarray, t: np.ndarray):
-    """``skr_fixed`` at every cell of arrays that broadcast (rows, or blocks
-    x V with (blocks, 1) columns eps and T), V, eps and T already
-    validated: (mutual_info, holevo, ok) with ok as in ``holevo_rows``.  The
-    mutual information of valid inputs is finite."""
-    holevo, ok = holevo_rows(v, t, eps)
-    return mutual_information_form(t, v - 1.0, eps), holevo, ok

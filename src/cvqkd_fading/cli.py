@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import contextlib
 import functools
 import itertools
 import math
@@ -43,7 +44,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import digits
-from .channel import ChannelParams, SkrBreakdown, require_transmittance, skr_fixed, skr_fixed_rows
+from .channel import ChannelParams, SkrBreakdown, skr_fixed
 from .cma import V_HI, V_LO, V_TOL, avg_covariance, cma_law_columns, optimal_variance
 from .cma import require_v_bracket, skr_cma, skr_cma_rows
 from .errors import DomainError, NumericalError
@@ -81,9 +82,11 @@ def attenuation_db(t: float) -> float:
     return -10.0 * math.log10(t) + 0.0  # normalizes -0.0 at T = 1
 
 
-def _require_point_mass(f: FadingUniform) -> None:
+def _require_point_mass(f: FadingUniform) -> tuple[float, float]:
+    """The fixed channel's law columns (t_min, t_max): the point mass of hba_exact."""
     if f.delta_t != 0.0:
         raise DomainError("fixed-channel evaluation requires delta_t = 0")
+    return f.t_min, f.t_max
 
 
 def run_point(approach: str, v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
@@ -100,16 +103,10 @@ def run_point(approach: str, v: float, eps: float, f: FadingUniform) -> SkrBreak
     raise DomainError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
 
 
-def _fixed_law(f: FadingUniform) -> tuple[float]:
-    _require_point_mass(f)
-    require_transmittance(f.t_min)
-    return (f.t_min,)
-
-
 # approach -> (the columns of a fading law, from the scalar code and raising
 # its DomainError; the row kernel, called as kernel(V, eps, *law columns))
 _ROW_MODELS = {
-    "fixed": (_fixed_law, skr_fixed_rows),
+    "fixed": (_require_point_mass, skr_hba_exact_rows),
     "cma": (cma_law_columns, skr_cma_rows),
     "hba_asymptotic": (asymptotic_law_columns, skr_hba_asymptotic_rows),
     "hba_exact": (lambda f: (f.t_min, f.t_max), skr_hba_exact_rows),
@@ -729,7 +726,20 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; remap to the invalid-arguments code."""
+    """argparse exits 2 on usage errors; remap to the invalid-arguments code.
+    A comma list of numbers starting with a minus sign, which argparse takes
+    for a flag, is joined to a flag taking a value just before it: ``--eps
+    -0.0,0.01`` is read as ``--eps=-0.0,0.01``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for i in range(len(args) - 1, 0, -1):
+            action = self._option_string_actions.get(args[i - 1])
+            if action and action.nargs is None and args[i].startswith("-"):
+                with contextlib.suppress(ValueError):  # not all numbers: left as it is
+                    [*map(float, args[i].split(","))]
+                    args[i - 1 : i + 1] = [f"{args[i - 1]}={args[i]}"]
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -171,17 +171,11 @@ def cma_law_columns(f: FadingUniform) -> tuple[float, ...]:
 def skr_cma_rows(v, eps, t_min, t_max, t_eff, ratio):
     """``skr_cma`` at every cell of arrays that broadcast (rows, or blocks x V
     with (blocks, 1) block columns), the columns after V eps and
-    ``cma_law_columns``; V >= 1 and eps >= 0 already validated.  The point
-    masses (t_max == t_min) along the first axis take the mutual information
-    at t_min, the value ``law_mean`` returns for them after evaluating all
-    their nodes; the other entries take one ``law_mean`` call.
-    Returns (mutual_info, holevo, ok), equal to the scalar values bit for
-    bit where ok, with ok as in ``channel.holevo_rows``."""
-    point = np.ravel(t_max == t_min)
-    avg = ~point
-    mi = np.empty(v.shape)
-    mi[point] = mutual_information_form(t_min[point], v[point] - 1.0, eps[point])
-    mi[avg] = law_mean(mutual_information_form, t_min[avg], t_max[avg], v[avg] - 1.0, eps[avg])
+    ``cma_law_columns``; V >= 1 and eps >= 0 already validated.  The mutual
+    information is one ``law_mean`` call over every entry, point masses
+    included.  Returns (mutual_info, holevo, ok), equal to the scalar values
+    bit for bit where ok, with ok as in ``channel.holevo_rows``."""
+    mi = law_mean(mutual_information_form, t_min, t_max, v - 1.0, eps)
     eps_eff = effective_excess_noise(ratio, eps, v)
     holevo, ok = holevo_rows(v, t_eff, eps_eff)
     return mi, holevo, ok & (eps_eff >= 0.0) & np.isfinite(mi)

@@ -10,8 +10,9 @@ moments of sqrt(T) and T (``moments_uniform``).  ``montecarlo`` samples it.
 RIMS 9, 1974; Bailey, Jeyabalan & Li, Exp. Math. 14, 2005): step 1/16 on
 |s| <= 3.2, 103 nodes, every other one (51) the coarse level.  The nodes
 crowd into both ends, so an x log x end (the exact Holevo bound at T = 1,
-small eps) costs no more than a smooth integrand.  Another fading law needs
-other nodes and weights only.
+small eps) costs no more than a smooth integrand.  A point mass (no fading)
+takes the one node t_min: both models reduce to the fixed channel by this
+rule alone.  Another fading law needs other nodes and weights only.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ CHUNK_ROWS = 64
 # 1 - |x| = 2 / (1 + e^(pi |sinh s|)), taken directly (1 - x would cancel)
 _S = np.arange(-51, 52) / 16.0
 _D = 2.0 / (1.0 + np.exp(math.pi * np.abs(np.sinh(_S))))
-_MID = 51  # the node x = 0
-_D_LO, _D_HI = _D[:_MID], _D[_MID:]  # the nodes measured from t_min, from t_max
+_D_LO, _D_HI = _D[:51], _D[51:]  # the nodes measured from t_min, from t_max (x >= 0)
 # weights of the fine level's mean, h (pi/2) cosh(s) (1 - x^2) / 2; the
 # coarse level (k even, every other node from the second) takes twice them
 _W = (math.pi / 64.0) * np.cosh(_S) * _D * (2.0 - _D)
@@ -129,35 +129,34 @@ def _nodes(lo, hi):
 
 
 def _levels(y):
-    """The middle node's value and the fine and coarse means of y, an
-    integrand's values at the nodes along the last axis.  Each sum runs over
-    the last axis only, so a cell of a chunk gets the bits the same cell gets
-    alone; doubling the terms is exact, so the coarse level is twice the sum
-    of every other fine term."""
+    """The fine and coarse means of y, an integrand's values at the nodes
+    along the last axis.  Each sum runs over the last axis only, so a cell
+    of a chunk gets the bits the same cell gets alone; doubling the terms is
+    exact, so the coarse level is twice the sum of every other fine term."""
     terms = y * _W
     coarse = 2.0 * np.add.reduce(terms[..., 1::2], axis=-1)
-    return y[..., _MID], np.add.reduce(terms, axis=-1), coarse
+    return np.add.reduce(terms, axis=-1), coarse
 
 
 def law_mean(integrand, t_min, t_max, *args):
     """Mean of integrand(T, *args) over T uniform on [t_min, t_max], the
     law's support (``FadingUniform.t_max``), by the nested tanh-sinh pair;
-    the integrand's value at t_min where t_max == t_min.
+    at a point mass (t_max == t_min) the integrand at the one node t_min.
 
     integrand maps an array of nodes, and args as given, to the values at
     those nodes, elementwise.  One row (t_min a float): the fine level where
     the two levels agree to max(ABS_TOL, REL_TOL * |mean|), else
     QuadratureError with the gap.  Cells (ndarrays that broadcast: rows, or
-    blocks x V with (blocks, 1) block columns): chunks of at most
-    ``CHUNK_ROWS`` cells, whole blocks or one cut along V, go to the
-    integrand with the node axis last, so what the block columns alone give
-    is computed once per block; a cell gets the bits it gets alone, or NaN
-    where its levels disagree.
+    blocks x V with (blocks, 1) block columns): the point masses along the
+    first axis in one integrand call, the other entries in chunks of at most
+    ``CHUNK_ROWS`` cells, whole blocks or one cut along V, the node axis
+    last, so what the block columns alone give is computed once per block;
+    a cell gets the bits it gets alone, or NaN where its levels disagree.
     """
     if not isinstance(t_min, np.ndarray):
-        mid, fine, coarse = _levels(integrand(_nodes(t_min, t_max), *args))
         if t_max == t_min:
-            return float(mid)
+            return integrand(np.full(1, t_min), *args).item()
+        fine, coarse = _levels(integrand(_nodes(t_min, t_max), *args))
         if not abs(fine - coarse) <= max(ABS_TOL, REL_TOL * abs(fine)):
             raise QuadratureError(
                 f"fading average on [{t_min!r}, {t_max!r}] not resolved: the two "
@@ -165,18 +164,23 @@ def law_mean(integrand, t_min, t_max, *args):
             )
         return float(fine)
     shape = np.broadcast_shapes(*(a.shape for a in (t_min, t_max, *args)))
-    mid, fine, coarse = np.empty((3, *shape))
+    point = np.ravel(t_max == t_min)
+    mean = np.empty(shape)
+    mean[point] = integrand(*(a[point, ..., None] for a in (t_min, *args)))[..., 0]
+    t_min, t_max, *args = (a[~point] for a in (t_min, t_max, *args))
+    fine, coarse = np.empty((2, t_min.shape[0], *shape[1:]))
     # whole blocks (first-axis entries) per chunk, or one cut along V; t_min
     # and t_max are block columns, never cut, and rows have no V axis to cut
     width = math.prod(shape[1:])
     step = max(CHUNK_ROWS // width, 1)
     cuts = [slice(c, c + CHUNK_ROWS) for c in range(0, width, CHUNK_ROWS)]
-    for start in range(0, shape[0], step):
+    for start in range(0, fine.shape[0], step):
         rows = slice(start, start + step)
         t = _nodes(t_min[rows, ..., None], t_max[rows, ..., None])  # once per block
         for at in ((rows, cut)[: len(shape)] for cut in cuts):
             # a (blocks, 1) column is not cut: it broadcasts along V
             rest = [a[(rows, ..., None) if a.shape[-1] == 1 else at + (None,)] for a in args]
-            mid[at], fine[at], coarse[at] = _levels(integrand(t, *rest))
+            fine[at], coarse[at] = _levels(integrand(t, *rest))
     agree = np.abs(fine - coarse) <= np.maximum(ABS_TOL, REL_TOL * np.abs(fine))
-    return np.where(t_max == t_min, mid, np.where(agree, fine, np.nan))
+    mean[~point] = np.where(agree, fine, np.nan)
+    return mean

@@ -13,7 +13,8 @@ Two pipelines are provided:
   the default everywhere.  QuadratureError where the two tanh-sinh levels
   disagree; the scalar ``holevo_fixed`` error at the first node that fails
   its checks (at once beyond V ~ 1e154, where the spectrum overflows).
-  ``skr_hba_exact_rows`` is the same kernel for many rows, for the sweep.
+  ``skr_hba_exact_rows`` is the same kernel for many rows, for the sweep,
+  whose fixed-channel rows it takes too: at a point mass the one node t_min.
 * ``skr_hba_asymptotic`` -- the large-V form, whose rate is independent of
   V.  The large-V Holevo bound is (1/2) log2 V plus a V-free part, so its
   mean is one ``law_mean`` per (eps, law) block: ``skr_hba_asymptotic_rows``

@@ -110,14 +110,12 @@ def moment_standard_errors(f: FadingUniform, n_samples: int) -> tuple[float, flo
     2 (b + w x)/(a + b), whose mean is c = (2a + b)/(3 (a + b)), so
     mu_k = w^k I_k with I_k the density-weighted mean of (x - c)^k, a
     polynomial of degree <= 5 that ``_GAUSS3`` integrates exactly.  All zero
-    when delta_t = 0.  A variance below the normal range is rooted factor by factor.
+    when delta_t = 0 (w = 0).  A variance below the normal range is rooted factor by factor.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
-    if f.delta_t == 0.0:
-        return 0.0, 0.0, 0.0
-    a, b = math.sqrt(f.t_max), math.sqrt(f.t_min)
-    w = f.delta_t / (a + b)
+    a, b, delta_t = math.sqrt(f.t_max), math.sqrt(f.t_min), abs(f.delta_t)  # -0.0 gives +0.0
+    w = delta_t / (a + b)
     c = (2.0 * a + b) / (3.0 * (a + b))
     i2 = i4 = 0.0
     for x, weight in _GAUSS3:
@@ -131,4 +129,4 @@ def moment_standard_errors(f: FadingUniform, n_samples: int) -> tuple[float, flo
     sd_sqrt = math.sqrt(var_sqrt) if var_sqrt >= sys.float_info.min else w * math.sqrt(i2)
     sd_v = math.sqrt(var_v) if var_v >= sys.float_info.min else w * w * math.sqrt(i4 - i2 * i2)
     root_n = math.sqrt(n_samples)
-    return sd_sqrt / root_n, f.delta_t / math.sqrt(12.0) / root_n, sd_v / root_n
+    return sd_sqrt / root_n, delta_t / math.sqrt(12.0) / root_n, sd_v / root_n

@@ -21,13 +21,13 @@ from cvqkd_fading.channel import (
     joint_covariance,
     mutual_information_fixed,
     skr_fixed,
-    skr_fixed_rows,
     symplectic_pair,
 )
 from cvqkd_fading.cli import run_point
 from cvqkd_fading.cma import avg_covariance
 from cvqkd_fading.errors import DomainError
 from cvqkd_fading.fading import FadingUniform, moments_uniform
+from cvqkd_fading.hba import skr_hba_exact_rows
 
 
 def random_params(rng, n):
@@ -118,7 +118,7 @@ class TestMutualInformation:
         want = mutual_info_oracle(v, eps, t)
         f = FadingUniform(t)
         got = [run_point(a, v, eps, f).mutual_info for a in ("fixed", "hba_exact", "cma")]
-        got.append(float(skr_fixed_rows(*(np.array([x]) for x in (v, eps, t)))[0][0]))
+        got.append(float(skr_hba_exact_rows(*(np.array([x]) for x in (v, eps, t, t)))[0][0]))
         for x in got:
             assert abs(x - want) <= 1e-15 * want
 

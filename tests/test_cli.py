@@ -16,6 +16,8 @@ from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import benchmark_sessions, fixed_rate_oracle
 
@@ -66,6 +68,25 @@ class TestRunPoint:
         r_hba = cli.run_point("hba_exact", 10.0, 0.01, f).rate
         r_cma = cli.run_point("cma", 10.0, 0.01, f).rate
         assert abs(r_hba - r_cma) < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v=st.sampled_from((1.0, 1e154, 1e200)) | st.floats(0.0, 200.0).map(lambda u: 10.0**u),
+        eps=st.sampled_from((0.0, -0.0)) | st.floats(-12.0, 160.0).map(lambda u: 10.0**u),
+        t=st.sampled_from((1.0, 2.0**-1024, 2.0**-1022)) | st.floats(5e-324, 1.0),
+        delta_t=st.sampled_from((0.0, -0.0)),
+    )
+    def test_fixed_is_hba_exact_at_every_point_mass(self, v, eps, t, delta_t):
+        # a sweep's fixed rows run the hba_exact kernel: at a point mass the
+        # two approaches give the same bits, or the same error text
+        def outcome(approach):
+            try:
+                out = cli.run_point(approach, v, eps, FadingUniform(t, delta_t))
+            except (DomainError, NumericalError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+            return np.array([out.mutual_info, out.holevo, out.rate]).tobytes()
+
+        assert outcome("fixed") == outcome("hba_exact")
 
     def test_fixed_requires_zero_width(self):
         with pytest.raises(DomainError):
@@ -247,6 +268,31 @@ class TestConfigParsing:
         assert code == 1 and peak < 1_000_000
         assert err.splitlines() == [err.strip()] and err.startswith("error: bad ")
         assert f"{cli.AXIS_POINTS} points" in err and spec in err
+
+    @pytest.mark.parametrize("flag, value", [("eps", "-0.0,0.01"), ("delta-t", "-0e0,0.2")])
+    def test_list_starting_with_a_minus_sign_needs_no_equals_sign(self, capsys, flag, value):
+        # argparse took "-0.0,0.01" for a flag: "expected one argument"
+        args = {"approach": "cma", "v": "10", "eps": "0.01", "t-min": "0.3", "delta-t": "0.2"}
+        args[flag] = value
+        joined = run_main(["sweep", *(f"--{k}={v}" for k, v in args.items())], capsys)
+        apart = run_main(["sweep", *(x for k, v in args.items() for x in (f"--{k}", v))], capsys)
+        assert apart == joined and joined[0] == 0 and len(joined[1].splitlines()) == 3
+
+    def test_minus_sign_values_reach_their_checks(self, capsys):
+        # a negative value gets the domain message, not argparse's; a flag
+        # after a flag still lacks its value; --help does not take one
+        code, out, err = run_main(["sweep", "--approach", "cma", "--v", "10", "--eps",
+                                   "-1e-3,0.01", "--t-min", "0.3", "--delta-t", "0.2"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: eps values must be finite and >= 0, got -0.001\n"
+        code, _, err = run_main(["sweep", "--eps", "--v", "10"], capsys)
+        assert code == 1 and err.endswith("error: argument --eps: expected one argument\n")
+        code, out, _ = run_main(["point", "--approach", "fixed", "--v", "10", "--eps", "-0e0",
+                                 "--t-min", "0.3"], capsys)
+        assert code == 0 and out.splitlines()[1].startswith("fixed,10,-0,")
+        with pytest.raises(SystemExit) as done:
+            cli.main(["--help", "-1"])
+        assert done.value.code == 0 and capsys.readouterr().out.startswith("usage:")
 
     def test_overrides_win(self):
         cfg = cli.sweep_config_from_sources(SWEEP_CFG, {"v": "20", "title": "override"})
@@ -490,8 +536,11 @@ class TestSweep:
         # two large-V rates 2 ulp apart (the rate does not depend on V) gave a
         # y pad of 1e-17 and a tick step below half an ulp, so the tick list
         # grew until memory ran out; a child capped at 1 GiB of address space
-        # runs that sweep, its plot alone and small random sweeps, and each
-        # must end with an exit code, without a traceback or a RuntimeWarning
+        # runs that sweep, its plot alone, small random sweeps and random
+        # point, optimize-v, threshold and mc-validate calls, and each must
+        # end with an exit code of its command's set, without a traceback or a
+        # RuntimeWarning, with nothing on stdout at exit 1 and a CSV with its
+        # header at exit 0 and 3
         proc = subprocess.run(
             [sys.executable, "-c", CAPPED_SWEEPS, str(tmp_path)],
             capture_output=True,
@@ -502,24 +551,47 @@ class TestSweep:
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
         assert out["problems"] == [] and out["repro"] == [0, 10]
+        # every interactive command, and the sweeps whose lists start with a
+        # minus sign, answered some calls and refused others
+        assert all({"0", "1"} <= set(codes) for codes in out["codes"].values()), out["codes"]
 
 
 # A child process: caps its address space at 1 GiB, then runs the sweep
-# whose two rates lie 2 ulp apart, a plot of those two rates, and 200 small
-# seeded random sweeps, writing into the directory named by its argument;
-# prints the runs that raised, warned or gave an unknown exit code, and the
-# repro's exit code and SVG text count.
+# whose two rates lie 2 ulp apart, a plot of those two rates, 200 small
+# seeded random sweeps, writing into the directory named by its argument,
+# and seeded random interactive calls, with point masses among their laws,
+# and sweeps whose lists start with a minus sign, passed without "=";
+# prints the runs that raised, warned, gave an exit code outside their
+# command's set or broke the stdout rules, the repro's exit code and SVG
+# text count, and the exit codes of each interactive command.
 CAPPED_SWEEPS = r"""
-import contextlib, io, json, os, random, resource, sys, traceback, warnings
+import collections, contextlib, csv as csv_module, io, json, os, random, resource, sys
+import traceback, warnings
 resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 from cvqkd_fading import cli, svgplot
 
 csv, svg = (os.path.join(sys.argv[1], name) for name in ("a.csv", "a.svg"))
 problems = []
+# README's exit codes per command, and the header of its stdout CSV
+EXITS = {"sweep": (0, 1, 3), "point": (0, 1, 2), "optimize-v": (0, 1, 2), "threshold": (0, 1, 2),
+         "mc-validate": (0, 1, 2)}
+HEADERS = {"sweep": cli.CSV_HEADER, "point": cli.CSV_HEADER,
+           "optimize-v": "eps,t_min,delta_t,v_opt,rate_bits",
+           "threshold": "approach,V,eps,delta_t,t_min_threshold,threshold_db",
+           "mc-validate": "quantity,empirical,closed_form,abs_dev,std_err,n_sigma,within_5_sigma"}
+
+def stdout_ok(argv, code, text):
+    if code == 1 or "--csv" in argv:  # a sweep with --csv writes its rows to the file
+        return text == ""
+    if code not in (0, 3):
+        return True
+    rows = list(csv_module.reader(io.StringIO(text)))
+    header = HEADERS[argv[0]].split(",")
+    return rows[:1] == [header] and {len(r) for r in rows} == {len(header)}
 
 def run(argv):
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out):
         warnings.simplefilter("always")
         with contextlib.redirect_stderr(err):
             try:
@@ -528,8 +600,9 @@ def run(argv):
                 code = None
                 err.write(traceback.format_exc())
     warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-    if code not in (0, 1, 2, 3) or "Traceback" in err.getvalue() or warned:
-        problems.append([argv, code, err.getvalue()[-500:], warned])
+    if (code not in EXITS[argv[0]] or "Traceback" in err.getvalue() or warned
+            or not stdout_ok(argv, code, out.getvalue())):
+        problems.append([argv, code, err.getvalue()[-500:], out.getvalue()[-200:], warned])
     return code
 
 code = run(["sweep", "--approach", "hba_asymptotic", "--v", "32.66996082287544,314.07515052726706",
@@ -572,7 +645,41 @@ for _ in range(200):
     if rng.random() < 0.1:
         argv += ["--optimize-v", rng.choice(approaches)]
     run(argv)
-print(json.dumps({"problems": problems, "repro": repro}))
+
+rng = random.Random(31)
+codes = collections.defaultdict(collections.Counter)
+
+def law(*flags):
+    values = {
+        "--v": rng.choice([1.0, 1.5, 10 ** rng.uniform(0.0, 3.0), 10 ** rng.uniform(0.0, 200.0)]),
+        "--eps": rng.choice([0.0, -0.0, rng.uniform(0.0, 0.05), -0.01]),
+        "--t-min": rng.choice([rng.uniform(0.001, 1.0), rng.uniform(0.001, 1.0), 1.0, 1e-300, 1.5]),
+        "--delta-t": rng.choice([0.0, -0.0, 1e-20, rng.uniform(0.0, 0.6)]),
+    }
+    return [x for flag in flags for x in (flag, repr(values[flag]))]
+
+for command, count in (("point", 80), ("optimize-v", 30), ("threshold", 30), ("mc-validate", 30)):
+    for _ in range(count):
+        argv = [command]
+        if command in ("point", "threshold"):
+            argv += ["--approach", rng.choice(cli.APPROACHES)]
+        if command == "optimize-v":
+            argv += law("--eps", "--t-min", "--delta-t")
+        elif command == "threshold":
+            argv += law("--v", "--eps", "--delta-t")
+        else:
+            argv += law("--v", "--eps", "--t-min", "--delta-t")
+        if command == "mc-validate":
+            argv += ["--n", str(rng.randint(1, 2000)), "--seed", str(rng.randrange(2**64))]
+        codes[command][run(argv)] += 1
+for _ in range(30):
+    codes["sweep"][run([
+        "sweep", "--approach", ",".join(rng.sample(cli.APPROACHES, rng.randint(1, 4))),
+        "--v", "10,100", "--eps", rng.choice(["-0.0,0.01", "-0e0", "-1e-3,0.01"]),
+        "--t-min", pick([rng.uniform(0.01, 0.8) for _ in range(3)], 3),
+        "--delta-t", rng.choice(["-0e0,0.2", "-0.0", "-0.2,0"]),
+    ])] += 1
+print(json.dumps({"problems": problems, "repro": repro, "codes": codes}))
 """
 
 

@@ -429,9 +429,8 @@ class TestOptimalVarianceRowPrescan:
 
 
 def test_sweep_averages_its_cma_rows_in_one_law_mean_call(monkeypatch, capsys):
-    # six averaged blocks (two eps, three t_min) and six point masses: the
-    # averaged rows go to one law_mean call, its block columns one entry per
-    # averaged block, the point masses to none
+    # six averaged blocks (two eps, three t_min) and six point masses: all
+    # rows go to one law_mean call, its block columns one entry per block
     calls = []
     real = cma.law_mean
 
@@ -444,7 +443,7 @@ def test_sweep_averages_its_cma_rows_in_one_law_mean_call(monkeypatch, capsys):
     rows, n_errors = cli.run_sweep(cfg)
     capsys.readouterr()
     assert n_errors == 0 and len(rows) == 36
-    assert len(calls) == 1 and calls[0].shape == (6, 1)
+    assert len(calls) == 1 and calls[0].shape == (12, 1)
     for i, row in enumerate(rows):
         want = skr_cma(row.v, row.eps, FadingUniform(row.t_min, row.delta_t))
         assert (row.mutual_info, row.holevo, row.rate) == (

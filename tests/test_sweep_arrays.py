@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from conftest import fixed_rate_oracle
 from cvqkd_fading import cli, cma, fading, hba, svgplot
-from cvqkd_fading.channel import ChannelParams, mutual_information_fixed, skr_fixed
+from cvqkd_fading.channel import ChannelParams, holevo_fixed, mutual_information_fixed, skr_fixed
 from cvqkd_fading.cma import optimal_variance
 from cvqkd_fading.errors import DomainError, NumericalError, QuadratureError
 from cvqkd_fading.fading import FadingUniform
@@ -326,7 +326,8 @@ def test_asymptotic_average_runs_once_per_block(monkeypatch, capsys):
 
 def test_run_points_averages_over_block_columns_only(monkeypatch, capsys):
     # on a fig3-shaped grid with every approach, each law_mean call that
-    # run_points makes takes block columns, never one block's floats; the
+    # run_points makes takes block columns, never one block's floats (fixed
+    # rows too: they run the hba_exact kernel at their point masses); the
     # fallback rows' run_point calls are the only scalar ones
     calls, state = [], {"approach": None}
     real_points, real_point = cli.run_points, cli.run_point
@@ -360,7 +361,7 @@ def test_run_points_averages_over_block_columns_only(monkeypatch, capsys):
     capsys.readouterr()
     assert {b[0] for b in rows.blocks} == set(cli.APPROACHES)
     by_rows = {approach for approach, rows_mode in calls if approach and rows_mode}
-    assert by_rows == {"hba_exact", "hba_asymptotic", "cma"}
+    assert by_rows == set(cli.APPROACHES)
     assert [c for c in calls if c[0] and not c[1]] == []
 
 
@@ -723,6 +724,69 @@ def test_law_mean_on_block_columns_has_every_cell_scalar_bits(layout):
             assert np.where(np.isnan(cells), 0.0, cells).tobytes() == np.nan_to_num(want).tobytes()
             assert np.isnan(cells).tolist() == np.isnan(want).tolist()
             assert np.isnan(got[b, m:]).all()
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(layout=law_layouts())
+@example(layout=(3, fading.CHUNK_ROWS + 1, [(0.4, 1e-20, 0.0, fading.CHUNK_ROWS + 1)]))
+def test_law_mean_takes_a_point_mass_at_its_one_node(layout):
+    # point masses (delta_t = 0, or below the rounding of t_min) and averaged
+    # blocks in one law_mean call, as blocks x V, as rows and one cell at a
+    # time: a point cell is the fixed channel's value at t_min bit for bit,
+    # and the integrand gets one node of a point mass, never more (an entry
+    # whose nodes are all equal is a point mass)
+    seed, width, blocks = layout
+    blocks = [*blocks, (0.55, 0.0, 0.01, width), (0.45, 0.2, 0.0, 1)]
+    t_min, delta_t, eps, lengths = zip(*blocks)
+    t_max = [FadingUniform(t, d).t_max for t, d in zip(t_min, delta_t)]
+    point = [hi == lo for lo, hi in zip(t_min, t_max)]
+    v = np.full((len(blocks), width), np.nan)
+    rng = np.random.default_rng(seed)
+    for b, m in enumerate(lengths):
+        v[b, :m] = 10.0 ** rng.uniform(0.0, 6.0, m)
+    inside = ~np.isnan(v)
+    block_of = np.nonzero(inside)[0]
+    columns = [np.array(c, dtype=float)[:, None] for c in (t_min, t_max, eps)]
+
+    def fixed_holevo(x, t, e):
+        try:
+            return holevo_fixed(ChannelParams(x, t, e))
+        except DomainError:
+            return math.nan
+
+    def fixed_mi(x, t, e):
+        return mutual_information_fixed(ChannelParams(x, t, e))
+
+    for integrand, shift, fixed in ((cma.mutual_information_form, 1.0, fixed_mi),
+                                    (hba._holevo_nodes, 0.0, fixed_holevo)):
+        calls = []  # per law_mean call, the node arrays its integrand got
+
+        def mean(*args):
+            calls.append([])
+
+            def recording(t, *rest):
+                calls[-1].append(t)
+                return integrand(t, *rest)
+
+            try:
+                return fading.law_mean(recording, *args)
+            except DomainError:  # the scalar path's error where a node fails
+                return math.nan
+
+        got = mean(columns[0], columns[1], v - shift, columns[2])
+        rows = [c[block_of, 0] for c in columns]
+        by_rows = mean(rows[0], rows[1], v[inside] - shift, rows[2])
+        assert by_rows.tobytes() == got[inside].tobytes()
+        for b in np.flatnonzero(point):
+            for x, cell in zip(v[b, : lengths[b]].tolist(), got[b].tolist()):
+                want = np.array(fixed(x, t_min[b], eps[b])).tobytes()
+                assert np.array(cell).tobytes() == want
+                assert np.array(mean(t_min[b], t_max[b], x - shift, eps[b])).tobytes() == want
+        n_point = int(inside[point].sum())
+        one_node = [[t.shape for t in nodes if t.shape[-1] == 1] for nodes in calls]
+        assert one_node == [[(sum(point), 1, 1)], [(n_point, 1)]] + [[(1,)]] * n_point
+        for t in itertools.chain.from_iterable(calls):
+            assert t.shape[-1] == 1 or not (t.min(axis=-1) == t.max(axis=-1)).any()
 
 
 def test_svg_sorts_only_what_is_out_of_order(tmp_path):
