@@ -73,6 +73,7 @@ CSV_HEADER = (
 CSV_ROWS = 1024  # rows per piece of ``csv_blocks``: the file is never held whole
 AXIS_POINTS = 10**6  # most points a range or logspace spec may expand to
 KERNEL_ROWS = 8192  # cells (blocks x V) per call of a row kernel in ``run_points``
+THRESHOLD_LO, THRESHOLD_TOL = 1e-3, 1e-5  # threshold's default bracket low end and tolerance
 
 
 def attenuation_db(t: float) -> float:
@@ -103,8 +104,8 @@ def run_point(approach: str, v: float, eps: float, f: FadingUniform) -> SkrBreak
     raise DomainError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
 
 
-# approach -> (the columns of a fading law, from the scalar code and raising
-# its DomainError; the row kernel, called as kernel(V, eps, *law columns))
+# approach -> (its law check: a law's columns after eps, from the scalar code,
+# or the DomainError that skips it; the kernel: kernel(V, eps, *law columns))
 _ROW_MODELS = {
     "fixed": (_require_point_mass, skr_hba_exact_rows),
     "cma": (cma_law_columns, skr_cma_rows),
@@ -117,37 +118,25 @@ def run_points(rows, approach, blocks):
     """Evaluate the rows of one approach's blocks (indices into
     ``rows.blocks``) in place, each with the values ``run_point`` gives it.
 
-    V and eps have passed ``SweepConfig`` or ``require_v_bracket``; a NaN V
-    is not evaluated.  Writes ``rows.mutual_info``, ``holevo`` and ``rate``
-    and returns {row: exception} for the rows that raised.  The scalar code
-    makes each law object's columns once; a block's columns are its eps and
-    its law's.  The kernel takes a matrix of V, one row per block (NaN after
-    a block's end), and each block column as a (blocks, 1) array, so what a
-    block's rows share is computed once: runs of whole blocks of at most
-    ``KERNEL_ROWS`` cells per call, a wider block cut along V.  A row the
-    kernel cannot vouch for (its law's scalar code raised, a value fails a
-    scalar check, or the two levels of its average disagree) goes through
-    ``run_point``.
+    V and eps have passed ``SweepConfig`` or ``require_v_bracket``, and each
+    law its approach's law check, whose columns (``rows.columns``) follow a
+    block's eps; a NaN V is not evaluated.  Writes ``rows.mutual_info``,
+    ``holevo`` and ``rate`` and returns {row: exception} for the rows that
+    raised.  The kernel takes a matrix of V, one row per block (NaN after a
+    block's end), and each block column as a (blocks, 1) array: runs of whole
+    blocks of at most ``KERNEL_ROWS`` cells per call, a wider block cut along
+    V.  A row the kernel cannot vouch for (a value fails a scalar check, or
+    the two levels of its average disagree) goes through ``run_point``.
     """
-    law_columns, kernel = _ROW_MODELS[approach]
+    kernel = _ROW_MODELS[approach][1]
     v, start, counts = rows.v, rows.block_start, rows.block_rows
-    by_law, table, ready = {}, [], []  # per law object: its columns; per block taken: its own, b
+    blocks = np.array(blocks, dtype=np.intp)
+    table = np.array([(rows.block_eps[b], *rows.columns[b]) for b in blocks.tolist()]).T
     left = [np.empty(0, dtype=np.intp)]  # rows for run_point
-    for b in blocks:
-        f = rows.laws[b]
-        try:
-            if id(f) not in by_law:
-                by_law[id(f)] = law_columns(f)
-        except (DomainError, NumericalError):
-            left.append(np.arange(start[b], start[b] + counts[b]))
-            continue
-        table.append((rows.blocks[b][1], *by_law[id(f)]))
-        ready.append(b)
-    ready, table = np.array(ready, dtype=np.intp), np.array(table).T
-    width = min(int(counts[ready].max(initial=1)), KERNEL_ROWS)  # V per kernel call
+    width = min(int(counts[blocks].max(initial=1)), KERNEL_ROWS)  # V per kernel call
     step = KERNEL_ROWS // width  # blocks per kernel call
-    for k in range(0, ready.size, step):
-        b, columns = ready[k : k + step], [column[k : k + step, None] for column in table]
+    for k in range(0, blocks.size, step):
+        b, columns = blocks[k : k + step], [column[k : k + step, None] for column in table]
         end = int(counts[b].max())
         for cols in (np.arange(at, min(at + width, end)) for at in range(0, end, width)):
             inside = cols < counts[b, None]
@@ -257,9 +246,10 @@ class SweepRows(Sequence):
 
     ``blocks`` holds (approach, eps, t_min, delta_t, start, stop) for each
     run of rows that share approach, eps, delta_t and t_min (the config's
-    own objects, so 0.0 and -0.0 never share cells), in row order, and
-    ``laws`` their laws, one object per (t_min, delta_t).  The block
-    columns ``block_eps``, ``block_t_min``, ``block_delta_t`` (floats),
+    own objects, so 0.0 and -0.0 never share cells), in row order, ``laws``
+    their laws, one object per (t_min, delta_t), and ``columns`` their law
+    checks' columns.  The block columns ``block_eps``, ``block_t_min``,
+    ``block_delta_t``, ``block_t_mean``, ``block_attenuation`` (floats),
     ``block_start`` and ``block_rows`` (its row count) are made once, as is
     ``row_block``, each row's block.  ``v``, ``mutual_info``, ``holevo`` and
     ``rate`` are float arrays (the last three the rows of ``values``) and
@@ -267,22 +257,23 @@ class SweepRows(Sequence):
     meaningless).  V of an ``optimized`` approach comes from
     ``optimal_variance``: NaN while pending or failed."""
 
-    def __init__(self, blocks, v, laws, optimized=frozenset()):
-        self.blocks, self.laws, self.optimized, self.errors = blocks, laws, optimized, {}
+    def __init__(self, blocks, v, laws, columns=(), optimized=frozenset()):
+        self.blocks, self.laws, self.columns = blocks, laws, columns
+        self.optimized, self.errors = optimized, {}
         self.v = np.array(v, dtype=float)
         self.values = np.full((3, self.v.size), math.nan)
         self.mutual_info, self.holevo, self.rate = self.values
         columns = [np.fromiter(map(itemgetter(k), blocks), float, len(blocks)) for k in range(1, 6)]
         self.block_eps, self.block_t_min, self.block_delta_t, start, stop = columns
+        self.block_t_mean = self.block_t_min + 0.5 * self.block_delta_t
+        self.block_attenuation = _cells(self.block_t_min, attenuation_db).astype(float)
         self.block_start, self.block_rows = start.astype(np.intp), (stop - start).astype(np.intp)
         self.row_block = np.repeat(np.arange(len(blocks)), self.block_rows)
 
     def __len__(self) -> int:
         return self.v.size
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
+    def __getitem__(self, i: int) -> SweepRow:
         i = range(len(self))[i]
         return next(self._rows(self.blocks[self.row_block[i]], i, i + 1))
 
@@ -315,9 +306,9 @@ def csv_blocks(rows: SweepRows):
     value cells are blank, and so is a NaN V's (a failed optimum): its line
     is spliced in after that pass."""
     yield CSV_HEADER + "\n"
-    eps, t_min, delta_t = rows.block_eps, rows.block_t_min, rows.block_delta_t
-    cells = [_cells(x, fmt) for x in (eps, t_min, delta_t, t_min + 0.5 * delta_t)]
-    cells += [_cells(t_min, lambda t: fmt(attenuation_db(t)))]
+    block_columns = (rows.block_eps, rows.block_t_min, rows.block_delta_t, rows.block_t_mean,
+                     rows.block_attenuation)
+    cells = [_cells(x, fmt) for x in block_columns]
     shared = digits.cells(list(map(",".join, zip(*cells))))
     _, first, v_index = np.unique(rows.v.view(np.int64), return_index=True, return_inverse=True)
     v_cells = digits.cells(["" if math.isnan(v) else fmt(v) for v in rows.v[first].tolist()])
@@ -344,9 +335,10 @@ def csv_blocks(rows: SweepRows):
             yield "".join(p if isinstance(p, str) else digits.text(p) for p in pieces)
 
 
-def _law_or_issue(t_min: float, delta_t: float) -> tuple[FadingUniform | None, str]:
+def _or_issue(make, *args):
+    """(make(*args), "") or (None, the text of the DomainError it raised)."""
     try:
-        return FadingUniform(t_min, delta_t), ""
+        return make(*args), ""
     except DomainError as exc:
         return None, str(exc)
 
@@ -372,29 +364,27 @@ class SkipLines:
 def build_grid(cfg: SweepConfig) -> tuple[SweepRows, SkipLines]:
     """Expand the config into evaluation rows in deterministic declared order
     (approach, eps, delta_t, t_min, V), one block per (approach, eps, delta_t,
-    t_min) that keeps a row; an optimize-v row's V is NaN.  Combinations
-    outside the target model's domain are skipped with the model's own
-    DomainError message; the large-V closed form also skips every V up to its
-    validity floor.  Each law and each V cell of a skip line is made once; the
-    lines themselves only as they are written (``SkipLines``)."""
-    blocks, laws, v_column, skipped = [], [], [], []
+    t_min) that keeps a row; an optimize-v row's V is NaN.  Each law is made
+    once, and checked once per approach (``_ROW_MODELS``): skipped with the
+    DomainError of a check that refuses it, or kept with its columns.  The
+    large-V closed form also skips every V up to its validity floor.  Each V
+    cell of a skip line is made once; the lines only as they are written."""
+    blocks, laws, columns, v_column, skipped = [], [], [], [], []
     v_cells = {v: fmt(v) for v in cfg.v_list}
     v_cells[math.nan] = "opt"  # the optimize-v slot is this very NaN object
-    grid = [[_law_or_issue(t, d) for t in cfg.t_min_values] for d in cfg.delta_t_list]
+    grid = [[_or_issue(FadingUniform, t, d) for t in cfg.t_min_values] for d in cfg.delta_t_list]
     for approach in cfg.approaches:
+        check = _ROW_MODELS[approach][0]  # f is None where the law failed, and issue its error
+        admitted = [[(f, *_or_issue(check, f)) if f else (f, None, issue) for f, issue in row]
+                    for row in grid]
         v_slots = (math.nan,) if approach in cfg.optimize_v else cfg.v_list
         head = f"skip approach={approach} V="
         for eps in cfg.eps_list:
-            for delta_t, grid_row in zip(cfg.delta_t_list, grid):
-                for t_min, (f, issue) in zip(cfg.t_min_values, grid_row):
+            for delta_t, grid_row in zip(cfg.delta_t_list, admitted):
+                for t_min, (f, law_cols, issue) in zip(cfg.t_min_values, grid_row):
                     v_floor = 0.0  # SweepConfig ensures V >= 1
-                    try:  # f is None where the law failed, and issue its error
-                        if approach == "fixed" and f:
-                            _require_point_mass(f)
-                        elif approach == "hba_asymptotic" and f:
-                            v_floor = holevo_asymptotic_regime_floor(eps, f)
-                    except DomainError as exc:
-                        issue = str(exc)
+                    if approach == "hba_asymptotic" and not issue:
+                        v_floor = holevo_asymptotic_regime_floor(eps, f)
                     kept = () if issue else [v for v in v_slots if not v <= v_floor]  # NaN is kept
                     dropped = v_slots if issue else [v for v in v_slots if v <= v_floor]
                     if kept:
@@ -402,11 +392,13 @@ def build_grid(cfg: SweepConfig) -> tuple[SweepRows, SkipLines]:
                         v_column += kept
                         blocks.append((approach, eps, t_min, delta_t, start, len(v_column)))
                         laws.append(f)
+                        columns.append(law_cols)
                     if dropped:
                         issue = issue or f"V below the large-V validity floor {v_floor:.6g}"
                         tail = f" eps={eps!r} t_min={t_min!r} delta_t={delta_t!r}: {issue}"
                         skipped.append((head, tail, dropped))
-    return SweepRows(blocks, v_column, laws, frozenset(cfg.optimize_v)), SkipLines(skipped, v_cells)
+    optimized = frozenset(cfg.optimize_v)
+    return SweepRows(blocks, v_column, laws, columns, optimized), SkipLines(skipped, v_cells)
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[SweepRows, int]:
@@ -461,8 +453,8 @@ def _curves(rows: SweepRows, axis: str, column: str, log_y: bool):
         xs, v_key, v_labels = rows.v, np.zeros(len(rows), dtype=np.intp), [""]
     else:
         xs = (
-            t_min if axis == "t_min" else t_min + 0.5 * delta_t if axis == "t_mean"
-            else _cells(t_min, attenuation_db).astype(float)
+            t_min if axis == "t_min" else rows.block_t_mean if axis == "t_mean"
+            else rows.block_attenuation
         )[row_block]
         names = {"V=opt ": 0}
         v_key = _cells(rows.v, lambda v: names.setdefault(f"V={v:g} ", len(names))).astype(np.intp)
@@ -513,9 +505,9 @@ def find_positive_threshold(
     v: float,
     eps: float,
     delta_t: float,
-    lo: float = 1e-3,
+    lo: float = THRESHOLD_LO,
     hi: float | None = None,
-    tol: float = 1e-5,
+    tol: float = THRESHOLD_TOL,
 ) -> tuple[float, float]:
     """Smallest t_min with non-negative rate: the root of rate(t_min) = 0.
 
@@ -787,9 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--v", type=float, required=True)
     p_thr.add_argument("--eps", type=float, required=True)
     p_thr.add_argument("--delta-t", type=float, default=0.0)
-    p_thr.add_argument("--lo", type=float, default=1e-3)
+    p_thr.add_argument("--lo", type=float, default=THRESHOLD_LO)
     p_thr.add_argument("--hi", type=float, default=None)
-    p_thr.add_argument("--tol", type=float, default=1e-5)
+    p_thr.add_argument("--tol", type=float, default=THRESHOLD_TOL)
     p_thr.set_defaults(run=cmd_threshold)
 
     p_mc = sub.add_parser("mc-validate", help="sampling check of the averaged covariance")
@@ -853,15 +845,16 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
     f = FadingUniform(args.t_min, args.delta_t)
     rows = mc_validate_rows(args.v, args.eps, f, SampleConfig(args.n, args.seed))
     print("quantity,empirical,closed_form,abs_dev,std_err,n_sigma,within_5_sigma")
+    # the band's floor, the rounding of an n-term mean: (ceil(log2 n) + 4) ulp
+    # of the closed form; for var_sqrt_t mean_sqrt_t's squared, at least 5e-324
+    ulps = math.ceil(math.log2(args.n)) + 4
+    sqrt_floor = ulps * math.ulp(rows[0][2])
     all_ok = True
     for name, emp, ref, se in rows:
         dev = abs(emp - ref)
-        if se == 0.0:
-            ok = dev == 0.0
-            n_sigma = 0.0 if ok else math.inf
-        else:
-            n_sigma = dev / se
-            ok = n_sigma < 5.0
+        floor = sqrt_floor * sqrt_floor if name == "var_sqrt_t" else ulps * math.ulp(ref)
+        n_sigma = dev / max(se, floor, math.ulp(0.0))
+        ok = n_sigma < 5.0
         all_ok &= ok
         cells = [name, *map(fmt, (emp, ref, dev, se)), f"{n_sigma:.3f}", str(ok).lower()]
         print(",".join(cells))

@@ -110,9 +110,14 @@ def effective_params(m: TransmittanceMoments, eps: float, v: float) -> Effective
 
 def avg_covariance(m: TransmittanceMoments, v: float, eps: float) -> TwoModeCovariance:
     """Fading-averaged two-mode covariance:
-    a = V, c = <sqrt(T)> sqrt(V^2 - 1), b = <T>(V - 1 + eps) + 1."""
+    a = V, c = <sqrt(T)> sqrt(V^2 - 1), b = <T>(V - 1 + eps) + 1.  A V whose
+    square overflows is a DomainError that names it."""
     require_variance(v)
     require_noise(eps)
+    if v * v == math.inf:
+        raise DomainError(
+            f"averaged covariance at V = {v!r}: V^2 overflows (V above about 1.3e154)"
+        )
     return TwoModeCovariance(
         a=v,
         b=m.mean_t * (v - 1.0 + eps) + 1.0,

@@ -46,8 +46,13 @@ for approach in ("fixed", "hba_exact", "cma"):
                                        "--eps", "0.01", "--t-min", "0.3"]
     POINT_MASS[f"threshold_{approach}"] = ["threshold", "--approach", approach, "--v", "10",
                                            "--eps", "0.1", "--delta-t", "0"]
+# a Monte-Carlo check that passes its 5-sigma band: the draws, the closed
+# forms and the printed band
+MC_VALIDATE = ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "0.3", "--delta-t", "0.2",
+               "--n", "1000"]
 RUNS = {name: ["preset", name, "--csv", f"{name}.csv", "--svg", f"{name}.svg"]
         for name in ("fig2", "fig3", "fig45")} | {"sweep": SWEEP} | POINT_MASS
+RUNS["mc_validate"] = MC_VALIDATE
 
 
 def platform_tag() -> str:
@@ -92,7 +97,8 @@ def test_outputs_keep_their_digests(tmp_path):
         if want[key] != value:
             pytest.skip(f"digests made on {key} {want[key]}, running on {value}")
     got, codes = digests(tmp_path)
-    assert codes == {"fig2": 0, "fig3": 0, "fig45": 0, "sweep": 3} | dict.fromkeys(POINT_MASS, 0)
+    want_codes = {"fig2": 0, "fig3": 0, "fig45": 0, "sweep": 3, "mc_validate": 0}
+    assert codes == want_codes | dict.fromkeys(POINT_MASS, 0)
     assert sorted(got) == sorted(want["digests"])
     moved = sorted(key for key in got if got[key] != want["digests"][key])
     assert not moved, f"outputs whose bytes moved: {moved}"

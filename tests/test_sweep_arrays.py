@@ -822,21 +822,76 @@ def test_svg_sorts_only_what_is_out_of_order(tmp_path):
 def test_run_points_sends_invalid_points_to_run_point():
     # V is checked once, by SweepConfig, not per row: V = 0.5 never reaches
     # run_points, and a NaN V (a failed optimize-v row) is not evaluated; a
-    # block the array cannot take (a fixed channel of nonzero width) goes
-    # row by row to run_point and its DomainError
+    # law the approach refuses (a fixed channel of nonzero width) is a
+    # build_grid skip with run_point's DomainError, and never reaches it
     for bad in (0.5, math.nan):
         with pytest.raises(DomainError, match="v values must be finite and >= 1"):
             cli.SweepConfig(("fixed",), (bad,), (0.0,), (0.5,), (0.0,))
         with pytest.raises(DomainError, match="variance must satisfy V >= 1"):
             cli.run_point("fixed", bad, 0.0, FadingUniform(0.5))
-    rows = sweep_rows([("fixed", 0.0, 0.5, 0.0, 0, 2), ("fixed", 0.0, 0.5, 0.2, 2, 3)],
-                      [10.0, math.nan, 10.0])
-    failed = cli.run_points(rows, "fixed", [0, 1])
-    assert list(failed) == [2] and isinstance(failed[2], DomainError)
-    assert str(failed[2]) == "fixed-channel evaluation requires delta_t = 0"
+    rows = sweep_rows([("fixed", 0.0, 0.5, 0.0, 0, 2)], [10.0, math.nan])
+    assert cli.run_points(rows, "fixed", [0]) == {}
     want = skr_fixed(ChannelParams(10.0, 0.5, 0.0))
     assert tuple(rows.values[:, 0]) == (want.mutual_info, want.holevo, want.rate)
-    assert np.isnan(rows.values[:, 1:]).all()
+    assert np.isnan(rows.values[:, 1]).all()
+    rows, skips = cli.build_grid(cli.SweepConfig(("fixed",), (10.0,), (0.0,), (0.5,), (0.0, 0.2)))
+    assert [b[:4] for b in rows.blocks] == [("fixed", 0.0, 0.5, 0.0)]
+    with pytest.raises(DomainError) as refused:
+        cli.run_point("fixed", 10.0, 0.0, FadingUniform(0.5, 0.2))
+    assert str(refused.value) == "fixed-channel evaluation requires delta_t = 0"
+    assert list(skips.block_texts()) == [
+        f"skip approach=fixed V=10 eps=0.0 t_min=0.5 delta_t=0.2: {refused.value}\n"
+    ]
+
+
+def test_build_grid_checks_each_law_once_per_approach(monkeypatch, capsys):
+    # every approach's law check runs once per (approach, law), all inside
+    # build_grid, whatever the number of eps and V; a law it refuses is
+    # skipped with the DomainError run_point raises for it, and run_points
+    # checks no law
+    calls, state = [], {"in_grid": False}
+    real_grid = cli.build_grid
+
+    def grid(cfg):
+        state["in_grid"] = True
+        try:
+            return real_grid(cfg)
+        finally:
+            state["in_grid"] = False
+
+    def counted(approach, check):
+        def law_columns(f):
+            calls.append((approach, f.t_min, f.delta_t, state["in_grid"]))
+            return check(f)
+
+        return law_columns
+
+    models = {a: (counted(a, check), kernel) for a, (check, kernel) in cli._ROW_MODELS.items()}
+    monkeypatch.setattr(cli, "_ROW_MODELS", models)
+    monkeypatch.setattr(cli, "build_grid", grid)
+    # fixed refuses delta_t = 0.2, hba_asymptotic delta_t = 0 and t_max = 1
+    # (t_min 0.8); the law at t_min 0.9, delta_t 0.2 is not built at all
+    cfg = cli.SweepConfig(cli.APPROACHES, (1.5, 10.0), (0.0, 0.01), (0.3, 0.8, 0.9), (0.0, 0.2))
+    rows, n_errors = cli.run_sweep(cfg)
+    err = capsys.readouterr().err
+    laws = [(t, d) for d in cfg.delta_t_list for t in cfg.t_min_values if t + d <= 1.0]
+    assert len(laws) == 5 and n_errors == 0
+    assert sorted(calls) == sorted((a, *law, True) for a in cli.APPROACHES for law in laws)
+    skips = collections.Counter()
+    for line in err.splitlines():
+        fields, reason = line.split(": ", 1)
+        _, approach, v, eps, t_min, delta_t = (x.split("=")[-1] for x in fields.split(" "))
+        if reason.startswith("V below the large-V validity floor"):
+            continue
+        with pytest.raises(DomainError) as refused:
+            cli.run_point(approach, float(v), float(eps), FadingUniform(float(t_min), float(delta_t)))
+        assert reason == str(refused.value), line
+        skips[approach] += 1
+    # per eps and V: fixed 2 laws of width 0.2 and the unbuilt law, hba_asymptotic
+    # 3 point masses, t_min 0.8 at delta_t 0.2 and the unbuilt law; hba_exact
+    # and cma the unbuilt law alone
+    assert skips == {"fixed": 12, "hba_asymptotic": 20, "hba_exact": 4, "cma": 4}
+    assert {b[0] for b in rows.blocks} == set(cli.APPROACHES)
 
 
 def test_run_points_fails_negative_asymptotic_holevo():
@@ -863,8 +918,11 @@ def row_blocks(approach, eps, t_min, delta_t):
 
 
 def sweep_rows(blocks, v):
-    """``SweepRows`` of a block table and V column, with each block's law."""
-    return cli.SweepRows(blocks, v, [FadingUniform(*b[2:4]) for b in blocks])
+    """``SweepRows`` of a block table and V column, with each block's law
+    and the columns its approach's law check makes of it."""
+    laws = [FadingUniform(*b[2:4]) for b in blocks]
+    columns = [cli._ROW_MODELS[b[0]][0](f) for b, f in zip(blocks, laws)]
+    return cli.SweepRows(blocks, v, laws, columns)
 
 
 def run_points_outcome(approach, v, eps, t_min, delta_t):
@@ -897,7 +955,7 @@ def run_points_reference(approach, v, eps, t_min, delta_t):
     [
         ("fixed", (0.01, 1e-320, 0.0)),  # 1/T overflows: the block raises
         ("cma", (0.01, 1e-320, 0.0)),  # every row raises in run_point
-        ("hba_asymptotic", (0.01, 0.8, 0.2)),  # t_max = 1: the block raises
+        ("hba_asymptotic", (0.01, 0.01, 0.2)),  # V = 10 below the large-V floor (101)
         ("hba_exact", (0.01, 1e-320, 0.0)),
     ],
 )
