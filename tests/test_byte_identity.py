@@ -1,8 +1,8 @@
-"""Every output byte of the presets and of one small sweep, held by sha256.
+"""Every output byte of the presets and of two small sweeps, held by sha256.
 
 ``tests/golden/digests.json`` holds the digest of every file and stream the
-three presets and ``SWEEP`` write (CSV, every SVG, stdout and stderr),
-with the numpy version and the platform they were made on.  The bits
+three presets, ``SWEEP`` and ``SWEEP_OPT`` write (CSV, every SVG, stdout and
+stderr), with the numpy version and the platform they were made on.  The bits
 depend on the logarithms of numpy (and on the SIMD code numpy dispatches
 them to) and of the C library, so on another numpy version or platform the
 test skips and says why; ``test_golden.py`` still holds the presets to
@@ -38,6 +38,11 @@ SWEEP = ["sweep", "--approach", "fixed,hba_exact,hba_asymptotic,cma",
          "--delta-t", "0,0.2", "--optimize-v", "cma", "--x-axis", "t_min,variance",
          "--y-column", "rate_bits,holevo_bits", "--log-y", "true",
          "--csv", "sweep.csv", "--svg", "sweep.svg"]
+# V=opt skip lines for both reasons (fixed at delta_t > 0, and t_max > 1),
+# and an optimized row through the log grid of a non-default bracket
+SWEEP_OPT = ["sweep", "--approach", "fixed,cma", "--v", "10", "--eps", "0.01",
+             "--t-min", "0.3,1", "--delta-t", "0.2", "--optimize-v", "all",
+             "--v-lo", "1.5", "--v-hi", "1e6"]
 # scalar point masses (delta_t = 0): every approach that takes one, each
 # through run_point's own branch
 POINT_MASS = {"optimize-v": ["optimize-v", "--eps", "0.01", "--t-min", "0.3"]}
@@ -51,7 +56,8 @@ for approach in ("fixed", "hba_exact", "cma"):
 MC_VALIDATE = ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "0.3", "--delta-t", "0.2",
                "--n", "1000"]
 RUNS = {name: ["preset", name, "--csv", f"{name}.csv", "--svg", f"{name}.svg"]
-        for name in ("fig2", "fig3", "fig45")} | {"sweep": SWEEP} | POINT_MASS
+        for name in ("fig2", "fig3", "fig45")}
+RUNS |= {"sweep": SWEEP, "sweep_opt": SWEEP_OPT} | POINT_MASS
 RUNS["mc_validate"] = MC_VALIDATE
 
 
@@ -97,7 +103,7 @@ def test_outputs_keep_their_digests(tmp_path):
         if want[key] != value:
             pytest.skip(f"digests made on {key} {want[key]}, running on {value}")
     got, codes = digests(tmp_path)
-    want_codes = {"fig2": 0, "fig3": 0, "fig45": 0, "sweep": 3, "mc_validate": 0}
+    want_codes = {"fig2": 0, "fig3": 0, "fig45": 0, "sweep": 3, "sweep_opt": 0, "mc_validate": 0}
     assert codes == want_codes | dict.fromkeys(POINT_MASS, 0)
     assert sorted(got) == sorted(want["digests"])
     moved = sorted(key for key in got if got[key] != want["digests"][key])
