@@ -36,7 +36,6 @@ import functools
 import itertools
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from operator import itemgetter
@@ -58,7 +57,7 @@ from .hba import (
     skr_hba_exact_rows,
 )
 from .montecarlo import SampleConfig, empirical_moments, moment_standard_errors
-from .numerics import itp_bracket
+from .numerics import itp_bracket, log_grid
 from .svgplot import write_line_plot
 
 APPROACHES = ("fixed", "hba_exact", "hba_asymptotic", "cma")
@@ -148,9 +147,8 @@ def run_points(rows, approach, blocks):
             ok = ok & todo
             rows.values[:, cells[ok]] = mi[ok], holevo[ok], mi[ok] - holevo[ok]
             left.append(cells[todo & ~ok])
-    left = np.concatenate(left)
     failed = {}
-    for i in np.sort(left[~np.isnan(v[left])]).tolist():
+    for i in np.sort(np.concatenate(left)).tolist():
         b = rows.row_block[i]
         try:
             out = run_point(approach, float(v[i]), rows.blocks[b][1], rows.laws[b])
@@ -241,7 +239,7 @@ class SweepRow:
         return self.t_min + 0.5 * self.delta_t
 
 
-class SweepRows(Sequence):
+class SweepRows:
     """The rows of a sweep as columns; a ``SweepRow`` is built when read.
 
     ``blocks`` holds (approach, eps, t_min, delta_t, start, stop) for each
@@ -345,11 +343,11 @@ def _or_issue(make, *args):
 
 class SkipLines:
     """A grid's skip lines, one per skipped V, kept as its blocks' (head,
-    tail, skipped V values) records and the V cells; ``block_texts`` makes
-    a block's lines as one string, when read."""
+    tail, skipped V cells) records; ``block_texts`` makes a block's lines as
+    one string, when read."""
 
-    def __init__(self, blocks, v_cells):
-        self.blocks, self.v_cells = blocks, v_cells
+    def __init__(self, blocks):
+        self.blocks = blocks
 
     def __len__(self) -> int:
         return sum(len(dropped) for _, _, dropped in self.blocks)
@@ -357,8 +355,7 @@ class SkipLines:
     def block_texts(self):
         """The lines with their line ends, one string per skipped block."""
         for head, tail, dropped in self.blocks:
-            cells = map(self.v_cells.__getitem__, dropped)
-            yield head + f"{tail}\n{head}".join(cells) + tail + "\n"
+            yield head + f"{tail}\n{head}".join(dropped) + tail + "\n"
 
 
 def build_grid(cfg: SweepConfig) -> tuple[SweepRows, SkipLines]:
@@ -370,14 +367,13 @@ def build_grid(cfg: SweepConfig) -> tuple[SweepRows, SkipLines]:
     large-V closed form also skips every V up to its validity floor.  Each V
     cell of a skip line is made once; the lines only as they are written."""
     blocks, laws, columns, v_column, skipped = [], [], [], [], []
-    v_cells = {v: fmt(v) for v in cfg.v_list}
-    v_cells[math.nan] = "opt"  # the optimize-v slot is this very NaN object
+    v_given = cfg.v_list, [fmt(v) for v in cfg.v_list]  # the V slots and their cells
     grid = [[_or_issue(FadingUniform, t, d) for t in cfg.t_min_values] for d in cfg.delta_t_list]
     for approach in cfg.approaches:
         check = _ROW_MODELS[approach][0]  # f is None where the law failed, and issue its error
         admitted = [[(f, *_or_issue(check, f)) if f else (f, None, issue) for f, issue in row]
                     for row in grid]
-        v_slots = (math.nan,) if approach in cfg.optimize_v else cfg.v_list
+        slots, cells = ((math.nan,), ["opt"]) if approach in cfg.optimize_v else v_given
         head = f"skip approach={approach} V="
         for eps in cfg.eps_list:
             for delta_t, grid_row in zip(cfg.delta_t_list, admitted):
@@ -385,8 +381,8 @@ def build_grid(cfg: SweepConfig) -> tuple[SweepRows, SkipLines]:
                     v_floor = 0.0  # SweepConfig ensures V >= 1
                     if approach == "hba_asymptotic" and not issue:
                         v_floor = holevo_asymptotic_regime_floor(eps, f)
-                    kept = () if issue else [v for v in v_slots if not v <= v_floor]  # NaN is kept
-                    dropped = v_slots if issue else [v for v in v_slots if v <= v_floor]
+                    kept = () if issue else [v for v in slots if not v <= v_floor]  # NaN is kept
+                    dropped = cells if issue else [c for v, c in zip(slots, cells) if v <= v_floor]
                     if kept:
                         start = len(v_column)
                         v_column += kept
@@ -398,7 +394,7 @@ def build_grid(cfg: SweepConfig) -> tuple[SweepRows, SkipLines]:
                         tail = f" eps={eps!r} t_min={t_min!r} delta_t={delta_t!r}: {issue}"
                         skipped.append((head, tail, dropped))
     optimized = frozenset(cfg.optimize_v)
-    return SweepRows(blocks, v_column, laws, columns, optimized), SkipLines(skipped, v_cells)
+    return SweepRows(blocks, v_column, laws, columns, optimized), SkipLines(skipped)
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[SweepRows, int]:
@@ -601,10 +597,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
             raise DomainError(f"bad logspace spec {text!r}") from exc
         if not (0.0 < lo < hi and 2 <= n <= AXIS_POINTS):
             raise DomainError(f"bad logspace spec {text!r} (lo < hi, 2 to {AXIS_POINTS} points)")
-        ratio = (hi / lo) ** (1.0 / (n - 1))
-        values = [lo * ratio**k for k in range(n)]
-        values[-1] = hi
-        return tuple(values)
+        return tuple(log_grid(lo, hi, n))
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError as exc:
@@ -630,6 +623,7 @@ def _parse_t_min(text: str) -> tuple[float, ...]:
 
 def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -660,8 +654,8 @@ _SWEEP_KEYS = {
     "optimize_v": ("optimize_v", _parse_optimize),
     "v_lo": ("v_lo", float),
     "v_hi": ("v_hi", float),
-    "csv": ("csv_path", str),
-    "svg": ("svg_path", str),
+    "csv": ("csv_path", lambda text: text or None),  # an empty path is no path
+    "svg": ("svg_path", lambda text: text or None),
     "log_y": ("log_y", _parse_bool),
     "title": ("title", str),
 }

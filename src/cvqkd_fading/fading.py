@@ -72,10 +72,6 @@ class FadingUniform:
     def t_max(self) -> float:
         return min(self.t_min + self.delta_t, 1.0)
 
-    @property
-    def t_mean(self) -> float:
-        return self.t_min + 0.5 * self.delta_t
-
 
 @dataclass(frozen=True)
 class TransmittanceMoments:

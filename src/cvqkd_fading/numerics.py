@@ -3,10 +3,10 @@
 Everything here is a pure function: the bosonic entropy ``g_entropy`` (and
 its array form), the real dilogarithm ``dilog``, an adaptive-Simpson
 ``integrate``, a bracketed scalar maximizer (``maximize_scalar``, whose
-pre-scan may take all its points in one call) and a bracketing root finder
-(``itp_bracket``).  Only the tests call ``dilog`` (the paper's closed forms)
-and ``integrate`` (the oracle of ``fading.law_mean``).  All entropic
-quantities are in bits.
+pre-scan takes all its points, a ``log_grid``, in one call) and a
+bracketing root finder (``itp_bracket``).  Only the tests call ``dilog``
+(the paper's closed forms) and ``integrate`` (the oracle of
+``fading.law_mean``).  All entropic quantities are in bits.
 
 The closed forms of the package are written once for float and ndarray
 arguments and take their logarithms from ``log2`` and ``log1p`` here:
@@ -176,30 +176,39 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio reciprocal
 N_SCAN = 64  # points of the pre-scan of ``maximize_scalar``
 
 
+def log_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n log-spaced points lo * r**k, r = (hi / lo) ** (1 / (n - 1)), the
+    last one hi itself (0 < lo < hi, n >= 2): the one log-spaced rule, of the
+    ``maximize_scalar`` pre-scan and of the ``logspace:`` command-line spec."""
+    ratio = (hi / lo) ** (1.0 / (n - 1))
+    xs = [lo * ratio**k for k in range(n)]
+    xs[-1] = hi
+    return xs
+
+
 def maximize_scalar(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     x_tol: float,
-    f_many: Callable[[list[float]], list[float]] | None = None,
+    f_many: Callable[[list[float]], list[float]],
 ) -> tuple[float, float]:
-    """Locate a maximum of f on [lo, hi] to within x_tol.
+    """Locate a maximum of f on [lo, hi], 0 < lo < hi < inf, to within x_tol.
 
-    A coarse pre-scan of ``N_SCAN`` points (log-spaced when lo > 0, linear
-    otherwise) picks the best bracket, which golden-section search then
+    A coarse pre-scan on the ``N_SCAN`` points of ``log_grid(lo, hi,
+    N_SCAN)`` picks the best bracket, which golden-section search then
     refines; this keeps sharply peaked or mildly multi-modal objectives from
     defeating a bare bracketing search, and stops once a probe no longer lies
     strictly inside the bracket (float spacing above x_tol).  Returns
     (x_star, f(x_star)) for the best point evaluated anywhere.
 
-    f_many, when given, maps the list of pre-scan points to f's values at
-    them in one call (NaN where it cannot vouch for a value); a non-finite
-    value is evaluated again through f, so the point gets f's value or
-    exception.  Without it the pre-scan calls f point by point.  The
-    refinement always calls f.
+    f_many maps the list of pre-scan points to f's values at them in one
+    call (NaN where it cannot vouch for a value); a non-finite value is
+    evaluated again through f, so the point gets f's value or exception.
+    The refinement calls f.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"maximize_scalar requires lo < hi, got [{lo!r}, {hi!r}]")
+    if not 0.0 < lo < hi < math.inf:
+        raise DomainError(f"maximize_scalar requires 0 < lo < hi < inf, got [{lo!r}, {hi!r}]")
     if not (math.isfinite(x_tol) and x_tol > 0.0):
         raise DomainError(f"x_tol must be positive, got {x_tol!r}")
 
@@ -209,21 +218,12 @@ def maximize_scalar(
             raise NumericalError(f"objective returned non-finite value {y!r} at x={x!r}")
         return y
 
-    if lo > 0.0:
-        ratio = (hi / lo) ** (1.0 / (N_SCAN - 1))
-        xs = [lo * ratio**k for k in range(N_SCAN)]
-        xs[-1] = hi
-    else:
-        step = (hi - lo) / (N_SCAN - 1)
-        xs = [lo + step * k for k in range(N_SCAN)]
-        xs[-1] = hi
-    ys = f_many(xs) if f_many is not None else [ev(x) for x in xs]
-    ys = [y if math.isfinite(y) else ev(x) for x, y in zip(xs, ys)]
+    xs = log_grid(lo, hi, N_SCAN)
+    ys = [y if math.isfinite(y) else ev(x) for x, y in zip(xs, f_many(xs))]
 
     i_best = max(range(N_SCAN), key=lambda i: ys[i])
     best_x, best_y = xs[i_best], ys[i_best]
-    a = xs[i_best - 1] if i_best > 0 else xs[0]
-    b = xs[i_best + 1] if i_best < N_SCAN - 1 else xs[-1]
+    a, b = xs[max(i_best - 1, 0)], xs[min(i_best + 1, N_SCAN - 1)]
 
     # golden-section refinement on [a, b], while its probes lie inside it
     c = b - _INVPHI * (b - a)

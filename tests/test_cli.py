@@ -375,6 +375,26 @@ class TestSweep:
         assert code == 1 and out == ""
         assert err.endswith("error: unrecognized arguments: --jobs 2\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--approach", "cma", "--v", "10", "--eps", "0", "--t-min", "0.4",
+         "--delta-t", "0.2", "--svg", "c.svg", "--csv", ""],
+        ["preset", "fig2", "--svg", "", "--csv", ""],
+    ])
+    def test_an_empty_csv_path_sends_the_csv_to_stdout(self, tmp_path, monkeypatch, capsys, argv):
+        # an empty path is no path: the CSV goes to stdout, with no 'wrote'
+        # line and no file, and an empty svg writes no plot
+        (tmp_path / "empty").mkdir()
+        monkeypatch.chdir(tmp_path / "empty")
+        code, out, err = run_main(argv, capsys)
+        assert code == 0 and "wrote" not in err
+        assert [p.name for p in Path().iterdir()] == ["c.svg"] * ("c.svg" in argv)
+        monkeypatch.chdir(tmp_path)
+        assert run_main([*argv[:-1], "named.csv"], capsys)[0] == 0
+        assert out == (tmp_path / "named.csv").read_text()
+        assert out.startswith(cli.CSV_HEADER + "\n") and out.count("\n") > 1
+        cfg = cli.sweep_config_from_sources(SWEEP_CFG + "csv =\nsvg =\n", {})
+        assert cfg.csv_path is None and cfg.svg_path is None
+
     def test_fixed_channel_skipped_for_nonzero_width(self, tmp_path, capsys):
         cfg = cli.sweep_config_from_sources(
             "approach = fixed\nv = 10\neps = 0\nt-min = 0.5\ndelta-t = 0,0.2\n",

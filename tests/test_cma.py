@@ -311,7 +311,10 @@ def scalar_optimal_variance(eps, f, v_lo=1.0 + 1e-6, v_hi=1e4):
     reference its row pre-scan must reproduce bit for bit."""
     if not 1.0 <= v_lo < v_hi:
         raise DomainError(f"need 1 <= v_lo < v_hi, got [{v_lo!r}, {v_hi!r}]")
-    return maximize_scalar(lambda v: skr_cma(v, eps, f).rate, v_lo, v_hi, V_TOL)
+    def rate(v):
+        return skr_cma(v, eps, f).rate
+
+    return maximize_scalar(rate, v_lo, v_hi, V_TOL, lambda vs: [rate(v) for v in vs])
 
 
 def outcome(fn, *args):
@@ -361,6 +364,18 @@ class TestOptimalVarianceRowPrescan:
         # the box reaches both outcomes: optima and scalar-path exceptions
         assert sum(isinstance(r[0], str) for r in results) >= 6
         assert sum(isinstance(r[0], float) for r in results) >= 400
+
+    @pytest.mark.parametrize("v_lo, v_hi", [(1.0 + 1e-6, 1e4), (1.0, 10.0), (1.5, 1e6), (2.0, 1e8)])
+    def test_the_rows_take_the_logspace_grid(self, monkeypatch, v_lo, v_hi):
+        # one log-spaced rule: the pre-scan's V are the ``logspace:`` spec's
+        prescans = []
+
+        def spy(f, lo, hi, x_tol, f_many):
+            return maximize_scalar(f, lo, hi, x_tol, lambda xs: prescans.append(xs) or f_many(xs))
+
+        monkeypatch.setattr(cma, "maximize_scalar", spy)
+        optimal_variance(0.01, FadingUniform(0.3, 0.2), v_lo, v_hi)
+        assert prescans == [list(cli._parse_float_list(f"logspace:{v_lo!r}:{v_hi!r}:64"))]
 
     @pytest.mark.parametrize("bad_row", [0, 17, 63])
     def test_a_row_the_kernel_cannot_vouch_for_gets_the_scalar_value(self, monkeypatch, bad_row):

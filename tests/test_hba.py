@@ -104,7 +104,6 @@ class TestFadingUniform:
         f = FadingUniform(0.5)
         assert f.delta_t == 0.0
         assert f.t_max == 0.5
-        assert f.t_mean == 0.5
 
     def test_bounds(self):
         f = FadingUniform(0.4, 0.6)

@@ -213,19 +213,24 @@ class TestIntegrate:
             integrate(math.sin, 2.0, 1.0)
 
 
+def maximize(f, lo, hi, x_tol):
+    """``maximize_scalar`` with a pre-scan of f point by point."""
+    return maximize_scalar(f, lo, hi, x_tol, lambda xs: [f(x) for x in xs])
+
+
 class TestMaximizeScalar:
     def test_quadratic_interior_maximum(self):
-        x, fx = maximize_scalar(lambda x: -((x - 2.0) ** 2), 0.0, 5.0, 1e-8)
+        x, fx = maximize(lambda x: -((x - 2.0) ** 2), 1e-3, 5.0, 1e-8)
         assert x == pytest.approx(2.0, abs=1e-6)
         assert fx == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_maximum(self):
-        x, _ = maximize_scalar(lambda x: x, 0.0, 1.0, 1e-8)
+        x, _ = maximize(lambda x: x, 1e-3, 1.0, 1e-8)
         assert x == pytest.approx(1.0, abs=1e-7)
 
     def test_sine_against_grid(self):
         x_tol = 1e-6
-        x, fx = maximize_scalar(math.sin, 0.0, math.pi, x_tol)
+        x, fx = maximize(math.sin, 1e-3, math.pi, x_tol)
         assert abs(x - math.pi / 2.0) < 10 * x_tol
         grid = np.linspace(0.0, math.pi, 10_000)
         assert fx >= float(np.max(np.sin(grid))) - 1e-9
@@ -236,7 +241,7 @@ class TestMaximizeScalar:
         def f(x):
             return -((math.log(x) - math.log(3.0)) ** 2)
 
-        x, _ = maximize_scalar(f, 1e-4, 1e4, 1e-6)
+        x, _ = maximize(f, 1e-4, 1e4, 1e-6)
         assert x == pytest.approx(3.0, rel=1e-4)
 
     def test_best_of_scan_and_refinement(self):
@@ -244,7 +249,7 @@ class TestMaximizeScalar:
         def f(x):
             return math.sin(3.0 * x) + 0.5 * math.sin(0.5 * x)
 
-        x, fx = maximize_scalar(f, 0.0, 10.0, 1e-8)
+        x, fx = maximize(f, 1e-3, 10.0, 1e-8)
         grid = np.linspace(0.0, 10.0, 10_000)
         assert fx >= float(np.max(np.sin(3.0 * grid) + 0.5 * np.sin(0.5 * grid))) - 1e-9
 
@@ -260,17 +265,34 @@ class TestMaximizeScalar:
                 raise RuntimeError("the golden-section search does not stop")
             return -abs(x - peak)
 
-        x, fx = maximize_scalar(f, 1.0, 1e16, 1e-3)
+        x, fx = maximize(f, 1.0, 1e16, 1e-3)
         assert abs(x - peak) <= 4 * math.ulp(peak)
         assert fx == f(x)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            maximize_scalar(math.sin, 1.0, 1.0, 1e-6)
+            maximize(math.sin, 1.0, 1.0, 1e-6)
         with pytest.raises(DomainError):
-            maximize_scalar(math.sin, 0.0, 1.0, 0.0)
+            maximize(math.sin, 0.5, 1.0, 0.0)
         with pytest.raises(NumericalError):
-            maximize_scalar(lambda x: math.nan, 0.0, 1.0, 1e-6)
+            maximize(lambda x: math.nan, 0.5, 1.0, 1e-6)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.0, 1.0), (-1.0, 1.0), (1.0, math.inf),
+                                        (math.nan, 1.0), (0.5, math.nan)])
+    def test_the_bracket_is_positive_and_finite(self, lo, hi):
+        # the pre-scan is log-spaced: lo <= 0 and an infinite hi have no grid
+        with pytest.raises(DomainError, match="requires 0 < lo < hi < inf"):
+            maximize(math.sin, lo, hi, 1e-6)
+
+    @pytest.mark.parametrize("lo, hi, n", [(1.0, 1e4, 64), (1.5, 1e6, 64), (1e-3, 10.0, 2),
+                                           (2.0, 2.0 + 1e-12, 5)])
+    def test_log_grid(self, lo, hi, n):
+        # n points from lo to hi itself, evenly spaced in log
+        xs = numerics.log_grid(lo, hi, n)
+        assert len(xs) == n and xs[0] == lo and xs[-1] == hi
+        assert all(a < b for a, b in zip(xs, xs[1:]))
+        step = math.log(hi / lo) / (n - 1)
+        assert np.allclose(np.diff(np.log(xs)), step, rtol=1e-9, atol=1e-15)
 
 
 def bisection_steps(a, b, tol):
