@@ -1,7 +1,7 @@
 """Every output byte of the presets and of two small sweeps, held by sha256.
 
 ``tests/golden/digests.json`` holds the digest of every file and stream the
-three presets, ``SWEEP`` and ``SWEEP_OPT`` write (CSV, every SVG, stdout and
+three presets, ``SWEEP``, ``SWEEP_OPT`` and the ``ERRORS`` runs write (CSV, every SVG, stdout and
 stderr), with the numpy version and the platform they were made on.  The bits
 depend on the logarithms of numpy (and on the SIMD code numpy dispatches
 them to) and of the C library, so on another numpy version or platform the
@@ -55,10 +55,25 @@ for approach in ("fixed", "hba_exact", "cma"):
 # forms and the printed band
 MC_VALIDATE = ["mc-validate", "--v", "10", "--eps", "0.01", "--t-min", "0.3", "--delta-t", "0.2",
                "--n", "1000"]
+# errors: a negative large-V average, a spectrum that overflows at a node, T
+# below T_FLOOR (at a node, and as t_eff), and a sweep whose kernels refuse
+# cells that fall back to error rows
+ERRORS = {
+    "error_hba_asymptotic": ["point", "--approach", "hba_asymptotic", "--v", "1.2", "--eps", "0.01",
+                             "--t-min", "0.5", "--delta-t", "0.2"],
+    "error_hba_exact_v": ["point", "--approach", "hba_exact", "--v", "1e200", "--eps", "0.01",
+                          "--t-min", "0.5", "--delta-t", "0.2"],
+    "error_hba_exact_t": ["point", "--approach", "hba_exact", "--v", "10", "--eps", "0.01",
+                          "--t-min", "1e-320", "--delta-t", "0.2"],
+    "error_cma": ["point", "--approach", "cma", "--v", "10", "--eps", "0.01", "--t-min", "1e-320"],
+    "error_sweep": ["sweep", "--approach", "hba_asymptotic,hba_exact,cma", "--v", "1.2,1e200",
+                    "--eps", "0.01", "--t-min", "0.5", "--delta-t", "0.2"],
+}
 RUNS = {name: ["preset", name, "--csv", f"{name}.csv", "--svg", f"{name}.svg"]
         for name in ("fig2", "fig3", "fig45")}
 RUNS |= {"sweep": SWEEP, "sweep_opt": SWEEP_OPT} | POINT_MASS
 RUNS["mc_validate"] = MC_VALIDATE
+RUNS |= ERRORS
 
 
 def platform_tag() -> str:
@@ -104,6 +119,7 @@ def test_outputs_keep_their_digests(tmp_path):
             pytest.skip(f"digests made on {key} {want[key]}, running on {value}")
     got, codes = digests(tmp_path)
     want_codes = {"fig2": 0, "fig3": 0, "fig45": 0, "sweep": 3, "sweep_opt": 0, "mc_validate": 0}
+    want_codes |= dict.fromkeys(ERRORS, 1) | {"error_sweep": 3}
     assert codes == want_codes | dict.fromkeys(POINT_MASS, 0)
     assert sorted(got) == sorted(want["digests"])
     moved = sorted(key for key in got if got[key] != want["digests"][key])
