@@ -287,21 +287,23 @@ def holevo_fixed(p: ChannelParams) -> float:
     return holevo_from_eigenvalues(*lams)
 
 
-def holevo_rows(v, t, eps) -> tuple[np.ndarray, np.ndarray]:
-    """``holevo_fixed`` at every element of broadcast (V, T, eps) arrays,
-    equal to the scalar values bit for bit, and the mask of the elements that
-    pass every check of the scalar path: T in (T_FLOOR, 1], eigenvalues
-    finite and >= 1 - PHYSICALITY_SLACK, Holevo >= -PHYSICALITY_SLACK.
-    Beyond V ~ 1e154 the squares overflow and the spectrum is inf or NaN,
-    which the checks reject, as the scalar path does; numpy's warnings are
-    silenced on the way.  Masked-out elements hold meaningless values."""
+def holevo_rows(t, v, eps):
+    """``holevo_fixed`` at every element of broadcast (T, V, eps) arrays,
+    equal to the scalar values bit for bit: ``fading.law_mean``'s integrand
+    of the exact average.  NaN where a check of the scalar path fails: T in
+    (T_FLOOR, 1], eigenvalues finite and >= 1 - PHYSICALITY_SLACK, Holevo
+    >= -PHYSICALITY_SLACK (beyond V ~ 1e154 the squares overflow; numpy's
+    warnings are silenced on the way).  With a float V (one row, T its
+    nodes) the scalar path's DomainError is raised at the first such node."""
     with np.errstate(all="ignore"):
         lams = np.array(spectrum_closed_form(v, t, eps, np.sqrt))
         g = g_entropy_array(np.maximum((lams - 1.0) / 2.0, 0.0))
     holevo = g[0] + g[1] - g[2]
     physical = (lams >= 1.0 - PHYSICALITY_SLACK) & (lams < math.inf)
     ok = (t > T_FLOOR) & (t <= 1.0) & physical.all(axis=0) & (holevo >= -PHYSICALITY_SLACK)
-    return holevo, ok
+    if not isinstance(v, np.ndarray) and not ok.all():
+        holevo_fixed(ChannelParams(v, float(t[~ok][0]), eps))
+    return np.where(ok, holevo, np.nan)
 
 
 def skr_fixed(p: ChannelParams) -> SkrBreakdown:

@@ -124,8 +124,8 @@ def run_points(rows, approach, blocks):
     raised.  The kernel takes a matrix of V, one row per block (NaN after a
     block's end), and each block column as a (blocks, 1) array: runs of whole
     blocks of at most ``KERNEL_ROWS`` cells per call, a wider block cut along
-    V.  A row the kernel cannot vouch for (a value fails a scalar check, or
-    the two levels of its average disagree) goes through ``run_point``.
+    V.  A row whose rate is NaN (a value fails a scalar check, or the two
+    levels of its average disagree) goes through ``run_point``.
     """
     kernel = _ROW_MODELS[approach][1]
     v, start, counts = rows.v, rows.block_start, rows.block_rows
@@ -142,11 +142,11 @@ def run_points(rows, approach, blocks):
             cells = np.where(inside, start[b, None] + cols, 0)  # the rows, 0 after a block's end
             x = np.where(inside, v[cells], np.nan)
             with np.errstate(all="ignore"):
-                mi, holevo, ok = kernel(x, *columns)
-            todo = ~np.isnan(x)
-            ok = ok & todo
-            rows.values[:, cells[ok]] = mi[ok], holevo[ok], mi[ok] - holevo[ok]
-            left.append(cells[todo & ~ok])
+                mi, holevo = kernel(x, *columns)
+                rate = mi - holevo
+            done = np.isfinite(rate)
+            rows.values[:, cells[done]] = mi[done], holevo[done], rate[done]
+            left.append(cells[~done & ~np.isnan(x)])
     failed = {}
     for i in np.sort(np.concatenate(left)).tolist():
         b = rows.row_block[i]
@@ -617,7 +617,7 @@ def _parse_t_min(text: str) -> tuple[float, ...]:
             raise DomainError(f"bad t_min range {text!r} (finite, at most {AXIS_POINTS} points)")
         n = int(round((stop - start) / step))
         values = [start + k * step for k in range(n + 1)]
-        return tuple(v for v in values if v <= stop + 1e-12)
+        return tuple(v for v in values if v <= stop + 1e-9 * step)
     return _parse_float_list(text)
 
 

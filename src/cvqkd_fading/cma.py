@@ -176,14 +176,12 @@ def cma_law_columns(f: FadingUniform) -> tuple[float, ...]:
 def skr_cma_rows(v, eps, t_min, t_max, t_eff, ratio):
     """``skr_cma`` at every cell of arrays that broadcast (rows, or blocks x V
     with (blocks, 1) block columns), the columns after V eps and
-    ``cma_law_columns``; V >= 1 and eps >= 0 already validated.  The mutual
-    information is one ``law_mean`` call over every entry, point masses
-    included.  Returns (mutual_info, holevo, ok), equal to the scalar values
-    bit for bit where ok, with ok as in ``channel.holevo_rows``."""
+    ``cma_law_columns``; V >= 1 and eps >= 0 already validated.  Returns
+    (mutual_info, holevo), the scalar values bit for bit or NaN where the
+    scalar path raises: mutual_info where the two levels of its one
+    ``law_mean`` call disagree, holevo as in ``channel.holevo_rows``."""
     mi = law_mean(mutual_information_form, t_min, t_max, v - 1.0, eps)
-    eps_eff = effective_excess_noise(ratio, eps, v)
-    holevo, ok = holevo_rows(v, t_eff, eps_eff)
-    return mi, holevo, ok & (eps_eff >= 0.0) & np.isfinite(mi)
+    return mi, holevo_rows(t_eff, v, effective_excess_noise(ratio, eps, v))
 
 
 def require_v_bracket(v_lo: float, v_hi: float) -> None:
@@ -206,7 +204,7 @@ def optimal_variance(
     (v_opt, rate_opt) even when the optimum is non-positive (callers
     interpret rate_opt <= 0 as "no key").  The bracket and eps are checked
     first, and a ``cma_law_columns`` error propagates.  The pre-scan is one
-    ``skr_cma_rows`` call, a point the rows cannot vouch for going through
+    ``skr_cma_rows`` call, a point whose rate is NaN there going through
     ``skr_cma``, so (v_opt, rate_opt) are an all-scalar search's, bit for bit.
     """
     require_v_bracket(v_lo, v_hi)
@@ -215,8 +213,8 @@ def optimal_variance(
 
     def rates(vs: list[float]) -> list[float]:
         with np.errstate(all="ignore"):
-            mi, holevo, ok = skr_cma_rows(np.array(vs), *(np.full(len(vs), c) for c in block))
-        return np.where(ok, mi - holevo, np.nan).tolist()
+            mi, holevo = skr_cma_rows(np.array(vs), *(np.full(len(vs), c) for c in block))
+            return (mi - holevo).tolist()
 
     return maximize_scalar(lambda v: skr_cma(v, eps, f).rate, v_lo, v_hi, V_TOL, rates)
 

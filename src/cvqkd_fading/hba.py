@@ -6,10 +6,11 @@ this model the legitimate parties code at the worst-case rate (mutual
 information evaluated at t_min) while the Holevo bound is averaged over the
 transmittance distribution.
 
-Two pipelines are provided:
+Two pipelines are provided, each with a row kernel for sweeps that returns
+(mutual_info, holevo), NaN in a cell where the scalar path raises:
 
 * ``skr_hba_exact`` -- the ``fading.law_mean`` of the exact fixed-channel
-  Holevo bound (``holevo_rows`` at the nodes); valid for any V >= 1, and
+  Holevo bound (integrand ``channel.holevo_rows``); valid for any V >= 1,
   the default everywhere.  QuadratureError where the two tanh-sinh levels
   disagree; the scalar ``holevo_fixed`` error at the first node that fails
   its checks (at once beyond V ~ 1e154, where the spectrum overflows).
@@ -37,6 +38,7 @@ import warnings
 
 import numpy as np
 
+from .channel import holevo_fixed  # noqa: F401  (looked up by perfbench's tracer)
 from .channel import (
     PHYSICALITY_SLACK,
     T_FLOOR,
@@ -44,7 +46,6 @@ from .channel import (
     SkrBreakdown,
     SymplecticSpectrum,
     derive_omega,
-    holevo_fixed,
     holevo_rows,
     mutual_information_fixed,
     mutual_information_form,
@@ -78,17 +79,6 @@ def _require_asymptotic_domain(eps: float, f: FadingUniform) -> None:
     require_noise(eps)
 
 
-def _holevo_nodes(t, v, eps):
-    """``holevo_fixed`` at every node of t, NaN at a node that fails a check
-    of the scalar path (``holevo_rows``).  v and eps are floats (one row:
-    the scalar path's error is raised at the first failing node instead) or
-    columns of rows."""
-    holevo, ok = holevo_rows(v, t, eps)
-    if not isinstance(v, np.ndarray) and not ok.all():
-        holevo_fixed(ChannelParams(v, float(t[~ok][0]), eps))
-    return np.where(ok, holevo, np.nan)
-
-
 def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     """Worst-case-rate key rate with the exact Holevo bound averaged over the
     transmittance.
@@ -103,20 +93,20 @@ def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     fails a check of ``holevo_fixed``.
     """
     mi = mutual_information_fixed(ChannelParams(v, f.t_min, eps))
-    return SkrBreakdown.from_parts(mi, law_mean(_holevo_nodes, f.t_min, f.t_max, v, eps))
+    return SkrBreakdown.from_parts(mi, law_mean(holevo_rows, f.t_min, f.t_max, v, eps))
 
 
 def skr_hba_exact_rows(v, eps, t_min, t_max):
     """``skr_hba_exact`` at every cell of arrays that broadcast (rows, or
     blocks x V with (blocks, 1) columns eps, t_min and t_max), V >= 1 and
     eps >= 0 already validated, t_max the law's (``FadingUniform.t_max``).
-    Returns (mutual_info, holevo, ok), equal to the scalar values bit for
-    bit where ok.  ok fails where t_min <= T_FLOOR (the scalar path's rule),
-    a node fails a check, the two levels disagree, or the Holevo bound is
-    below -PHYSICALITY_SLACK or not finite."""
-    holevo = law_mean(_holevo_nodes, t_min, t_max, v, eps)
-    ok = (holevo >= -PHYSICALITY_SLACK) & np.isfinite(holevo) & (t_min > T_FLOOR)
-    return mutual_information_form(t_min, v - 1.0, eps), holevo, ok
+    Returns (mutual_info, holevo), equal to the scalar values bit for bit,
+    holevo NaN where t_min <= T_FLOOR (the scalar path's rule), a node fails
+    a check, the two levels disagree, or the mean is below
+    -PHYSICALITY_SLACK."""
+    holevo = law_mean(holevo_rows, t_min, t_max, v, eps)
+    bad = (holevo < -PHYSICALITY_SLACK) | (t_min <= T_FLOOR)
+    return mutual_information_form(t_min, v - 1.0, eps), np.where(bad, np.nan, holevo)
 
 
 def _mi_asymptotic_t_part(t, eps):
@@ -219,13 +209,13 @@ def skr_hba_asymptotic(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     (1/2) log2 V terms cancel, so the rate is independent of V."""
     require_variance(v)
     require_noise(eps)
-    mi, hol, _ = skr_hba_asymptotic_rows(v, eps, *asymptotic_law_columns(f))
-    if hol < 0.0:
+    mi, hol = skr_hba_asymptotic_rows(v, eps, *asymptotic_law_columns(f))
+    if np.isnan(hol):
         raise DomainError(
             f"large-V closed form outside its validity at V = {v!r} (averaged "
             "Holevo bound is negative); increase V or use the exact pipeline"
         )
-    return SkrBreakdown.from_parts(mi, hol)
+    return SkrBreakdown.from_parts(mi, float(hol))
 
 
 def skr_hba_asymptotic_rows(v, eps, t_min, t_max):
@@ -236,9 +226,8 @@ def skr_hba_asymptotic_rows(v, eps, t_min, t_max):
     validated.  The V-free parts depend on the block columns alone: the
     mutual information's at t_min, and one ``law_mean`` of the Holevo
     bound's, NaN where its two levels disagree (the scalar path's
-    QuadratureError).  Returns (mutual_info, holevo, ok); ok fails where the
-    averaged Holevo bound is negative (the scalar path's DomainError) or a
-    value is not finite."""
+    QuadratureError).  Returns (mutual_info, holevo), holevo also NaN where
+    it is negative (the scalar path's DomainError)."""
     mi = _plus_half_log2_v(_mi_asymptotic_t_part(t_min, eps), v)
     holevo = _plus_half_log2_v(law_mean(_large_v_holevo_nodes, t_min, t_max, eps), v)
-    return mi, holevo, (holevo >= 0.0) & np.isfinite(holevo) & np.isfinite(mi)
+    return mi, np.where(holevo < 0.0, np.nan, holevo)

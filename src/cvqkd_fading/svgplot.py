@@ -50,8 +50,6 @@ def _nice_step(span: float) -> float:
 
 
 def _linear_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     ticks = []

@@ -239,6 +239,12 @@ class TestConfigParsing:
         with pytest.raises(DomainError):
             cli._parse_t_min("0.5:0.1:0.1")
 
+    def test_a_range_keeps_no_point_past_stop(self):
+        # the last point's tolerance scales with the step: an absolute one
+        # larger than the step kept 3e-14 here
+        assert cli._parse_t_min("1e-14:2.5e-14:1e-14") == (1e-14, 2e-14)
+        assert cli._parse_t_min("0.02:0.96:0.02") == tuple(0.02 + k * 0.02 for k in range(48))
+
     @pytest.mark.parametrize(
         "flag, spec",
         [
@@ -478,9 +484,8 @@ class TestSweep:
         # not at V = 10 (1e-12): the first row's tanh-sinh levels disagree
         real = hba.holevo_rows
 
-        def noisy(v, t, eps):
-            holevo, ok = real(v, t, eps)
-            return holevo + 1e-13 * v * np.sin(1e7 * t), ok
+        def noisy(t, v, eps):
+            return real(t, v, eps) + 1e-13 * v * np.sin(1e7 * t)
 
         monkeypatch.setattr(hba, "holevo_rows", noisy)
         csv_path = tmp_path / "budget.csv"

@@ -12,6 +12,7 @@ from cvqkd_fading import cli, hba
 from cvqkd_fading.channel import (
     ChannelParams,
     holevo_fixed,
+    holevo_rows,
     skr_fixed,
     spectrum_closed_form,
     symplectic_pair,
@@ -175,9 +176,8 @@ class TestExactPipeline:
         # kernel spends before it says so
         real = hba.holevo_rows
 
-        def noisy(v, t, eps):
-            holevo, ok = real(v, t, eps)
-            return holevo + 1e-13 * v * np.sin(1e7 * t), ok
+        def noisy(t, v, eps):
+            return real(t, v, eps) + 1e-13 * v * np.sin(1e7 * t)
 
         monkeypatch.setattr(hba, "holevo_rows", noisy)
         start = time.perf_counter()
@@ -288,16 +288,16 @@ class TestGaussLegendreAverage:
                     assert abs(float(arr[j]) - sc) <= 4.0 * np.spacing(abs(sc))
 
     def test_array_holevo_matches_scalar(self):
-        # the node values shared by skr_hba_exact (one row) and the sweep's
+        # the integrand of skr_hba_exact (one row) and of the sweep's
         # skr_hba_exact_rows (a chunk of rows); a row gets the same bits alone
         # and inside a chunk
         t = np.linspace(0.05, 1.0, 20)
         for v, eps in ((1.0, 0.0), (10.0, 0.0), (10.0, 0.03), (1e4, 0.01)):
-            got = hba._holevo_nodes(t, v, eps)
+            got = holevo_rows(t, v, eps)
             for tj, g in zip(t, got):
                 ref = holevo_fixed(ChannelParams(v, float(tj), eps))
                 assert g == pytest.approx(ref, rel=1e-12, abs=1e-14)
-            chunk = hba._holevo_nodes(
+            chunk = holevo_rows(
                 np.array([t, t[::-1]]), np.array([[v], [2.0 * v]]), np.array([[eps], [eps]])
             )
             assert np.isfinite(chunk).all()
@@ -319,9 +319,9 @@ class TestGaussLegendreAverage:
         with pytest.raises(DomainError) as scalar:
             holevo_fixed(ChannelParams(v, t_bad, eps))
         with pytest.raises(DomainError) as node:
-            hba._holevo_nodes(np.array([0.5, t_bad, 0.7]), v, eps)
+            holevo_rows(np.array([0.5, t_bad, 0.7]), v, eps)
         assert str(node.value) == str(scalar.value)
-        chunk = hba._holevo_nodes(
+        chunk = holevo_rows(
             np.array([[0.5, 0.6, 0.7], [0.5, t_bad, 0.7]]),
             np.array([[10.0], [v]]), np.array([[eps], [eps]]),
         )
@@ -334,7 +334,7 @@ class TestGaussLegendreAverage:
         pytest.importorskip("mpmath")
         v, t = 161502031.25560868, 0.999999999998079
         out = skr_fixed(ChannelParams(v, t, 0.0))
-        nodes = hba._holevo_nodes(np.array([0.5, t]), v, 0.0)
+        nodes = holevo_rows(np.array([0.5, t]), v, 0.0)
         assert nodes[1] == pytest.approx(out.holevo, rel=1e-14)
         assert abs(out.rate - fixed_rate_oracle(v, 0.0, t)) <= 1e-12
 
@@ -345,7 +345,7 @@ class TestGaussLegendreAverage:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t = np.linspace(0.5, 0.7, 5)
-            assert np.isnan(hba._holevo_nodes(t[None, :], np.array([[1e200]]), 0.0)).all()
+            assert np.isnan(holevo_rows(t[None, :], np.array([[1e200]]), 0.0)).all()
             with pytest.raises(DomainError):
                 skr_hba_exact(1e200, 0.0, FadingUniform(0.5, 0.2))
 

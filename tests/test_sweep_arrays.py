@@ -24,12 +24,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixed_rate_oracle
 from cvqkd_fading import cli, cma, fading, hba, svgplot
-from cvqkd_fading.channel import ChannelParams, holevo_fixed, mutual_information_fixed, skr_fixed
+from cvqkd_fading.channel import (
+    ChannelParams,
+    holevo_fixed,
+    holevo_rows,
+    mutual_information_fixed,
+    skr_fixed,
+)
 from cvqkd_fading.cma import optimal_variance
 from cvqkd_fading.errors import DomainError, NumericalError, QuadratureError
 from cvqkd_fading.fading import FadingUniform
@@ -710,7 +716,7 @@ def test_law_mean_on_block_columns_has_every_cell_scalar_bits(layout):
     for b, m in enumerate(lengths):
         v[b, :m] = 10.0 ** rng.uniform(0.0, 6.0, m)
     columns = [np.array(c, dtype=float)[:, None] for c in (t_min, t_max, eps)]
-    for integrand, shift in ((cma.mutual_information_form, 1.0), (hba._holevo_nodes, 0.0)):
+    for integrand, shift in ((cma.mutual_information_form, 1.0), (holevo_rows, 0.0)):
         got = fading.law_mean(integrand, columns[0], columns[1], v - shift, columns[2])
         assert got.shape == v.shape
         for b, m in enumerate(lengths):
@@ -758,7 +764,7 @@ def test_law_mean_takes_a_point_mass_at_its_one_node(layout):
         return mutual_information_fixed(ChannelParams(x, t, e))
 
     for integrand, shift, fixed in ((cma.mutual_information_form, 1.0, fixed_mi),
-                                    (hba._holevo_nodes, 0.0, fixed_holevo)):
+                                    (holevo_rows, 0.0, fixed_holevo)):
         calls = []  # per law_mean call, the node arrays its integrand got
 
         def mean(*args):
@@ -984,6 +990,69 @@ def test_failing_block_between_good_ones_and_nan_rows_match_run_point(approach, 
     assert 3 in failed and {0, 2, 6, 7}.isdisjoint(failed)
 
 
+@st.composite
+def kernel_matrices(draw):
+    """(approach, blocks, v) of one row kernel's blocks x V matrix: each
+    admitted block (eps, t_min, delta_t), and V log-uniform on [1, 1e250],
+    NaN in some cells and after a block's end."""
+    approach = draw(st.sampled_from(sorted(cli._ROW_MODELS)))
+    eps = st.sampled_from((0.0, 1e-300)) | st.floats(0.0, 0.1)
+    t_min = st.floats(-320.0, 0.0).map(lambda e: 10.0**e) | st.sampled_from((1e-320, 1.0))
+    delta_t = st.sampled_from((0.0, 1e-20, 1e-3, 0.2, None))  # None: t_max = 1
+    blocks = []
+    for e, t, d in draw(st.lists(st.tuples(eps, t_min, delta_t), min_size=1, max_size=4)):
+        d = 1.0 - t if d is None else d
+        try:
+            cli._ROW_MODELS[approach][0](FadingUniform(t, d))
+        except DomainError:  # a law the sweep skips never reaches the kernel
+            continue
+        blocks.append((e, t, d))
+    assume(blocks)
+    width = draw(st.integers(1, 6))
+    v = st.none() | st.floats(0.0, 250.0).map(lambda e: 10.0**e)
+    cells = draw(st.lists(st.lists(v, min_size=width, max_size=width),
+                          min_size=len(blocks), max_size=len(blocks)))
+    return approach, blocks, np.array([[math.nan if x is None else x for x in row]
+                                       for row in cells])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrix=kernel_matrices())
+@example(matrix=("hba_exact", [(0.01, 0.5, 0.2), (0.01, 1e-320, 0.2)], np.array([[1e200, 10.0]] * 2)))
+@example(matrix=("hba_asymptotic", [(0.01, 0.5, 0.2)], np.array([[1.2, math.nan, 1e4]])))
+@example(matrix=("cma", [(0.0, 1e-320, 0.0), (0.01, 0.5, 0.2)], np.array([[10.0, 1e200]] * 2)))
+def test_nan_is_the_one_signal_of_a_cell_the_kernel_cannot_vouch_for(matrix):
+    # the rate is NaN exactly where run_point raises, and elsewhere the
+    # kernel's (mutual_info, holevo) are run_point's, bit for bit; run_points
+    # sends exactly those cells to run_point, which makes them error rows
+    approach, blocks, v = matrix
+    laws = [FadingUniform(t, d) for _, t, d in blocks]
+    check, kernel = cli._ROW_MODELS[approach]
+    table = [(e, *check(f)) for (e, _, _), f in zip(blocks, laws)]
+    with np.errstate(all="ignore"):
+        mi, holevo = kernel(v, *(np.array(c, dtype=float)[:, None] for c in zip(*table)))
+        rate = mi - holevo
+    raises = set()
+    for b, k in zip(*np.nonzero(~np.isnan(v))):
+        try:
+            out = cli.run_point(approach, float(v[b, k]), blocks[b][0], laws[b])
+        except (DomainError, NumericalError):
+            raises.add((b, k))
+            assert np.isnan(rate[b, k])
+        else:
+            got = np.array([mi[b, k], holevo[b, k]]).tobytes()
+            assert got == np.array([out.mutual_info, out.holevo]).tobytes()
+    spans = np.cumsum([0] + [v.shape[1]] * len(blocks))
+    rows = sweep_rows([(approach, *b, start, stop) for b, start, stop
+                       in zip(blocks, spans, spans[1:])], v.ravel())
+    calls, real = [], cli.run_point
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_point", lambda *args: calls.append(args) or real(*args))
+        failed = cli.run_points(rows, approach, range(len(blocks)))
+    want = sorted(int(spans[b] + k) for b, k in raises)
+    assert sorted(failed) == want and len(calls) == len(want)
+
+
 def test_hba_exact_rows_span_chunks_with_a_fallback_row_in_each(monkeypatch):
     # 3 chunks, each with a row the kernel cannot vouch for (V = 1e200: the
     # spectrum overflows at its nodes), which run_point gives its
@@ -1061,7 +1130,7 @@ def test_hba_exact_rows_mutual_info_has_the_scalar_bits():
     n = 8_000
     v = 10.0 ** rng.uniform(0.0, 6.0, n)
     eps, t_min = rng.uniform(0.0, 0.1, n), rng.uniform(0.01, 0.8, n)
-    mi, _, _ = hba.skr_hba_exact_rows(v, eps, t_min, t_min + 0.2)
+    mi, _ = hba.skr_hba_exact_rows(v, eps, t_min, t_min + 0.2)
     want = [
         mutual_information_fixed(ChannelParams(*args))
         for args in zip(v.tolist(), t_min.tolist(), eps.tolist())
