@@ -6,13 +6,13 @@ worst-case-rate model (``hba``) the Holevo bound, the averaged-covariance
 model (``cma``) the mutual information, its Holevo bound needing only the
 moments of sqrt(T) and T (``moments_uniform``).  ``montecarlo`` samples it.
 
-``law_mean`` is a nested pair of tanh-sinh rules (Takahasi & Mori, Publ.
-RIMS 9, 1974; Bailey, Jeyabalan & Li, Exp. Math. 14, 2005): step 1/16 on
-|s| <= 3.2, 103 nodes, every other one (51) the coarse level.  The nodes
-crowd into both ends, so an x log x end (the exact Holevo bound at T = 1,
-small eps) costs no more than a smooth integrand.  A point mass (no fading)
-takes the one node t_min: both models reduce to the fixed channel by this
-rule alone.  Another fading law needs other nodes and weights only.
+``law_mean`` takes nested tanh-sinh levels (Takahasi & Mori, Publ. RIMS 9,
+1974; Bailey, Jeyabalan & Li, Exp. Math. 14, 2005), step 1/16 on |s| <= 3.2:
+the 51-node level where it agrees with the 25-node one, else the 103-node
+one.  The nodes crowd into both ends, so an x log x end (the exact Holevo
+bound at T = 1, small eps) costs no more than a smooth integrand.  A point
+mass (no fading) takes the one node t_min: both models reduce to the fixed
+channel by this rule alone.  Another fading law needs other nodes and weights.
 """
 
 from __future__ import annotations
@@ -24,22 +24,22 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-# Error targets of ``law_mean`` (and of ``numerics.integrate``): the two
-# levels must agree to max(ABS_TOL, REL_TOL * |mean|).
+# Error targets of ``law_mean`` (and of ``numerics.integrate``): a level
+# and the next coarser one must agree to max(ABS_TOL, REL_TOL * |mean|).
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
-# cells per chunk of ``law_mean``: 6,592 nodes, so the temporaries of a
-# chunk stay in cache
+# cells per chunk of ``law_mean`` (3,264 nodes), so its temporaries stay in cache
 CHUNK_ROWS = 64
 
-# the tanh-sinh pair on [-1, 1], ordered by x = tanh((pi/2) sinh(s)),
+# the tanh-sinh table on [-1, 1], ordered by x = tanh((pi/2) sinh(s)),
 # s = k/16 for |k| <= 51; _D is each node's distance from its nearer end,
 # 1 - |x| = 2 / (1 + e^(pi |sinh s|)), taken directly (1 - x would cancel)
 _S = np.arange(-51, 52) / 16.0
 _D = 2.0 / (1.0 + np.exp(math.pi * np.abs(np.sinh(_S))))
-_D_LO, _D_HI = _D[:51], _D[51:]  # the nodes measured from t_min, from t_max (x >= 0)
-# weights of the fine level's mean, h (pi/2) cosh(s) (1 - x^2) / 2; the
-# coarse level (k even, every other node from the second) takes twice them
+_EVEN, _ODD = (_D[1:51:2], _D[51::2]), (_D[:51:2], _D[52::2])  # distances from t_min, t_max
+# weights of the 103-node mean, h (pi/2) cosh(s) (1 - x^2) / 2; the 51-node
+# level (k even) takes twice them, exactly (so it has the bits of a 103-node
+# pair's coarse level), and the 25-node level (k = 0 mod 4) four times
 _W = (math.pi / 64.0) * np.cosh(_S) * _D * (2.0 - _D)
 
 
@@ -117,43 +117,55 @@ def moments_uniform(f: FadingUniform) -> TransmittanceMoments:
     )
 
 
-def _nodes(lo, hi):
-    """The nodes of [lo, hi] along a last axis; lo and hi are floats, or
-    columns with a last axis of 1."""
+def _nodes(lo, hi, part):
+    """The nodes of part (``_EVEN`` or ``_ODD``) on [lo, hi] along a last
+    axis; lo and hi are floats, or columns with a last axis of 1."""
     half = 0.5 * (hi - lo)
-    return np.concatenate((lo + half * _D_LO, hi - half * _D_HI), axis=-1)
+    return np.concatenate((lo + half * part[0], hi - half * part[1]), axis=-1)
 
 
-def _levels(y):
-    """The fine and coarse means of y, an integrand's values at the nodes
-    along the last axis.  Each sum runs over the last axis only, so a cell
-    of a chunk gets the bits the same cell gets alone; doubling the terms is
-    exact, so the coarse level is twice the sum of every other fine term."""
-    terms = y * _W
-    coarse = 2.0 * np.add.reduce(terms[..., 1::2], axis=-1)
-    return np.add.reduce(terms, axis=-1), coarse
+def _agree(mean, coarser):
+    """Where a level and the next coarser one agree to max(ABS_TOL, REL_TOL * |mean|)."""
+    return np.abs(mean - coarser) <= np.maximum(ABS_TOL, REL_TOL * np.abs(mean))
+
+
+def _coarse_levels(even):
+    """The 51- and 25-node means of an integrand's values at the k even nodes,
+    each summed over the last axis only: a cell has the bits it has alone."""
+    terms = even * _W[1::2]
+    return 2.0 * np.add.reduce(terms, axis=-1), 4.0 * np.add.reduce(terms[..., 1::2], axis=-1)
+
+
+def _fine_level(integrand, lo, hi, args, even):
+    """The 103-node mean of cells whose values at the k even nodes are even; evaluates the k odd."""
+    y = np.empty((*even.shape[:-1], _S.size))
+    y[..., 1::2], y[..., ::2] = even, integrand(_nodes(lo, hi, _ODD), *args)
+    return np.add.reduce(y * _W, axis=-1)
 
 
 def law_mean(integrand, t_min, t_max, *args):
     """Mean of integrand(T, *args) over T uniform on [t_min, t_max], the
-    law's support (``FadingUniform.t_max``), by the nested tanh-sinh pair;
+    law's support (``FadingUniform.t_max``), by nested tanh-sinh levels;
     at a point mass (t_max == t_min) the integrand at the one node t_min.
 
     integrand maps an array of nodes, and args as given, to the values at
-    those nodes, elementwise.  One row (t_min a float): the fine level where
-    the two levels agree to max(ABS_TOL, REL_TOL * |mean|), else
-    QuadratureError with the gap.  Cells (ndarrays that broadcast: rows, or
-    blocks x V with (blocks, 1) block columns): the point masses along the
-    first axis in one integrand call, the other entries in chunks of at most
-    ``CHUNK_ROWS`` cells, whole blocks or one cut along V, the node axis
-    last, so what the block columns alone give is computed once per block;
-    a cell gets the bits it gets alone, or NaN where its levels disagree.
+    those nodes, elementwise.  A cell takes the 51-node level where it
+    agrees with the 25-node one, else the 103-node level where that agrees
+    with the 51-node one, else NaN (one row, t_min a float: QuadratureError
+    with the gap).  Cells (ndarrays that broadcast: rows, or blocks x V with
+    (blocks, 1) block columns): point masses in one integrand call, the
+    others in chunks of at most ``CHUNK_ROWS`` cells, whole blocks or one
+    cut along V, so what the block columns alone give is computed once per
+    block, and the other 52 nodes of the cells that need them gathered as
+    rows.  A cell gets the bits it gets alone.
     """
     if not isinstance(t_min, np.ndarray):
         if t_max == t_min:
             return integrand(np.full(1, t_min), *args).item()
-        fine, coarse = _levels(integrand(_nodes(t_min, t_max), *args))
-        if not abs(fine - coarse) <= max(ABS_TOL, REL_TOL * abs(fine)):
+        even = integrand(_nodes(t_min, t_max, _EVEN), *args)
+        coarse, rough = _coarse_levels(even)
+        fine = coarse if _agree(coarse, rough) else _fine_level(integrand, t_min, t_max, args, even)
+        if not _agree(fine, coarse):
             raise QuadratureError(
                 f"fading average on [{t_min!r}, {t_max!r}] not resolved: the two "
                 f"tanh-sinh levels differ by {abs(fine - coarse):.3e}"
@@ -164,19 +176,37 @@ def law_mean(integrand, t_min, t_max, *args):
     mean = np.empty(shape)
     mean[point] = integrand(*(a[point, ..., None] for a in (t_min, *args)))[..., 0]
     t_min, t_max, *args = (a[~point] for a in (t_min, t_max, *args))
-    fine, coarse = np.empty((2, t_min.shape[0], *shape[1:]))
+    level = np.empty((t_min.shape[0], *shape[1:]))
+    index = np.arange(level.size).reshape(level.shape)
+    pending = []  # cells that need the k odd nodes, as rows: lo, hi, args, even values, index
+
+    def second_stage(least):  # the pending cells in one call, once they number max(least, 1)
+        if sum(len(cell[-1]) for cell in pending) < max(least, 1):
+            return
+        lo, hi, *rest, even, cells = map(np.concatenate, zip(*pending))
+        fine = _fine_level(integrand, lo, hi, rest, even)
+        level.flat[cells] = np.where(_agree(fine, level.flat[cells]), fine, np.nan)
+        pending.clear()
+
     # whole blocks (first-axis entries) per chunk, or one cut along V; t_min
     # and t_max are block columns, never cut, and rows have no V axis to cut
     width = math.prod(shape[1:])
     step = max(CHUNK_ROWS // width, 1)
     cuts = [slice(c, c + CHUNK_ROWS) for c in range(0, width, CHUNK_ROWS)]
-    for start in range(0, fine.shape[0], step):
+    for start in range(0, level.shape[0], step):
         rows = slice(start, start + step)
-        t = _nodes(t_min[rows, ..., None], t_max[rows, ..., None])  # once per block
+        lo, hi = t_min[rows, ..., None], t_max[rows, ..., None]
+        t = _nodes(lo, hi, _EVEN)  # once per block
         for at in ((rows, cut)[: len(shape)] for cut in cuts):
             # a (blocks, 1) column is not cut: it broadcasts along V
             rest = [a[(rows, ..., None) if a.shape[-1] == 1 else at + (None,)] for a in args]
-            fine[at], coarse[at] = _levels(integrand(t, *rest))
-    agree = np.abs(fine - coarse) <= np.maximum(ABS_TOL, REL_TOL * np.abs(fine))
-    mean[~point] = np.where(agree, fine, np.nan)
+            even = integrand(t, *rest)
+            level[at], rough = _coarse_levels(even)
+            redo = ~_agree(level[at], rough)
+            if redo.any():
+                pending.append([np.broadcast_to(a, (*redo.shape, 1))[redo] for a in (lo, hi, *rest)]
+                               + [even[redo], index[at][redo]])
+            second_stage(CHUNK_ROWS)
+    second_stage(1)
+    mean[~point] = level
     return mean

@@ -11,9 +11,9 @@ Two pipelines are provided, each with a row kernel for sweeps that returns
 
 * ``skr_hba_exact`` -- the ``fading.law_mean`` of the exact fixed-channel
   Holevo bound (integrand ``channel.holevo_rows``); valid for any V >= 1,
-  the default everywhere.  QuadratureError where the two tanh-sinh levels
-  disagree; the scalar ``holevo_fixed`` error at the first node that fails
-  its checks (at once beyond V ~ 1e154, where the spectrum overflows).
+  the default everywhere.  QuadratureError where the 103-node level too
+  disagrees; the scalar ``holevo_fixed`` error at the first node evaluated
+  that fails its checks (at once beyond V ~ 1e154: the spectrum overflows).
   ``skr_hba_exact_rows`` is the same kernel for many rows, for the sweep,
   whose fixed-channel rows it takes too: at a point mass the one node t_min.
 * ``skr_hba_asymptotic`` -- the large-V form, whose rate is independent of
@@ -88,9 +88,9 @@ def skr_hba_exact(v: float, eps: float, f: FadingUniform) -> SkrBreakdown:
     value when t_max = t_min (delta_t = 0, or below the rounding of t_min).
     The mean is over t_max - t_min, not delta_t, whose difference from it
     (the rounding of t_min + delta_t) is ulp(t_min) / delta_t relative.  V
-    and eps are validated once, here.  Raises QuadratureError where the two
-    tanh-sinh levels disagree, and the scalar error at the first node that
-    fails a check of ``holevo_fixed``.
+    and eps are validated once, here.  Raises QuadratureError where the
+    103-node level too disagrees, and the scalar error at the first node
+    evaluated that fails a check of ``holevo_fixed``.
     """
     mi = mutual_information_fixed(ChannelParams(v, f.t_min, eps))
     return SkrBreakdown.from_parts(mi, law_mean(holevo_rows, f.t_min, f.t_max, v, eps))

@@ -16,6 +16,8 @@ oracles get it through ``pytest.importorskip("mpmath")``.
 
 ``benchmark_sessions`` hands tests the benchmark's query sessions, so that
 the interactive paths are checked on the inputs they are timed on.
+``tanh_sinh_levels`` is a tanh-sinh table of the tests' own, which holds
+``fading.law_mean`` to its rule bit for bit.
 """
 
 from __future__ import annotations
@@ -34,14 +36,51 @@ ORACLE_DPS = 40
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-def benchmark_sessions(seed: int, n: int) -> list:
-    """The first n sessions (V, eps, t_min, delta_t, mc_seed) of the
-    benchmark's ``queries`` workload for a seed."""
+def benchmark_workloads():
+    """The benchmark's ``workloads`` module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
-    return list(itertools.islice(workloads.sessions(seed), n))
+    return workloads
+
+
+def benchmark_sessions(seed: int, n: int) -> list:
+    """The first n sessions (V, eps, t_min, delta_t, mc_seed) of the
+    benchmark's ``queries`` workload for a seed."""
+    return list(itertools.islice(benchmark_workloads().sessions(seed), n))
+
+
+# a tanh-sinh table of its own (s = k/16, |k| <= 51), written from the
+# formulas, for holding ``fading.law_mean`` to its rule bit for bit
+_K = np.arange(-51, 52)
+_DIST = 2.0 / (1.0 + np.exp(np.pi * np.abs(np.sinh(_K / 16.0))))
+_WEIGHT = (np.pi / 64.0) * np.cosh(_K / 16.0) * _DIST * (2.0 - _DIST)
+assert (_K[1::2] % 2 == 0).all() and (_K[3::4] % 4 == 0).all() and len(_K[3::4]) == 25
+
+
+def tanh_sinh_levels(integrand, t_min, t_max, *args):
+    """The 103-, 51- and 25-node means (k any, k even, k divisible by 4) of
+    integrand(T, *args) over [t_min, t_max], at every cell of arrays of one
+    shape (or floats), the node axis appended: each a sum over a cell's terms
+    in the order of k, the node at k < 0 measured from t_min and at k >= 0
+    from t_max, so that each has the bits of that level alone."""
+    t_min, t_max, *args = (np.asarray(a, dtype=float)[..., None] for a in (t_min, t_max, *args))
+    half = 0.5 * (t_max - t_min)
+    t = np.where(_K < 0, t_min + half * _DIST, t_max - half * _DIST)
+    with np.errstate(all="ignore"):
+        terms = integrand(t, *args) * _WEIGHT
+    # k = -50, -48, ... are every other node from the second, k = -48, -44,
+    # ... every fourth from the fourth (views: a mask would copy the node
+    # axis out of memory order, and the sums would then run another way)
+    return (np.add.reduce(terms, axis=-1),
+            2.0 * np.add.reduce(terms[..., 1::2], axis=-1),
+            4.0 * np.add.reduce(terms[..., 3::4], axis=-1))
+
+
+def levels_agree(mean, coarser, abs_tol=1e-12, rel_tol=1e-10):
+    """Where a level and the next coarser one agree to max(abs_tol, rel_tol * |mean|)."""
+    return np.abs(mean - coarser) <= np.maximum(abs_tol, rel_tol * np.abs(mean))
 
 
 def symplectic_eigs_generic(gamma: np.ndarray) -> list[float]:
@@ -78,6 +117,16 @@ def entropy_bits_oracle(x):
     return (x + 1) * mpmath.log(x + 1, 2) - x * mpmath.log(x, 2)
 
 
+def _spectrum_dps(v):
+    """The working digits of the textbook spectrum: three times
+    ``ORACLE_DPS``, and twice the decimal digits of V more, because
+    lambda_2^2 is the difference of terms of order V^2 and g(lambda_1) one of
+    terms of order V log V."""
+    import mpmath
+
+    return 3 * ORACLE_DPS + 2 * max(int(mpmath.log10(v)), 0)
+
+
 def spectrum_oracle(v, t, eps):
     """(lambda1, lambda2, lambda3) of the fixed channel from the textbook
     forms: lambda_{1,2}^2 = (A +/- sqrt(A^2 - 4B)) / 2 with
@@ -86,11 +135,11 @@ def spectrum_oracle(v, t, eps):
 
     These forms cancel: A loses the digits of V^2, and near a pure state
     (eps = 0, T -> 1) sqrt(A^2 - 4B) keeps half of what is left, so they are
-    taken at three times ``ORACLE_DPS``.  The discriminant, 0 at a pure
+    taken at ``_spectrum_dps(v)`` digits.  The discriminant, 0 at a pure
     state, may still round to either side of 0 and is floored there."""
     import mpmath
 
-    with mpmath.workdps(3 * ORACLE_DPS):
+    with mpmath.workdps(_spectrum_dps(v)):
         v, t, eps = (mpmath.mpf(x) for x in (v, t, eps))
         chi = 1 / t - 1 + eps
         big_a = v * v * (1 - 2 * t) + 2 * t + t * t * (v + chi) ** 2
@@ -109,7 +158,7 @@ def _holevo_exact_oracle(v, t, eps):
     import mpmath
 
     lam1, lam2, lam3 = spectrum_oracle(v, t, eps)
-    with mpmath.workdps(3 * ORACLE_DPS):
+    with mpmath.workdps(_spectrum_dps(v)):
         return sum(
             sign * entropy_bits_oracle((lam - 1) / 2)
             for sign, lam in ((1, lam1), (1, lam2), (-1, lam3))

@@ -172,11 +172,14 @@ class TestExactPipeline:
 
     def test_noisy_integrand_fails_within_budget(self, monkeypatch):
         # node values with noise (1e-5 bits at V = 1e8) far beyond rel_tol:
-        # the two tanh-sinh levels disagree, and the 103 nodes are all the
-        # kernel spends before it says so
+        # the 51-node level disagrees with the 25-node one and the 103-node
+        # level with the 51-node one, and the 51 + 52 nodes of the two stages
+        # are all the kernel spends before it says so
         real = hba.holevo_rows
+        nodes = []
 
         def noisy(t, v, eps):
+            nodes.append(t.size)
             return real(t, v, eps) + 1e-13 * v * np.sin(1e7 * t)
 
         monkeypatch.setattr(hba, "holevo_rows", noisy)
@@ -184,6 +187,7 @@ class TestExactPipeline:
         with pytest.raises(QuadratureError, match="tanh-sinh levels differ by"):
             skr_hba_exact(1e8, 0.01, FadingUniform(0.5, 0.4))
         assert time.perf_counter() - start < 0.5
+        assert nodes == [51, 52]
 
 
 LARGE_V_ORACLE_CASES = [

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fixed_rate_oracle
+from conftest import fixed_rate_oracle, levels_agree, tanh_sinh_levels
 from cvqkd_fading import cli, cma, fading, hba, svgplot
 from cvqkd_fading.channel import (
     ChannelParams,
@@ -628,11 +628,11 @@ def test_run_points_on_ragged_blocks_equal_run_point(monkeypatch, capsys, kernel
 
 def test_sweep_with_a_long_v_list_peaks_below_a_bound(monkeypatch, capsys):
     # 10^4 V per block: a kernel call stays within KERNEL_ROWS cells, a
-    # law_mean chunk within CHUNK_ROWS cells of 103 nodes, and run_points
-    # writes into the sweep's columns, so each run_points call of the sweep
-    # peaks at about 1.6 MB of traced memory; one kernel call for all 20,000
-    # cma rows needs 3.1 MB, a law_mean chunk of one whole block (10,000 x
-    # 103 nodes) 14 MB
+    # law_mean chunk within CHUNK_ROWS cells of 51 nodes (and of 52 for the
+    # cells of its second stage), and run_points writes into the sweep's
+    # columns, so each run_points call of the sweep peaks at about 1.6 MB of
+    # traced memory; one kernel call for all 20,000 cma rows needs 3.1 MB, a
+    # law_mean chunk of one whole block (10,000 x 51 nodes) 7.4 MB
     cfg = cli.SweepConfig(("fixed", "cma"), tuple(np.geomspace(1.5, 1e5, 10_000).tolist()),
                           (0.01,), (0.3,), (0.0, 0.2))
     real = cli.run_points
@@ -663,9 +663,12 @@ def test_sweep_with_a_long_v_list_peaks_below_a_bound(monkeypatch, capsys):
 
 
 def test_cma_integrand_gets_one_node_row_per_averaged_block(monkeypatch, capsys):
-    # a fig3-shaped grid (45 V from 1.3 to 2000) with point masses: what the
-    # mutual information shares across a block, its nodes and T / (1 + eps T),
-    # is computed once per averaged block, not once per row
+    # a fig3-shaped grid (45 V from 1.3 to 2000) with point masses and a
+    # wider law, whose t_min = 0.05 blocks need stage 2 at large V: what the
+    # mutual information shares across a block, its 51 first-stage nodes and
+    # T / (1 + eps T), is computed once per averaged block, not once per row;
+    # the 52 second-stage nodes come one row per cell whose 51- and 25-node
+    # levels disagree, and only for those
     shapes = []
     real = cma.mutual_information_form
 
@@ -675,15 +678,23 @@ def test_cma_integrand_gets_one_node_row_per_averaged_block(monkeypatch, capsys)
 
     monkeypatch.setattr(cma, "mutual_information_form", counting)
     cfg = cli.sweep_config_from_sources(
-        cli.load_preset("fig3"), {"approach": "cma", "eps": "0,0.01", "delta_t": "0,0.2"}
+        cli.load_preset("fig3"), {"approach": "cma", "eps": "0,0.01", "delta_t": "0,0.2,0.6"}
     )
     cfg = dataclasses.replace(cfg, csv_path=None, svg_path=None)
     rows, n_errors = cli.run_sweep(cfg)
     capsys.readouterr()
     averaged = sum(1 for b in rows.blocks if b[3] > 0.0)
-    assert n_errors == 0 and averaged == 10 and len(rows) == 20 * 45
-    node_rows = [math.prod(shape[:-1]) for shape in shapes if shape[-1] == 103]
-    assert sum(node_rows) == averaged
+    assert n_errors == 0 and averaged == 18 and len(rows) == 28 * 45  # t_min 0.5 + 0.6 > 1
+    node_rows = {n: [math.prod(shape[:-1]) for shape in shapes if shape[-1] == n] for n in (51, 52)}
+    assert sum(node_rows[51]) == averaged
+    assert len(shapes) == 1 + len(node_rows[51]) + len(node_rows[52])  # and one point-mass call
+    second = 0
+    for (_, eps, *_, start, end), f in zip(rows.blocks, rows.laws):
+        if f.delta_t > 0.0:
+            _, coarse, rough = tanh_sinh_levels(real, f.t_min, f.t_max, rows.v[start:end] - 1.0, eps)
+            second += int((~levels_agree(coarse, rough)).sum())
+    assert second > 0 and sum(node_rows[52]) == second
+    assert all(len(shape) == 2 for shape in shapes if shape[-1] == 52)
 
 
 @st.composite
@@ -740,7 +751,7 @@ def test_law_mean_takes_a_point_mass_at_its_one_node(layout):
     # blocks in one law_mean call, as blocks x V, as rows and one cell at a
     # time: a point cell is the fixed channel's value at t_min bit for bit,
     # and the integrand gets one node of a point mass, never more (an entry
-    # whose nodes are all equal is a point mass)
+    # whose nodes are all equal is a point mass), and never an empty array
     seed, width, blocks = layout
     blocks = [*blocks, (0.55, 0.0, 0.01, width), (0.45, 0.2, 0.0, 1)]
     t_min, delta_t, eps, lengths = zip(*blocks)
@@ -792,7 +803,24 @@ def test_law_mean_takes_a_point_mass_at_its_one_node(layout):
         one_node = [[t.shape for t in nodes if t.shape[-1] == 1] for nodes in calls]
         assert one_node == [[(sum(point), 1, 1)], [(n_point, 1)]] + [[(1,)]] * n_point
         for t in itertools.chain.from_iterable(calls):
+            assert t.size > 0 and t.shape[-1] in (1, 51, 52)
             assert t.shape[-1] == 1 or not (t.min(axis=-1) == t.max(axis=-1)).any()
+        # node rows per stage: the 51 first-stage nodes once per averaged
+        # block and cut along V (blocks x V) or per averaged row, the 52
+        # second-stage nodes as one row per cell whose 51- and 25-node levels
+        # disagree (also the NaN padding after a block's end)
+        averaged = ~np.array(point)
+        _, coarse, rough = tanh_sinh_levels(integrand, *np.broadcast_arrays(
+            columns[0][averaged], columns[1][averaged], (v - shift)[averaged], columns[2][averaged]))
+        second = ~levels_agree(coarse, rough)
+        cuts = -(-width // fading.CHUNK_ROWS)
+        want = [(int(averaged.sum()) * cuts, int(second.sum())),
+                (int(inside[averaged].sum()), int(second[inside[averaged]].sum()))]
+        for nodes, (first_rows, second_rows) in zip(calls, want):
+            rows_of = {n: sum(math.prod(t.shape[:-1]) for t in nodes if t.shape[-1] == n)
+                       for n in (51, 52)}
+            assert rows_of == {51: first_rows, 52: second_rows}
+            assert all(t.ndim == 2 for t in nodes if t.shape[-1] == 52)
 
 
 def test_svg_sorts_only_what_is_out_of_order(tmp_path):
